@@ -28,31 +28,24 @@ from .cohomology import (
     ObstructionClass,
     _insert_index,
     coadjoint_rep,
+    cohomology_dimension,
     induced_polynomial_module,
 )
-from .liealg import (
-    LeviSplit,
-    LeviSplitError,
-    LieAlgebra,
-    SolverFailure,
-    isotropy_from_linear_part,
-    verify_levi_split,
-)
+from .liealg import LeviSplit, LieAlgebra
 from .linalg import LinearSolver
 from .normalform import (
     ActionJet,
-    IterationStep,
-    IterationTrace,
-    SplitNotCertified,
-    _scheduler_blocks,
-    _tail_stats,
-    _twisted_field_module,
+    _LeviProblem,
+    _PoissonProblem,
+    _remainder_vector,
+    _require_certified_split,
+    _run_scheduler,
+    _SubSolve,
 )
 from .polyalg import (
     CoordChange,
     Jet,
     PoissonJet,
-    compose_change,
     monomials,
     pushforward,
 )
@@ -477,7 +470,7 @@ class _DualGradedComplex:
         self._by_edeg: dict = {}
         self._layout: dict = {}
         self._mats: dict = {}
-        self._solvers: dict = {}
+        self._solver_cache: dict = {}
 
     def slot_basis(self, subset) -> tuple:
         edeg = sum(1 for a in subset if a >= self.base_dim) - (len(subset) - 1)
@@ -563,22 +556,16 @@ class _DualGradedComplex:
         return mat
 
     def coboundary_solver(self, r: int) -> LinearSolver:
-        cached = self._solvers.get(r)
+        cached = self._solver_cache.get(r)
         if cached is None:
             cached = LinearSolver(
                 self.differential_matrix(r - 1), self.cochain_dim(r - 1)
             )
-            self._solvers[r] = cached
+            self._solver_cache[r] = cached
         return cached
 
     def h_dim(self, r: int) -> int:
-        kernel = self.cochain_dim(r)
-        if self.cochain_dim(r + 1):
-            kernel -= LinearSolver(
-                self.differential_matrix(r), self.cochain_dim(r)
-            ).rank
-        image = self.coboundary_solver(r).rank if r >= 1 else 0
-        return kernel - image
+        return cohomology_dimension(self, r)
 
 
 def _graded_complex(constants, base_dim: int, degree: int) -> _DualGradedComplex:
@@ -594,57 +581,15 @@ def _graded_complex(constants, base_dim: int, degree: int) -> _DualGradedComplex
 # linearization
 
 
-def _dual_tail(pi: PoissonJet):
-    n = pi.nvars
-    return [
-        pi.entries[a][b] - pi.entries[a][b].homogeneous_part(1)
-        for a in range(n) for b in range(a + 1, n)
-    ]
-
-
-def _graded_remainder_vector(pi: PoissonJet, cx: _DualGradedComplex, degree: int):
-    subsets, offsets, total = cx.layout(2)
-    vec = [ZERO] * total
-    nonzero = False
-    for pair in subsets:
-        a, b = pair
-        part = pi.entries[a][b].homogeneous_part(degree)
-        if part.is_zero():
-            continue
-        _, index = cx.slot_basis(pair)
-        base = offsets[pair]
-        for mono, c in part._c.items():
-            pos = index.get(mono)
-            if pos is None:
-                raise SolverFailure("remainder leaves the graded span")
-            vec[base + pos] = c
-            nonzero = True
-    return vec if nonzero else None
-
-
-def _graded_correction(solution, cx: _DualGradedComplex, order: int) -> CoordChange:
-    comps = []
-    _, offsets, _ = cx.layout(1)
-    for a in range(cx.ngens):
-        basis, _ = cx.slot_basis((a,))
-        base = offsets[(a,)]
-        coeffs = {
-            mono: solution[base + pos]
-            for pos, mono in enumerate(basis) if solution[base + pos]
-        }
-        comps.append(Jet.variable(a, cx.ngens, order) - Jet(cx.ngens, order, coeffs))
-    return CoordChange(comps)
-
-
-def _embed_obstruction(iso: LieAlgebra, cx: _DualGradedComplex, degree: int,
-                       vec, lam) -> ObstructionClass:
+def _embed_obstruction(iso: LieAlgebra, cx: _DualGradedComplex, vec,
+                       lam) -> ObstructionClass:
     """Lift a graded certificate into the full cochain complex.
 
     The graded pieces of the full complex are preserved by the differential,
     so a functional supported on one graded piece that annihilates the graded
     coboundaries annihilates all full coboundaries as well.
     """
-    module = induced_polynomial_module(iso, iso.dim, coadjoint_rep(iso), degree)
+    module = induced_polynomial_module(iso, iso.dim, coadjoint_rep(iso), cx.degree)
     mono_index = {m: i for i, m in enumerate(module.labels)}
     subsets, offsets, _ = cx.layout(2)
     full_vec = [ZERO] * module.cochain_dim(2)
@@ -659,6 +604,27 @@ def _embed_obstruction(iso: LieAlgebra, cx: _DualGradedComplex, degree: int,
     return ObstructionClass(
         Cochain(module, 2, full_vec), full_lam, cx.h_dim(2)
     )
+
+
+class _GradedProblem(_PoissonProblem):
+    """Adapter for an algebroid dual: the 2-cochain sub-solve runs in the
+    fiber-degree graded complex, so every correction keeps the grading."""
+
+    unfinished = "dual bivector not linear after all degrees were cleared"
+
+    def __init__(self, dual: PoissonJet, base_dim: int):
+        super().__init__(dual)
+        self.base_dim = base_dim
+
+    def solves(self, degree: int):
+        cx = _graded_complex(self.algebra.constants, self.base_dim, degree)
+        blocks = [(self.state.entries[a][b], cx.slot_basis((a, b))[1])
+                  for a, b in cx.layout(2)[0]]
+        targets = [(a, cx.slot_basis((a,))[0]) for a in range(cx.ngens)]
+        yield _SubSolve(cx, 2, _remainder_vector(blocks, degree), targets)
+
+    def obstruction(self, sub, functional) -> ObstructionClass:
+        return _embed_obstruction(self.algebra, sub.complex, sub.vector, functional)
 
 
 def linearize_algebroid(A: AlgebroidJet, scheduler: str = "doubling",
@@ -679,52 +645,12 @@ def linearize_algebroid(A: AlgebroidJet, scheduler: str = "doubling",
         raise ValueError("target order exceeds the jet's truncation")
     if order < A.order:
         A = A.truncate(order)
-    current = algebroid_to_poisson(A)
-    dual_order = current.order
-    base_dim = A.base_dim
-    iso = isotropy_from_linear_part(current)
-    accumulated = CoordChange.identity(current.nvars, dual_order)
-    trace = IterationTrace(scheduler, Fraction(radius), dual_order)
-    for block_index, degrees in _scheduler_blocks(scheduler, dual_order):
-        lowest_before, norm_before = _tail_stats(_dual_tail(current), radius)
-        if lowest_before is None or lowest_before > degrees[-1]:
-            continue
-        treated = []
-        for degree in degrees:
-            cx = _graded_complex(iso.constants, base_dim, degree)
-            vec = _graded_remainder_vector(current, cx, degree)
-            if vec is None:
-                continue
-            treated.append(degree)
-            solver = cx.coboundary_solver(2)
-            solution = solver.solve(vec)
-            if solution is None:
-                partial, _residual = solver.solve_partial(vec)
-                if any(partial):
-                    change = _graded_correction(partial, cx, dual_order)
-                    current = pushforward(current, change)
-                    accumulated = compose_change(accumulated, change)
-                lam = solver.null_functional(vec)
-                obstruction = _embed_obstruction(iso, cx, degree, vec, lam)
-                lowest_after, norm_after = _tail_stats(_dual_tail(current), radius)
-                trace.steps.append(IterationStep(
-                    block_index, tuple(treated), lowest_before, lowest_after,
-                    norm_before, norm_after, obstructed=True,
-                ))
-                return obstruction, trace
-            change = _graded_correction(solution, cx, dual_order)
-            current = pushforward(current, change)
-            accumulated = compose_change(accumulated, change)
-        if treated:
-            lowest_after, norm_after = _tail_stats(_dual_tail(current), radius)
-            trace.steps.append(IterationStep(
-                block_index, tuple(treated), lowest_before, lowest_after,
-                norm_before, norm_after,
-            ))
-    if not current.is_linear():
-        raise SolverFailure("dual bivector not linear after all degrees were cleared")
-    constants = current.linear_constants()
-    n, r = base_dim, A.rank
+    problem = _GradedProblem(algebroid_to_poisson(A), A.base_dim)
+    obstruction, trace = _run_scheduler(problem, scheduler, order + 1, radius)
+    if obstruction is not None:
+        return obstruction, trace
+    constants = problem.state.linear_constants()
+    n, r = A.base_dim, A.rank
     fiber = LieAlgebra([
         [[constants[n + i][n + j][n + k] for k in range(r)] for j in range(r)]
         for i in range(r)
@@ -735,7 +661,7 @@ def linearize_algebroid(A: AlgebroidJet, scheduler: str = "doubling",
     ]
     # from_dual rejects any change that broke the grading
     return (
-        AlgebroidChange.from_dual(accumulated, base_dim),
+        AlgebroidChange.from_dual(problem.accumulated, n),
         LinearAlgebroid(fiber, mats),
         trace,
     )
@@ -755,15 +681,7 @@ def levi_algebroid(A: AlgebroidJet, split: LeviSplit, order: int | None = None,
     the s-sections through the truncation; the rest of the data rides along
     untouched.  Returns (AlgebroidChange, AlgebroidJet, IterationTrace).
     """
-    fiber = A.fiber_algebra()
-    if split.algebra != fiber:
-        raise SplitNotCertified(
-            "split belongs to a different algebra than the fiber isotropy"
-        )
-    try:
-        verify_levi_split(fiber, split.s_basis, split.r_basis)
-    except LeviSplitError as exc:
-        raise SplitNotCertified(f"{exc.violation}: {exc}") from exc
+    _require_certified_split(A.fiber_algebra(), split, "the fiber isotropy")
     if order is None:
         order = A.order
     if order > A.order:
@@ -773,198 +691,18 @@ def levi_algebroid(A: AlgebroidJet, split: LeviSplit, order: int | None = None,
     n = A.base_dim
     total = n + A.rank
     ns = len(split.s_basis)
-    nr = len(split.r_basis)
     dual_order = order + 1
-    trace = IterationTrace("levi", Fraction(radius), dual_order)
-
     rows = [[ONE if t == a else ZERO for t in range(total)] for a in range(n)]
     rows += [[ZERO] * n + list(v) for v in split.s_basis + split.r_basis]
     adapt = CoordChange.linear(rows, dual_order)
-    current = pushforward(algebroid_to_poisson(A), adapt)
-    accumulated = adapt
-
-    if ns == 0:
-        return (
-            AlgebroidChange.from_dual(adapt, n),
-            poisson_to_algebroid(current, n),
-            trace,
-        )
-
-    c_full = isotropy_from_linear_part(current).constants
-    s_constants = [
-        [[c_full[n + a][n + b][n + k] for k in range(ns)] for b in range(ns)]
-        for a in range(ns)
-    ]
-    s_algebra = LieAlgebra(s_constants)
-    s_rep = tuple(
-        tuple(tuple(c_full[n + a][j][k] for j in range(total)) for k in range(total))
-        for a in range(ns)
+    # s-r brackets carry fiber degree one, anchors on s fiber degree zero
+    problem = _LeviProblem(
+        pushforward(algebroid_to_poisson(A), adapt), adapt, range(n, n + ns),
+        [(range(n + ns, total), 1), (range(n), 0)], base_dim=n,
     )
-    frame_twists = tuple(
-        tuple(tuple(c_full[n + a][n + ns + beta][n + ns + gamma]
-                    for gamma in range(nr)) for beta in range(nr))
-        for a in range(ns)
-    )
-    base_twists = tuple(
-        tuple(tuple(c_full[n + a][j][k] for k in range(n)) for j in range(n))
-        for a in range(ns)
-    )
-
-    def normalized_tail():
-        jets = [
-            current.entries[n + a][n + b] - current.entries[n + a][n + b].homogeneous_part(1)
-            for a in range(ns) for b in range(a + 1, ns)
-        ]
-        jets.extend(
-            current.entries[n + a][n + ns + beta]
-            - current.entries[n + a][n + ns + beta].homogeneous_part(1)
-            for a in range(ns) for beta in range(nr)
-        )
-        jets.extend(
-            current.entries[n + a][j] - current.entries[n + a][j].homogeneous_part(1)
-            for a in range(ns) for j in range(n)
-        )
-        return jets
-
-    def fiber_filter(m):
-        return _fiber_degree(m, n) == 1
-
-    def base_filter(m):
-        return _fiber_degree(m, n) == 0
-
-    def apply_change(comps):
-        nonlocal current, accumulated
-        change = CoordChange(comps)
-        current = pushforward(current, change)
-        accumulated = compose_change(accumulated, change)
-
-    def coordinate_jets():
-        return [Jet.variable(t, total, dual_order) for t in range(total)]
-
-    for degree in range(2, dual_order + 1):
-        lowest_before, norm_before = _tail_stats(normalized_tail(), radius)
-        if lowest_before is None or lowest_before > degree:
-            continue
-        did_work = False
-        v1 = induced_polynomial_module(
-            s_algebra, total, s_rep, degree,
-            monomial_filter=fiber_filter, filter_key=("fiber-degree", 1, n),
-        )
-        v0 = induced_polynomial_module(
-            s_algebra, total, s_rep, degree,
-            monomial_filter=base_filter, filter_key=("fiber-degree", 0, n),
-        )
-
-        components = {}
-        for a in range(ns):
-            for b in range(a + 1, ns):
-                part = current.entries[n + a][n + b].homogeneous_part(degree)
-                if not part.is_zero():
-                    components[(a, b)] = _filtered_vector(part, v1)
-        if components:
-            did_work = True
-            target = Cochain.from_components(v1, 2, components)
-            solution = v1.coboundary_solver(2).solve(target.vector)
-            if solution is None:
-                raise SolverFailure("2-cochain solve failed on a semisimple factor")
-            comps = coordinate_jets()
-            for a in range(ns):
-                block = solution[a * v1.dim:(a + 1) * v1.dim]
-                comps[n + a] = comps[n + a] - _jet_from_basis(block, v1, total, dual_order)
-            apply_change(comps)
-
-        if nr:
-            key = ("algebroid-sr", s_algebra.constants, s_rep, total, degree,
-                   frame_twists, 1, n)
-            u1 = _twisted_field_module(s_algebra, v1, frame_twists, key)
-            components = {}
-            for a in range(ns):
-                vec = [ZERO] * u1.dim
-                nonzero = False
-                for beta in range(nr):
-                    part = current.entries[n + a][n + ns + beta].homogeneous_part(degree)
-                    if part.is_zero():
-                        continue
-                    nonzero = True
-                    block = _filtered_vector(part, v1)
-                    for l, x in enumerate(block):
-                        vec[beta * v1.dim + l] = x
-                if nonzero:
-                    components[(a,)] = vec
-            if components:
-                did_work = True
-                target = Cochain.from_components(u1, 1, components)
-                solution = u1.coboundary_solver(1).solve(target.vector)
-                if solution is None:
-                    raise SolverFailure("1-cochain solve failed on a semisimple factor")
-                comps = coordinate_jets()
-                for beta in range(nr):
-                    block = solution[beta * v1.dim:(beta + 1) * v1.dim]
-                    comps[n + ns + beta] = comps[n + ns + beta] - _jet_from_basis(
-                        block, v1, total, dual_order
-                    )
-                apply_change(comps)
-
-        key = ("algebroid-anchor", s_algebra.constants, s_rep, total, degree,
-               base_twists, 0, n)
-        u0 = _twisted_field_module(s_algebra, v0, base_twists, key)
-        components = {}
-        for a in range(ns):
-            vec = [ZERO] * u0.dim
-            nonzero = False
-            for j in range(n):
-                part = current.entries[n + a][j].homogeneous_part(degree)
-                if part.is_zero():
-                    continue
-                nonzero = True
-                block = _filtered_vector(part, v0)
-                for l, x in enumerate(block):
-                    vec[j * v0.dim + l] = x
-            if nonzero:
-                components[(a,)] = vec
-        if components:
-            did_work = True
-            target = Cochain.from_components(u0, 1, components)
-            solution = u0.coboundary_solver(1).solve(target.vector)
-            if solution is None:
-                raise SolverFailure("1-cochain solve failed on a semisimple factor")
-            comps = coordinate_jets()
-            for j in range(n):
-                block = solution[j * v0.dim:(j + 1) * v0.dim]
-                comps[j] = comps[j] - _jet_from_basis(block, v0, total, dual_order)
-            apply_change(comps)
-
-        if did_work:
-            lowest_after, norm_after = _tail_stats(normalized_tail(), radius)
-            trace.steps.append(IterationStep(
-                degree, (degree,), lowest_before, lowest_after,
-                norm_before, norm_after,
-            ))
-
-    leftover, _ = _tail_stats(normalized_tail(), radius)
-    if leftover is not None:
-        raise SolverFailure("normalized blocks not exactly linear after the loop")
+    _, trace = _run_scheduler(problem, "degree", dual_order, radius)
     return (
-        AlgebroidChange.from_dual(accumulated, n),
-        poisson_to_algebroid(current, n),
+        AlgebroidChange.from_dual(problem.accumulated, n),
+        poisson_to_algebroid(problem.state, n),
         trace,
     )
-
-
-def _filtered_vector(jet: Jet, module):
-    """Coefficients of a homogeneous jet on a filtered monomial basis."""
-    index = {m: i for i, m in enumerate(module.labels)}
-    vec = [ZERO] * module.dim
-    for mono, c in jet._c.items():
-        pos = index.get(mono)
-        if pos is None:
-            raise SolverFailure("remainder leaves the module's monomial span")
-        vec[pos] = c
-    return vec
-
-
-def _jet_from_basis(block, module, nvars: int, order: int) -> Jet:
-    coeffs = {
-        mono: c for mono, c in zip(module.labels, block) if c
-    }
-    return Jet(nvars, order, coeffs)

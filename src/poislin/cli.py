@@ -53,6 +53,7 @@ from .liealg import (
     radical,
     verify_levi_split,
 )
+from .linalg import symmetric_signature
 from .normalform import (
     ActionJet,
     SplitNotCertified,
@@ -169,9 +170,14 @@ def _parse_levi(data, dim: int) -> tuple | None:
     return tuple(out)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_order(data) -> int:
     order = data.get("order", DEFAULT_ORDER)
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise _fail("'order' must be an integer >= 1")
     return order
 
@@ -195,8 +201,8 @@ def _sparse_constants(data, dim: int, what: str = "'constants'") -> LieAlgebra:
         if not (isinstance(item, list) and len(item) == 4):
             raise _fail(f"{what}: malformed item {item!r}")
         i, j, k, value = item
-        if not all(isinstance(t, int) and 0 <= t < dim for t in (i, j, k)):
-            raise _fail(f"{what}: indices out of range in {item!r}")
+        if not all(_is_int(t) and 0 <= t < dim for t in (i, j, k)):
+            raise _fail(f"{what}: indices must be integers below {dim} in {item!r}")
         c = _rational(value, what)
         if i > j:
             i, j, c = j, i, -c
@@ -456,44 +462,6 @@ def _obstruction_dict(cert: ObstructionClass) -> dict:
 # classification
 
 
-def _killing_signature(K) -> tuple[int, int, int]:
-    """Exact inertia of a symmetric rational matrix, by congruence."""
-    n = len(K)
-    m = [[Fraction(x) for x in row] for row in K]
-    pos = neg = zero = 0
-    for i in range(n):
-        pivot = next((j for j in range(i, n) if m[j][j]), None)
-        if pivot is None:
-            off = next(((j, k) for j in range(i, n) for k in range(j + 1, n)
-                        if m[j][k]), None)
-            if off is None:
-                zero += n - i
-                break
-            j, k = off
-            for t in range(n):
-                m[j][t] += m[k][t]
-            for t in range(n):
-                m[t][j] += m[t][k]
-            pivot = j
-        if pivot != i:
-            m[i], m[pivot] = m[pivot], m[i]
-            for row in m:
-                row[i], row[pivot] = row[pivot], row[i]
-        d = m[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(i + 1, n):
-            f = m[r][i] / d
-            if f:
-                for t in range(n):
-                    m[r][t] -= f * m[i][t]
-                for t in range(n):
-                    m[t][r] -= f * m[t][i]
-    return pos, neg, zero
-
-
 def _isotropy_of(spec: ProblemSpec) -> LieAlgebra:
     if spec.kind == "poisson":
         return isotropy_from_linear_part(spec.payload)
@@ -504,7 +472,7 @@ def _isotropy_of(spec: ProblemSpec) -> LieAlgebra:
 
 def _classification(algebra: LieAlgebra) -> dict:
     K = killing_form(algebra)
-    p, n, z = _killing_signature(K)
+    p, n, z = symmetric_signature(K)
     return {
         "isotropy_dimension": algebra.dim,
         "isotropy_constants": _constants_sparse(algebra),

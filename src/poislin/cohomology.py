@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import LinearSolver, Matrix, Vector, dot, mat_mul, mat_vec, rank
+from .linalg import LinearSolver, Matrix, Vector, dot, mat_mul, mat_vec
 from .liealg import LieAlgebra
 from .polyalg import monomials
 
@@ -314,8 +314,13 @@ def solve_coboundary(target: Cochain):
     return ObstructionClass(target, lam, cohomology_dimension(module, target.degree))
 
 
-def cohomology_dimension(module: GModule, r: int) -> int:
-    """dim H^r = dim ker(d_r) - rank(d_{r-1}), by exact rank computation."""
+def cohomology_dimension(module, r: int) -> int:
+    """dim H^r = dim ker(d_r) - rank(d_{r-1}), by exact rank computation.
+
+    Works on any complex with `cochain_dim`, `differential_matrix` and a
+    `_solver_cache` of coboundary solvers: a solver the complex has already
+    eliminated is reused, any other is built for the rank alone and dropped.
+    """
     if r < 0:
         raise ValueError("negative cohomology degree")
     kernel_dim = module.cochain_dim(r) - _differential_rank(module, r)
@@ -323,10 +328,13 @@ def cohomology_dimension(module: GModule, r: int) -> int:
     return kernel_dim - image_dim
 
 
-def _differential_rank(module: GModule, r: int) -> int:
+def _differential_rank(module, r: int) -> int:
     if module.cochain_dim(r) == 0 or module.cochain_dim(r + 1) == 0:
         return 0
-    return LinearSolver(module.differential_matrix(r), module.cochain_dim(r)).rank
+    solver = module._solver_cache.get(r + 1)
+    if solver is None:
+        solver = LinearSolver(module.differential_matrix(r), module.cochain_dim(r))
+    return solver.rank
 
 
 # ---------------------------------------------------------------------------
@@ -408,41 +416,3 @@ def coadjoint_rep(L: LieAlgebra):
         [[L.constants[i][j][k] for j in range(n)] for k in range(n)]
         for i in range(n)
     ]
-
-
-# ---------------------------------------------------------------------------
-# norm diagnostics
-
-
-def homotopy_bound_estimate(module: GModule, weights, r: int = 2) -> float:
-    """Operator norm (binary64) of the minimal-norm right inverse of
-    d: C^{r-1} -> C^r under the weighted inner product with the given
-    positive squared-norm weight per module coordinate.  Diagnostic only."""
-    import numpy
-
-    d = module.dim
-    if d == 0:
-        return 0.0
-    weights = [float(w) for w in weights]
-    if len(weights) != d or any(w <= 0 for w in weights):
-        raise ValueError("need one positive weight per module coordinate")
-    mat = module.differential_matrix(r - 1)
-    nrows = module.cochain_dim(r)
-    ncols = module.cochain_dim(r - 1)
-    if nrows == 0 or ncols == 0:
-        return 0.0
-    b = numpy.empty((nrows, ncols))
-    for row in range(nrows):
-        wr = weights[row % d] ** 0.5
-        source = mat[row]
-        for col in range(ncols):
-            wc = weights[col % d] ** 0.5
-            b[row, col] = wr * float(source[col]) / wc
-    sv = numpy.linalg.svd(b, compute_uv=False)
-    if len(sv) == 0:
-        return 0.0
-    cutoff = max(b.shape) * numpy.finfo(float).eps * sv[0]
-    positive = [s for s in sv if s > cutoff]
-    if not positive:
-        return 0.0
-    return float(1.0 / min(positive))

@@ -1,10 +1,15 @@
 """Normalization engines.
 
-One homogeneous step is shared by every engine: extract the degree-d
-remainder as a cochain, solve d(sigma) = R exactly, and apply the coordinate
-change x -> x - sigma.  The two schedulers differ only in how steps are
-grouped: `degree` treats one homogeneous degree per step, `doubling` treats
-the block [2^nu, 2^(nu+1)) per step, clearing its degrees lowest-first so the
+One driver, `_run_scheduler`, runs every engine: Poisson brackets, actions,
+algebroid duals and both Levi normal forms.  Each engine is a problem adapter
+that lists, for a homogeneous degree d, its sub-solves in order: a cochain
+complex and degree r, the degree-d remainder read off the current state as a
+vector in C^r, and the coordinates a primitive corrects.  The driver solves
+d(sigma) = R exactly and applies x -> x - sigma; the adapter decides whether
+a failed solve yields an obstruction certificate or, on a semisimple factor,
+a SolverFailure.  The two schedulers differ only in how degrees are grouped:
+`degree` treats one homogeneous degree per step, `doubling` treats the block
+[2^nu, 2^(nu+1)) per step, clearing its degrees lowest-first so the
 quadratic interaction of corrections (which can reach degree 2^(nu+1)-1)
 never re-enters a cleared block.  All decisions are exact; the Hermitian
 norms carried on traces are binary64 diagnostics only.
@@ -15,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from typing import NamedTuple
 
 from .cohomology import (
     Cochain,
@@ -37,11 +44,9 @@ from .polyalg import (
     Jet,
     PoissonJet,
     compose_change,
-    homogeneous_to_vector,
     invert_change,
     monomials,
     pushforward,
-    vector_to_homogeneous,
 )
 
 ZERO = Fraction(0)
@@ -189,18 +194,122 @@ def _tail_stats(jets, radius) -> tuple[int | None, float]:
 
 
 # ---------------------------------------------------------------------------
-# Poisson linearization
+# the normalization driver
 
 
-def _module_vector(jet: Jet, module: GModule):
-    index = {mono: i for i, mono in enumerate(module.labels)}
-    vec = [ZERO] * module.dim
-    for mono, c in jet.terms():
-        pos = index.get(mono)
-        if pos is None:
-            raise SolverFailure("remainder leaves the module's monomial span")
-        vec[pos] = c
+class _SubSolve(NamedTuple):
+    """One cochain equation d(sigma) = R met while clearing a degree: R is
+    `vector` in C^r of `complex`, and `targets` pairs each block of C^{r-1},
+    in order, with the coordinate its solution block corrects and the
+    monomials that block's entries multiply."""
+
+    complex: object
+    cochain_degree: int
+    vector: list
+    targets: list
+
+
+def _remainder_vector(blocks, degree: int) -> list:
+    """Degree-d coefficients of each (jet, monomial index) block, concatenated.
+    Nonlinear terms below degree d must already be cleared."""
+    vec = []
+    for jet, index in blocks:
+        block = [ZERO] * len(index)
+        for mono, c in jet._c.items():
+            deg = sum(mono)
+            if deg == degree:
+                pos = index.get(mono)
+                if pos is None:
+                    raise SolverFailure("remainder leaves the module's monomial span")
+                block[pos] = c
+            elif 1 < deg < degree:
+                raise PreconditionNotNormalized(
+                    f"degree-{deg} term {mono} left below degree {degree}"
+                )
+        vec.extend(block)
     return vec
+
+
+def _entry_solve(pi: PoissonJet, module, r: int, entries, basis, targets,
+                 degree: int) -> _SubSolve:
+    """Sub-solve on bivector entries: the degree-d parts of `entries` fill
+    C^r block by block on the monomial `basis`, and the solution's blocks
+    correct the `targets` coordinates on the same basis."""
+    index = {mono: i for i, mono in enumerate(basis)}
+    blocks = [(pi.entries[p][q], index) for p, q in entries]
+    return _SubSolve(module, r, _remainder_vector(blocks, degree),
+                     [(t, basis) for t in targets])
+
+
+def _correction(solution, targets, nvars: int, order: int) -> CoordChange:
+    """x^t -> x^t - sigma^t, each sigma^t read off its block of the solution."""
+    comps = [Jet.variable(t, nvars, order) for t in range(nvars)]
+    pos = 0
+    for t, basis in targets:
+        block = solution[pos:pos + len(basis)]
+        comps[t] = comps[t] - Jet._raw(
+            nvars, order, {mono: c for mono, c in zip(basis, block) if c}
+        )
+        pos += len(basis)
+    return CoordChange(comps)
+
+
+def _clear_degree(problem, degree: int):
+    """Run one degree's sub-solves in order, each on the state the previous
+    one left; returns (whether any remainder was nonzero, obstruction)."""
+    treated = False
+    for sub in problem.solves(degree):
+        if not any(sub.vector):
+            continue
+        treated = True
+        solver = sub.complex.coboundary_solver(sub.cochain_degree)
+        solution = solver.solve(sub.vector)
+        obstruction = None
+        if solution is None:
+            # the adapter decides: a certificate, or SolverFailure
+            obstruction = problem.obstruction(sub, solver.null_functional(sub.vector))
+            solution, _residual = solver.solve_partial(sub.vector)
+        if any(solution):
+            nvars, order = problem.state.nvars, problem.state.order
+            problem.apply(_correction(solution, sub.targets, nvars, order))
+        if obstruction is not None:
+            return True, obstruction
+    return treated, None
+
+
+def _run_scheduler(problem, scheduler: str, order: int, radius):
+    """Clear degrees 2..order block by block; (obstruction or None, trace).
+
+    Partial removal still happens at an obstructed degree before the run
+    stops.  A run that clears every degree ends with the adapter's own
+    linearity check."""
+    trace = IterationTrace(problem.label or scheduler, Fraction(radius), order)
+    for block_index, degrees in _scheduler_blocks(scheduler, order):
+        lowest_before, norm_before = _tail_stats(problem.tail_jets(), radius)
+        if lowest_before is None or lowest_before > degrees[-1]:
+            continue
+        treated = []
+        obstruction = None
+        for degree in degrees:
+            did_work, obstruction = _clear_degree(problem, degree)
+            if did_work:
+                treated.append(degree)
+            if obstruction is not None:
+                break
+        if treated:
+            lowest_after, norm_after = _tail_stats(problem.tail_jets(), radius)
+            trace.steps.append(IterationStep(
+                block_index, tuple(treated), lowest_before, lowest_after,
+                norm_before, norm_after, obstructed=obstruction is not None,
+            ))
+        if obstruction is not None:
+            return obstruction, trace
+    problem.finish()
+    return None, trace
+
+
+# ---------------------------------------------------------------------------
+# Poisson linearization
 
 
 def poisson_remainder(pi: PoissonJet, degree: int) -> Cochain:
@@ -208,53 +317,49 @@ def poisson_remainder(pi: PoissonJet, degree: int) -> Cochain:
     the isotropy algebra with degree-d polynomial coefficients."""
     if degree < 2:
         raise ValueError("remainders start at degree 2")
-    L = isotropy_from_linear_part(pi)
-    n = pi.nvars
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = pi.entries[i][j]
-            for low in range(2, degree):
-                if not entry.homogeneous_part(low).is_zero():
-                    raise PreconditionNotNormalized(
-                        f"bracket entry ({i},{j}) still has degree-{low} terms"
-                    )
-    module = induced_polynomial_module(L, n, coadjoint_rep(L), degree)
-    components = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            part = pi.entries[i][j].homogeneous_part(degree)
-            if not part.is_zero():
-                components[(i, j)] = _module_vector(part, module)
-    return Cochain.from_components(module, 2, components)
+    sub = next(_PoissonProblem(pi).solves(degree))
+    return Cochain(sub.complex, 2, sub.vector)
 
 
-class _PoissonProblem:
-    """Adapter running the shared scheduler loop on a bivector."""
+class _Problem:
+    """What the driver asks of an adapter: `state` (with nvars and order),
+    `solves(degree)`, `apply(change)` and `tail_jets()`.  By default a failed
+    solve yields a certificate, and a finished run that is not linear raises
+    SolverFailure with the subclass's `unfinished` message."""
 
-    cochain_degree = 2
+    label = None
 
-    def __init__(self, pi: PoissonJet):
+    def obstruction(self, sub: _SubSolve, functional) -> ObstructionClass:
+        module, r = sub.complex, sub.cochain_degree
+        return ObstructionClass(
+            Cochain(module, r, sub.vector), functional, cohomology_dimension(module, r)
+        )
+
+    def finish(self) -> None:
+        if not self.state.is_linear():
+            raise SolverFailure(self.unfinished)
+
+
+class _PoissonProblem(_Problem):
+    """Adapter for a bivector: one 2-cochain sub-solve per degree over the
+    isotropy algebra."""
+
+    unfinished = "bracket not linear after all degrees were cleared"
+
+    def __init__(self, pi: PoissonJet, accumulated: CoordChange | None = None):
         self.state = pi
+        if accumulated is None:
+            accumulated = CoordChange.identity(pi.nvars, pi.order)
+        self.accumulated = accumulated
         self.algebra = isotropy_from_linear_part(pi)
-        self.nvars = pi.nvars
-        self.order = pi.order
-        self.accumulated = CoordChange.identity(pi.nvars, pi.order)
-        self._rep = coadjoint_rep(self.algebra)
+        self.rep = coadjoint_rep(self.algebra)
+        self.entries = list(combinations(range(pi.nvars), 2))
 
-    def module(self, degree: int) -> GModule:
-        return induced_polynomial_module(self.algebra, self.nvars, self._rep, degree)
-
-    def remainder_vector(self, module: GModule, degree: int):
-        return poisson_remainder(self.state, degree).vector
-
-    def correction_change(self, module: GModule, solution, degree: int) -> CoordChange:
-        n = self.nvars
-        comps = []
-        for i in range(n):
-            block = solution[i * module.dim:(i + 1) * module.dim]
-            f = vector_to_homogeneous(n, self.order, degree, block)
-            comps.append(Jet.variable(i, n, self.order) - f)
-        return CoordChange(comps)
+    def solves(self, degree: int):
+        n = self.state.nvars
+        module = induced_polynomial_module(self.algebra, n, self.rep, degree)
+        yield _entry_solve(self.state, module, 2, self.entries, module.labels,
+                           range(n), degree)
 
     def apply(self, change: CoordChange) -> None:
         self.accumulated = compose_change(self.accumulated, change)
@@ -262,54 +367,9 @@ class _PoissonProblem:
 
     def tail_jets(self):
         return [
-            self.state.entries[i][j] - self.state.entries[i][j].homogeneous_part(1)
-            for i in range(self.nvars) for j in range(i + 1, self.nvars)
+            self.state.entries[p][q] - self.state.entries[p][q].homogeneous_part(1)
+            for p, q in self.entries
         ]
-
-    def finish(self):
-        if not self.state.is_linear():
-            raise SolverFailure("bracket not linear after all degrees were cleared")
-        return self.state
-
-
-def _run_scheduler(problem, scheduler: str, order: int, radius):
-    trace = IterationTrace(scheduler, Fraction(radius), order)
-    for block_index, degrees in _scheduler_blocks(scheduler, order):
-        lowest_before, norm_before = _tail_stats(problem.tail_jets(), radius)
-        if lowest_before is None or lowest_before > degrees[-1]:
-            continue
-        treated = []
-        for degree in degrees:
-            module = problem.module(degree)
-            vec = problem.remainder_vector(module, degree)
-            if not any(vec):
-                continue
-            treated.append(degree)
-            solver = module.coboundary_solver(problem.cochain_degree)
-            solution = solver.solve(vec)
-            if solution is None:
-                partial, _residual = solver.solve_partial(vec)
-                if any(partial):
-                    problem.apply(problem.correction_change(module, partial, degree))
-                lam = solver.null_functional(vec)
-                cocycle = Cochain(module, problem.cochain_degree, vec)
-                obstruction = ObstructionClass(
-                    cocycle, lam, cohomology_dimension(module, problem.cochain_degree)
-                )
-                lowest_after, norm_after = _tail_stats(problem.tail_jets(), radius)
-                trace.steps.append(IterationStep(
-                    block_index, tuple(treated), lowest_before, lowest_after,
-                    norm_before, norm_after, obstructed=True,
-                ))
-                return obstruction, trace
-            problem.apply(problem.correction_change(module, solution, degree))
-        if treated:
-            lowest_after, norm_after = _tail_stats(problem.tail_jets(), radius)
-            trace.steps.append(IterationStep(
-                block_index, tuple(treated), lowest_before, lowest_after,
-                norm_before, norm_after,
-            ))
-    return None, trace
 
 
 def linearize_poisson(pi: PoissonJet, scheduler: str = "doubling",
@@ -330,7 +390,7 @@ def linearize_poisson(pi: PoissonJet, scheduler: str = "doubling",
     obstruction, trace = _run_scheduler(problem, scheduler, order, radius)
     if obstruction is not None:
         return obstruction, trace
-    return problem.accumulated, problem.finish(), trace
+    return problem.accumulated, problem.state, trace
 
 
 # ---------------------------------------------------------------------------
@@ -524,56 +584,28 @@ def action_remainder(action: ActionJet, degree: int) -> Cochain:
     fields carrying the commutator-with-the-linear-part action."""
     if degree < 2:
         raise ValueError("remainders start at degree 2")
-    for i, fld in enumerate(action.fields):
-        for comp in fld:
-            for low in range(2, degree):
-                if not comp.homogeneous_part(low).is_zero():
-                    raise PreconditionNotNormalized(
-                        f"field {i} still has degree-{low} terms"
-                    )
-    module = _action_field_module(action, degree)
-    d = module.dim // action.nvars
-    components = {}
-    for i, fld in enumerate(action.fields):
-        vec = [ZERO] * module.dim
-        nonzero = False
-        for a, comp in enumerate(fld):
-            part = comp.homogeneous_part(degree)
-            if part.is_zero():
-                continue
-            nonzero = True
-            block = homogeneous_to_vector(part, degree)
-            for l, x in enumerate(block):
-                vec[a * d + l] = x
-        if nonzero:
-            components[(i,)] = vec
-    return Cochain.from_components(module, 1, components)
+    sub = next(_ActionProblem(action).solves(degree))
+    return Cochain(sub.complex, 1, sub.vector)
 
 
-class _ActionProblem:
-    cochain_degree = 1
+class _ActionProblem(_Problem):
+    """Adapter for an action: one 1-cochain sub-solve per degree whose blocks
+    are the field components, generator-major."""
+
+    unfinished = "action not linear after all degrees were cleared"
 
     def __init__(self, action: ActionJet):
         self.state = action
-        self.nvars = action.nvars
-        self.order = action.order
         self.accumulated = CoordChange.identity(action.nvars, action.order)
 
-    def module(self, degree: int) -> GModule:
-        return _action_field_module(self.state, degree)
-
-    def remainder_vector(self, module: GModule, degree: int):
-        return action_remainder(self.state, degree).vector
-
-    def correction_change(self, module: GModule, solution, degree: int) -> CoordChange:
-        n = self.nvars
-        d = module.dim // n
-        comps = []
-        for a in range(n):
-            block = solution[a * d:(a + 1) * d]
-            f = vector_to_homogeneous(n, self.order, degree, block)
-            comps.append(Jet.variable(a, n, self.order) - f)
-        return CoordChange(comps)
+    def solves(self, degree: int):
+        action = self.state
+        basis = monomials(action.nvars, degree)
+        index = {mono: i for i, mono in enumerate(basis)}
+        blocks = [(comp, index) for fld in action.fields for comp in fld]
+        yield _SubSolve(_action_field_module(action, degree), 1,
+                        _remainder_vector(blocks, degree),
+                        [(a, basis) for a in range(action.nvars)])
 
     def apply(self, change: CoordChange) -> None:
         self.accumulated = compose_change(self.accumulated, change)
@@ -584,11 +616,6 @@ class _ActionProblem:
             comp - comp.homogeneous_part(1)
             for fld in self.state.fields for comp in fld
         ]
-
-    def finish(self):
-        if not self.state.is_linear():
-            raise SolverFailure("action not linear after all degrees were cleared")
-        return self.state
 
 
 def linearize_action(action: ActionJet, scheduler: str = "doubling",
@@ -603,7 +630,7 @@ def linearize_action(action: ActionJet, scheduler: str = "doubling",
     obstruction, trace = _run_scheduler(problem, scheduler, order, radius)
     if obstruction is not None:
         return obstruction, trace
-    return problem.accumulated, problem.finish(), trace
+    return problem.accumulated, problem.state, trace
 
 
 # ---------------------------------------------------------------------------
@@ -647,16 +674,82 @@ class LeviNormalForm:
         return PoissonJet.from_brackets(n, self.order, brackets)
 
 
-def _require_certified_split(pi: PoissonJet, split: LeviSplit) -> None:
-    isotropy = isotropy_from_linear_part(pi)
+def _require_certified_split(isotropy: LieAlgebra, split: LeviSplit,
+                             owner: str = "the bivector's isotropy") -> None:
     if split.algebra != isotropy:
-        raise SplitNotCertified(
-            "split belongs to a different algebra than the bivector's isotropy"
-        )
+        raise SplitNotCertified(f"split belongs to a different algebra than {owner}")
     try:
         verify_levi_split(isotropy, split.s_basis, split.r_basis)
     except LeviSplitError as exc:
         raise SplitNotCertified(f"{exc.violation}: {exc}") from exc
+
+
+class _LeviProblem(_PoissonProblem):
+    """Adapter for a Levi normal form in adapted coordinates.
+
+    `s` lists the coordinates of the semisimple factor.  Each degree runs a
+    2-cochain sub-solve on the s-s entries, then, per (span, weight) in
+    `spans`, a 1-cochain sub-solve on the entries pairing s with the span,
+    valued in copies of the polynomials twisted by the action of s on the
+    span.  With `base_dim` set, polynomial values are cut to the monomials
+    of the stated fiber degree (variables from base_dim on; s-s values have
+    fiber degree one).  Every solve succeeds on a semisimple factor, so a
+    failed one raises SolverFailure.
+    """
+
+    label = "levi"
+
+    def __init__(self, pi: PoissonJet, adapt: CoordChange, s, spans, base_dim=None):
+        super().__init__(pi, adapt)
+        n = pi.nvars
+        c = self.algebra.constants
+        self.s = list(s)
+        self.base_dim = base_dim
+        self.s_algebra = LieAlgebra([[[c[a][b][k] for k in s] for b in s] for a in s])
+        self.s_rep = tuple(
+            tuple(tuple(c[a][j][k] for j in range(n)) for k in range(n)) for a in s
+        )
+        self.spans = [
+            (list(span), weight,
+             tuple(tuple(tuple(c[a][j][k] for k in span) for j in span) for a in s))
+            for span, weight in spans if len(span)
+        ]
+        self.entries = list(combinations(self.s, 2)) + [
+            (a, j) for span, _, _ in self.spans for a in self.s for j in span
+        ]
+
+    def _values(self, degree: int, weight):
+        if self.base_dim is None:
+            return induced_polynomial_module(self.s_algebra, self.state.nvars,
+                                             self.s_rep, degree)
+        base = self.base_dim
+        return induced_polynomial_module(
+            self.s_algebra, self.state.nvars, self.s_rep, degree,
+            monomial_filter=lambda m: sum(m[base:]) == weight,
+            filter_key=("fiber-degree", weight, base),
+        )
+
+    def solves(self, degree: int):
+        values = self._values(degree, 1)
+        yield _entry_solve(self.state, values, 2, combinations(self.s, 2),
+                           values.labels, self.s, degree)
+        for span, weight, twists in self.spans:
+            values = self._values(degree, weight)
+            key = ("levi", self.s_algebra.constants, self.s_rep, self.state.nvars,
+                   degree, twists, weight, self.base_dim)
+            module = _twisted_field_module(self.s_algebra, values, twists, key)
+            yield _entry_solve(self.state, module, 1,
+                               [(a, j) for a in self.s for j in span],
+                               values.labels, span, degree)
+
+    def obstruction(self, sub: _SubSolve, functional):
+        raise SolverFailure(
+            f"{sub.cochain_degree}-cochain solve failed on a semisimple factor"
+        )
+
+    def finish(self) -> None:
+        if any(not jet.is_zero() for jet in self.tail_jets()):
+            raise SolverFailure("normalized blocks not exactly linear after the loop")
 
 
 def levi_decompose(pi: PoissonJet, split: LeviSplit, order: int | None = None,
@@ -668,7 +761,7 @@ def levi_decompose(pi: PoissonJet, split: LeviSplit, order: int | None = None,
     1-cochain solve on the s-r columns; both succeed because s is semisimple.
     Returns (CoordChange, LeviNormalForm, IterationTrace).
     """
-    _require_certified_split(pi, split)
+    _require_certified_split(isotropy_from_linear_part(pi), split)
     if order is None:
         order = pi.order
     if order > pi.order:
@@ -676,133 +769,22 @@ def levi_decompose(pi: PoissonJet, split: LeviSplit, order: int | None = None,
     n = pi.nvars
     ns = len(split.s_basis)
     nr = len(split.r_basis)
-    trace = IterationTrace("levi", Fraction(radius), order)
-
     adapt = CoordChange.linear(
         [list(v) for v in split.s_basis + split.r_basis], order
     )
     current = pushforward(pi.truncate(order) if order != pi.order else pi, adapt)
-    accumulated = adapt
+    problem = _LeviProblem(current, adapt, range(ns), [(range(ns, n), None)])
+    _, trace = _run_scheduler(problem, "degree", order, radius)
 
-    if ns == 0:
-        residual = {
-            (a, b): current.entries[a][b]
-            for a in range(n) for b in range(a + 1, n)
-            if not current.entries[a][b].is_zero()
-        }
-        return accumulated, LeviNormalForm([], [], residual, split, order), trace
-
-    adapted_algebra = isotropy_from_linear_part(current)
-    c_full = adapted_algebra.constants
-    s_constants = [[[c_full[a][b][k] for k in range(ns)] for b in range(ns)]
+    c = problem.algebra.constants
+    s_constants = [[[c[a][b][k] for k in range(ns)] for b in range(ns)]
                    for a in range(ns)]
-    r_constants = [[[c_full[a][ns + beta][ns + gamma] for gamma in range(nr)]
+    r_constants = [[[c[a][ns + beta][ns + gamma] for gamma in range(nr)]
                     for beta in range(nr)] for a in range(ns)]
-    s_algebra = LieAlgebra(s_constants)
-    # restriction of the full coadjoint rep to the s-generators
-    s_rep = tuple(
-        tuple(tuple(c_full[a][j][k] for j in range(n)) for k in range(n))
-        for a in range(ns)
-    )
-    twists = tuple(
-        tuple(tuple(r_constants[a][beta][gamma] for gamma in range(nr))
-              for beta in range(nr))
-        for a in range(ns)
-    )
-
-    def normalized_tail():
-        jets = [
-            current.entries[a][b] - current.entries[a][b].homogeneous_part(1)
-            for a in range(ns) for b in range(a + 1, ns)
-        ]
-        jets.extend(
-            current.entries[a][ns + beta] - current.entries[a][ns + beta].homogeneous_part(1)
-            for a in range(ns) for beta in range(nr)
-        )
-        return jets
-
-    for degree in range(2, order + 1):
-        lowest_before, norm_before = _tail_stats(normalized_tail(), radius)
-        if lowest_before is None or lowest_before > degree:
-            continue
-        did_work = False
-        v_module = induced_polynomial_module(s_algebra, n, s_rep, degree)
-
-        components = {}
-        for a in range(ns):
-            for b in range(a + 1, ns):
-                part = current.entries[a][b].homogeneous_part(degree)
-                if not part.is_zero():
-                    components[(a, b)] = _module_vector(part, v_module)
-        if components:
-            did_work = True
-            target = Cochain.from_components(v_module, 2, components)
-            solution = v_module.coboundary_solver(2).solve(target.vector)
-            if solution is None:
-                raise SolverFailure("2-cochain solve failed on a semisimple factor")
-            comps = []
-            for t in range(n):
-                if t < ns:
-                    block = solution[t * v_module.dim:(t + 1) * v_module.dim]
-                    f = vector_to_homogeneous(n, order, degree, block)
-                    comps.append(Jet.variable(t, n, order) - f)
-                else:
-                    comps.append(Jet.variable(t, n, order))
-            change = CoordChange(comps)
-            current = pushforward(current, change)
-            accumulated = compose_change(accumulated, change)
-
-        if nr:
-            key = ("levi-sr", s_algebra.constants, s_rep, n, degree, twists)
-            u_module = _twisted_field_module(s_algebra, v_module, twists, key)
-            components = {}
-            for a in range(ns):
-                vec = [ZERO] * u_module.dim
-                nonzero = False
-                for beta in range(nr):
-                    part = current.entries[a][ns + beta].homogeneous_part(degree)
-                    if part.is_zero():
-                        continue
-                    nonzero = True
-                    block = _module_vector(part, v_module)
-                    for l, x in enumerate(block):
-                        vec[beta * v_module.dim + l] = x
-                if nonzero:
-                    components[(a,)] = vec
-            if components:
-                did_work = True
-                target = Cochain.from_components(u_module, 1, components)
-                solution = u_module.coboundary_solver(1).solve(target.vector)
-                if solution is None:
-                    raise SolverFailure("1-cochain solve failed on a semisimple factor")
-                comps = []
-                for t in range(n):
-                    if t < ns:
-                        comps.append(Jet.variable(t, n, order))
-                    else:
-                        beta = t - ns
-                        block = solution[beta * v_module.dim:(beta + 1) * v_module.dim]
-                        g = vector_to_homogeneous(n, order, degree, block)
-                        comps.append(Jet.variable(t, n, order) - g)
-                change = CoordChange(comps)
-                current = pushforward(current, change)
-                accumulated = compose_change(accumulated, change)
-
-        if did_work:
-            lowest_after, norm_after = _tail_stats(normalized_tail(), radius)
-            trace.steps.append(IterationStep(
-                degree, (degree,), lowest_before, lowest_after,
-                norm_before, norm_after,
-            ))
-
-    leftover, _ = _tail_stats(normalized_tail(), radius)
-    if leftover is not None:
-        raise SolverFailure("normalized blocks not exactly linear after the loop")
-
     residual = {
-        (alpha, beta): current.entries[ns + alpha][ns + beta]
+        (alpha, beta): problem.state.entries[ns + alpha][ns + beta]
         for alpha in range(nr) for beta in range(alpha + 1, nr)
-        if not current.entries[ns + alpha][ns + beta].is_zero()
+        if not problem.state.entries[ns + alpha][ns + beta].is_zero()
     }
     form = LeviNormalForm(s_constants, r_constants, residual, split, order)
-    return accumulated, form, trace
+    return problem.accumulated, form, trace

@@ -11,7 +11,6 @@ from poislin import corpus
 from poislin.cli import (
     InputError,
     ProblemSpec,
-    _killing_signature,
     main,
     parse_problem,
     print_problem,
@@ -114,18 +113,6 @@ def test_print_then_parse_keeps_scheduler_radius_and_levi():
 
 
 # ---------------------------------------------------------------------------
-# killing signature
-
-
-def test_killing_signature_exact_cases():
-    assert _killing_signature([[-2, 0, 0], [0, -2, 0], [0, 0, -2]]) == (0, 3, 0)
-    assert _killing_signature([[2, 0, 0], [0, 2, 0], [0, 0, -2]]) == (2, 1, 0)
-    # hyperbolic plane needs the off-diagonal pivot path
-    assert _killing_signature([[0, 1], [1, 0]]) == (1, 1, 0)
-    assert _killing_signature([[0, 0], [0, 0]]) == (0, 0, 2)
-
-
-# ---------------------------------------------------------------------------
 # commands in process
 
 
@@ -151,6 +138,25 @@ def test_check_reports_input_errors_with_exit_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "Jacobi" in err
+
+
+def test_check_rejects_a_boolean_order(tmp_path, capsys):
+    path = write_problem(tmp_path, dict(SO3_PROBLEM, order=True))
+    code, out, err = run_cli(capsys, ["check", path])
+    assert code == 1
+    assert out == ""
+    assert "'order' must be an integer" in err
+
+
+def test_check_rejects_boolean_constant_indices(tmp_path, capsys):
+    # [false, true, 2, -1] would otherwise read as the triple (0, 1, 2)
+    data = corpus.get("guillemin-sternberg-action").problem(3)
+    data["constants"][0] = [False, True, 2, "-1"]
+    path = write_problem(tmp_path, data)
+    code, out, err = run_cli(capsys, ["check", path])
+    assert code == 1
+    assert out == ""
+    assert "indices must be integers" in err
 
 
 def test_linearize_perturbed_so3(tmp_path, capsys):

@@ -13,7 +13,6 @@ from poislin.cohomology import (
     ce_differential,
     coadjoint_rep,
     cohomology_dimension,
-    homotopy_bound_estimate,
     induced_polynomial_module,
     is_cocycle,
     solve_coboundary,
@@ -218,36 +217,3 @@ def test_induced_module_caching():
     a = induced_polynomial_module(L, 3, coadjoint_rep(L), 2)
     b = induced_polynomial_module(L, 3, coadjoint_rep(L), 2)
     assert a is b
-
-
-def test_homotopy_bound_zero_module():
-    L = so3_algebra()
-    empty = GModule(L, [[], [], []])
-    assert homotopy_bound_estimate(empty, []) == 0.0
-
-
-def test_homotopy_bound_so3_degree_two():
-    L = so3_algebra()
-    module = induced_polynomial_module(L, 3, coadjoint_rep(L), 2)
-    bound = homotopy_bound_estimate(module, [1] * 6)
-    assert bound > 0
-    assert bound == homotopy_bound_estimate(module, [1] * 6)
-
-
-def test_homotopy_bound_invariant_under_uniform_weight_scaling():
-    """Scaling every weight by t scales both norms identically, so the
-    reported operator norm must not move."""
-    L = so3_algebra()
-    module = induced_polynomial_module(L, 3, coadjoint_rep(L), 2)
-    base = homotopy_bound_estimate(module, [1] * 6)
-    scaled = homotopy_bound_estimate(module, [4] * 6)
-    assert base == scaled
-
-
-def test_homotopy_bound_rejects_bad_weights():
-    L = so3_algebra()
-    module = induced_polynomial_module(L, 3, coadjoint_rep(L), 2)
-    with pytest.raises(ValueError):
-        homotopy_bound_estimate(module, [1] * 5)
-    with pytest.raises(ValueError):
-        homotopy_bound_estimate(module, [1, 1, 1, 1, 1, 0])

@@ -191,6 +191,17 @@ def test_symmetric_signature_matches_charpoly_oracle():
         base = random_matrix(rng, n, n)
         sym = [[base[i][j] + base[j][i] for j in range(n)] for i in range(n)]
         assert symmetric_signature(sym) == _descartes_signature(sym)
+    # Killing forms of so(3) and sl(2), and the zero-diagonal cases that need
+    # the off-diagonal pivot path or end in an all-zero block
+    cases = [
+        ([[-2, 0, 0], [0, -2, 0], [0, 0, -2]], (0, 3, 0)),
+        ([[2, 0, 0], [0, 2, 0], [0, 0, -2]], (2, 1, 0)),
+        ([[0, 1], [1, 0]], (1, 1, 0)),
+        ([[0, 0], [0, 0]], (0, 0, 2)),
+    ]
+    for mat, signature in cases:
+        sym = [[Fraction(x) for x in row] for row in mat]
+        assert symmetric_signature(sym) == signature == _descartes_signature(sym)
 
 
 def test_symmetric_signature_rejects_asymmetric():

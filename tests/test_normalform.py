@@ -538,3 +538,30 @@ def test_convergence_report_flags_doubling_violations():
 def test_convergence_report_empty_trace():
     report = convergence_report(IterationTrace("degree", F(1), 4))
     assert report["steps"] == []
+
+
+def test_warm_obstructed_run_reuses_the_eliminated_d1_solver(monkeypatch):
+    """dim H^2 for an obstruction reads rank d^1 off the solver the run has
+    just used; only d^2 is eliminated for the rank, and not kept."""
+    from poislin import cohomology
+
+    k = 3   # {x,y} = y, {x,z} = k z + y^k: resonant at degree k
+    pi = PoissonJet.from_brackets(3, 4, {
+        (0, 1): [((0, 1, 0), 1)],
+        (0, 2): [((0, 0, 1), k), ((0, k, 0), 1)],
+    })
+    cold, _ = linearize_poisson(pi)
+    assert isinstance(cold, ObstructionClass)
+    module = cold.cocycle.module
+    eliminated = []
+
+    class RecordingSolver(cohomology.LinearSolver):
+        def __init__(self, rows, ncols=None):
+            eliminated.append(rows)
+            super().__init__(rows, ncols)
+
+    monkeypatch.setattr(cohomology, "LinearSolver", RecordingSolver)
+    warm, _ = linearize_poisson(pi)
+    assert warm == cold
+    assert not any(rows is module.differential_matrix(1) for rows in eliminated)
+    assert [rows is module.differential_matrix(2) for rows in eliminated] == [True]

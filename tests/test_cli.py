@@ -15,6 +15,7 @@ from poislin.cli import (
     parse_problem,
     print_problem,
     problem_from_dict,
+    symmetric_signature,
 )
 from poislin.polyalg import Jet, format_polynomial, pushforward
 
@@ -110,6 +111,19 @@ def test_print_then_parse_keeps_scheduler_radius_and_levi():
     assert spec.radius == F(2, 3)
     again = parse_problem(print_problem(spec))
     assert again == spec
+
+
+# ---------------------------------------------------------------------------
+# killing signature
+
+
+def test_killing_signature_exact_cases():
+    # the signature routine the classification report uses
+    assert symmetric_signature([[-2, 0, 0], [0, -2, 0], [0, 0, -2]]) == (0, 3, 0)
+    assert symmetric_signature([[2, 0, 0], [0, 2, 0], [0, 0, -2]]) == (2, 1, 0)
+    # hyperbolic plane needs the off-diagonal pivot path
+    assert symmetric_signature([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert symmetric_signature([[0, 0], [0, 0]]) == (0, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from itertools import combinations
 
 from .cohomology import (
     Cochain,
+    LRUCache,
     ObstructionClass,
     _insert_index,
     coadjoint_rep,
@@ -449,7 +450,7 @@ def action_algebroid(algebra: LieAlgebra, matrices, base_dim: int,
 # ---------------------------------------------------------------------------
 # graded cochain complex of the dual isotropy
 
-_GRADED_CACHE: dict = {}
+_GRADED_CACHE = LRUCache()
 
 
 class _DualGradedComplex:
@@ -651,7 +652,8 @@ def linearize_algebroid(A: AlgebroidJet, scheduler: str = "doubling",
         return obstruction, trace
     constants = problem.state.linear_constants()
     n, r = A.base_dim, A.rank
-    fiber = LieAlgebra([
+    # the fiber block of the validated dual's isotropy, a subalgebra
+    fiber = LieAlgebra._trusted([
         [[constants[n + i][n + j][n + k] for k in range(r)] for j in range(r)]
         for i in range(r)
     ])

@@ -14,6 +14,7 @@ so outputs reproduce bit for bit.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -317,9 +318,9 @@ def solve_coboundary(target: Cochain):
 def cohomology_dimension(module, r: int) -> int:
     """dim H^r = dim ker(d_r) - rank(d_{r-1}), by exact rank computation.
 
-    Works on any complex with `cochain_dim`, `differential_matrix` and a
-    `_solver_cache` of coboundary solvers: a solver the complex has already
-    eliminated is reused, any other is built for the rank alone and dropped.
+    Works on any complex with `cochain_dim` and `coboundary_solver`; the
+    ranks come from the complex's cached coboundary solvers, so H^r and
+    H^{r+1} share the elimination of d_r.
     """
     if r < 0:
         raise ValueError("negative cohomology degree")
@@ -331,17 +332,46 @@ def cohomology_dimension(module, r: int) -> int:
 def _differential_rank(module, r: int) -> int:
     if module.cochain_dim(r) == 0 or module.cochain_dim(r + 1) == 0:
         return 0
-    solver = module._solver_cache.get(r + 1)
-    if solver is None:
-        solver = LinearSolver(module.differential_matrix(r), module.cochain_dim(r))
-    return solver.rank
+    return module.coboundary_solver(r + 1).rank
 
 
 # ---------------------------------------------------------------------------
 # induced polynomial modules
 
 
-_INDUCED_CACHE: dict = {}
+class LRUCache:
+    """Map of at most CAPACITY entries that evicts the least recently used.
+
+    Holds the modules and complexes a long-lived process builds, each with
+    its differentials and eliminated solvers.  A batch normalizing jets of a
+    few linear parts touches a few dozen of them.
+    """
+
+    CAPACITY = 64
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def __setitem__(self, key, value) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) > self.CAPACITY:
+            self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+_INDUCED_CACHE = LRUCache()
 
 
 def induced_polynomial_module(

@@ -34,6 +34,12 @@ class SolverFailure(RuntimeError):
     violates the invariants its constructor is supposed to enforce."""
 
 
+def _constant_table(constants) -> tuple:
+    return tuple(
+        tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in constants
+    )
+
+
 class LieAlgebra:
     """Immutable structure-constant table with validated antisymmetry and
     Jacobi identity."""
@@ -41,9 +47,7 @@ class LieAlgebra:
     __slots__ = ("dim", "constants")
 
     def __init__(self, constants):
-        constants = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in constants
-        )
+        constants = _constant_table(constants)
         n = len(constants)
         if any(len(plane) != n or any(len(row) != n for row in plane) for plane in constants):
             raise ValueError("structure constants must form an n*n*n array")
@@ -71,6 +75,17 @@ class LieAlgebra:
                             )
         self.dim = n
         self.constants = constants
+
+    @classmethod
+    def _trusted(cls, constants) -> "LieAlgebra":
+        """Skip the shape, antisymmetry and Jacobi checks; for constants read
+        off a jet that already passed them.  A PoissonJet checks the Jacobi
+        identity through its order, which covers its linear part, and
+        transport keeps it."""
+        algebra = cls.__new__(cls)
+        algebra.constants = _constant_table(constants)
+        algebra.dim = len(algebra.constants)
+        return algebra
 
     @classmethod
     def abelian(cls, n: int) -> "LieAlgebra":
@@ -140,7 +155,7 @@ class LieAlgebra:
 
 def isotropy_from_linear_part(pi) -> LieAlgebra:
     """Lie algebra read off the degree-1 coefficients of a valid bivector."""
-    return LieAlgebra(pi.linear_constants())
+    return LieAlgebra._trusted(pi.linear_constants())
 
 
 def killing_form(L: LieAlgebra) -> Matrix:

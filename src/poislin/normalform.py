@@ -26,6 +26,7 @@ from typing import NamedTuple
 from .cohomology import (
     Cochain,
     GModule,
+    LRUCache,
     ObstructionClass,
     coadjoint_rep,
     cohomology_dimension,
@@ -527,7 +528,7 @@ def conjugate_action(action: ActionJet, change: CoordChange) -> ActionJet:
     return ActionJet._trusted(action.algebra, new_fields, nvars, order)
 
 
-_TWISTED_MODULE_CACHE: dict = {}
+_TWISTED_MODULE_CACHE = LRUCache()
 
 
 def _twisted_field_module(algebra: LieAlgebra, base: GModule, twists, key) -> GModule:

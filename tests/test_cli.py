@@ -94,6 +94,11 @@ def test_parse_problem_rejects_bad_schemas():
         parse_problem(json.dumps(dict(SO3_PROBLEM,
                                       brackets={"x,y": "z + x^2",
                                                 "y,z": "x", "z,x": "y"})))
+    # a linear part that is no Lie algebra: engines read the isotropy off a
+    # parsed bivector without checking it again
+    with pytest.raises(InputError, match="Jacobi"):
+        parse_problem(json.dumps(dict(SO3_PROBLEM,
+                                      brackets={"x,y": "y", "y,z": "x", "z,x": "y"})))
 
 
 def test_print_then_parse_identity_for_each_kind():

@@ -9,6 +9,7 @@ from poislin.cohomology import (
     Cochain,
     GModule,
     InputNotCocycle,
+    LRUCache,
     ObstructionClass,
     ce_differential,
     coadjoint_rep,
@@ -217,3 +218,40 @@ def test_induced_module_caching():
     a = induced_polynomial_module(L, 3, coadjoint_rep(L), 2)
     b = induced_polynomial_module(L, 3, coadjoint_rep(L), 2)
     assert a is b
+
+
+def test_module_cache_evicts_the_least_recently_used_entry():
+    cache = LRUCache()
+    for key in range(LRUCache.CAPACITY):
+        cache[key] = str(key)
+    assert cache.get(0) == "0"          # 0 is now the most recently used
+    cache[LRUCache.CAPACITY] = "new"
+    assert len(cache) == LRUCache.CAPACITY
+    assert cache.get(1) is None         # the least recently used went
+    assert cache.get(0) == "0"
+    for key in range(3 * LRUCache.CAPACITY):
+        cache[("more", key)] = key
+    assert len(cache) == LRUCache.CAPACITY
+    cache.clear()
+    assert len(cache) == 0
+
+
+def test_clear_caches_empties_the_module_cache():
+    import poislin
+
+    L = so3_algebra()
+    a = induced_polynomial_module(L, 3, coadjoint_rep(L), 2)
+    poislin.clear_caches()
+    assert induced_polynomial_module(L, 3, coadjoint_rep(L), 2) is not a
+
+
+@pytest.mark.parametrize("name, degree, h1", [
+    ("so3", 10, 0),      # Whitehead: H^1 = H^2 = 0 for semisimple algebras
+    ("sl2", 10, 0),
+    ("gl2", 8, 5),       # Kuenneth with the central w: H^1 = floor(d/2) + 1
+])
+def test_known_cohomology_at_high_module_degree(name, degree, h1):
+    L = {"so3": so3_algebra, "sl2": sl2_algebra, "gl2": gl2_algebra}[name]()
+    module = induced_polynomial_module(L, L.dim, coadjoint_rep(L), degree)
+    assert cohomology_dimension(module, 1) == h1
+    assert cohomology_dimension(module, 2) == 0

@@ -1,11 +1,13 @@
 """Exact linear algebra layer, cross-checked against sympy matrices."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from poislin.cohomology import coadjoint_rep, induced_polynomial_module
 from poislin.linalg import (
     LinearSolver,
     det,
@@ -17,6 +19,8 @@ from poislin.linalg import (
     row_space_solver,
     symmetric_signature,
 )
+
+from helpers import gl2_algebra, so3_algebra
 
 
 def random_matrix(rng, nrows, ncols, pool=(-3, -2, -1, 0, 0, 1, 2, 3)):
@@ -226,3 +230,123 @@ def test_extend_to_basis():
     ]
     assert rank(full, 3) == 3
     assert extend_to_basis([], 2) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# differential test against sympy's fraction-free sparse RREF
+
+
+def _sympy_rref(mat, ncols):
+    """(pivot columns, RREF rows as Fractions) from sympy's DomainMatrix."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    if not mat:
+        return [], []
+    dm = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in mat],
+                      (len(mat), ncols), QQ)
+    rref, den, pivots = dm.rref_den()
+    den = Fraction(int(den.numerator), int(den.denominator))
+    rows = rref.to_list()[:len(pivots)]
+    return list(pivots), [
+        [Fraction(int(x.numerator), int(x.denominator)) / den for x in row] for row in rows
+    ]
+
+
+def _sparse_block_matrix(rng):
+    """A random block-diagonal rational matrix with some dense blocks, extra
+    zero rows and columns, and its rows and columns shuffled."""
+    blocks = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+    nrows = sum(b for b, _ in blocks) + rng.randint(0, 2)
+    ncols = sum(c for _, c in blocks) + rng.randint(0, 2)
+    mat = [[Fraction(0)] * ncols for _ in range(nrows)]
+    r0 = c0 = 0
+    for bn, bm in blocks:
+        fill = rng.choice((0.4, 1.0))
+        for i in range(bn):
+            for j in range(bm):
+                if rng.random() < fill:
+                    mat[r0 + i][c0 + j] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        r0, c0 = r0 + bn, c0 + bm
+    row_perm, col_perm = list(range(nrows)), list(range(ncols))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    return [[mat[i][j] for j in col_perm] for i in row_perm], ncols
+
+
+def test_solver_matches_sympy_on_sparse_block_matrices():
+    rng = random.Random(42)
+    cases = [_sparse_block_matrix(rng) for _ in range(60)]
+    cases.append(([], 3))                            # no rows, ncols given
+    cases.append((random_matrix(rng, 6, 5, pool=(-3, -1, 1, 2, 5)), 5))   # one dense block
+    inconsistent = 0
+    for mat, ncols in cases:
+        solver = LinearSolver(mat, ncols)
+        pivots, rref = _sympy_rref(mat, ncols)
+        assert solver.rank == len(pivots)
+        assert solver.pivot_cols == pivots
+        assert solver.rref_rows == rref
+        # the pivot solution: free variables zero, pivot k gets (R v)_k
+        v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ncols)]
+        expected = [Fraction(0)] * ncols
+        for col, row in zip(pivots, rref):
+            expected[col] = sum((a * b for a, b in zip(row, v)), Fraction(0))
+        assert solver.solve(mat_vec(mat, v)) == expected
+        b = [Fraction(rng.randint(-3, 3)) for _ in mat]
+        if solver.solve(b) is None:
+            inconsistent += 1
+            lam = solver.null_functional(b)
+            assert all(sum(lam[i] * mat[i][j] for i in range(len(mat))) == 0
+                       for j in range(ncols))
+            assert sum(x * y for x, y in zip(lam, b)) != 0
+    assert inconsistent > 10
+
+
+def _rows(text_rows):
+    return [[Fraction(x) for x in row.split()] for row in text_rows]
+
+
+# Transform and null rows as a dense integer Gauss-Jordan on [M | I] with the
+# same pivot rule computes them; the sparse elimination must reproduce them
+# entry for entry.
+GOLDEN = [
+    (["1/2 0 3 -1", "0 0 0 0", "2 0 -1/3 5", "1 0 6 -2"],
+     [0, 2],
+     ["2/37 0 18/37 0", "12/37 0 -3/37 0"],
+     ["0 1 0 0", "2 0 0 -1"]),
+    (["0 2 1", "0 0 0", "3 1 0", "0 4 2", "1/2 -1 0"],
+     [0, 1, 2],
+     ["0 0 2/7 0 2/7", "0 0 1/7 0 -6/7", "1 0 -2/7 0 12/7"],
+     ["2 0 0 -1 0", "0 1 0 0 0"]),
+    (["2/3 -1 0 4 1/5", "-3 1/2 7 0 2", "1 1 1 1 1", "-2/3 1/2 7 4 11/5",
+      "29/3 -5/2 -21 4 -29/5"],
+     [0, 1, 2, 3],
+     ["-78/59 -87/59 -84/59 99/59 0", "71/59 86/59 140/59 -106/59 0",
+      "-77/118 -35/59 -46/59 50/59 0", "91/118 36/59 49/59 -43/59 0"],
+     ["1 -3 0 0 -1"]),
+]
+
+
+def test_elimination_matches_golden_transform_and_null_rows():
+    for mat, pivots, transform, null in GOLDEN:
+        solver = LinearSolver(_rows(mat))
+        assert solver.pivot_cols == pivots
+        assert solver.transform_rows == _rows(transform)
+        assert solver.null_rows == _rows(null)
+
+
+def test_coboundary_elimination_matches_golden_digest():
+    """sha256 of the pivot, RREF, transform and null rows of three coadjoint
+    coboundary matrices, as a dense elimination computes them."""
+
+    def text(rows):
+        return [" ".join(str(x) for x in row) for row in rows]
+
+    for algebra, degree, r, digest in ((so3_algebra(), 3, 1, "084323e4d37707dd"),
+                                       (gl2_algebra(), 2, 1, "6a0360a94e1a9796"),
+                                       (gl2_algebra(), 2, 2, "c5c57858ff2c6727")):
+        module = induced_polynomial_module(algebra, algebra.dim, coadjoint_rep(algebra), degree)
+        solver = LinearSolver(module.differential_matrix(r), module.cochain_dim(r))
+        state = repr((solver.pivot_cols, text(solver.rref_rows),
+                      text(solver.transform_rows), text(solver.null_rows)))
+        assert hashlib.sha256(state.encode()).hexdigest()[:16] == digest

@@ -15,19 +15,22 @@ keep base images free of e-variables and fiber images of weight exactly one,
 and the Chevalley-Eilenberg complex of the dual isotropy splits along the
 same weight.  Corrections are solved inside the weight-zero graded piece, so
 emitted changes are always a base diffeomorphism jet plus a frame change.
+That piece is not a second complex: it is a slot rule on the coadjoint
+polynomial module of the dual isotropy, and `cohomology._build_differential`
+builds its matrices from the kept rows and columns of the full complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .cohomology import (
     Cochain,
     LRUCache,
     ObstructionClass,
-    _insert_index,
+    _build_differential,
+    _cochain_layout,
     coadjoint_rep,
     cohomology_dimension,
     induced_polynomial_module,
@@ -47,7 +50,6 @@ from .polyalg import (
     CoordChange,
     Jet,
     PoissonJet,
-    monomials,
     pushforward,
 )
 
@@ -454,51 +456,50 @@ _GRADED_CACHE = LRUCache()
 
 
 class _DualGradedComplex:
-    """Chevalley-Eilenberg cochains of the dual isotropy algebra with values
-    in degree-d polynomials, restricted to the fiber-degree grading.
+    """Fiber-degree graded piece of the Chevalley-Eilenberg complex of the
+    dual isotropy algebra with values in degree-d polynomials.
 
-    A subset S of generators gets the monomials of fiber-degree
-    (#fiber generators in S) - (|S| - 1); base generators act with weight -1
-    and fiber generators with weight 0, so the differential respects the
-    slot-dependent bases and the restriction is a subcomplex.
+    A view over the coadjoint module `module`: subset S of generators keeps
+    the monomials of fiber-degree (#fiber generators in S) - (|S| - 1).  Base
+    generators act with weight -1 and fiber generators with weight 0, so the
+    differential maps kept slots to kept slots; the graded piece is a
+    subcomplex, and the module's own builder gives its matrices from the
+    kept rows and columns alone.
     """
 
-    def __init__(self, constants, base_dim: int, degree: int):
-        self.constants = constants
+    def __init__(self, iso: LieAlgebra, base_dim: int, degree: int):
+        self.module = induced_polynomial_module(iso, iso.dim, coadjoint_rep(iso), degree)
         self.base_dim = base_dim
-        self.degree = degree
-        self.ngens = len(constants)
         self._by_edeg: dict = {}
         self._layout: dict = {}
         self._mats: dict = {}
         self._solver_cache: dict = {}
 
-    def slot_basis(self, subset) -> tuple:
+    def _slot(self, subset) -> tuple:
         edeg = sum(1 for a in subset if a >= self.base_dim) - (len(subset) - 1)
         cached = self._by_edeg.get(edeg)
         if cached is None:
-            if edeg < 0 or edeg > self.degree:
-                cached = ([], {})
-            else:
-                basis = [
-                    m for m in monomials(self.ngens, self.degree)
-                    if _fiber_degree(m, self.base_dim) == edeg
-                ]
-                cached = (basis, {m: i for i, m in enumerate(basis)})
+            labels = self.module.labels
+            kept = [i for i, m in enumerate(labels)
+                    if _fiber_degree(m, self.base_dim) == edeg]
+            basis = [labels[i] for i in kept]
+            cached = (kept, basis, {m: pos for pos, m in enumerate(basis)})
             self._by_edeg[edeg] = cached
         return cached
+
+    def slots(self, subset) -> list:
+        """Module indices kept on a subset, in module order."""
+        return self._slot(subset)[0]
+
+    def slot_basis(self, subset) -> tuple:
+        """(kept monomials, monomial -> position) on a subset."""
+        return self._slot(subset)[1:]
 
     def layout(self, r: int):
         """(subsets, offsets, total dimension) of graded C^r."""
         cached = self._layout.get(r)
         if cached is None:
-            subsets = list(combinations(range(self.ngens), r))
-            offsets = {}
-            total = 0
-            for s in subsets:
-                offsets[s] = total
-                total += len(self.slot_basis(s)[0])
-            cached = (subsets, offsets, total)
+            cached = _cochain_layout(self.module, r, self.slots)
             self._layout[r] = cached
         return cached
 
@@ -507,54 +508,10 @@ class _DualGradedComplex:
 
     def differential_matrix(self, r: int):
         cached = self._mats.get(r)
-        if cached is not None:
-            return cached
-        constants = self.constants
-        src_subsets, src_offsets, ncols = self.layout(r)
-        tgt_subsets, tgt_offsets, nrows = self.layout(r + 1)
-        mat = [[ZERO] * ncols for _ in range(nrows)]
-        for t_set in tgt_subsets:
-            row_base = tgt_offsets[t_set]
-            _, t_index = self.slot_basis(t_set)
-            for a, ta in enumerate(t_set):
-                rest = t_set[:a] + t_set[a + 1:]
-                src_basis, _ = self.slot_basis(rest)
-                col_base = src_offsets[rest]
-                sign = -ONE if a % 2 else ONE
-                crow = constants[ta]
-                for col, mono in enumerate(src_basis):
-                    for u, exp in enumerate(mono):
-                        if not exp:
-                            continue
-                        for l in range(self.ngens):
-                            c = crow[u][l]
-                            if not c:
-                                continue
-                            target = list(mono)
-                            target[u] -= 1
-                            target[l] += 1
-                            row = t_index[tuple(target)]
-                            mat[row_base + row][col_base + col] += sign * exp * c
-            for a in range(len(t_set)):
-                for b in range(a + 1, len(t_set)):
-                    rest = tuple(
-                        x for p, x in enumerate(t_set) if p not in (a, b)
-                    )
-                    pair_sign = -ONE if (a + b) % 2 else ONE
-                    for k in range(self.ngens):
-                        c = constants[t_set[a]][t_set[b]][k]
-                        if not c:
-                            continue
-                        ins_sign, subset = _insert_index(k, rest)
-                        if ins_sign == 0:
-                            continue
-                        col_base = src_offsets[subset]
-                        src_basis, src_index = self.slot_basis(subset)
-                        factor = pair_sign * ins_sign * c
-                        for col, mono in enumerate(src_basis):
-                            mat[row_base + t_index[mono]][col_base + col] += factor
-        self._mats[r] = mat
-        return mat
+        if cached is None:
+            cached = _build_differential(self.module, r, self.slots)
+            self._mats[r] = cached
+        return cached
 
     def coboundary_solver(self, r: int) -> LinearSolver:
         cached = self._solver_cache.get(r)
@@ -569,11 +526,11 @@ class _DualGradedComplex:
         return cohomology_dimension(self, r)
 
 
-def _graded_complex(constants, base_dim: int, degree: int) -> _DualGradedComplex:
-    key = (constants, base_dim, degree)
+def _graded_complex(iso: LieAlgebra, base_dim: int, degree: int) -> _DualGradedComplex:
+    key = (iso.constants, base_dim, degree)
     hit = _GRADED_CACHE.get(key)
     if hit is None:
-        hit = _DualGradedComplex(constants, base_dim, degree)
+        hit = _DualGradedComplex(iso, base_dim, degree)
         _GRADED_CACHE[key] = hit
     return hit
 
@@ -582,26 +539,22 @@ def _graded_complex(constants, base_dim: int, degree: int) -> _DualGradedComplex
 # linearization
 
 
-def _embed_obstruction(iso: LieAlgebra, cx: _DualGradedComplex, vec,
-                       lam) -> ObstructionClass:
+def _embed_obstruction(cx: _DualGradedComplex, vec, lam) -> ObstructionClass:
     """Lift a graded certificate into the full cochain complex.
 
     The graded pieces of the full complex are preserved by the differential,
     so a functional supported on one graded piece that annihilates the graded
     coboundaries annihilates all full coboundaries as well.
     """
-    module = induced_polynomial_module(iso, iso.dim, coadjoint_rep(iso), cx.degree)
-    mono_index = {m: i for i, m in enumerate(module.labels)}
-    subsets, offsets, _ = cx.layout(2)
+    module = cx.module
     full_vec = [ZERO] * module.cochain_dim(2)
     full_lam = [ZERO] * module.cochain_dim(2)
-    for s_pos, pair in enumerate(subsets):
-        basis, _ = cx.slot_basis(pair)
-        base = offsets[pair]
-        for pos, mono in enumerate(basis):
-            full = s_pos * module.dim + mono_index[mono]
-            full_vec[full] = vec[base + pos]
-            full_lam[full] = lam[base + pos]
+    pos = 0
+    for s_pos, pair in enumerate(cx.layout(2)[0]):
+        for i in cx.slots(pair):
+            full_vec[s_pos * module.dim + i] = vec[pos]
+            full_lam[s_pos * module.dim + i] = lam[pos]
+            pos += 1
     return ObstructionClass(
         Cochain(module, 2, full_vec), full_lam, cx.h_dim(2)
     )
@@ -618,14 +571,14 @@ class _GradedProblem(_PoissonProblem):
         self.base_dim = base_dim
 
     def solves(self, degree: int):
-        cx = _graded_complex(self.algebra.constants, self.base_dim, degree)
+        cx = _graded_complex(self.algebra, self.base_dim, degree)
         blocks = [(self.state.entries[a][b], cx.slot_basis((a, b))[1])
                   for a, b in cx.layout(2)[0]]
-        targets = [(a, cx.slot_basis((a,))[0]) for a in range(cx.ngens)]
+        targets = [(a, cx.slot_basis((a,))[0]) for a in range(self.state.nvars)]
         yield _SubSolve(cx, 2, _remainder_vector(blocks, degree), targets)
 
     def obstruction(self, sub, functional) -> ObstructionClass:
-        return _embed_obstruction(self.algebra, sub.complex, sub.vector, functional)
+        return _embed_obstruction(sub.complex, sub.vector, functional)
 
 
 def linearize_algebroid(A: AlgebroidJet, scheduler: str = "doubling",

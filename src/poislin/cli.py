@@ -571,6 +571,16 @@ def _verify_algebroid(spec, order, change_block, nf_dict) -> bool:
     return apply_algebroid_change(spec.payload.truncate(order), change) == nf
 
 
+def _obstructed_report(report: dict, cert: ObstructionClass, trace,
+                       elapsed: float) -> tuple[dict, int]:
+    report["result"] = {"status": "obstructed",
+                        "obstruction": _obstruction_dict(cert)}
+    report["trace"] = _trace_dict(trace)
+    report["timing_seconds"] = elapsed
+    report["verified"] = report["result"]["obstruction"]["verified"]
+    return report, 2
+
+
 def run_linearize(spec: ProblemSpec, args) -> tuple[dict, int]:
     order = _effective_order(spec, args)
     report = _base_report("linearize", spec)
@@ -583,13 +593,7 @@ def run_linearize(spec: ProblemSpec, args) -> tuple[dict, int]:
         return _run_algebroid_linearize(spec, args, report, started)
     elapsed = time.perf_counter() - started
     if len(out) == 2:
-        cert, trace = out
-        report["result"] = {"status": "obstructed",
-                            "obstruction": _obstruction_dict(cert)}
-        report["trace"] = _trace_dict(trace)
-        report["timing_seconds"] = elapsed
-        report["verified"] = report["result"]["obstruction"]["verified"]
-        return report, 2
+        return _obstructed_report(report, *out, elapsed)
     change, normal_form, trace = out
     change_text = _change_dict(change, spec.names)
     if spec.kind == "poisson":
@@ -611,13 +615,7 @@ def _run_algebroid_linearize(spec, args, report, started) -> tuple[dict, int]:
     out = linearize_algebroid(spec.payload, spec.scheduler, order, spec.radius)
     elapsed = time.perf_counter() - started
     if len(out) == 2:
-        cert, trace = out
-        report["result"] = {"status": "obstructed",
-                            "obstruction": _obstruction_dict(cert)}
-        report["trace"] = _trace_dict(trace)
-        report["timing_seconds"] = elapsed
-        report["verified"] = report["result"]["obstruction"]["verified"]
-        return report, 2
+        return _obstructed_report(report, *out, elapsed)
     change, linear, trace = out
     nf = linear.to_algebroid(order)
     change_block = _algebroid_change_dict(change, spec.names, spec.generators)
@@ -738,8 +736,8 @@ def run_cohomology(spec: ProblemSpec, args) -> tuple[dict, int]:
     if degree < 0 or module_degree < 1:
         raise _fail("--degree must be >= 0 and --module-degree >= 1")
     algebra, nvars, rep = _polynomial_rep(spec)
-    module = induced_polynomial_module(algebra, nvars, rep, module_degree)
     started = time.perf_counter()
+    module = induced_polynomial_module(algebra, nvars, rep, module_degree)
     h_dim = cohomology_dimension(module, degree)
     elapsed = time.perf_counter() - started
     report = _base_report("cohomology", spec)

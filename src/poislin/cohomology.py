@@ -7,7 +7,10 @@ r-tuple of basis indices; alternation is structural.  The differential is
                      + sum_{a<b} (-1)^{a+b} w([X_a,X_b], .., both omitted, ..)
 
 realized as one exact matrix per (module, degree), built once and cached on
-the module together with the eliminated solver.  Primitive selection is the
+the module together with the eliminated solver.  `_build_differential` is the
+only code that writes it; a slot rule that keeps some module indices on each
+subset gives the matrices of a subcomplex, such as the fiber-degree graded
+piece the algebroid engine solves in.  Primitive selection is the
 deterministic rule from `linalg` (lowest-index pivots, free variables zero),
 so outputs reproduce bit for bit.
 """
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import LinearSolver, Matrix, Vector, dot, mat_mul, mat_vec
+from .linalg import LinearSolver, Matrix, Vector, dot, mat_vec
 from .liealg import LieAlgebra
 from .polyalg import monomials
 
@@ -36,39 +39,16 @@ class GModule:
     matrix per generator: (X_i . v)_l = sum_u matrices[i][l][u] v_u."""
 
     __slots__ = ("algebra", "matrices", "labels", "dim", "_subset_cache",
-                 "_matrix_cache", "_solver_cache")
+                 "_matrix_cache", "_solver_cache", "_nonzeros")
 
     def __init__(self, algebra: LieAlgebra, matrices, labels=None):
-        self._install(algebra, matrices, labels)
-        n = algebra.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = [
-                    [
-                        sum(
-                            (algebra.constants[i][j][k] * self.matrices[k][l][u]
-                             for k in range(n)),
-                            ZERO,
-                        )
-                        for u in range(self.dim)
-                    ]
-                    for l in range(self.dim)
-                ]
-                ij = mat_mul(self.matrices[i], self.matrices[j])
-                ji = mat_mul(self.matrices[j], self.matrices[i])
-                comm = [
-                    [ij[l][u] - ji[l][u] for u in range(self.dim)]
-                    for l in range(self.dim)
-                ]
-                if lhs != comm:
-                    raise ValueError(
-                        f"matrices violate the representation property on ({i},{j})"
-                    )
-
-    def _install(self, algebra, matrices, labels):
         matrices = tuple(
             tuple(tuple(Fraction(x) for x in row) for row in mat) for mat in matrices
         )
+        self._install(algebra, matrices, labels)
+        self._check_representation()
+
+    def _install(self, algebra, matrices, labels):
         if len(matrices) != algebra.dim:
             raise ValueError("need one matrix per algebra generator")
         dim = len(matrices[0]) if matrices else 0
@@ -84,14 +64,49 @@ class GModule:
         self._subset_cache = {}
         self._matrix_cache = {}
         self._solver_cache = {}
+        self._nonzeros = None
+
+    def _check_representation(self) -> None:
+        """[X_i, X_j] = sum_k c_ij^k X_k on every pair, row by row over the
+        nonzero entries only."""
+        rows = self._nonzero_rows()
+        for i, j in combinations(range(self.algebra.dim), 2):
+            terms = [(-c, rows[k]) for k, c in enumerate(self.algebra.constants[i][j]) if c]
+            for l in range(self.dim):
+                acc = {}
+                for sign, first, second in ((ONE, rows[i], rows[j]), (-ONE, rows[j], rows[i])):
+                    for u, x in first[l]:
+                        for w, y in second[u]:
+                            acc[w] = acc.get(w, ZERO) + sign * x * y
+                for c, mat in terms:
+                    for u, x in mat[l]:
+                        acc[u] = acc.get(u, ZERO) + c * x
+                if any(acc.values()):
+                    raise ValueError(
+                        f"matrices violate the representation property on ({i},{j})"
+                    )
 
     @classmethod
-    def _trusted(cls, algebra, matrices, labels=None) -> "GModule":
-        """Skip the representation-property check; for constructions that are
-        homomorphisms by design (covered by property tests instead)."""
+    def _trusted(cls, algebra, matrices, labels=None, nonzeros=None) -> "GModule":
+        """Keep the matrices as given and skip the representation-property
+        check; for constructions that are homomorphisms by design, with
+        Fraction entries already (covered by property tests instead).  A
+        builder that knows its nonzero entries may pass them as `nonzeros`,
+        in the form `_nonzero_rows` returns."""
         module = cls.__new__(cls)
         module._install(algebra, matrices, labels)
+        module._nonzeros = nonzeros
         return module
+
+    def _nonzero_rows(self) -> list:
+        """Per generator and row, the (column, entry) pairs with a nonzero
+        entry, built once."""
+        if self._nonzeros is None:
+            self._nonzeros = [
+                [[(u, x) for u, x in enumerate(row) if x] for row in mat]
+                for mat in self.matrices
+            ]
+        return self._nonzeros
 
     def subsets(self, r: int) -> list[tuple[int, ...]]:
         cached = self._subset_cache.get(r)
@@ -134,44 +149,66 @@ def _insert_index(k: int, rest: tuple[int, ...]):
     return (-1) ** before, merged
 
 
-def _build_differential(module: GModule, r: int) -> Matrix:
-    n = module.algebra.dim
-    d = module.dim
-    rows_subsets = module.subsets(r + 1)
-    cols_subsets = module.subsets(r)
-    col_index = {s: i for i, s in enumerate(cols_subsets)}
-    nrows = len(rows_subsets) * d
-    ncols = len(cols_subsets) * d
+def _cochain_layout(module: GModule, r: int, slots):
+    """(subsets, offsets, total dimension) of C^r when each subset S keeps
+    only the module indices slots(S)."""
+    subsets = module.subsets(r)
+    offsets = {}
+    total = 0
+    for s in subsets:
+        offsets[s] = total
+        total += len(slots(s))
+    return subsets, offsets, total
+
+
+def _build_differential(module: GModule, r: int, slots=None) -> Matrix:
+    """Matrix of d: C^r -> C^{r+1}, the only place the differential is written.
+
+    `slots(S)` lists, in module order, the module indices kept on subset S;
+    the default keeps them all.  Only kept rows are built and columns are
+    numbered by kept source positions, so slots that cut out a subcomplex
+    give its differential without building the rest.
+    """
+    if slots is None:
+        every = range(module.dim)
+        slots = lambda subset: every
+    row_subsets, row_offsets, nrows = _cochain_layout(module, r + 1, slots)
+    col_subsets, col_offsets, ncols = _cochain_layout(module, r, slots)
+    columns = {
+        s: {u: col_offsets[s] + p for p, u in enumerate(slots(s))}
+        for s in col_subsets
+    }
     mat = [[ZERO] * ncols for _ in range(nrows)]
     constants = module.algebra.constants
-    for t_pos, t_set in enumerate(rows_subsets):
-        row_base = t_pos * d
+    action = module._nonzero_rows()
+    for t_set in row_subsets:
+        kept = slots(t_set)
+        rows = mat[row_offsets[t_set]:row_offsets[t_set] + len(kept)]
         for a, ta in enumerate(t_set):
-            rest = t_set[:a] + t_set[a + 1:]
-            col_base = col_index[rest] * d
+            cols = columns[t_set[:a] + t_set[a + 1:]]
             sign = -ONE if a % 2 else ONE
-            action = module.matrices[ta]
-            for l in range(d):
-                arow = action[l]
-                out = mat[row_base + l]
-                for u in range(d):
-                    if arow[u]:
-                        out[col_base + u] += sign * arow[u]
+            for out, l in zip(rows, kept):
+                for u, x in action[ta][l]:
+                    col = cols.get(u)
+                    if col is not None:
+                        out[col] += sign * x
         for a in range(len(t_set)):
             for b in range(a + 1, len(t_set)):
                 rest = tuple(x for p, x in enumerate(t_set) if p not in (a, b))
                 pair_sign = -ONE if (a + b) % 2 else ONE
-                for k in range(n):
+                for k in range(module.algebra.dim):
                     c = constants[t_set[a]][t_set[b]][k]
                     if not c:
                         continue
                     ins_sign, subset = _insert_index(k, rest)
                     if ins_sign == 0:
                         continue
-                    col_base = col_index[subset] * d
+                    cols = columns[subset]
                     factor = pair_sign * ins_sign * c
-                    for l in range(d):
-                        mat[row_base + l][col_base + l] += factor
+                    for out, l in zip(rows, kept):
+                        col = cols.get(l)
+                        if col is not None:
+                            out[col] += factor
     return mat
 
 
@@ -224,15 +261,6 @@ class Cochain:
             raise ValueError(f"{subset} is not an increasing index tuple") from None
         d = self.module.dim
         return self.vector[pos * d:(pos + 1) * d]
-
-    def components(self) -> dict:
-        d = self.module.dim
-        out = {}
-        for pos, subset in enumerate(self.module.subsets(self.degree)):
-            block = self.vector[pos * d:(pos + 1) * d]
-            if any(block):
-                out[subset] = block
-        return out
 
     def is_zero(self) -> bool:
         return not any(self.vector)
@@ -389,9 +417,16 @@ def induced_polynomial_module(
     X_i . x^u = sum_l rep[i][l][u] x^l.  With a `monomial_filter` the basis is
     restricted to the monomials accepted; the restriction must be closed under
     every generator or ValueError is raised.  Results are cached per structural
-    key (pass `filter_key` to make filtered modules cacheable).
+    key (pass `filter_key` to make filtered modules cacheable).  The cached
+    unfiltered degree-1 module is the validated copy of `rep`: the
+    representation property at degree 1 gives it for every extension, so
+    other degrees only look that module up.
     """
     rep = tuple(tuple(tuple(Fraction(x) for x in row) for row in mat) for mat in rep)
+    return _induced_module(L, nvars, rep, degree, monomial_filter, filter_key)
+
+
+def _induced_module(L, nvars, rep, degree, monomial_filter, filter_key) -> GModule:
     cache_key = None
     if monomial_filter is None or filter_key is not None:
         cache_key = (L.constants, nvars, rep, degree,
@@ -404,35 +439,44 @@ def induced_polynomial_module(
     for mat in rep:
         if len(mat) != nvars or any(len(row) != nvars for row in mat):
             raise ValueError("linear action matrices must be nvars x nvars")
-    # representation property at degree 1 guarantees it for every extension
-    GModule(L, rep)
+    validate = degree == 1 and monomial_filter is None
+    if not validate:
+        _induced_module(L, nvars, rep, 1, None, None)
     basis = [m for m in monomials(nvars, degree) if monomial_filter is None or monomial_filter(m)]
     index = {m: i for i, m in enumerate(basis)}
     d = len(basis)
     mats = []
+    nonzeros = []
     for i in range(L.dim):
         mat = [[ZERO] * d for _ in range(d)]
-        rmat = rep[i]
+        rows = [[] for _ in range(d)]
+        # X_i . x^k = sum_l c x^l over the nonzero c only
+        moves = [[(l, row[k]) for l, row in enumerate(rep[i]) if row[k]]
+                 for k in range(nvars)]
         for col, mono in enumerate(basis):
+            column = {}
             for k, e in enumerate(mono):
                 if not e:
                     continue
-                for l in range(nvars):
-                    c = rmat[l][k]
-                    if not c:
-                        continue
+                for l, c in moves[k]:
                     target = list(mono)
                     target[k] -= 1
                     target[l] += 1
-                    target = tuple(target)
-                    row = index.get(target)
+                    row = index.get(tuple(target))
                     if row is None:
                         raise ValueError(
                             "monomial filter does not cut out a submodule"
                         )
-                    mat[row][col] += e * c
+                    column[row] = column.get(row, ZERO) + e * c
+            for row, x in column.items():
+                if x:
+                    mat[row][col] = x
+                    rows[row].append((col, x))
         mats.append(mat)
-    module = GModule._trusted(L, mats, labels=basis)
+        nonzeros.append(rows)
+    module = GModule._trusted(L, mats, labels=basis, nonzeros=nonzeros)
+    if validate:
+        module._check_representation()
     if cache_key is not None:
         _INDUCED_CACHE[cache_key] = module
     return module

@@ -41,10 +41,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [[dot(row, col) for col in cols] for row in a]
 
 
-def transpose(mat: Matrix) -> Matrix:
-    return [list(row) for row in zip(*mat)]
-
-
 def identity_matrix(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
@@ -199,12 +195,6 @@ class LinearSolver:
 
     def _consistent(self, ints: list[int]) -> bool:
         return not any(sum(x * ints[i] for i, x in row.items()) for row in self._null_rows)
-
-    def residual_coordinates(self, b: Vector) -> Vector:
-        """Left-null-space coordinates of b; all zero iff b is in the column span."""
-        ints, den = self._scaled(b)
-        return [Fraction(sum(x * ints[i] for i, x in row.items()), den)
-                for row in self._null_rows]
 
     def is_consistent(self, b: Vector) -> bool:
         return self._consistent(self._scaled(b)[0])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -206,7 +207,7 @@ def test_graded_differential_agrees_with_the_full_complex():
     pi = algebroid_to_poisson(A)
     iso = isotropy_from_linear_part(pi)
     degree = 3
-    cx = _graded_complex(iso.constants, 3, degree)
+    cx = _graded_complex(iso, 3, degree)
     module = induced_polynomial_module(iso, 6, coadjoint_rep(iso), degree)
     mono_index = {m: i for i, m in enumerate(module.labels)}
     rng = random.Random(9)
@@ -239,7 +240,7 @@ def test_graded_differential_squares_to_zero():
 
     A = so3_action_algebroid(3)
     iso = isotropy_from_linear_part(algebroid_to_poisson(A))
-    cx = _graded_complex(iso.constants, 3, 2)
+    cx = _graded_complex(iso, 3, 2)
     rng = random.Random(3)
     vec = [F(rng.randint(-2, 2)) for _ in range(cx.cochain_dim(1))]
     d1 = cx.differential_matrix(1)
@@ -247,6 +248,47 @@ def test_graded_differential_squares_to_zero():
     mid = [sum((row[c] * vec[c] for c in range(len(vec))), F(0)) for row in d1]
     top = [sum((row[c] * mid[c] for c in range(len(mid))), F(0)) for row in d2]
     assert all(x == 0 for x in top)
+
+
+# Reference values of the so(3) action algebroid's graded complex (base 3):
+# degree -> (sha256 of d^1, sha256 of d^2, H^1, H^2), the matrices hashed as
+# one line of space-separated entries per row.  They pin the graded complex
+# entry for entry.
+GRADED_GOLDEN = {
+    2: ("626b0c8123496bc6e3009ecbb5f325e20d8264dad951563bfa0e3f21ebab7305",
+        "bf5e4680ca164fab8db36e33e0fabe72c8ccfeba2c8113a57aaf40579ae877d2", 0, 0),
+    3: ("c9c10c9c42b591ad3e877346f891c5b906e236c4e409482c1a6c2e1eda459eb9",
+        "83ff2d81dccdfe2acd06e6641a462227f273fb32c90a633d385c349f8457ec82", 1, 0),
+    4: ("b3f8b1d80fc26ba4ae96f7b1dae8e6678cccd4072aea162b24df3a7daa9e1777",
+        "9167fe66944902ed9cb47c013b55d4bc28d7426793a592842825d336b4b879c5", 0, 0),
+}
+
+
+def _matrix_sha256(mat):
+    text = "\n".join(" ".join(str(x) for x in row) for row in mat)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_graded_complex_matches_reference_hashes():
+    from poislin.algebroid import _graded_complex
+
+    iso = isotropy_from_linear_part(algebroid_to_poisson(so3_action_algebroid(3)))
+    for degree, (d1, d2, h1, h2) in GRADED_GOLDEN.items():
+        cx = _graded_complex(iso, 3, degree)
+        assert _matrix_sha256(cx.differential_matrix(1)) == d1
+        assert _matrix_sha256(cx.differential_matrix(2)) == d2
+        assert (cx.h_dim(1), cx.h_dim(2)) == (h1, h2)
+
+
+def test_abelian_quadratic_certificate_reference_values():
+    obstruction, _ = linearize_algebroid(abelian_quadratic_algebroid())
+    # C^2 of the 3-variable coadjoint module at degree 2: 3 pairs x 6
+    # monomials; entry 13 is x e_1 on the pair (e_1, e_2)
+    unit = [F(1) if i == 13 else F(0) for i in range(18)]
+    assert obstruction.cocycle.vector == unit
+    assert obstruction.functional == unit
+    assert obstruction.h_dim == 4
+    assert obstruction.verify()
 
 
 # ---------------------------------------------------------------------------

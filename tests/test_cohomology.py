@@ -200,6 +200,33 @@ def test_induced_module_rejects_bad_rep():
         induced_polynomial_module(L, 3, rep, 2)
 
 
+def test_bad_rep_is_rejected_at_every_degree():
+    L = so3_algebra()
+    rep = coadjoint_rep(L)
+    rep[1] = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    for degree in (1, 3, 1, 4):
+        with pytest.raises(ValueError, match="representation property"):
+            induced_polynomial_module(L, 3, rep, degree)
+    with pytest.raises(ValueError, match="representation property"):
+        induced_polynomial_module(L, 3, rep, 2, monomial_filter=lambda m: True,
+                                  filter_key="all")
+
+
+def test_representation_is_checked_once_for_all_degrees(monkeypatch):
+    import poislin
+
+    poislin.clear_caches()
+    calls = []
+    check = GModule._check_representation
+    monkeypatch.setattr(GModule, "_check_representation",
+                        lambda self: calls.append(self.dim) or check(self))
+    L = gl2_algebra()
+    rep = coadjoint_rep(L)
+    for degree in (3, 1, 2, 4, 3):
+        induced_polynomial_module(L, 4, rep, degree)
+    assert calls == [4]
+
+
 def test_monomial_filter_submodule():
     """A filter selecting a non-invariant set of monomials is rejected; an
     invariant one restricts the module."""

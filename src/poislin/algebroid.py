@@ -45,6 +45,7 @@ from .normalform import (
     _require_certified_split,
     _run_scheduler,
     _SubSolve,
+    _target,
 )
 from .polyalg import (
     CoordChange,
@@ -201,6 +202,8 @@ class AlgebroidJet:
         return LinearAlgebroid(self.fiber_algebra(), mats)
 
     def truncate(self, order: int) -> "AlgebroidJet":
+        if order == self.order:
+            return self
         return AlgebroidJet(
             self.base_dim,
             self.rank,
@@ -593,12 +596,7 @@ def linearize_algebroid(A: AlgebroidJet, scheduler: str = "doubling",
     the certificate is embedded in the full cochain complex of the dual
     isotropy and its h_dim counts the grading-compatible classes.
     """
-    if order is None:
-        order = A.order
-    if order > A.order:
-        raise ValueError("target order exceeds the jet's truncation")
-    if order < A.order:
-        A = A.truncate(order)
+    order, A = _target(A, order, "jet's")
     problem = _GradedProblem(algebroid_to_poisson(A), A.base_dim)
     obstruction, trace = _run_scheduler(problem, scheduler, order + 1, radius)
     if obstruction is not None:
@@ -616,7 +614,7 @@ def linearize_algebroid(A: AlgebroidJet, scheduler: str = "doubling",
     ]
     # from_dual rejects any change that broke the grading
     return (
-        AlgebroidChange.from_dual(problem.accumulated, n),
+        AlgebroidChange.from_dual(problem.change(), n),
         LinearAlgebroid(fiber, mats),
         trace,
     )
@@ -637,12 +635,7 @@ def levi_algebroid(A: AlgebroidJet, split: LeviSplit, order: int | None = None,
     untouched.  Returns (AlgebroidChange, AlgebroidJet, IterationTrace).
     """
     _require_certified_split(A.fiber_algebra(), split, "the fiber isotropy")
-    if order is None:
-        order = A.order
-    if order > A.order:
-        raise ValueError("target order exceeds the jet's truncation")
-    if order < A.order:
-        A = A.truncate(order)
+    order, A = _target(A, order, "jet's")
     n = A.base_dim
     total = n + A.rank
     ns = len(split.s_basis)
@@ -657,7 +650,7 @@ def levi_algebroid(A: AlgebroidJet, split: LeviSplit, order: int | None = None,
     )
     _, trace = _run_scheduler(problem, "degree", dual_order, radius)
     return (
-        AlgebroidChange.from_dual(problem.accumulated, n),
+        AlgebroidChange.from_dual(problem.change(), n),
         poisson_to_algebroid(problem.state, n),
         trace,
     )

@@ -25,14 +25,14 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import corpus as corpus_module
 from .algebroid import (
     AlgebroidChange,
     AlgebroidJet,
-    apply_algebroid_change,
+    algebroid_to_poisson,
     levi_algebroid,
     linearize_algebroid,
 )
@@ -46,8 +46,6 @@ from .liealg import (
     LeviSplitError,
     LieAlgebra,
     SolverFailure,
-    is_compact_type,
-    is_semisimple,
     isotropy_from_linear_part,
     killing_form,
     radical,
@@ -57,8 +55,8 @@ from .linalg import symmetric_signature
 from .normalform import (
     ActionJet,
     SplitNotCertified,
-    conjugate_action,
     convergence_report,
+    is_action_map,
     levi_decompose,
     linearize_action,
     linearize_poisson,
@@ -70,8 +68,8 @@ from .polyalg import (
     PoissonJet,
     format_polynomial,
     format_rational,
+    is_poisson_map,
     parse_polynomial,
-    pushforward,
 )
 
 DEFAULT_ORDER = 6
@@ -409,17 +407,15 @@ def _input_echo(spec: ProblemSpec) -> dict:
     return echo
 
 
-def _change_dict(change: CoordChange, names) -> dict:
+def _change_dict(change, names) -> dict:
+    if isinstance(change, AlgebroidChange):
+        return {
+            "base": _change_dict(change.base, names),
+            "frame": [[format_polynomial(entry, names) for entry in row]
+                      for row in change.frame],
+        }
     return {name: format_polynomial(change.components[a], names)
             for a, name in enumerate(names)}
-
-
-def _algebroid_change_dict(change: AlgebroidChange, names, frame) -> dict:
-    return {
-        "base": _change_dict(change.base, names),
-        "frame": [[format_polynomial(entry, names) for entry in row]
-                  for row in change.frame],
-    }
 
 
 def _trace_dict(trace) -> dict:
@@ -478,8 +474,9 @@ def _classification(algebra: LieAlgebra) -> dict:
         "isotropy_constants": _constants_sparse(algebra),
         "killing_form": [[format_rational(v) for v in row] for row in K],
         "killing_signature": {"positive": p, "negative": n, "zero": z},
-        "semisimple": is_semisimple(algebra),
-        "compact_type": is_compact_type(algebra),
+        # Cartan's criterion, and a negative definite Killing form
+        "semisimple": z == 0,
+        "compact_type": n == algebra.dim,
         "radical_dimension": len(radical(algebra)),
     }
 
@@ -523,117 +520,109 @@ def run_analyze(spec: ProblemSpec, args) -> tuple[dict, int]:
     return report, 0
 
 
-def _verify_poisson(spec, order, change_text, nf_dict) -> bool:
+def _read_back(spec, order, change_text, nf_dict):
+    """(change, normal form) parsed back from a report, the normal form the
+    way a problem file is and an algebroid change as its dual; None when
+    either does not parse into a valid object."""
     names = spec.names
-    change = CoordChange([parse_polynomial(change_text[name], names, order)
-                          for name in names])
-    table = {}
-    for key, text in nf_dict["brackets"].items():
-        i, j, sign = _pair_key(key, names, "verify")
-        jet = parse_polynomial(text, names, order)
-        table[(i, j)] = jet if sign > 0 else -jet
-    nf = PoissonJet.from_brackets(len(names), order, table)
-    return pushforward(spec.payload.truncate(order), change) == nf
+    try:
+        nf = problem_from_dict({**nf_dict, "kind": spec.kind, "order": order}).payload
+        if spec.kind != "algebroid":
+            return CoordChange([parse_polynomial(change_text[name], names, order)
+                                for name in names]), nf
+        base = CoordChange([parse_polynomial(change_text["base"][name], names,
+                                             order + 1) for name in names])
+        frame = [[parse_polynomial(entry, names, order + 1) for entry in row]
+                 for row in change_text["frame"]]
+        return AlgebroidChange(base, frame).to_dual(), nf
+    except ValueError:
+        return None
+
+
+def _verify_poisson(spec, order, change_text, nf_dict) -> bool:
+    read = _read_back(spec, order, change_text, nf_dict)
+    return read is not None and is_poisson_map(spec.payload.truncate(order), *read)
 
 
 def _verify_action(spec, order, change_text, nf_dict) -> bool:
-    names = spec.names
-    change = CoordChange([parse_polynomial(change_text[name], names, order)
-                          for name in names])
-    fields = [[parse_polynomial(text, names, order)
-               for text in nf_dict["fields"][gen]] for gen in spec.generators]
-    nf = ActionJet(spec.payload.algebra, fields, order)
-    return conjugate_action(spec.payload.truncate(order), change) == nf
+    read = _read_back(spec, order, change_text, nf_dict)
+    return read is not None and is_action_map(spec.payload.truncate(order), *read)
 
 
-def _parse_algebroid_change(text_block, names, order: int) -> AlgebroidChange:
-    base = CoordChange([parse_polynomial(text_block["base"][name], names, order + 1)
-                        for name in names])
-    frame = [[parse_polynomial(entry, names, order + 1) for entry in row]
-             for row in text_block["frame"]]
-    return AlgebroidChange(base, frame)
+def _verify_algebroid(spec, order, change_text, nf_dict) -> bool:
+    read = _read_back(spec, order, change_text, nf_dict)
+    if read is None:
+        return False
+    change, nf = read
+    return is_poisson_map(algebroid_to_poisson(spec.payload.truncate(order)),
+                          change, algebroid_to_poisson(nf))
 
 
-def _verify_algebroid(spec, order, change_block, nf_dict) -> bool:
-    names, frame_names = spec.names, spec.generators
-    change = _parse_algebroid_change(change_block, names, order)
-    rank, base_dim = len(frame_names), len(names)
-    structure = [[[Jet.zero(base_dim, order) for _ in range(rank)]
-                  for _ in range(rank)] for _ in range(rank)]
-    for si, sj, sk, text in nf_dict["structure"]:
-        i, j, k = frame_names.index(si), frame_names.index(sj), frame_names.index(sk)
-        jet = parse_polynomial(text, names, order)
-        structure[i][j][k] = structure[i][j][k] + jet
-        structure[j][i][k] = structure[j][i][k] - jet
-    anchor = [[parse_polynomial(text, names, order + 1)
-               for text in nf_dict["anchor"][sec]] for sec in frame_names]
-    nf = AlgebroidJet(base_dim, rank, structure, anchor, order)
-    return apply_algebroid_change(spec.payload.truncate(order), change) == nf
+def _engine_output(spec: ProblemSpec, order: int, split):
+    """(change, normal form as a jet of the problem's kind, trace), or
+    (certificate, trace); a Levi split selects the Levi engines."""
+    # engines are looked up per call, so a replaced module attribute is the
+    # one that runs
+    payload, radius = spec.payload, spec.radius
+    if split is not None:
+        try:
+            if spec.kind == "algebroid":
+                return levi_algebroid(payload, split, order, radius)
+            change, nf, trace = levi_decompose(payload, split, order, radius)
+        except SplitNotCertified as exc:
+            raise _fail(str(exc))
+        return change, nf.to_bivector(), trace
+    if spec.kind == "poisson":
+        return linearize_poisson(payload, spec.scheduler, order, radius)
+    if spec.kind == "action":
+        return linearize_action(payload, spec.scheduler, order, radius)
+    out = linearize_algebroid(payload, spec.scheduler, order, radius)
+    if len(out) == 2:
+        return out
+    change, linear, trace = out
+    return change, linear.to_algebroid(order), trace
 
 
-def _obstructed_report(report: dict, cert: ObstructionClass, trace,
-                       elapsed: float) -> tuple[dict, int]:
-    report["result"] = {"status": "obstructed",
-                        "obstruction": _obstruction_dict(cert)}
+def _normal_form_report(command: str, spec: ProblemSpec, order: int,
+                        split=None) -> tuple[dict, int]:
+    """Run the engine and report either its certificate (exit 2) or its
+    change and normal form, serialized, read back and verified (exit 0)."""
+    report = _base_report(command, spec)
+    started = time.perf_counter()
+    out = _engine_output(spec, order, split)
+    elapsed = time.perf_counter() - started
+    if len(out) == 2:
+        cert, trace = out
+        result = {"status": "obstructed", "obstruction": _obstruction_dict(cert)}
+        verified, code = result["obstruction"]["verified"], 2
+    else:
+        change, normal_form, trace = out
+        result = {"status": "linearized" if split is None else "normal-form",
+                  "change": _change_dict(change, spec.names),
+                  "normal_form": _payload_dict(replace(spec, payload=normal_form))}
+        if split is not None:
+            result["semisimple_block"] = len(split.s_basis)
+            result["residual_block"] = len(split.r_basis)
+        # built per call, like the engine lookup, so it sees module attributes
+        verifier = {"poisson": _verify_poisson, "action": _verify_action,
+                    "algebroid": _verify_algebroid}[spec.kind]
+        verified = verifier(spec, order, result["change"], result["normal_form"])
+        code = 0
+    report["result"] = result
     report["trace"] = _trace_dict(trace)
     report["timing_seconds"] = elapsed
-    report["verified"] = report["result"]["obstruction"]["verified"]
-    return report, 2
+    report["verified"] = verified
+    return report, code
 
 
 def run_linearize(spec: ProblemSpec, args) -> tuple[dict, int]:
-    order = _effective_order(spec, args)
-    report = _base_report("linearize", spec)
-    started = time.perf_counter()
-    if spec.kind == "poisson":
-        out = linearize_poisson(spec.payload, spec.scheduler, order, spec.radius)
-    elif spec.kind == "action":
-        out = linearize_action(spec.payload, spec.scheduler, order, spec.radius)
-    else:
-        return _run_algebroid_linearize(spec, args, report, started)
-    elapsed = time.perf_counter() - started
-    if len(out) == 2:
-        return _obstructed_report(report, *out, elapsed)
-    change, normal_form, trace = out
-    change_text = _change_dict(change, spec.names)
-    if spec.kind == "poisson":
-        nf_dict = _poisson_dict(normal_form, spec.names)
-        verified = _verify_poisson(spec, order, change_text, nf_dict)
-    else:
-        nf_dict = _action_dict(normal_form, spec.names, spec.generators)
-        verified = _verify_action(spec, order, change_text, nf_dict)
-    report["result"] = {"status": "linearized", "change": change_text,
-                        "normal_form": nf_dict}
-    report["trace"] = _trace_dict(trace)
-    report["timing_seconds"] = elapsed
-    report["verified"] = verified
-    return report, 0
-
-
-def _run_algebroid_linearize(spec, args, report, started) -> tuple[dict, int]:
-    order = _effective_order(spec, args)
-    out = linearize_algebroid(spec.payload, spec.scheduler, order, spec.radius)
-    elapsed = time.perf_counter() - started
-    if len(out) == 2:
-        return _obstructed_report(report, *out, elapsed)
-    change, linear, trace = out
-    nf = linear.to_algebroid(order)
-    change_block = _algebroid_change_dict(change, spec.names, spec.generators)
-    nf_dict = _algebroid_dict(nf, spec.names, spec.generators)
-    verified = _verify_algebroid(spec, order, change_block, nf_dict)
-    report["result"] = {"status": "linearized", "change": change_block,
-                        "normal_form": nf_dict}
-    report["trace"] = _trace_dict(trace)
-    report["timing_seconds"] = elapsed
-    report["verified"] = verified
-    return report, 0
+    return _normal_form_report("linearize", spec, _effective_order(spec, args))
 
 
 def run_algebroid(spec: ProblemSpec, args) -> tuple[dict, int]:
     if spec.kind != "algebroid":
         raise _fail("the algebroid command needs an algebroid problem")
-    report = _base_report("algebroid", spec)
-    return _run_algebroid_linearize(spec, args, report, time.perf_counter())
+    return _normal_form_report("algebroid", spec, _effective_order(spec, args))
 
 
 def _load_levi(spec: ProblemSpec, args):
@@ -664,49 +653,7 @@ def run_levi(spec: ProblemSpec, args) -> tuple[dict, int]:
     if spec.kind == "action":
         raise _fail("the levi command handles poisson and algebroid problems")
     split = _load_levi(spec, args)
-    order = _effective_order(spec, args)
-    report = _base_report("levi", spec)
-    started = time.perf_counter()
-    if spec.kind == "poisson":
-        try:
-            change, nf, trace = levi_decompose(spec.payload, split, order,
-                                               spec.radius)
-        except SplitNotCertified as exc:
-            raise _fail(str(exc))
-        elapsed = time.perf_counter() - started
-        nf_bivector = nf.to_bivector()
-        change_text = _change_dict(change, spec.names)
-        nf_dict = _poisson_dict(nf_bivector, spec.names)
-        verified = _verify_poisson(spec, order, change_text, nf_dict)
-        ns = len(split.s_basis)
-        report["result"] = {
-            "status": "normal-form",
-            "change": change_text,
-            "normal_form": nf_dict,
-            "semisimple_block": ns,
-            "residual_block": len(split.r_basis),
-        }
-    else:
-        try:
-            change, nf, trace = levi_algebroid(spec.payload, split, order,
-                                               spec.radius)
-        except SplitNotCertified as exc:
-            raise _fail(str(exc))
-        elapsed = time.perf_counter() - started
-        change_block = _algebroid_change_dict(change, spec.names, spec.generators)
-        nf_dict = _algebroid_dict(nf, spec.names, spec.generators)
-        verified = _verify_algebroid(spec, order, change_block, nf_dict)
-        report["result"] = {
-            "status": "normal-form",
-            "change": change_block,
-            "normal_form": nf_dict,
-            "semisimple_block": len(split.s_basis),
-            "residual_block": len(split.r_basis),
-        }
-    report["trace"] = _trace_dict(trace)
-    report["timing_seconds"] = elapsed
-    report["verified"] = verified
-    return report, 0
+    return _normal_form_report("levi", spec, _effective_order(spec, args), split)
 
 
 def _polynomial_rep(spec: ProblemSpec) -> tuple[LieAlgebra, int, list]:

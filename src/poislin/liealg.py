@@ -18,10 +18,10 @@ from .linalg import (
     Vector,
     det,
     extend_to_basis,
-    identity_matrix,
     mat_mul,
     rank,
     row_space_solver,
+    symmetric_signature,
     zero_vector,
 )
 
@@ -175,14 +175,9 @@ def is_semisimple(L: LieAlgebra) -> bool:
 
 
 def is_compact_type(L: LieAlgebra) -> bool:
-    """Negative-definite Killing form, decided by the exact alternating-sign
-    test on leading principal minors."""
-    k = killing_form(L)
-    for size in range(1, L.dim + 1):
-        minor = det([row[:size] for row in k[:size]])
-        if (-1) ** size * minor <= 0:
-            return False
-    return True
+    """Negative-definite Killing form: every direction of its exact
+    signature is negative."""
+    return symmetric_signature(killing_form(L))[1] == L.dim
 
 
 def _span_basis(vectors: Matrix, dim: int) -> list[Vector]:

@@ -11,8 +11,11 @@ a SolverFailure.  The two schedulers differ only in how degrees are grouped:
 `degree` treats one homogeneous degree per step, `doubling` treats the block
 [2^nu, 2^(nu+1)) per step, clearing its degrees lowest-first so the
 quadratic interaction of corrections (which can reach degree 2^(nu+1)-1)
-never re-enters a cleared block.  All decisions are exact; the Hermitian
-norms carried on traces are binary64 diagnostics only.
+never re-enters a cleared block.  The adapter keeps the corrections in
+order and composes them once, right to left, when the engine returns the
+change; truncated composition is associative, so that change is exactly the
+left-to-right product.  All decisions are exact; the Hermitian norms carried
+on traces are binary64 diagnostics only.
 """
 
 from __future__ import annotations
@@ -322,13 +325,34 @@ def poisson_remainder(pi: PoissonJet, degree: int) -> Cochain:
     return Cochain(sub.complex, 2, sub.vector)
 
 
+def _target(jet, order: int | None, owner: str):
+    """(target order, jet truncated to it): the target defaults to the jet's
+    own truncation and may not exceed it."""
+    if order is None:
+        order = jet.order
+    if order > jet.order:
+        raise ValueError(f"target order exceeds the {owner} truncation")
+    return order, jet.truncate(order) if order != jet.order else jet
+
+
 class _Problem:
     """What the driver asks of an adapter: `state` (with nvars and order),
-    `solves(degree)`, `apply(change)` and `tail_jets()`.  By default a failed
-    solve yields a certificate, and a finished run that is not linear raises
-    SolverFailure with the subclass's `unfinished` message."""
+    `solves(degree)`, `apply(change)` and `tail_jets()`.  `apply` appends each
+    correction to `corrections` as it transports the state.  By default a
+    failed solve yields a certificate, and a finished run that is not linear
+    raises SolverFailure with the subclass's `unfinished` message."""
 
     label = None
+
+    def change(self) -> CoordChange:
+        """Every correction composed once, right to left:
+        c1.then(c2.then(...)), the identity when there is none."""
+        if not self.corrections:
+            return CoordChange.identity(self.state.nvars, self.state.order)
+        change = self.corrections[-1]
+        for earlier in reversed(self.corrections[:-1]):
+            change = compose_change(earlier, change)
+        return change
 
     def obstruction(self, sub: _SubSolve, functional) -> ObstructionClass:
         module, r = sub.complex, sub.cochain_degree
@@ -347,11 +371,9 @@ class _PoissonProblem(_Problem):
 
     unfinished = "bracket not linear after all degrees were cleared"
 
-    def __init__(self, pi: PoissonJet, accumulated: CoordChange | None = None):
+    def __init__(self, pi: PoissonJet, first: CoordChange | None = None):
         self.state = pi
-        if accumulated is None:
-            accumulated = CoordChange.identity(pi.nvars, pi.order)
-        self.accumulated = accumulated
+        self.corrections = [] if first is None else [first]
         self.algebra = isotropy_from_linear_part(pi)
         self.rep = coadjoint_rep(self.algebra)
         self.entries = list(combinations(range(pi.nvars), 2))
@@ -363,7 +385,7 @@ class _PoissonProblem(_Problem):
                            range(n), degree)
 
     def apply(self, change: CoordChange) -> None:
-        self.accumulated = compose_change(self.accumulated, change)
+        self.corrections.append(change)
         self.state = pushforward(self.state, change)
 
     def tail_jets(self):
@@ -383,15 +405,12 @@ def linearize_poisson(pi: PoissonJet, scheduler: str = "doubling",
     class no coordinate change can remove.  Partial removal still happens at
     the obstructed degree before the engine stops.
     """
-    if order is None:
-        order = pi.order
-    if order > pi.order:
-        raise ValueError("target order exceeds the bivector's truncation")
-    problem = _PoissonProblem(pi.truncate(order) if order != pi.order else pi)
+    order, pi = _target(pi, order, "bivector's")
+    problem = _PoissonProblem(pi)
     obstruction, trace = _run_scheduler(problem, scheduler, order, radius)
     if obstruction is not None:
         return obstruction, trace
-    return problem.accumulated, problem.state, trace
+    return problem.change(), problem.state, trace
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +533,15 @@ def conjugate_action(action: ActionJet, change: CoordChange) -> ActionJet:
     if change.nvars != action.nvars:
         raise ValueError("coordinate change has the wrong variable count")
     inverse = invert_change(change)
+    new_fields = [[comp.substitute(inverse.components) for comp in fld]
+                  for fld in _jacobian_fields(action, change)]
+    return ActionJet._trusted(action.algebra, new_fields, action.nvars, action.order)
+
+
+def _jacobian_fields(action: ActionJet, change: CoordChange) -> list:
+    """D(change) X_a for every field X_a, in the old coordinates."""
     nvars, order = action.nvars, action.order
-    new_fields = []
+    out = []
     for fld in action.fields:
         comps = []
         for a in range(nvars):
@@ -523,9 +549,21 @@ def conjugate_action(action: ActionJet, change: CoordChange) -> ActionJet:
             for b in range(nvars):
                 if not fld[b].is_zero():
                     acc = acc + change.components[a].diff(b) * fld[b]
-            comps.append(acc.substitute(inverse.components))
-        new_fields.append(comps)
-    return ActionJet._trusted(action.algebra, new_fields, nvars, order)
+            comps.append(acc)
+        out.append(comps)
+    return out
+
+
+def is_action_map(action: ActionJet, phi: CoordChange, target: ActionJet) -> bool:
+    """Whether phi carries `action` to `target`: D(phi) X_a = Y_a o phi for
+    every generator, over the same algebra and at one truncation order.
+    Equivalent to conjugate_action(action, phi) == target, with no inverse
+    taken."""
+    return target.algebra == action.algebra and all(
+        comp == image.substitute(phi.components)
+        for fld, images in zip(_jacobian_fields(action, phi), target.fields)
+        for comp, image in zip(fld, images)
+    )
 
 
 _TWISTED_MODULE_CACHE = LRUCache()
@@ -597,7 +635,7 @@ class _ActionProblem(_Problem):
 
     def __init__(self, action: ActionJet):
         self.state = action
-        self.accumulated = CoordChange.identity(action.nvars, action.order)
+        self.corrections = []
 
     def solves(self, degree: int):
         action = self.state
@@ -609,7 +647,7 @@ class _ActionProblem(_Problem):
                         [(a, basis) for a in range(action.nvars)])
 
     def apply(self, change: CoordChange) -> None:
-        self.accumulated = compose_change(self.accumulated, change)
+        self.corrections.append(change)
         self.state = conjugate_action(self.state, change)
 
     def tail_jets(self):
@@ -623,15 +661,12 @@ def linearize_action(action: ActionJet, scheduler: str = "doubling",
                      order: int | None = None, radius=ONE):
     """Linearize a polynomial action; same contract as linearize_poisson with
     1-cochains in place of 2-cochains."""
-    if order is None:
-        order = action.order
-    if order > action.order:
-        raise ValueError("target order exceeds the action's truncation")
-    problem = _ActionProblem(action.truncate(order) if order != action.order else action)
+    order, action = _target(action, order, "action's")
+    problem = _ActionProblem(action)
     obstruction, trace = _run_scheduler(problem, scheduler, order, radius)
     if obstruction is not None:
         return obstruction, trace
-    return problem.accumulated, problem.state, trace
+    return problem.change(), problem.state, trace
 
 
 # ---------------------------------------------------------------------------
@@ -763,18 +798,15 @@ def levi_decompose(pi: PoissonJet, split: LeviSplit, order: int | None = None,
     Returns (CoordChange, LeviNormalForm, IterationTrace).
     """
     _require_certified_split(isotropy_from_linear_part(pi), split)
-    if order is None:
-        order = pi.order
-    if order > pi.order:
-        raise ValueError("target order exceeds the bivector's truncation")
+    order, pi = _target(pi, order, "bivector's")
     n = pi.nvars
     ns = len(split.s_basis)
     nr = len(split.r_basis)
     adapt = CoordChange.linear(
         [list(v) for v in split.s_basis + split.r_basis], order
     )
-    current = pushforward(pi.truncate(order) if order != pi.order else pi, adapt)
-    problem = _LeviProblem(current, adapt, range(ns), [(range(ns, n), None)])
+    problem = _LeviProblem(pushforward(pi, adapt), adapt, range(ns),
+                           [(range(ns, n), None)])
     _, trace = _run_scheduler(problem, "degree", order, radius)
 
     c = problem.algebra.constants
@@ -788,4 +820,4 @@ def levi_decompose(pi: PoissonJet, split: LeviSplit, order: int | None = None,
         if not problem.state.entries[ns + alpha][ns + beta].is_zero()
     }
     form = LeviNormalForm(s_constants, r_constants, residual, split, order)
-    return problem.accumulated, form, trace
+    return problem.change(), form, trace

@@ -613,6 +613,18 @@ def pushforward(pi: PoissonJet, phi: CoordChange) -> PoissonJet:
     return PoissonJet._trusted(grid, n, order)
 
 
+def is_poisson_map(pi: PoissonJet, phi: CoordChange, target: PoissonJet) -> bool:
+    """Whether phi carries pi to target: {phi^i, phi^j}_pi = target^ij o phi
+    for every pair, all three at one truncation order.  Equivalent to
+    pushforward(pi, phi) == target, with no inverse taken."""
+    n = pi.nvars
+    return all(
+        poisson_bracket(phi.components[i], phi.components[j], pi)
+        == target.entries[i][j].substitute(phi.components)
+        for i in range(n) for j in range(i + 1, n)
+    )
+
+
 # ---------------------------------------------------------------------------
 # one-forms and the bracket induced on them
 

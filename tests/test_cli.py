@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_near_identity_change, so3_bivector
-from poislin import corpus
+from poislin import cli, corpus, normalform, polyalg
 from poislin.cli import (
     InputError,
     ProblemSpec,
@@ -17,7 +17,7 @@ from poislin.cli import (
     problem_from_dict,
     symmetric_signature,
 )
-from poislin.polyalg import Jet, format_polynomial, pushforward
+from poislin.polyalg import Jet, PoissonJet, format_polynomial, pushforward
 
 F = Fraction
 
@@ -178,10 +178,10 @@ def test_check_rejects_boolean_constant_indices(tmp_path, capsys):
     assert "indices must be integers" in err
 
 
-def test_linearize_perturbed_so3(tmp_path, capsys):
+def perturbed_so3_problem(order=6):
     rng = random.Random(41)
-    moved = pushforward(so3_bivector(6),
-                        random_near_identity_change(rng, 3, 6, max_extra=2))
+    moved = pushforward(so3_bivector(order),
+                        random_near_identity_change(rng, 3, order, max_extra=2))
     names = ["x", "y", "z"]
     brackets = {}
     for i in range(3):
@@ -189,8 +189,12 @@ def test_linearize_perturbed_so3(tmp_path, capsys):
             entry = moved.entry(i, j)
             if not entry.is_zero():
                 brackets[f"{names[i]},{names[j]}"] = format_polynomial(entry, names)
-    path = write_problem(tmp_path, {"kind": "poisson", "variables": names,
-                                    "order": 6, "brackets": brackets})
+    return {"kind": "poisson", "variables": names, "order": order,
+            "brackets": brackets}
+
+
+def test_linearize_perturbed_so3(tmp_path, capsys):
+    path = write_problem(tmp_path, perturbed_so3_problem())
     code, out, _ = run_cli(capsys, ["linearize", path])
     assert code == 0
     report = json.loads(out)
@@ -216,6 +220,97 @@ def test_linearize_obstruction_exits_2(tmp_path, capsys):
     for item in result["obstruction"]["functional"]:
         assert F(item["value"]) != 0
     assert report["trace"]["steps"][-1]["obstructed"]
+
+
+# ---------------------------------------------------------------------------
+# verification fails closed
+
+
+# (command, problem, verifier name, path to one change component)
+REPORTED = [
+    ("linearize", perturbed_so3_problem(4), "_verify_poisson", ("x",)),
+    ("linearize", corpus.get("guillemin-sternberg-action").problem(4),
+     "_verify_action", ("y",)),
+    ("levi", corpus.get("gl2-levi").problem(4), "_verify_poisson", ("z",)),
+    ("algebroid", corpus.get("so3-coadjoint-algebroid").problem(3),
+     "_verify_algebroid", ("base", "x")),
+]
+
+
+def engine_report(tmp_path, capsys, command, data):
+    code, out, _ = run_cli(capsys, [command, write_problem(tmp_path, data)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["verified"] is True
+    return parse_problem(json.dumps(data)), report["result"]
+
+
+@pytest.mark.parametrize("command, data, verifier, where", REPORTED,
+                         ids=[f"{c}-{v}" for c, _, v, _ in REPORTED])
+def test_a_perturbed_change_does_not_verify(tmp_path, capsys, command, data,
+                                            verifier, where):
+    spec, result = engine_report(tmp_path, capsys, command, data)
+    verify = getattr(cli, verifier)
+    change = json.loads(json.dumps(result["change"]))
+    holder = change
+    for key in where[:-1]:
+        holder = holder[key]
+    # one coefficient moves: the x^2 term gains 1/7
+    holder[where[-1]] += " + 1/7*x^2"
+    assert verify(spec, spec.order, change, result["normal_form"]) is False
+    assert verify(spec, spec.order, result["change"], result["normal_form"]) is True
+
+
+@pytest.mark.parametrize("command, data, verifier, where", REPORTED,
+                         ids=[f"{c}-{v}" for c, _, v, _ in REPORTED])
+def test_verifiers_take_no_inverse(tmp_path, capsys, monkeypatch, command, data,
+                                   verifier, where):
+    spec, result = engine_report(tmp_path, capsys, command, data)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verification inverted the change")
+
+    monkeypatch.setattr(polyalg, "invert_change", refuse)
+    monkeypatch.setattr(normalform, "invert_change", refuse)
+    verify = getattr(cli, verifier)
+    assert verify(spec, spec.order, result["change"], result["normal_form"]) is True
+
+
+def test_a_perturbed_lie_poisson_normal_form_does_not_verify(tmp_path, capsys):
+    spec, result = engine_report(tmp_path, capsys, "linearize",
+                                 perturbed_so3_problem(4))
+    brackets = dict(result["normal_form"]["brackets"], **{"x,y": "2*z"})
+    # still Lie-Poisson, so it parses; it is not the image of the input
+    parse_problem(json.dumps(dict(SO3_PROBLEM, brackets=brackets)))
+    normal_form = dict(result["normal_form"], brackets=brackets)
+    assert cli._verify_poisson(spec, 4, result["change"], normal_form) is False
+
+
+def test_a_normal_form_failing_jacobi_reports_unverified(tmp_path, capsys,
+                                                         monkeypatch):
+    spec, result = engine_report(tmp_path, capsys, "linearize",
+                                 perturbed_so3_problem(4))
+    brackets = dict(result["normal_form"]["brackets"], **{"x,y": "z + x^2"})
+    normal_form = dict(result["normal_form"], brackets=brackets)
+    assert cli._verify_poisson(spec, 4, result["change"], normal_form) is False
+
+    # the same normal form coming out of an engine ends in verified: false
+    x, y, z = (Jet.variable(i, 3, 4) for i in range(3))
+    xy, zero = z + x * x, Jet.zero(3, 4)
+    broken = PoissonJet._trusted([[zero, xy, -y], [-xy, zero, x], [y, -x, zero]], 3, 4)
+
+    def engine(pi, scheduler, order, radius):
+        out = normalform.linearize_poisson(pi, scheduler, order, radius)
+        return out[0], broken, out[2]
+
+    monkeypatch.setattr(cli, "linearize_poisson", engine)
+    code, out, err = run_cli(capsys, ["linearize",
+                                      write_problem(tmp_path, perturbed_so3_problem(4))])
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert report["result"]["normal_form"]["brackets"]["x,y"] == "z + x^2"
+    assert report["verified"] is False
 
 
 def test_levi_command_with_embedded_factor(tmp_path, capsys):

@@ -6,8 +6,13 @@ algebroid, and the resonant family {x,y} = y, {x,z} = k z + y^k, which is
 obstructed at degree k.  For every input the two schedulers return the same
 change, normal form or certificate; every certificate verifies; and a second
 run reproduces the first bit for bit, trace included.
+
+One family is not built by transport: every bivector {x, y} = y + f with f
+of degree >= 2 is Poisson (Jacobi is empty in dimension two) and, by
+Arnold's theorem, formally linearizable to the aff(1) structure {x, y} = y.
 """
 
+import argparse
 import random
 
 import pytest
@@ -21,15 +26,17 @@ from helpers import (
     so3_bivector,
     sl2_bivector,
 )
+from poislin import cli
 from poislin.algebroid import apply_algebroid_change, linearize_algebroid
 from poislin.cohomology import ObstructionClass
 from poislin.normalform import (
     ActionJet,
     conjugate_action,
+    is_action_map,
     linearize_action,
     linearize_poisson,
 )
-from poislin.polyalg import Jet, PoissonJet, pushforward
+from poislin.polyalg import Jet, PoissonJet, format_polynomial, is_poisson_map, pushforward
 
 KINDS = ("so3", "sl2", "action", "algebroid", "resonant")
 
@@ -98,12 +105,15 @@ def test_outcomes_verify(kind, seed, order):
     assert kind != "resonant"
     change, linear, _ = outcome
     # the returned change carries the input exactly onto the normal form
+    # and the morphism equation, which takes no inverse, agrees
     if kind == "action":
         assert conjugate_action(payload, change) == linear
+        assert is_action_map(payload, change, linear)
     elif kind == "algebroid":
         assert apply_algebroid_change(payload, change) == linear.to_algebroid(payload.order)
     else:
         assert pushforward(payload, change) == linear
+        assert is_poisson_map(payload, change, linear)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -112,3 +122,32 @@ def test_outcomes_verify(kind, seed, order):
 def test_repeated_runs_are_bit_identical(kind, seed, order, scheduler):
     engine, payload = build(kind, seed, order)
     assert engine(payload, scheduler) == engine(payload, scheduler)
+
+
+@st.composite
+def aff1_perturbations(draw):
+    """(order, text of {x, y}): y plus terms of degree 2..order."""
+    order = draw(st.integers(3, 6))
+    monomials = [(a, d - a) for d in range(2, order + 1) for a in range(d + 1)]
+    terms = draw(st.dictionaries(
+        st.sampled_from(monomials),
+        st.fractions(-3, 3, max_denominator=3).filter(bool),
+        min_size=1, max_size=4,
+    ))
+    bracket = Jet.variable(1, 2, order) + Jet(2, order, terms)
+    return order, format_polynomial(bracket, ["x", "y"])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(case=aff1_perturbations(), scheduler=st.sampled_from(("doubling", "degree")))
+def test_dimension_two_brackets_linearize_to_aff1(case, scheduler):
+    order, text = case
+    spec = cli.problem_from_dict({
+        "kind": "poisson", "variables": ["x", "y"], "order": order,
+        "scheduler": scheduler, "brackets": {"x,y": text},
+    })
+    report, code = cli.run_linearize(spec, argparse.Namespace(max_degree=None))
+    # never obstructed, and the report checks the morphism equation
+    assert code == 0
+    assert report["result"]["normal_form"]["brackets"] == {"x,y": "y"}
+    assert report["verified"] is True

@@ -58,9 +58,12 @@ class LieAlgebra:
                         raise ValueError(
                             f"structure constants are not antisymmetric at ({i},{j},{k})"
                         )
+        # with antisymmetry the Jacobiator is totally antisymmetric and
+        # vanishes on repeated indices, so the first failing ordered triple
+        # is a sorted one
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
                     for l in range(n):
                         total = ZERO
                         for m in range(n):

@@ -47,6 +47,7 @@ from .polyalg import (
     CoordChange,
     Jet,
     PoissonJet,
+    _Powers,
     compose_change,
     invert_change,
     monomials,
@@ -96,18 +97,35 @@ def hermitian_inner(f: Jet, g: Jet, radius=ONE) -> Fraction:
         raise ValueError("radius must be positive")
     if f.nvars != g.nvars:
         raise ValueError("jets live on different variable sets")
-    nfact = math.factorial(f.nvars)
-    total = ZERO
-    for mono, a in f.terms():
-        b = g.coefficient(mono)
-        if not b:
+    # per degree d, S_d = sum of a*b*alpha! over the integer numerators; the
+    # inner product is sum_d S_d n! r^(2d) / (d+n)! over both denominators,
+    # put over one common denominator and turned into a Fraction once
+    fden, fbuckets = f._fast_form()
+    gden, gbuckets = g._fast_form()
+    fact = math.factorial
+    sums = {}
+    for d, items in fbuckets.items():
+        other = gbuckets.get(d)
+        if other is None:
             continue
-        d = sum(mono)
-        fact = 1
-        for e in mono:
-            fact *= math.factorial(e)
-        total += a * b * Fraction(fact * nfact, math.factorial(d + f.nvars)) * radius ** (2 * d)
-    return total
+        other = None if other is items else dict(other)
+        acc = 0
+        for mono, a in items:
+            b = a if other is None else other.get(mono)
+            if b:
+                acc += a * b * math.prod(map(fact, mono))
+        if acc:
+            sums[d] = acc
+    if not sums:
+        return ZERO
+    n = f.nvars
+    p, q = radius.numerator, radius.denominator
+    top = max(sums)
+    num = sum(
+        acc * p ** (2 * d) * q ** (2 * (top - d)) * (fact(top + n) // fact(d + n))
+        for d, acc in sums.items()
+    )
+    return Fraction(num * fact(n), fact(top + n) * q ** (2 * top) * fden * gden)
 
 
 def hermitian_norm(f: Jet, radius=ONE) -> float:
@@ -532,8 +550,8 @@ def conjugate_action(action: ActionJet, change: CoordChange) -> ActionJet:
     field, composed with the inverse change)."""
     if change.nvars != action.nvars:
         raise ValueError("coordinate change has the wrong variable count")
-    inverse = invert_change(change)
-    new_fields = [[comp.substitute(inverse.components) for comp in fld]
+    powers = _Powers.of(invert_change(change).components)
+    new_fields = [[powers.substitute(comp) for comp in fld]
                   for fld in _jacobian_fields(action, change)]
     return ActionJet._trusted(action.algebra, new_fields, action.nvars, action.order)
 
@@ -559,8 +577,11 @@ def is_action_map(action: ActionJet, phi: CoordChange, target: ActionJet) -> boo
     every generator, over the same algebra and at one truncation order.
     Equivalent to conjugate_action(action, phi) == target, with no inverse
     taken."""
-    return target.algebra == action.algebra and all(
-        comp == image.substitute(phi.components)
+    if target.algebra != action.algebra:
+        return False
+    powers = _Powers.of(phi.components)
+    return all(
+        comp == powers.substitute(image)
         for fld, images in zip(_jacobian_fields(action, phi), target.fields)
         for comp, image in zip(fld, images)
     )

@@ -210,14 +210,18 @@ class Jet:
         return (-self) + other
 
     def _fast_form(self):
-        """Denominator-cleared, degree-bucketed view used by multiplication."""
+        """Integer form (denominator, {degree: [(monomial, numerator)]}): the
+        lcm of the coefficients' denominators and the numerators over it,
+        bucketed by degree.  Products and the transport core read only this."""
         if self._fast is None:
             denom = 1
             for c in self._c.values():
-                denom = denom * c.denominator // gcd(denom, c.denominator)
+                denom = _lcm(denom, c.denominator)
             buckets: dict[int, list[tuple[Monomial, int]]] = {}
             for m, c in self._c.items():
-                buckets.setdefault(sum(m), []).append((m, int(c * denom)))
+                buckets.setdefault(sum(m), []).append(
+                    (m, c.numerator * (denom // c.denominator))
+                )
             self._fast = (denom, buckets)
         return self._fast
 
@@ -228,22 +232,10 @@ class Jet:
                 return Jet._raw(self.nvars, self.order, {})
             return Jet._raw(self.nvars, self.order, {m: v * c for m, v in self._c.items()})
         order = self._check_compatible(other)
-        da, ba = self._fast_form()
-        db, bb = other._fast_form()
-        acc: dict[Monomial, int] = {}
-        get = acc.get
-        for dega, items_a in ba.items():
-            limit = order - dega
-            for degb, items_b in bb.items():
-                if degb > limit:
-                    continue
-                for ma, ca in items_a:
-                    for mb, cb in items_b:
-                        key = tuple(x + y for x, y in zip(ma, mb))
-                        acc[key] = get(key, 0) + ca * cb
-        denom = da * db
-        coeffs = {m: Fraction(n, denom) for m, n in acc.items() if n}
-        return Jet._raw(self.nvars, order, coeffs)
+        radix = order + 1
+        form = _product(_packed(self, radix, order), _packed(other, radix, order), order)
+        denom = self._fast_form()[0] * other._fast_form()[0]
+        return _jet_from_packed(self.nvars, order, denom, form, radix)
 
     __rmul__ = __mul__
 
@@ -288,34 +280,175 @@ class Jet:
             raise ValueError("substitute needs one jet per variable")
         if not args:
             return Jet._raw(0, self.order, dict(self._c))
-        nv = args[0].nvars
-        order = min([self.order] + [a.order for a in args])
-        for a in args:
-            if a.nvars != nv:
+        return _Powers.of(args).substitute(self)
+
+
+# ---------------------------------------------------------------------------
+# integer transport core
+#
+# A packed form is {degree: {key: numerator}} over a denominator kept beside
+# it.  A key packs a monomial's exponents as digits in base `radix`, one more
+# than the truncation order, so multiplying monomials is adding keys: no
+# exponent of a truncated product can reach the base.
+
+
+def _lcm(a: int, b: int) -> int:
+    return a // gcd(a, b) * b
+
+
+def _pack(mono: Monomial, radix: int) -> int:
+    key = 0
+    for e in mono:
+        key = key * radix + e
+    return key
+
+
+def _unpack(key: int, radix: int, nvars: int) -> Monomial:
+    exps = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        key, exps[i] = divmod(key, radix)
+    return tuple(exps)
+
+
+def _packed(jet: Jet, radix: int, order: int, scale: int = 1) -> dict:
+    """The jet's numerators times `scale`, packed, through degree `order`."""
+    _, buckets = jet._fast_form()
+    return {
+        deg: {_pack(m, radix): n * scale for m, n in items}
+        for deg, items in buckets.items() if deg <= order
+    }
+
+
+def _product(a: dict, b: dict, order: int, out: dict | None = None, sign: int = 1) -> dict:
+    """Product of two packed forms truncated at `order`, added with `sign`
+    into `out` when given."""
+    if out is None:
+        out = {}
+    for dega, items_a in a.items():
+        for degb, items_b in b.items():
+            deg = dega + degb
+            if deg > order:
+                continue
+            acc = out.get(deg)
+            if acc is None:
+                acc = out[deg] = {}
+            get = acc.get
+            for ka, ca in items_a.items():
+                if sign < 0:
+                    ca = -ca
+                for kb, cb in items_b.items():
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
+    return out
+
+
+def _unpacked(form: dict, radix: int, nvars: int) -> dict:
+    """A packed form in the `_fast_form` bucket shape, zeros dropped."""
+    return {
+        deg: [(_unpack(k, radix, nvars), n) for k, n in items.items() if n]
+        for deg, items in form.items()
+    }
+
+
+def _jet_from_packed(nvars: int, order: int, denom: int, form: dict, radix: int) -> Jet:
+    """Convert to Fraction coefficients, one per nonzero numerator; the
+    reduced integer form is kept as the jet's `_fast_form`."""
+    buckets = _unpacked(form, radix, nvars)
+    g = gcd(denom, *(n for items in buckets.values() for _, n in items))
+    if g > 1:
+        denom //= g
+        buckets = {deg: [(m, n // g) for m, n in items] for deg, items in buckets.items()}
+    jet = Jet._raw(nvars, order, {
+        m: Fraction(n, denom) for items in buckets.values() for m, n in items
+    })
+    jet._fast = (denom, {deg: items for deg, items in buckets.items() if items})
+    return jet
+
+
+class _Powers:
+    """The powers args^m of one tuple of origin-preserving jets, shared by
+    every jet substituted into that tuple.
+
+    All arguments are packed over one denominator D, the lcm of theirs, so
+    args^m is table[m] / D^|m|; a power is built once, from the power one
+    degree lower, the first time a substituted jet needs it.  A
+    substitution accumulates c_m D^(top-|m|) table[m] over the jet's integer
+    numerators c_m and converts to Fraction once per result coefficient."""
+
+    __slots__ = ("nvars", "order", "radix", "denom", "args", "table")
+
+    def __init__(self, nvars: int, order: int, radix: int, denom: int, args):
+        self.nvars = nvars
+        self.order = order
+        self.radix = radix
+        self.denom = denom
+        self.args = args
+        self.table = {(0,) * len(args): {0: {0: 1}}}
+
+    @classmethod
+    def of(cls, jets) -> "_Powers":
+        jets = list(jets)
+        nvars = jets[0].nvars
+        for a in jets:
+            if a.nvars != nvars:
                 raise ValueError("substitution jets live on different variable sets")
             if a.constant_term:
                 raise ValueError("substitution jets must vanish at the origin")
-        cache: dict[Monomial, Jet] = {(0,) * self.nvars: Jet.one(nv, order)}
+        order = min(a.order for a in jets)
+        denom = 1
+        for a in jets:
+            denom = _lcm(denom, a._fast_form()[0])
+        radix = order + 1
+        args = [_packed(a, radix, order, denom // a._fast_form()[0]) for a in jets]
+        return cls(nvars, order, radix, denom, args)
 
-        def mono_jet(m: Monomial) -> Jet:
-            cached = cache.get(m)
-            if cached is not None:
-                return cached
-            k = next(i for i, e in enumerate(m) if e)
-            lower = m[:k] + (m[k] - 1,) + m[k + 1:]
-            value = mono_jet(lower) * args[k]
-            cache[m] = value
-            return value
+    def power(self, mono: Monomial) -> dict:
+        table = self.table
+        form = table.get(mono)
+        if form is None:
+            k = next(i for i, e in enumerate(mono) if e)
+            lower = mono[:k] + (mono[k] - 1,) + mono[k + 1:]
+            form = _product(self.power(lower), self.args[k], self.order)
+            table[mono] = form
+        return form
 
-        acc: dict[Monomial, Fraction] = {}
-        for m, c in sorted(self._c.items(), key=lambda item: grlex_key(item[0])):
-            for mm, cc in mono_jet(m)._c.items():
-                s = acc.get(mm, _ZERO) + c * cc
-                if s:
-                    acc[mm] = s
-                elif mm in acc:
-                    del acc[mm]
-        return Jet._raw(nv, order, acc)
+    def combine(self, form, order: int) -> tuple[int, dict]:
+        """(denominator, packed numerators) of a function in the `_fast_form`
+        shape composed with the arguments, through degree `order` <=
+        self.order."""
+        denom, buckets = form
+        degrees = [deg for deg in buckets if deg <= order]
+        if not degrees:
+            return 1, {}
+        top = max(degrees)
+        base = self.denom
+        out: dict[int, dict[int, int]] = {}
+        for deg in degrees:
+            scale = base ** (top - deg)
+            for mono, c in buckets[deg]:
+                s = c * scale
+                for d, items in self.power(mono).items():
+                    if d > order:
+                        continue
+                    acc = out.get(d)
+                    if acc is None:
+                        acc = out[d] = {}
+                    get = acc.get
+                    for k, v in items.items():
+                        acc[k] = get(k, 0) + s * v
+        return denom * base ** top, out
+
+    def substitute(self, jet: Jet) -> Jet:
+        """jet(args), truncated at the lower of the two orders."""
+        if jet.nvars != len(self.args):
+            raise ValueError("substitute needs one jet per variable")
+        return self.substitute_form(jet._fast_form(), min(jet.order, self.order))
+
+    def substitute_form(self, form, order: int) -> Jet:
+        """A function given in the `_fast_form` shape, composed with the
+        arguments through degree `order` <= self.order, as a jet."""
+        denom, packed = self.combine(form, order)
+        return _jet_from_packed(self.nvars, order, denom, packed, self.radix)
 
 
 def homogeneous_to_vector(jet: Jet, degree: int) -> list[Fraction]:
@@ -397,7 +530,8 @@ class CoordChange:
         """This change first, `other` applied to its output."""
         if other.nvars != self.nvars:
             raise ValueError("coordinate changes act on different spaces")
-        return CoordChange([comp.substitute(self.components) for comp in other.components])
+        powers = _Powers.of(self.components)
+        return CoordChange([powers.substitute(comp) for comp in other.components])
 
     def truncate(self, order: int) -> "CoordChange":
         return CoordChange([c.truncate(order) for c in self.components])
@@ -420,8 +554,24 @@ def compose_change(first: CoordChange, second: CoordChange) -> CoordChange:
     return first.then(second)
 
 
+def _inversion_rounds(order: int, lowest: int | None) -> int:
+    """Rounds of psi <- A^-1 (y - T(psi)) that make psi exact through `order`
+    when the tail T starts at degree `lowest` >= 2.  The linear start A^-1 y
+    is exact through lowest - 1, and each round adds lowest - 1 degrees, so
+    floor((order-1)/(lowest-1)) rounds suffice, at most ceil of the same."""
+    if lowest is None or lowest > order:
+        return 0
+    return (order - 1) // (lowest - 1)
+
+
 def invert_change(phi: CoordChange) -> CoordChange:
-    """Compositional inverse, exact degree by degree through the truncation."""
+    """Compositional inverse, exact through the truncation.
+
+    Iterates psi <- A^-1 (y - T(psi)), where A is the linear part and T the
+    tail of phi, in integer form over one denominator.  Round r is only
+    trusted through degree (r+1)(l-1), l the tail's lowest degree, so it is
+    computed truncated there; the n tails of a round share one power table
+    of psi."""
     n, order = phi.nvars, phi.order
     a = phi.linear_matrix()
     solver = LinearSolver(a)
@@ -432,31 +582,54 @@ def invert_change(phi: CoordChange) -> CoordChange:
         if col is None:
             raise ValueError("linear part is not invertible")
         inv_rows.append(col)
-    inv_a = [[inv_rows[j][i] for j in range(n)] for i in range(n)]
+    # A^-1 = inv / inv_den with integer entries
+    inv_den = 1
+    for col in inv_rows:
+        for x in col:
+            inv_den = _lcm(inv_den, x.denominator)
+    inv = [[inv_rows[j][i].numerator * (inv_den // inv_rows[j][i].denominator)
+            for j in range(n)] for i in range(n)]
 
-    tails = []
-    for comp in phi.components:
-        tails.append(Jet._raw(n, order, {m: c for m, c in comp._c.items() if sum(m) >= 2}))
-
-    psi = [
-        Jet._raw(n, 1, {
-            tuple(1 if k == j else 0 for k in range(n)): inv_a[i][j]
-            for j in range(n) if inv_a[i][j]
-        })
-        for i in range(n)
+    radix = order + 1
+    units = [_pack(tuple(1 if k == j else 0 for k in range(n)), radix) for j in range(n)]
+    tails = [
+        Jet._raw(n, order, {m: c for m, c in comp._c.items() if sum(m) >= 2})
+        for comp in phi.components
     ]
-    for target in range(2, order + 1):
-        working = [p.truncate(target) for p in psi]
-        fed = [t.truncate(target).substitute(working) for t in tails]
-        new_psi = []
+    lowest = min((t.lowest_degree() for t in tails if not t.is_zero()), default=None)
+    denom = inv_den
+    psi = [{1: {units[j]: inv[i][j] for j in range(n) if inv[i][j]}} for i in range(n)]
+    for r in range(_inversion_rounds(order, lowest)):
+        target = min(order, (r + 2) * (lowest - 1))
+        powers = _Powers(n, target, radix, denom, psi)
+        fed = [powers.combine(t._fast_form(), target) for t in tails]
+        common = 1
+        for den, _ in fed:
+            common = _lcm(common, den)
+        psi = []
         for i in range(n):
-            comp = Jet.zero(n, target)
+            comp: dict[int, dict[int, int]] = {1: {}}
             for j in range(n):
-                if inv_a[i][j]:
-                    comp = comp + (Jet.variable(j, n, target) - fed[j]) * inv_a[i][j]
-            new_psi.append(comp)
-        psi = new_psi
-    return CoordChange([p.truncate(order) for p in psi])
+                coeff = inv[i][j]
+                if not coeff:
+                    continue
+                linear = comp[1]
+                linear[units[j]] = linear.get(units[j], 0) + coeff * common
+                den, form = fed[j]
+                s = coeff * (common // den)
+                for deg, items in form.items():
+                    acc = comp.setdefault(deg, {})
+                    get = acc.get
+                    for k, v in items.items():
+                        acc[k] = get(k, 0) - s * v
+            psi.append(comp)
+        # divide out the common content so the numerators stay small
+        g = gcd(inv_den * common, *(v for comp in psi for items in comp.values()
+                                    for v in items.values()))
+        denom = inv_den * common // g
+        psi = [{deg: {k: v // g for k, v in items.items() if v}
+                for deg, items in comp.items()} for comp in psi]
+    return CoordChange([_jet_from_packed(n, order, denom, comp, radix) for comp in psi])
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +737,54 @@ def poisson_bracket(f: Jet, g: Jet, pi: PoissonJet) -> Jet:
     """{f, g} = sum_ij Pi^ij d_i f d_j g, truncated."""
     if f.nvars != pi.nvars or g.nvars != pi.nvars:
         raise ValueError("functions and bivector live on different variable sets")
-    out = Jet.zero(pi.nvars, min(f.order, g.order, pi.order))
-    df = [f.diff(i) for i in range(pi.nvars)]
-    dg = [g.diff(j) for j in range(pi.nvars)]
-    for i in range(pi.nvars):
-        for j in range(i + 1, pi.nvars):
-            entry = pi.entries[i][j]
-            if entry.is_zero():
+    order = min(f.order, g.order, pi.order)
+    denom, form = _brackets(pi, [f, g], order, order + 1)[0, 1]
+    return _jet_from_packed(pi.nvars, order, denom, form, order + 1)
+
+
+def _brackets(pi: PoissonJet, funcs, order: int, radix: int) -> dict:
+    """{funcs[i], funcs[j]} for i < j through degree `order`, each as
+    (denominator, packed form); the partials of every function and the
+    packed entries of pi are built once for all pairs."""
+    n = pi.nvars
+    weights = [radix ** (n - 1 - a) for a in range(n)]
+    fden = 1
+    for f in funcs:
+        fden = _lcm(fden, f._fast_form()[0])
+    partials = []
+    for f in funcs:
+        den, buckets = f._fast_form()
+        scale = fden // den
+        parts: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+        for deg, items in buckets.items():
+            if not 0 < deg <= order:
                 continue
-            out = out + entry * (df[i] * dg[j] - df[j] * dg[i])
+            for mono, c in items:
+                key = _pack(mono, radix)
+                for a, e in enumerate(mono):
+                    if e:
+                        parts[a].setdefault(deg - 1, {})[key - weights[a]] = c * scale * e
+        partials.append(parts)
+    upper = [(a, b) for a in range(n) for b in range(a + 1, n) if not pi.entries[a][b].is_zero()]
+    pden = 1
+    for a, b in upper:
+        pden = _lcm(pden, pi.entries[a][b]._fast_form()[0])
+    entries = []
+    for a, b in upper:
+        entry = pi.entries[a][b]
+        packed = _packed(entry, radix, order, pden // entry._fast_form()[0])
+        if packed:
+            entries.append((a, b, packed, order - min(packed)))
+    out = {}
+    for i in range(len(funcs)):
+        for j in range(i + 1, len(funcs)):
+            acc: dict[int, dict[int, int]] = {}
+            fi, fj = partials[i], partials[j]
+            for a, b, entry, limit in entries:
+                inner = _product(fi[a], fj[b], limit)
+                _product(fi[b], fj[a], limit, inner, -1)
+                _product(entry, inner, order, acc)
+            out[i, j] = (pden * fden * fden, acc)
     return out
 
 
@@ -601,15 +813,15 @@ def pushforward(pi: PoissonJet, phi: CoordChange) -> PoissonJet:
     order = min(pi.order, phi.order)
     pi = pi.truncate(order) if pi.order != order else pi
     phi = phi.truncate(order) if phi.order != order else phi
-    psi = invert_change(phi)
+    powers = _Powers.of(invert_change(phi).components)
     n = pi.nvars
+    radix = order + 1
+    brackets = _brackets(pi, phi.components, order, radix)
     grid = [[Jet.zero(n, order) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = poisson_bracket(phi.components[i], phi.components[j], pi)
-            new = t.substitute(psi.components)
-            grid[i][j] = new
-            grid[j][i] = -new
+    for (i, j), (denom, form) in brackets.items():
+        new = powers.substitute_form((denom, _unpacked(form, radix, n)), order)
+        grid[i][j] = new
+        grid[j][i] = -new
     return PoissonJet._trusted(grid, n, order)
 
 
@@ -618,9 +830,10 @@ def is_poisson_map(pi: PoissonJet, phi: CoordChange, target: PoissonJet) -> bool
     for every pair, all three at one truncation order.  Equivalent to
     pushforward(pi, phi) == target, with no inverse taken."""
     n = pi.nvars
+    powers = _Powers.of(phi.components)
     return all(
         poisson_bracket(phi.components[i], phi.components[j], pi)
-        == target.entries[i][j].substitute(phi.components)
+        == powers.substitute(target.entries[i][j])
         for i in range(n) for j in range(i + 1, n)
     )
 

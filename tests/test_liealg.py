@@ -46,6 +46,43 @@ def test_structure_constant_validation():
         LieAlgebra.from_sparse(3, [(0, 1, 0, 1), (0, 2, 1, 1)])
 
 
+def _first_failing_ordered_triple(c):
+    """The Jacobi check over every ordered triple, as constructors once ran it."""
+    n = len(c)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    total = sum(c[i][j][m] * c[m][k][l] + c[j][k][m] * c[m][i][l]
+                                + c[k][i][m] * c[m][j][l] for m in range(n))
+                    if total:
+                        return i, j, k
+    return None
+
+
+def test_jacobi_failure_names_the_first_ordered_triple():
+    rng = random.Random(41)
+    failures = 0
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        entries = [(i, j, k, rng.choice((0, 0, 0, 1, -1, 2)))
+                   for i in range(n) for j in range(i + 1, n) for k in range(n)]
+        table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k, v in entries:
+            table[i][j][k] = Fraction(v)
+            table[j][i][k] = -Fraction(v)
+        triple = _first_failing_ordered_triple(table)
+        if triple is None:
+            LieAlgebra(table)
+            continue
+        failures += 1
+        assert list(triple) == sorted(triple)
+        with pytest.raises(ValueError) as info:
+            LieAlgebra(table)
+        assert str(info.value) == "Jacobi identity fails on basis triple ({},{},{})".format(*triple)
+    assert failures > 40
+
+
 def test_from_sparse_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):
         LieAlgebra.from_sparse(3, [(0, 1, 2, 1), (1, 0, 2, -1)])

@@ -130,6 +130,40 @@ def test_hermitian_inner_is_bilinear_and_positive():
             assert hermitian_inner(f, f) > 0
 
 
+def _reference_inner(f, g, radius):
+    """Per-term Fraction sum of a*b*alpha! n!/(|alpha|+n)! r^(2|alpha|)."""
+    n = f.nvars
+    total = F(0)
+    for mono, a in f.terms():
+        b = g.coefficient(mono)
+        d = sum(mono)
+        weight = F(math.prod(math.factorial(e) for e in mono) * math.factorial(n),
+                   math.factorial(d + n))
+        total += a * b * weight * F(radius) ** (2 * d)
+    return total
+
+
+def test_hermitian_inner_matches_per_term_fraction_reference():
+    from helpers import random_jet
+
+    rng = random.Random(33)
+    pool = (-3, -1, F(1, 2), F(2, 3), F(-5, 7), 4)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        order = rng.randint(0, 6)
+        f = random_jet(rng, n, order, max_terms=10, coeff_pool=pool)
+        g = random_jet(rng, n, order, max_terms=10, coeff_pool=pool) + f
+        for r in (F(1), F(3, 2), F(2, 7)):
+            expected = _reference_inner(f, g, r)
+            assert hermitian_inner(f, g, r) == expected
+            assert hermitian_inner(g, f, r) == expected
+            ff = _reference_inner(f, f, r)
+            assert hermitian_inner(f, f, r) == ff
+            # float() of an exact rational is correctly rounded
+            assert repr(hermitian_norm(f, r)) == repr(math.sqrt(float(ff)))
+    assert hermitian_inner(Jet.zero(3, 4), Jet.zero(3, 4)) == 0
+
+
 def test_hermitian_rejects_bad_radius():
     f = Jet(2, 2, {unit(0, 2): F(1)})
     with pytest.raises(ValueError):

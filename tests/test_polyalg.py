@@ -27,6 +27,7 @@ from poislin.polyalg import (
     pushforward,
     sharp,
 )
+from poislin.polyalg import _Powers, _inversion_rounds
 
 from helpers import (
     random_jet,
@@ -186,6 +187,99 @@ def test_invert_round_trip():
         psi = invert_change(phi)
         assert compose_change(phi, psi).is_identity()
         assert compose_change(psi, phi).is_identity()
+
+
+def _tail_change(rng, nvars, order, degrees, linear=False):
+    """x + a tail with terms in exactly the given degrees, optionally after
+    a random linear change."""
+    comps = []
+    for i in range(nvars):
+        comp = Jet.variable(i, nvars, order)
+        for d in degrees:
+            mono = monomials(nvars, d)[rng.randrange(len(monomials(nvars, d)))]
+            comp = comp + Jet(nvars, order, {mono: Fraction(rng.choice((-3, -1, 1, 2)),
+                                                             rng.choice((1, 2, 3)))})
+        comps.append(comp)
+    phi = CoordChange(comps)
+    return compose_change(phi, random_linear_change(rng, nvars, order)) if linear else phi
+
+
+def test_inversion_rounds_are_bounded_by_the_tail_degree():
+    assert _inversion_rounds(6, 2) == 5
+    assert [_inversion_rounds(6, d) for d in (3, 4, 5, 6)] == [2, 1, 1, 1]
+    # the linear start is exact through lowest - 1, each round adds lowest - 1
+    for order in range(2, 12):
+        for lowest in range(2, order + 1):
+            rounds = _inversion_rounds(order, lowest)
+            assert (rounds + 1) * (lowest - 1) >= order > rounds * (lowest - 1)
+    assert _inversion_rounds(6, None) == 0
+    assert _inversion_rounds(4, 5) == 0
+
+
+def test_invert_round_trip_for_every_lowest_tail_degree():
+    rng = random.Random(151)
+    for order in (2, 4, 6):
+        for lowest in range(2, order + 1):
+            for nvars in (1, 3):
+                phi = _tail_change(rng, nvars, order, [lowest], linear=lowest % 2 == 0)
+                psi = invert_change(phi)
+                assert compose_change(phi, psi).is_identity()
+                assert compose_change(psi, phi).is_identity()
+
+
+def test_invert_round_trip_for_mixed_degree_tails():
+    rng = random.Random(152)
+    for degrees in ([2, 5], [3, 4], [3, 6], [4, 5, 6], [2, 3, 4, 5, 6]):
+        phi = _tail_change(rng, 3, 6, degrees, linear=True)
+        psi = invert_change(phi)
+        assert compose_change(phi, psi).is_identity()
+        assert compose_change(psi, phi).is_identity()
+
+
+def test_invert_linear_only_and_tail_above_the_order():
+    rng = random.Random(153)
+    lin = random_linear_change(rng, 3, 5)
+    psi = invert_change(lin)
+    assert all(c.highest_degree() in (None, 1) for c in psi.components)
+    assert compose_change(lin, psi).is_identity()
+    # a degree-6 tail is cut at order 5, so no round runs and psi is linear
+    x, y = Jet.variable(0, 2, 6), Jet.variable(1, 2, 6)
+    high = CoordChange([x + y ** 6, y - x ** 3 * y ** 3]).truncate(5)
+    assert invert_change(high) == CoordChange.identity(2, 5)
+
+
+def test_invert_matches_sympy_series_inverse():
+    t = sympy.symbols("t")
+    order = 7
+    for expr in (t + t**3, 2 * t - t**2 / 3 + t**4, t - t**5 / 2,
+                 t / 2 + t**2 + t**3, t - t**7):
+        phi = CoordChange([Jet(1, order, poly_dict(expr, (t,), order))])
+        oracle = series_inverse(expr, t, order)
+        assert jet_dict(invert_change(phi).components[0]) == poly_dict(oracle, (t,), order)
+
+
+def test_jets_substituted_into_one_argument_tuple_match_sympy():
+    rng = random.Random(154)
+    for _ in range(8):
+        nvars = rng.randint(1, 3)
+        inner_vars = rng.randint(1, 3)
+        # arguments of differing orders: the substitution truncates at the lowest
+        orders = [rng.randint(2, 6) for _ in range(nvars)]
+        args = [random_jet(rng, inner_vars, o, lowest=1, coeff_pool=(-1, Fraction(1, 2), 3))
+                for o in orders]
+        w = sym_vars(inner_vars)
+        v = sym_vars(nvars)
+        arg_exprs = [(v[i], jet_to_expr(args[i], w)) for i in range(nvars)]
+        jets = [random_jet(rng, nvars, rng.randint(2, 6), max_terms=8) for _ in range(4)]
+        # one power table serves every jet; later jets reuse earlier powers
+        powers = _Powers.of(args)
+        for f in jets:
+            expr = jet_to_expr(f, v).subs(arg_exprs, simultaneous=True)
+            order = min([f.order] + orders)
+            out = powers.substitute(f)
+            assert out.order == order
+            assert jet_dict(out) == poly_dict(expr, w, order)
+            assert out == f.substitute(args)
 
 
 def test_compose_applies_left_argument_first():

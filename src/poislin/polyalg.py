@@ -2,8 +2,21 @@
 
 A jet of order N is a polynomial kept only through total degree N; products
 drop higher monomials immediately, so every operation below is exact modulo
-the degree-(N+1) ideal.  Coefficients are `fractions.Fraction` throughout
-(`Scalar` below); floats are rejected.
+the degree-(N+1) ideal.  A jet's public coefficients are
+`fractions.Fraction` (`Scalar` below); floats are rejected.
+
+Products, brackets, substitution and inversion run on an integer core
+instead: a jet's `_fast_form` is one common denominator with integer
+numerators bucketed by degree, and inside a product or a transport the
+monomials become integer keys in base N+1, so multiplying two monomials is
+adding their keys.  Each result is turned into `Fraction`s once, one per
+coefficient.  Every jet substituted into the same argument tuple (the
+entries of a pushforward, the components of a composition, the tails of an
+inversion round, the fields of a conjugation) shares one power table of
+those arguments, built by the transport that needs it and dropped with it.
+`invert_change` iterates psi <- A^-1 (y - T(psi)) with each round computed
+only through the degree it makes exact, so a tail of lowest degree l takes
+floor((N-1)/(l-1)) rounds: N-1 for l = 2, one for l > (N+1)/2.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -556,9 +569,8 @@ def compose_change(first: CoordChange, second: CoordChange) -> CoordChange:
 
 def _inversion_rounds(order: int, lowest: int | None) -> int:
     """Rounds of psi <- A^-1 (y - T(psi)) that make psi exact through `order`
-    when the tail T starts at degree `lowest` >= 2.  The linear start A^-1 y
-    is exact through lowest - 1, and each round adds lowest - 1 degrees, so
-    floor((order-1)/(lowest-1)) rounds suffice, at most ceil of the same."""
+    when the tail T starts at degree `lowest` >= 2: the linear start A^-1 y
+    is exact through lowest - 1 and each round adds lowest - 1 degrees."""
     if lowest is None or lowest > order:
         return 0
     return (order - 1) // (lowest - 1)
@@ -567,69 +579,53 @@ def _inversion_rounds(order: int, lowest: int | None) -> int:
 def invert_change(phi: CoordChange) -> CoordChange:
     """Compositional inverse, exact through the truncation.
 
-    Iterates psi <- A^-1 (y - T(psi)), where A is the linear part and T the
-    tail of phi, in integer form over one denominator.  Round r is only
-    trusted through degree (r+1)(l-1), l the tail's lowest degree, so it is
-    computed truncated there; the n tails of a round share one power table
-    of psi."""
+    With A the linear part and T the tail of phi, the inverse is the fixed
+    point of psi = A^-1 y - S(psi), S = A^-1 T.  The iteration runs on
+    packed integer forms over one denominator; round r is exact only
+    through degree (r+2)(l-1), l the tail's lowest degree, so it is computed
+    truncated there, and the n components of S share one power table of
+    psi per round."""
     n, order = phi.nvars, phi.order
-    a = phi.linear_matrix()
-    solver = LinearSolver(a)
-    inv_rows = []
+    solver = LinearSolver(phi.linear_matrix())
+    cols = []
     for j in range(n):
-        unit = [_ONE if i == j else _ZERO for i in range(n)]
-        col = solver.solve(unit)
+        col = solver.solve([_ONE if i == j else _ZERO for i in range(n)])
         if col is None:
             raise ValueError("linear part is not invertible")
-        inv_rows.append(col)
-    # A^-1 = inv / inv_den with integer entries
-    inv_den = 1
-    for col in inv_rows:
-        for x in col:
-            inv_den = _lcm(inv_den, x.denominator)
-    inv = [[inv_rows[j][i].numerator * (inv_den // inv_rows[j][i].denominator)
-            for j in range(n)] for i in range(n)]
-
-    radix = order + 1
-    units = [_pack(tuple(1 if k == j else 0 for k in range(n)), radix) for j in range(n)]
-    tails = [
-        Jet._raw(n, order, {m: c for m, c in comp._c.items() if sum(m) >= 2})
-        for comp in phi.components
-    ]
+        cols.append(col)
+    units = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+    linear = [Jet._raw(n, order, {units[j]: cols[j][i] for j in range(n) if cols[j][i]})
+              for i in range(n)]
+    tails = [Jet._raw(n, order, {m: c for m, c in comp._c.items() if sum(m) >= 2})
+             for comp in phi.components]
+    shifted = [sum((tails[j] * cols[j][i] for j in range(n)), Jet.zero(n, order))
+               for i in range(n)]
     lowest = min((t.lowest_degree() for t in tails if not t.is_zero()), default=None)
-    denom = inv_den
-    psi = [{1: {units[j]: inv[i][j] for j in range(n) if inv[i][j]}} for i in range(n)]
+    start = _Powers.of(linear)
+    denom, psi = start.denom, start.args
     for r in range(_inversion_rounds(order, lowest)):
         target = min(order, (r + 2) * (lowest - 1))
-        powers = _Powers(n, target, radix, denom, psi)
-        fed = [powers.combine(t._fast_form(), target) for t in tails]
-        common = 1
+        powers = _Powers(n, target, start.radix, denom, psi)
+        fed = [powers.combine(s._fast_form(), target) for s in shifted]
+        common = start.denom
         for den, _ in fed:
             common = _lcm(common, den)
         psi = []
-        for i in range(n):
-            comp: dict[int, dict[int, int]] = {1: {}}
-            for j in range(n):
-                coeff = inv[i][j]
-                if not coeff:
-                    continue
-                linear = comp[1]
-                linear[units[j]] = linear.get(units[j], 0) + coeff * common
-                den, form = fed[j]
-                s = coeff * (common // den)
-                for deg, items in form.items():
-                    acc = comp.setdefault(deg, {})
-                    get = acc.get
-                    for k, v in items.items():
-                        acc[k] = get(k, 0) - s * v
+        # psi_i = start_i - S_i(psi); S_i(psi) has no linear part
+        for (den, form), first in zip(fed, start.args):
+            scale = common // den
+            comp = {deg: {k: -v * scale for k, v in items.items()}
+                    for deg, items in form.items()}
+            comp[1] = {k: v * (common // start.denom) for k, v in first[1].items()}
             psi.append(comp)
         # divide out the common content so the numerators stay small
-        g = gcd(inv_den * common, *(v for comp in psi for items in comp.values()
-                                    for v in items.values()))
-        denom = inv_den * common // g
+        g = gcd(common, *(v for comp in psi for items in comp.values()
+                          for v in items.values()))
+        denom = common // g
         psi = [{deg: {k: v // g for k, v in items.items() if v}
                 for deg, items in comp.items()} for comp in psi]
-    return CoordChange([_jet_from_packed(n, order, denom, comp, radix) for comp in psi])
+    return CoordChange([_jet_from_packed(n, order, denom, comp, start.radix)
+                        for comp in psi])
 
 
 # ---------------------------------------------------------------------------
@@ -738,15 +734,16 @@ def poisson_bracket(f: Jet, g: Jet, pi: PoissonJet) -> Jet:
     if f.nvars != pi.nvars or g.nvars != pi.nvars:
         raise ValueError("functions and bivector live on different variable sets")
     order = min(f.order, g.order, pi.order)
-    denom, form = _brackets(pi, [f, g], order, order + 1)[0, 1]
+    denom, form = _brackets(pi, [f, g], order)[0, 1]
     return _jet_from_packed(pi.nvars, order, denom, form, order + 1)
 
 
-def _brackets(pi: PoissonJet, funcs, order: int, radix: int) -> dict:
+def _brackets(pi: PoissonJet, funcs, order: int) -> dict:
     """{funcs[i], funcs[j]} for i < j through degree `order`, each as
-    (denominator, packed form); the partials of every function and the
-    packed entries of pi are built once for all pairs."""
+    (denominator, packed form in base order+1); the partials of every
+    function and the packed entries of pi are built once for all pairs."""
     n = pi.nvars
+    radix = order + 1
     weights = [radix ** (n - 1 - a) for a in range(n)]
     fden = 1
     for f in funcs:
@@ -815,11 +812,9 @@ def pushforward(pi: PoissonJet, phi: CoordChange) -> PoissonJet:
     phi = phi.truncate(order) if phi.order != order else phi
     powers = _Powers.of(invert_change(phi).components)
     n = pi.nvars
-    radix = order + 1
-    brackets = _brackets(pi, phi.components, order, radix)
     grid = [[Jet.zero(n, order) for _ in range(n)] for _ in range(n)]
-    for (i, j), (denom, form) in brackets.items():
-        new = powers.substitute_form((denom, _unpacked(form, radix, n)), order)
+    for (i, j), (denom, form) in _brackets(pi, phi.components, order).items():
+        new = powers.substitute_form((denom, _unpacked(form, order + 1, n)), order)
         grid[i][j] = new
         grid[j][i] = -new
     return PoissonJet._trusted(grid, n, order)
@@ -830,11 +825,12 @@ def is_poisson_map(pi: PoissonJet, phi: CoordChange, target: PoissonJet) -> bool
     for every pair, all three at one truncation order.  Equivalent to
     pushforward(pi, phi) == target, with no inverse taken."""
     n = pi.nvars
+    order = min(pi.order, phi.order)
     powers = _Powers.of(phi.components)
     return all(
-        poisson_bracket(phi.components[i], phi.components[j], pi)
+        _jet_from_packed(n, order, denom, form, order + 1)
         == powers.substitute(target.entries[i][j])
-        for i in range(n) for j in range(i + 1, n)
+        for (i, j), (denom, form) in _brackets(pi, phi.components, order).items()
     )
 
 

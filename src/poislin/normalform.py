@@ -105,13 +105,10 @@ def hermitian_inner(f: Jet, g: Jet, radius=ONE) -> Fraction:
     fact = math.factorial
     sums = {}
     for d, items in fbuckets.items():
-        other = gbuckets.get(d)
-        if other is None:
-            continue
-        other = None if other is items else dict(other)
+        other = dict(gbuckets.get(d, ()))
         acc = 0
         for mono, a in items:
-            b = a if other is None else other.get(mono)
+            b = other.get(mono)
             if b:
                 acc += a * b * math.prod(map(fact, mono))
         if acc:

@@ -435,12 +435,14 @@ class _Powers:
             return 1, {}
         top = max(degrees)
         base = self.denom
+        table = self.table
         out: dict[int, dict[int, int]] = {}
         for deg in degrees:
             scale = base ** (top - deg)
             for mono, c in buckets[deg]:
                 s = c * scale
-                for d, items in self.power(mono).items():
+                power = table.get(mono) or self.power(mono)
+                for d, items in power.items():
                     if d > order:
                         continue
                     acc = out.get(d)
@@ -506,6 +508,17 @@ class CoordChange:
             raise ValueError("linear part is not invertible")
 
     @classmethod
+    def _trusted(cls, components) -> "CoordChange":
+        """Skip the checks for components that a composition or an inverse
+        of valid changes produced: same variables and order, the origin
+        fixed, an invertible linear part."""
+        change = cls.__new__(cls)
+        change.components = tuple(components)
+        change.nvars = len(change.components)
+        change.order = change.components[0].order
+        return change
+
+    @classmethod
     def identity(cls, nvars: int, order: int) -> "CoordChange":
         return cls([Jet.variable(i, nvars, order) for i in range(nvars)])
 
@@ -544,7 +557,7 @@ class CoordChange:
         if other.nvars != self.nvars:
             raise ValueError("coordinate changes act on different spaces")
         powers = _Powers.of(self.components)
-        return CoordChange([powers.substitute(comp) for comp in other.components])
+        return CoordChange._trusted([powers.substitute(comp) for comp in other.components])
 
     def truncate(self, order: int) -> "CoordChange":
         return CoordChange([c.truncate(order) for c in self.components])
@@ -624,8 +637,8 @@ def invert_change(phi: CoordChange) -> CoordChange:
         denom = common // g
         psi = [{deg: {k: v // g for k, v in items.items() if v}
                 for deg, items in comp.items()} for comp in psi]
-    return CoordChange([_jet_from_packed(n, order, denom, comp, start.radix)
-                        for comp in psi])
+    return CoordChange._trusted([_jet_from_packed(n, order, denom, comp, start.radix)
+                                 for comp in psi])
 
 
 # ---------------------------------------------------------------------------

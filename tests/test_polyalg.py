@@ -242,10 +242,13 @@ def test_invert_linear_only_and_tail_above_the_order():
     psi = invert_change(lin)
     assert all(c.highest_degree() in (None, 1) for c in psi.components)
     assert compose_change(lin, psi).is_identity()
-    # a degree-6 tail is cut at order 5, so no round runs and psi is linear
+    # a degree-6 tail is cut at order 5, so no round runs and psi is the
+    # inverse of the linear part alone
     x, y = Jet.variable(0, 2, 6), Jet.variable(1, 2, 6)
-    high = CoordChange([x + y ** 6, y - x ** 3 * y ** 3]).truncate(5)
-    assert invert_change(high) == CoordChange.identity(2, 5)
+    shear = CoordChange.linear([[1, 2], [0, 3]], 6)
+    high = compose_change(CoordChange([x + y ** 6, y - x ** 3 * y ** 3]), shear).truncate(5)
+    assert invert_change(high) == invert_change(shear.truncate(5))
+    assert invert_change(high).components[0] == Jet(2, 5, {(1, 0): 1, (0, 1): Fraction(-2, 3)})
 
 
 def test_invert_matches_sympy_series_inverse():

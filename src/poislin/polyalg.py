@@ -332,6 +332,14 @@ def _packed(jet: Jet, radix: int, order: int, scale: int = 1) -> dict:
     }
 
 
+def _common(jets, radix: int, order: int) -> tuple[int, list]:
+    """(D, the jets packed over their common denominator D)."""
+    denom = 1
+    for jet in jets:
+        denom = _lcm(denom, jet._fast_form()[0])
+    return denom, [_packed(jet, radix, order, denom // jet._fast_form()[0]) for jet in jets]
+
+
 def _product(a: dict, b: dict, order: int, out: dict | None = None, sign: int = 1) -> dict:
     """Product of two packed forms truncated at `order`, added with `sign`
     into `out` when given."""
@@ -408,12 +416,8 @@ class _Powers:
             if a.constant_term:
                 raise ValueError("substitution jets must vanish at the origin")
         order = min(a.order for a in jets)
-        denom = 1
-        for a in jets:
-            denom = _lcm(denom, a._fast_form()[0])
-        radix = order + 1
-        args = [_packed(a, radix, order, denom // a._fast_form()[0]) for a in jets]
-        return cls(nvars, order, radix, denom, args)
+        denom, args = _common(jets, order + 1, order)
+        return cls(nvars, order, order + 1, denom, args)
 
     def power(self, mono: Monomial) -> dict:
         table = self.table
@@ -606,15 +610,13 @@ def invert_change(phi: CoordChange) -> CoordChange:
         if col is None:
             raise ValueError("linear part is not invertible")
         cols.append(col)
-    units = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-    linear = [Jet._raw(n, order, {units[j]: cols[j][i] for j in range(n) if cols[j][i]})
-              for i in range(n)]
+    linear = CoordChange.linear([[col[i] for col in cols] for i in range(n)], order)
     tails = [Jet._raw(n, order, {m: c for m, c in comp._c.items() if sum(m) >= 2})
              for comp in phi.components]
     shifted = [sum((tails[j] * cols[j][i] for j in range(n)), Jet.zero(n, order))
                for i in range(n)]
     lowest = min((t.lowest_degree() for t in tails if not t.is_zero()), default=None)
-    start = _Powers.of(linear)
+    start = _Powers.of(linear.components)
     denom, psi = start.denom, start.args
     for r in range(_inversion_rounds(order, lowest)):
         target = min(order, (r + 2) * (lowest - 1))
@@ -767,33 +769,26 @@ def _brackets(pi: PoissonJet, funcs, order: int) -> dict:
         scale = fden // den
         parts: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
         for deg, items in buckets.items():
-            if not 0 < deg <= order:
-                continue
-            for mono, c in items:
-                key = _pack(mono, radix)
-                for a, e in enumerate(mono):
-                    if e:
-                        parts[a].setdefault(deg - 1, {})[key - weights[a]] = c * scale * e
+            if 0 < deg <= order:
+                for mono, c in items:
+                    key = _pack(mono, radix)
+                    for a, e in enumerate(mono):
+                        if e:
+                            parts[a].setdefault(deg - 1, {})[key - weights[a]] = c * scale * e
         partials.append(parts)
-    upper = [(a, b) for a in range(n) for b in range(a + 1, n) if not pi.entries[a][b].is_zero()]
-    pden = 1
-    for a, b in upper:
-        pden = _lcm(pden, pi.entries[a][b]._fast_form()[0])
-    entries = []
-    for a, b in upper:
-        entry = pi.entries[a][b]
-        packed = _packed(entry, radix, order, pden // entry._fast_form()[0])
-        if packed:
-            entries.append((a, b, packed, order - min(packed)))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if not pi.entries[a][b].is_zero()]
+    pden, entries = _common([pi.entries[a][b] for a, b in pairs], radix, order)
     out = {}
     for i in range(len(funcs)):
         for j in range(i + 1, len(funcs)):
             acc: dict[int, dict[int, int]] = {}
             fi, fj = partials[i], partials[j]
-            for a, b, entry, limit in entries:
-                inner = _product(fi[a], fj[b], limit)
-                _product(fi[b], fj[a], limit, inner, -1)
-                _product(entry, inner, order, acc)
+            for (a, b), entry in zip(pairs, entries):
+                if entry:
+                    limit = order - min(entry)
+                    inner = _product(fi[a], fj[b], limit)
+                    _product(fi[b], fj[a], limit, inner, -1)
+                    _product(entry, inner, order, acc)
             out[i, j] = (pden * fden * fden, acc)
     return out
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import LinearSolver, Matrix, Vector, dot, mat_vec
-from .liealg import LieAlgebra
+from .liealg import ExactTable, LieAlgebra
 from .polyalg import monomials
 
 ZERO = Fraction(0)
@@ -417,12 +417,14 @@ def induced_polynomial_module(
     X_i . x^u = sum_l rep[i][l][u] x^l.  With a `monomial_filter` the basis is
     restricted to the monomials accepted; the restriction must be closed under
     every generator or ValueError is raised.  Results are cached per structural
-    key (pass `filter_key` to make filtered modules cacheable).  The cached
+    key (pass `filter_key` to make filtered modules cacheable); a caller that
+    queries many degrees passes `rep` as an ExactTable, hashed once.  The cached
     unfiltered degree-1 module is the validated copy of `rep`: the
     representation property at degree 1 gives it for every extension, so
     other degrees only look that module up.
     """
-    rep = tuple(tuple(tuple(Fraction(x) for x in row) for row in mat) for mat in rep)
+    if not isinstance(rep, ExactTable):
+        rep = ExactTable(rep)
     return _induced_module(L, nvars, rep, degree, monomial_filter, filter_key)
 
 

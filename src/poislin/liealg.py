@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import (
     LinearSolver,
@@ -34,10 +35,29 @@ class SolverFailure(RuntimeError):
     violates the invariants its constructor is supposed to enforce."""
 
 
-def _constant_table(constants) -> tuple:
-    return tuple(
-        tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in constants
-    )
+class ExactTable(tuple):
+    """A three-index table of Fractions (structure constants, operator
+    matrices) that hashes and compares with other ExactTables by one text of
+    its entries, written on first use: cache keys holding it cost no
+    Fraction call per lookup, and equal tables built apart share entries."""
+
+    def __new__(cls, table):
+        return super().__new__(
+            cls, (tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in table)
+        )
+
+    @cached_property
+    def text(self) -> str:
+        return "".join("[" + "".join("[" + " ".join(map(str, row)) + "]" for row in plane)
+                       + "]" for plane in self)
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __eq__(self, other):
+        if isinstance(other, ExactTable):
+            return self.text == other.text
+        return tuple.__eq__(self, other)
 
 
 class LieAlgebra:
@@ -47,7 +67,7 @@ class LieAlgebra:
     __slots__ = ("dim", "constants")
 
     def __init__(self, constants):
-        constants = _constant_table(constants)
+        constants = ExactTable(constants)
         n = len(constants)
         if any(len(plane) != n or any(len(row) != n for row in plane) for plane in constants):
             raise ValueError("structure constants must form an n*n*n array")
@@ -86,7 +106,7 @@ class LieAlgebra:
         identity through its order, which covers its linear part, and
         transport keeps it."""
         algebra = cls.__new__(cls)
-        algebra.constants = _constant_table(constants)
+        algebra.constants = ExactTable(constants)
         algebra.dim = len(algebra.constants)
         return algebra
 

@@ -36,6 +36,7 @@ from .cohomology import (
     induced_polynomial_module,
 )
 from .liealg import (
+    ExactTable,
     LeviSplit,
     LeviSplitError,
     LieAlgebra,
@@ -48,8 +49,8 @@ from .polyalg import (
     Jet,
     PoissonJet,
     _Powers,
+    _inverse_form,
     compose_change,
-    invert_change,
     monomials,
     pushforward,
 )
@@ -89,9 +90,10 @@ def hermitian_weights(nvars: int, degree: int, radius=ONE) -> list[Fraction]:
     return out
 
 
-def hermitian_inner(f: Jet, g: Jet, radius=ONE) -> Fraction:
+def hermitian_inner(f: Jet, g: Jet, radius=ONE, min_degree: int = 0) -> Fraction:
     """Exact inner product in which distinct monomials are orthogonal and
-    x^alpha has squared length alpha! n!/(|alpha|+n)! r^(2|alpha|)."""
+    x^alpha has squared length alpha! n!/(|alpha|+n)! r^(2|alpha|), taken
+    over the parts of degree >= min_degree."""
     radius = Fraction(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -105,6 +107,8 @@ def hermitian_inner(f: Jet, g: Jet, radius=ONE) -> Fraction:
     fact = math.factorial
     sums = {}
     for d, items in fbuckets.items():
+        if d < min_degree:
+            continue
         other = dict(gbuckets.get(d, ()))
         acc = 0
         for mono, a in items:
@@ -125,8 +129,8 @@ def hermitian_inner(f: Jet, g: Jet, radius=ONE) -> Fraction:
     return Fraction(num * fact(n), fact(top + n) * q ** (2 * top) * fden * gden)
 
 
-def hermitian_norm(f: Jet, radius=ONE) -> float:
-    return math.sqrt(float(hermitian_inner(f, f, radius)))
+def hermitian_norm(f: Jet, radius=ONE, min_degree: int = 0) -> float:
+    return math.sqrt(float(hermitian_inner(f, f, radius, min_degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +206,15 @@ def convergence_report(trace: IterationTrace) -> dict:
 
 
 def _tail_stats(jets, radius) -> tuple[int | None, float]:
+    """Lowest degree and largest Hermitian norm of the jets' parts of degree
+    >= 2, read off their integer forms."""
     lowest = None
     norm = 0.0
     for jet in jets:
-        low = jet.lowest_degree()
+        low = min((d for d in jet._fast_form()[1] if d > 1), default=None)
         if low is not None and (lowest is None or low < lowest):
             lowest = low
-        norm = max(norm, hermitian_norm(jet, radius))
+        norm = max(norm, hermitian_norm(jet, radius, 2))
     return lowest, norm
 
 
@@ -261,16 +267,17 @@ def _entry_solve(pi: PoissonJet, module, r: int, entries, basis, targets,
 
 
 def _correction(solution, targets, nvars: int, order: int) -> CoordChange:
-    """x^t -> x^t - sigma^t, each sigma^t read off its block of the solution."""
+    """x^t -> x^t - sigma^t, each sigma^t read off its block of the solution;
+    targets are distinct and sigma has degree >= 2, so no check is needed."""
     comps = [Jet.variable(t, nvars, order) for t in range(nvars)]
     pos = 0
     for t, basis in targets:
         block = solution[pos:pos + len(basis)]
-        comps[t] = comps[t] - Jet._raw(
-            nvars, order, {mono: c for mono, c in zip(basis, block) if c}
-        )
+        terms = {mono: -c for mono, c in zip(basis, block) if c}
+        terms.update(comps[t]._c)
+        comps[t] = Jet._raw(nvars, order, terms)
         pos += len(basis)
-    return CoordChange(comps)
+    return CoordChange._trusted(comps)
 
 
 def _clear_degree(problem, degree: int):
@@ -304,7 +311,7 @@ def _run_scheduler(problem, scheduler: str, order: int, radius):
     linearity check."""
     trace = IterationTrace(problem.label or scheduler, Fraction(radius), order)
     for block_index, degrees in _scheduler_blocks(scheduler, order):
-        lowest_before, norm_before = _tail_stats(problem.tail_jets(), radius)
+        lowest_before, norm_before = _tail_stats(problem.state_jets(), radius)
         if lowest_before is None or lowest_before > degrees[-1]:
             continue
         treated = []
@@ -316,7 +323,7 @@ def _run_scheduler(problem, scheduler: str, order: int, radius):
             if obstruction is not None:
                 break
         if treated:
-            lowest_after, norm_after = _tail_stats(problem.tail_jets(), radius)
+            lowest_after, norm_after = _tail_stats(problem.state_jets(), radius)
             trace.steps.append(IterationStep(
                 block_index, tuple(treated), lowest_before, lowest_after,
                 norm_before, norm_after, obstructed=obstruction is not None,
@@ -352,12 +359,17 @@ def _target(jet, order: int | None, owner: str):
 
 class _Problem:
     """What the driver asks of an adapter: `state` (with nvars and order),
-    `solves(degree)`, `apply(change)` and `tail_jets()`.  `apply` appends each
+    `solves(degree)`, `apply(change)` and `state_jets()`, the jets whose
+    parts of degree >= 2 the trace measures.  `apply` appends each
     correction to `corrections` as it transports the state.  By default a
     failed solve yields a certificate, and a finished run that is not linear
     raises SolverFailure with the subclass's `unfinished` message."""
 
     label = None
+
+    def tail_jets(self):
+        """Each of `state_jets()` less its linear part."""
+        return [jet - jet.homogeneous_part(1) for jet in self.state_jets()]
 
     def change(self) -> CoordChange:
         """Every correction composed once, right to left:
@@ -390,7 +402,7 @@ class _PoissonProblem(_Problem):
         self.state = pi
         self.corrections = [] if first is None else [first]
         self.algebra = isotropy_from_linear_part(pi)
-        self.rep = coadjoint_rep(self.algebra)
+        self.rep = ExactTable(coadjoint_rep(self.algebra))
         self.entries = list(combinations(range(pi.nvars), 2))
 
     def solves(self, degree: int):
@@ -403,11 +415,8 @@ class _PoissonProblem(_Problem):
         self.corrections.append(change)
         self.state = pushforward(self.state, change)
 
-    def tail_jets(self):
-        return [
-            self.state.entries[p][q] - self.state.entries[p][q].homogeneous_part(1)
-            for p, q in self.entries
-        ]
+    def state_jets(self):
+        return [self.state.entries[p][q] for p, q in self.entries]
 
 
 def linearize_poisson(pi: PoissonJet, scheduler: str = "doubling",
@@ -547,7 +556,7 @@ def conjugate_action(action: ActionJet, change: CoordChange) -> ActionJet:
     field, composed with the inverse change)."""
     if change.nvars != action.nvars:
         raise ValueError("coordinate change has the wrong variable count")
-    powers = _Powers.of(invert_change(change).components)
+    powers = _Powers(change.nvars, change.order, change.order + 1, *_inverse_form(change))
     new_fields = [[powers.substitute(comp) for comp in fld]
                   for fld in _jacobian_fields(action, change)]
     return ActionJet._trusted(action.algebra, new_fields, action.nvars, action.order)
@@ -622,20 +631,6 @@ def _twisted_field_module(algebra: LieAlgebra, base: GModule, twists, key) -> GM
     return module
 
 
-def _action_field_module(action: ActionJet, degree: int) -> GModule:
-    mats = tuple(
-        tuple(tuple(row) for row in m) for m in action.linear_matrices()
-    )
-    n = action.nvars
-    operator = [
-        [[mats[i][b][a] for b in range(n)] for a in range(n)]
-        for i in range(len(mats))
-    ]
-    base = induced_polynomial_module(action.algebra, n, operator, degree)
-    key = ("fields", action.algebra.constants, mats, n, degree)
-    return _twisted_field_module(action.algebra, base, mats, key)
-
-
 def action_remainder(action: ActionJet, degree: int) -> Cochain:
     """Degree-d part of the fields, as a 1-cochain valued in degree-d vector
     fields carrying the commutator-with-the-linear-part action."""
@@ -654,25 +649,29 @@ class _ActionProblem(_Problem):
     def __init__(self, action: ActionJet):
         self.state = action
         self.corrections = []
+        # corrections keep the linear part, so its modules are keyed once
+        n = action.nvars
+        self.twists = ExactTable(action.linear_matrices())
+        self.operator = ExactTable([[[m[b][a] for b in range(n)] for a in range(n)]
+                                    for m in self.twists])
 
     def solves(self, degree: int):
         action = self.state
-        basis = monomials(action.nvars, degree)
-        index = {mono: i for i, mono in enumerate(basis)}
+        n = action.nvars
+        base = induced_polynomial_module(action.algebra, n, self.operator, degree)
+        key = ("fields", action.algebra.constants, self.twists, n, degree)
+        module = _twisted_field_module(action.algebra, base, self.twists, key)
+        index = {mono: i for i, mono in enumerate(base.labels)}
         blocks = [(comp, index) for fld in action.fields for comp in fld]
-        yield _SubSolve(_action_field_module(action, degree), 1,
-                        _remainder_vector(blocks, degree),
-                        [(a, basis) for a in range(action.nvars)])
+        yield _SubSolve(module, 1, _remainder_vector(blocks, degree),
+                        [(a, base.labels) for a in range(n)])
 
     def apply(self, change: CoordChange) -> None:
         self.corrections.append(change)
         self.state = conjugate_action(self.state, change)
 
-    def tail_jets(self):
-        return [
-            comp - comp.homogeneous_part(1)
-            for fld in self.state.fields for comp in fld
-        ]
+    def state_jets(self):
+        return [comp for fld in self.state.fields for comp in fld]
 
 
 def linearize_action(action: ActionJet, scheduler: str = "doubling",
@@ -760,12 +759,12 @@ class _LeviProblem(_PoissonProblem):
         self.s = list(s)
         self.base_dim = base_dim
         self.s_algebra = LieAlgebra([[[c[a][b][k] for k in s] for b in s] for a in s])
-        self.s_rep = tuple(
-            tuple(tuple(c[a][j][k] for j in range(n)) for k in range(n)) for a in s
+        self.s_rep = ExactTable(
+            [[[c[a][j][k] for j in range(n)] for k in range(n)] for a in s]
         )
         self.spans = [
             (list(span), weight,
-             tuple(tuple(tuple(c[a][j][k] for k in span) for j in span) for a in s))
+             ExactTable([[[c[a][j][k] for k in span] for j in span] for a in s]))
             for span, weight in spans if len(span)
         ]
         self.entries = list(combinations(self.s, 2)) + [

@@ -14,9 +14,11 @@ coefficient.  Every jet substituted into the same argument tuple (the
 entries of a pushforward, the components of a composition, the tails of an
 inversion round, the fields of a conjugation) shares one power table of
 those arguments, built by the transport that needs it and dropped with it.
-`invert_change` iterates psi <- A^-1 (y - T(psi)) with each round computed
-only through the degree it makes exact, so a tail of lowest degree l takes
-floor((N-1)/(l-1)) rounds: N-1 for l = 2, one for l > (N+1)/2.
+For arguments x plus a tail of lowest degree l, such as every correction
+and its inverse, args^m of degree above N - l + 1 is x^m through degree N.
+`_inverse_form` runs psi <- A^-1 (y - T(psi)) on packed forms, each round
+only through the degree it makes exact, and pushforward and conjugation
+build their power table from its result: floor((N-1)/(l-1)) rounds.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -40,7 +42,8 @@ Conventions fixed here and relied on everywhere downstream:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 from .linalg import LinearSolver, det
 
@@ -227,9 +230,7 @@ class Jet:
         lcm of the coefficients' denominators and the numerators over it,
         bucketed by degree.  Products and the transport core read only this."""
         if self._fast is None:
-            denom = 1
-            for c in self._c.values():
-                denom = _lcm(denom, c.denominator)
+            denom = lcm(*(c.denominator for c in self._c.values()))
             buckets: dict[int, list[tuple[Monomial, int]]] = {}
             for m, c in self._c.items():
                 buckets.setdefault(sum(m), []).append(
@@ -305,10 +306,6 @@ class Jet:
 # exponent of a truncated product can reach the base.
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def _pack(mono: Monomial, radix: int) -> int:
     key = 0
     for e in mono:
@@ -316,11 +313,10 @@ def _pack(mono: Monomial, radix: int) -> int:
     return key
 
 
-def _unpack(key: int, radix: int, nvars: int) -> Monomial:
-    exps = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        key, exps[i] = divmod(key, radix)
-    return tuple(exps)
+@lru_cache(maxsize=8)
+def _monomials_by_key(nvars: int, radix: int) -> dict[int, Monomial]:
+    """Every monomial a packed form in base `radix` can hold, by its key."""
+    return {_pack(m, radix): m for m in monomials_up_to(nvars, radix - 1)}
 
 
 def _packed(jet: Jet, radix: int, order: int, scale: int = 1) -> dict:
@@ -334,9 +330,7 @@ def _packed(jet: Jet, radix: int, order: int, scale: int = 1) -> dict:
 
 def _common(jets, radix: int, order: int) -> tuple[int, list]:
     """(D, the jets packed over their common denominator D)."""
-    denom = 1
-    for jet in jets:
-        denom = _lcm(denom, jet._fast_form()[0])
+    denom = lcm(*(jet._fast_form()[0] for jet in jets))
     return denom, [_packed(jet, radix, order, denom // jet._fast_form()[0]) for jet in jets]
 
 
@@ -363,18 +357,12 @@ def _product(a: dict, b: dict, order: int, out: dict | None = None, sign: int = 
     return out
 
 
-def _unpacked(form: dict, radix: int, nvars: int) -> dict:
-    """A packed form in the `_fast_form` bucket shape, zeros dropped."""
-    return {
-        deg: [(_unpack(k, radix, nvars), n) for k, n in items.items() if n]
-        for deg, items in form.items()
-    }
-
-
 def _jet_from_packed(nvars: int, order: int, denom: int, form: dict, radix: int) -> Jet:
     """Convert to Fraction coefficients, one per nonzero numerator; the
     reduced integer form is kept as the jet's `_fast_form`."""
-    buckets = _unpacked(form, radix, nvars)
+    mono = _monomials_by_key(nvars, radix)
+    buckets = {deg: [(mono[k], n) for k, n in items.items() if n]
+               for deg, items in form.items()}
     g = gcd(denom, *(n for items in buckets.values() for _, n in items))
     if g > 1:
         denom //= g
@@ -396,7 +384,7 @@ class _Powers:
     substitution accumulates c_m D^(top-|m|) table[m] over the jet's integer
     numerators c_m and converts to Fraction once per result coefficient."""
 
-    __slots__ = ("nvars", "order", "radix", "denom", "args", "table")
+    __slots__ = ("nvars", "order", "radix", "denom", "args", "table", "keep")
 
     def __init__(self, nvars: int, order: int, radix: int, denom: int, args):
         self.nvars = nvars
@@ -404,7 +392,16 @@ class _Powers:
         self.radix = radix
         self.denom = denom
         self.args = args
-        self.table = {(0,) * len(args): {0: {0: 1}}}
+        self.table = {0: {0: {0: 1}}}
+        # args = x + a tail of lowest degree l (none: l = order + 1): powers
+        # of degree above keep = order - l + 1 are their leading monomial
+        self.keep = order
+        if len(args) == nvars and all(
+            arg.get(1) == {radix ** (nvars - 1 - i): denom} for i, arg in enumerate(args)
+        ):
+            lowest = min((deg for arg in args for deg, items in arg.items() if deg > 1 and items),
+                         default=order + 1)
+            self.keep = order - lowest + 1
 
     @classmethod
     def of(cls, jets) -> "_Powers":
@@ -419,22 +416,28 @@ class _Powers:
         denom, args = _common(jets, order + 1, order)
         return cls(nvars, order, order + 1, denom, args)
 
-    def power(self, mono: Monomial) -> dict:
-        table = self.table
-        form = table.get(mono)
+    def power(self, key: int, degree: int) -> dict:
+        """The packed numerators of args^m, m the monomial of the given
+        degree packed as `key`: D^degree m itself above `keep`, else built
+        from the power of m less its last nonzero exponent."""
+        form = self.table.get(key)
         if form is None:
-            k = next(i for i, e in enumerate(mono) if e)
-            lower = mono[:k] + (mono[k] - 1,) + mono[k + 1:]
-            form = _product(self.power(lower), self.args[k], self.order)
-            table[mono] = form
+            if degree > self.keep:
+                form = {degree: {key: self.denom ** degree}}
+            else:
+                radix, i, weight = self.radix, len(self.args) - 1, 1
+                while key // weight % radix == 0:
+                    weight *= radix
+                    i -= 1
+                form = _product(self.power(key - weight, degree - 1), self.args[i], self.order)
+            self.table[key] = form
         return form
 
     def combine(self, form, order: int) -> tuple[int, dict]:
-        """(denominator, packed numerators) of a function in the `_fast_form`
-        shape composed with the arguments, through degree `order` <=
-        self.order."""
+        """(denominator, packed numerators) of a packed function of the
+        arguments, composed with them through degree `order` <= self.order."""
         denom, buckets = form
-        degrees = [deg for deg in buckets if deg <= order]
+        degrees = [deg for deg, items in buckets.items() if deg <= order and items]
         if not degrees:
             return 1, {}
         top = max(degrees)
@@ -443,9 +446,9 @@ class _Powers:
         out: dict[int, dict[int, int]] = {}
         for deg in degrees:
             scale = base ** (top - deg)
-            for mono, c in buckets[deg]:
+            for key, c in buckets[deg].items():
                 s = c * scale
-                power = table.get(mono) or self.power(mono)
+                power = table.get(key) or self.power(key, deg)
                 for d, items in power.items():
                     if d > order:
                         continue
@@ -461,27 +464,15 @@ class _Powers:
         """jet(args), truncated at the lower of the two orders."""
         if jet.nvars != len(self.args):
             raise ValueError("substitute needs one jet per variable")
-        return self.substitute_form(jet._fast_form(), min(jet.order, self.order))
+        order = min(jet.order, self.order)
+        return self.substitute_form(
+            (jet._fast_form()[0], _packed(jet, self.radix, order)), order)
 
     def substitute_form(self, form, order: int) -> Jet:
-        """A function given in the `_fast_form` shape, composed with the
-        arguments through degree `order` <= self.order, as a jet."""
+        """A packed function of the arguments, composed with them through
+        degree `order` <= self.order, as a jet."""
         denom, packed = self.combine(form, order)
         return _jet_from_packed(self.nvars, order, denom, packed, self.radix)
-
-
-def homogeneous_to_vector(jet: Jet, degree: int) -> list[Fraction]:
-    """Coefficient vector of the degree-d part in the graded-lex monomial basis."""
-    basis = monomials(jet.nvars, degree)
-    return [jet._c.get(m, _ZERO) for m in basis]
-
-
-def vector_to_homogeneous(nvars: int, order: int, degree: int, vec) -> Jet:
-    basis = monomials(nvars, degree)
-    if len(vec) != len(basis):
-        raise ValueError("coefficient vector has the wrong length")
-    coeffs = {m: Fraction(v) for m, v in zip(basis, vec) if v}
-    return Jet._raw(nvars, order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -593,45 +584,50 @@ def _inversion_rounds(order: int, lowest: int | None) -> int:
     return (order - 1) // (lowest - 1)
 
 
-def invert_change(phi: CoordChange) -> CoordChange:
-    """Compositional inverse, exact through the truncation.
+def _inverse_form(phi: CoordChange) -> tuple[int, list]:
+    """(D, packed components in base order+1 over D) of phi's compositional
+    inverse, exact through the truncation.
 
     With A the linear part and T the tail of phi, the inverse is the fixed
-    point of psi = A^-1 y - S(psi), S = A^-1 T.  The iteration runs on
-    packed integer forms over one denominator; round r is exact only
-    through degree (r+2)(l-1), l the tail's lowest degree, so it is computed
-    truncated there, and the n components of S share one power table of
-    psi per round."""
+    point of psi = A^-1 y - S(psi), S = A^-1 T.  Both start as packed
+    integer forms: A^-1 y over one denominator q, and S as A^-1 y composed
+    with phi, less its linear part y.  Round r is exact only through degree
+    (r+2)(l-1), l the tail's lowest degree, so it is computed truncated
+    there, and the n components of S share one power table of psi per
+    round."""
     n, order = phi.nvars, phi.order
-    solver = LinearSolver(phi.linear_matrix())
-    cols = []
-    for j in range(n):
-        col = solver.solve([_ONE if i == j else _ZERO for i in range(n)])
-        if col is None:
+    radix = order + 1
+    inv = phi.linear_matrix()
+    if inv != [[int(i == j) for j in range(n)] for i in range(n)]:
+        solver = LinearSolver(inv)
+        cols = [solver.solve([int(i == j) for i in range(n)]) for j in range(n)]
+        if None in cols:
             raise ValueError("linear part is not invertible")
-        cols.append(col)
-    linear = CoordChange.linear([[col[i] for col in cols] for i in range(n)], order)
-    tails = [Jet._raw(n, order, {m: c for m, c in comp._c.items() if sum(m) >= 2})
-             for comp in phi.components]
-    shifted = [sum((tails[j] * cols[j][i] for j in range(n)), Jet.zero(n, order))
-               for i in range(n)]
-    lowest = min((t.lowest_degree() for t in tails if not t.is_zero()), default=None)
-    start = _Powers.of(linear.components)
-    denom, psi = start.denom, start.args
+        inv = [[col[i] for col in cols] for i in range(n)]
+    q = lcm(*(c.denominator for row in inv for c in row))
+    start = [{1: {radix ** (n - 1 - j): c.numerator * (q // c.denominator)
+                  for j, c in enumerate(row) if c}} for row in inv]
+    image = _Powers(n, order, radix, *_common(phi.components, radix, order))
+    shifted = []
+    for first in start:
+        den, form = image.combine((q, first), order)
+        form.pop(1, None)
+        shifted.append((den, form))
+    lowest = min((deg for _, form in shifted for deg, items in form.items()
+                  if any(items.values())), default=None)
+    denom, psi = q, start
     for r in range(_inversion_rounds(order, lowest)):
         target = min(order, (r + 2) * (lowest - 1))
-        powers = _Powers(n, target, start.radix, denom, psi)
-        fed = [powers.combine(s._fast_form(), target) for s in shifted]
-        common = start.denom
-        for den, _ in fed:
-            common = _lcm(common, den)
+        powers = _Powers(n, target, radix, denom, psi)
+        fed = [powers.combine(s, target) for s in shifted]
+        common = lcm(q, *(den for den, _ in fed))
         psi = []
         # psi_i = start_i - S_i(psi); S_i(psi) has no linear part
-        for (den, form), first in zip(fed, start.args):
+        for (den, form), first in zip(fed, start):
             scale = common // den
             comp = {deg: {k: -v * scale for k, v in items.items()}
                     for deg, items in form.items()}
-            comp[1] = {k: v * (common // start.denom) for k, v in first[1].items()}
+            comp[1] = {k: v * (common // q) for k, v in first[1].items()}
             psi.append(comp)
         # divide out the common content so the numerators stay small
         g = gcd(common, *(v for comp in psi for items in comp.values()
@@ -639,7 +635,13 @@ def invert_change(phi: CoordChange) -> CoordChange:
         denom = common // g
         psi = [{deg: {k: v // g for k, v in items.items() if v}
                 for deg, items in comp.items()} for comp in psi]
-    return CoordChange._trusted([_jet_from_packed(n, order, denom, comp, start.radix)
+    return denom, psi
+
+
+def invert_change(phi: CoordChange) -> CoordChange:
+    """Compositional inverse, exact through the truncation."""
+    denom, psi = _inverse_form(phi)
+    return CoordChange._trusted([_jet_from_packed(phi.nvars, phi.order, denom, comp, phi.order + 1)
                                  for comp in psi])
 
 
@@ -760,9 +762,7 @@ def _brackets(pi: PoissonJet, funcs, order: int) -> dict:
     n = pi.nvars
     radix = order + 1
     weights = [radix ** (n - 1 - a) for a in range(n)]
-    fden = 1
-    for f in funcs:
-        fden = _lcm(fden, f._fast_form()[0])
+    fden = lcm(*(f._fast_form()[0] for f in funcs))
     partials = []
     for f in funcs:
         den, buckets = f._fast_form()
@@ -818,11 +818,11 @@ def pushforward(pi: PoissonJet, phi: CoordChange) -> PoissonJet:
     order = min(pi.order, phi.order)
     pi = pi.truncate(order) if pi.order != order else pi
     phi = phi.truncate(order) if phi.order != order else phi
-    powers = _Powers.of(invert_change(phi).components)
     n = pi.nvars
+    powers = _Powers(n, order, order + 1, *_inverse_form(phi))
     grid = [[Jet.zero(n, order) for _ in range(n)] for _ in range(n)]
     for (i, j), (denom, form) in _brackets(pi, phi.components, order).items():
-        new = powers.substitute_form((denom, _unpacked(form, order + 1, n)), order)
+        new = powers.substitute_form((denom, form), order)
         grid[i][j] = new
         grid[j][i] = -new
     return PoissonJet._trusted(grid, n, order)

@@ -271,7 +271,7 @@ def test_verifiers_take_no_inverse(tmp_path, capsys, monkeypatch, command, data,
         raise AssertionError("verification inverted the change")
 
     monkeypatch.setattr(polyalg, "invert_change", refuse)
-    monkeypatch.setattr(normalform, "invert_change", refuse)
+    monkeypatch.setattr(normalform, "invert_change", refuse, raising=False)
     verify = getattr(cli, verifier)
     assert verify(spec, spec.order, result["change"], result["normal_form"]) is True
 

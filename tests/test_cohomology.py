@@ -18,7 +18,7 @@ from poislin.cohomology import (
     is_cocycle,
     solve_coboundary,
 )
-from poislin.liealg import LieAlgebra
+from poislin.liealg import ExactTable, LieAlgebra
 from poislin.linalg import LinearSolver
 from poislin.polyalg import monomials
 
@@ -261,6 +261,36 @@ def test_module_cache_evicts_the_least_recently_used_entry():
     assert len(cache) == LRUCache.CAPACITY
     cache.clear()
     assert len(cache) == 0
+
+
+def test_exact_tables_compare_by_value_and_hash_once():
+    table = ExactTable([[[1, Fraction(-2, 4)], [0, 3]]])
+    same = ExactTable([[[Fraction(2, 2), Fraction(-1, 2)], [Fraction(0), 3]]])
+    assert table == same and hash(table) == hash(same)
+    assert table[0][0][1] == Fraction(-1, 2)
+    assert table != ExactTable([[[1, Fraction(1, 2)], [0, 3]]])
+    assert table != ExactTable([[[1, Fraction(-1, 2), 0, 3]]])
+
+
+def test_module_cache_shares_equal_algebras_without_hashing_fractions(monkeypatch):
+    """An equal algebra built apart, with its representation given as a
+    list or as an ExactTable, finds the cached module; repeated lookups
+    hash no Fraction."""
+    import poislin
+
+    poislin.clear_caches()
+    L = so3_algebra()
+    module = induced_polynomial_module(L, 3, coadjoint_rep(L), 3)
+    again = LieAlgebra._trusted([[list(row) for row in plane] for plane in L.constants])
+    assert again is not L
+    rep = ExactTable(coadjoint_rep(again))
+    hashed = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda q: hashed.append(q) or fraction_hash(q))
+    for _ in range(5):
+        assert induced_polynomial_module(again, 3, rep, 3) is module
+    assert hashed == []
+    assert induced_polynomial_module(again, 3, coadjoint_rep(again), 3) is module
 
 
 def test_clear_caches_empties_the_module_cache():

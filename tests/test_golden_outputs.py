@@ -12,6 +12,7 @@ truncated jets are unique, so every hash must stay as it is.
 import hashlib
 import json
 import random
+import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from helpers import (
     gl2_algebra,
     gl2_matrix_algebroid,
     random_graded_change,
+    random_invertible_matrix,
+    random_jet,
     random_near_identity_change,
     sl2_bivector,
     so3_action_algebroid,
@@ -33,6 +36,7 @@ from poislin.algebroid import (
     levi_algebroid,
     linearize_algebroid,
 )
+from poislin import polyalg
 from poislin.cohomology import ObstructionClass
 from poislin.liealg import LieAlgebra, isotropy_from_linear_part, levi_lift
 from poislin.normalform import (
@@ -43,7 +47,14 @@ from poislin.normalform import (
     linearize_action,
     linearize_poisson,
 )
-from poislin.polyalg import CoordChange, Jet, PoissonJet, pushforward
+from poislin.polyalg import (
+    CoordChange,
+    Jet,
+    PoissonJet,
+    invert_change,
+    monomials,
+    pushforward,
+)
 
 
 def canon(obj):
@@ -169,3 +180,83 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_engine_outputs_match_reference_hashes(name):
     assert digest(run_case(name)) == GOLDEN[name]
+
+
+def test_engines_transport_without_invert_change(monkeypatch):
+    """Transports build the inverse's power table from its packed form; no
+    engine goes through the Fraction inverse."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine called invert_change")
+
+    original = polyalg.invert_change
+    for name, module in list(sys.modules.items()):
+        if name.startswith("poislin") and getattr(module, "invert_change", None) is original:
+            monkeypatch.setattr(module, "invert_change", refuse)
+    for name in ("so3/doubling/1", "action/degree/5", "algebroid/doubling/7"):
+        assert digest(run_case(name)) == GOLDEN[name]
+
+
+def transport_change(rng, order, lowest, linear):
+    """x plus a tail whose lowest degree is exactly `lowest`, in 3 variables,
+    with rational coefficients; applied after a random linear change when
+    `linear` is set."""
+    comps = []
+    for i in range(3):
+        basis = monomials(3, lowest)
+        lead = Jet(3, order, {basis[rng.randrange(len(basis))]:
+                              Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))})
+        comps.append(Jet.variable(i, 3, order) + lead
+                     + random_jet(rng, 3, order, max_terms=3, lowest=lowest))
+    change = CoordChange(comps)
+    if linear:
+        change = CoordChange.linear(random_invertible_matrix(rng, 3), order).then(change)
+    return change
+
+
+def run_transport_case(name):
+    """One transport of a seeded input at order 6 by a change of the stated
+    linear part ("identity" or "linear") and lowest tail degree."""
+    kind, linear, lowest = name.split("/")
+    order = 6
+    rng = random.Random(100 * int(lowest) + (linear == "linear"))
+    change = transport_change(rng, order, int(lowest), linear == "linear")
+    if kind == "invert":
+        return invert_change(change)
+    start = random_near_identity_change(rng, 3, order, max_extra=3)
+    if kind == "pushforward":
+        return pushforward(pushforward(so3_bivector(order), start), change)
+    assert kind == "conjugate"
+    return conjugate_action(conjugate_action(so3_coadjoint_action(order), start), change)
+
+
+TRANSPORT_GOLDEN = {
+    "conjugate/identity/2": "da7efabf6a813fca4467ce6b4d43dc7eed5f43f822863ab877f40d4514c0e7d6",
+    "conjugate/identity/3": "8f688ccdc1743d43993da228ef57571136b5ae371b1e57d17479a1a02ac07c25",
+    "conjugate/identity/4": "705c22169da1e7f5ca00ece4eafa545470c33a59fe7f212cbab6a24f48074538",
+    "conjugate/identity/6": "89719369d2ef56aea028e93e65d4f76e37a2ba94aa25b35b7142b5b334161e5f",
+    "conjugate/linear/2": "8966eb645d4809e552c96d9e45954bdc42cc439655a5a4cf0188d28c3ceda78b",
+    "conjugate/linear/3": "a901292c83e9d469866be2344a2b803646686445f82b59b11f9e388331ce8b3f",
+    "conjugate/linear/4": "bba0a514a62c27c94599814986108ce4246463138e2119743f27e0294c01dee0",
+    "conjugate/linear/6": "3919f4b1ad0837475c855e8a9fb53170dce7b3a8577ddb34d846d2521b9b9ef6",
+    "invert/identity/2": "adbca26c11b7d37f11ad5385901b6917940bb7cdda916e838ae5bc4ff84bb860",
+    "invert/identity/3": "06097706fb1c912571299a0048cbe973af9ff6cfcb16ae7479519027251d7c7a",
+    "invert/identity/4": "5f5a35cf9c7acae3766ae4f936ba50ca04680146f7753e1acf312ae407ae637f",
+    "invert/identity/6": "30d46366b8450344c7e31d1c98273e33b17a188e98ef83851b8d9410b1359126",
+    "invert/linear/2": "43371858bd59c75310ced4fa2105639d44deb258edcf21d24feab0958ea8d8f2",
+    "invert/linear/3": "b8070c076bc3b32ad05d782bf8d8fa44a2f81f582000fbcd045bf35bc154b1d3",
+    "invert/linear/4": "969ea0add10dbf8a94bb5e205e31e5e1e034b4127bc7fdeda3ec1c99ff49164e",
+    "invert/linear/6": "bcae15290c48dfc6d18a3386a8ce5bd0e805bb3073addff747ee01017ec105cb",
+    "pushforward/identity/2": "cb25ee8191d09480f8f8124fa7566da8c7d1ebdeb3cf9c7400b2955dbf23add1",
+    "pushforward/identity/3": "e87f8a9decd20db3aab6ca136c7ee73c14e053000c733c91f188ff13dbab98c3",
+    "pushforward/identity/4": "e966222a39c03509e87a637983abfd4d2beb58f9fe2dad35c98a693df736c993",
+    "pushforward/identity/6": "a77ecdb926820ce2d08b4e319711a29e589429257caaa3a9ec8eb56bc00a7524",
+    "pushforward/linear/2": "6bce446a493e7119666ce9b5de980aa56364aa4b3d6390118367415a6cbf0aec",
+    "pushforward/linear/3": "c60d7a2d9f59ae35978ec892448127e3fa79ce5f0303ebe9e499132a0cdb3999",
+    "pushforward/linear/4": "b3109b5314e8ed69a757847fe3bc6a7c6a648756d5ce9b7f448d956a6885d789",
+    "pushforward/linear/6": "2c0d1b2417111e06075e2bdf3936957aa96efba89202104536dd2a2503b6503c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_GOLDEN))
+def test_transport_outputs_match_reference_hashes(name):
+    assert digest(run_transport_case(name)) == TRANSPORT_GOLDEN[name]

@@ -23,6 +23,7 @@ from poislin.normalform import (
     LeviNormalForm,
     PreconditionNotNormalized,
     SplitNotCertified,
+    _tail_stats,
     action_remainder,
     conjugate_action,
     convergence_report,
@@ -598,3 +599,24 @@ def test_warm_obstructed_run_reuses_the_eliminated_d1_solver(monkeypatch):
     warm, _ = linearize_poisson(pi)
     assert warm == cold
     assert eliminated == []
+
+
+def test_tail_stats_read_the_nonlinear_parts_off_integer_forms():
+    """The lowest degree and norm of each jet's part of degree >= 2, with
+    linear coefficients whose denominators the tail does not share, agree
+    with the Fraction computation on jet - jet.homogeneous_part(1)."""
+    from helpers import random_jet
+
+    rng = random.Random(61)
+    for _ in range(20):
+        jets = []
+        for _ in range(3):
+            linear = Jet(3, 5, {(1, 0, 0): F(rng.choice((1, 5)), rng.choice((3, 7, 9)))})
+            jets.append(linear + random_jet(rng, 3, 5, max_terms=4, lowest=rng.choice((1, 2, 3)),
+                                            coeff_pool=(-1, F(1, 2), F(2, 3), 3)))
+        radius = F(rng.choice((1, 2, 3)), rng.choice((1, 2)))
+        tails = [jet - jet.homogeneous_part(1) for jet in jets]
+        lowest = min((t.lowest_degree() for t in tails if not t.is_zero()), default=None)
+        norm = max(hermitian_norm(t, radius) for t in tails)
+        assert _tail_stats(jets, radius) == (lowest, norm)
+    assert _tail_stats([Jet.variable(0, 2, 4)], 1) == (None, 0.0)

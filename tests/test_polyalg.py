@@ -18,6 +18,7 @@ from poislin.polyalg import (
     format_polynomial,
     grlex_key,
     invert_change,
+    is_poisson_map,
     jacobiator,
     koszul_bracket,
     monomials,
@@ -27,7 +28,7 @@ from poislin.polyalg import (
     pushforward,
     sharp,
 )
-from poislin.polyalg import _Powers, _inversion_rounds
+from poislin.polyalg import _Powers, _inverse_form, _inversion_rounds
 
 from helpers import (
     random_jet,
@@ -283,6 +284,27 @@ def test_jets_substituted_into_one_argument_tuple_match_sympy():
             assert out.order == order
             assert jet_dict(out) == poly_dict(expr, w, order)
             assert out == f.substitute(args)
+
+
+def test_power_tables_pass_high_degrees_through_for_identity_linear_parts():
+    """x + a tail of lowest degree l leaves every term of degree above
+    N - l + 1 unchanged, and only such a table says so; every transport
+    through either kind of table stays a Poisson map and composes."""
+    rng = random.Random(155)
+    for order in range(3, 8):
+        assert _Powers.of(CoordChange.identity(3, order).components).keep == 0
+        pi = pushforward(so3_bivector(order), random_near_identity_change(rng, 3, order))
+        for lowest in range(2, order + 1):
+            for linear in (False, True):
+                phi = _tail_change(rng, 3, order, [lowest], linear=linear)
+                keep = order if linear else order - lowest + 1
+                assert _Powers.of(phi.components).keep == keep
+                assert _Powers(3, order, order + 1, *_inverse_form(phi)).keep == keep
+                moved = pushforward(pi, phi)
+                assert is_poisson_map(pi, phi, moved)
+                chi = _tail_change(rng, 3, order, [rng.randint(2, order)],
+                                   linear=rng.random() < 0.5)
+                assert pushforward(moved, chi) == pushforward(pi, phi.then(chi))
 
 
 def test_compose_applies_left_argument_first():

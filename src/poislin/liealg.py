@@ -37,14 +37,14 @@ class SolverFailure(RuntimeError):
 
 class ExactTable(tuple):
     """A three-index table of Fractions (structure constants, operator
-    matrices) that hashes and compares with other ExactTables by one text of
-    its entries, written on first use: cache keys holding it cost no
-    Fraction call per lookup, and equal tables built apart share entries."""
+    matrices) that hashes and compares by one text of its entries, written
+    on first use: cache keys holding it cost no Fraction call per lookup,
+    and equal tables built apart share entries.  It equals only other
+    ExactTables, never a plain tuple, so equal tables hash alike."""
 
     def __new__(cls, table):
-        return super().__new__(
-            cls, (tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in table)
-        )
+        planes = (tuple(tuple(map(Fraction, row)) for row in plane) for plane in table)
+        return super().__new__(cls, planes)
 
     @cached_property
     def text(self) -> str:
@@ -55,9 +55,10 @@ class ExactTable(tuple):
         return hash(self.text)
 
     def __eq__(self, other):
-        if isinstance(other, ExactTable):
-            return self.text == other.text
-        return tuple.__eq__(self, other)
+        return isinstance(other, ExactTable) and self.text == other.text
+
+    def __ne__(self, other):
+        return not self == other
 
 
 class LieAlgebra:

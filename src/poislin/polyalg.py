@@ -42,7 +42,6 @@ Conventions fixed here and relied on everywhere downstream:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .linalg import LinearSolver, det
@@ -74,13 +73,6 @@ def monomials(nvars: int, degree: int) -> list[Monomial]:
             rec(prefix + [e], remaining - e, slots - 1)
 
     rec([], degree, nvars)
-    return out
-
-
-def monomials_up_to(nvars: int, degree: int) -> list[Monomial]:
-    out: list[Monomial] = []
-    for d in range(degree + 1):
-        out.extend(monomials(nvars, d))
     return out
 
 
@@ -313,10 +305,11 @@ def _pack(mono: Monomial, radix: int) -> int:
     return key
 
 
-@lru_cache(maxsize=8)
-def _monomials_by_key(nvars: int, radix: int) -> dict[int, Monomial]:
-    """Every monomial a packed form in base `radix` can hold, by its key."""
-    return {_pack(m, radix): m for m in monomials_up_to(nvars, radix - 1)}
+def _unpack(key: int, radix: int, nvars: int) -> Monomial:
+    exps = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        key, exps[i] = divmod(key, radix)
+    return tuple(exps)
 
 
 def _packed(jet: Jet, radix: int, order: int, scale: int = 1) -> dict:
@@ -360,8 +353,7 @@ def _product(a: dict, b: dict, order: int, out: dict | None = None, sign: int = 
 def _jet_from_packed(nvars: int, order: int, denom: int, form: dict, radix: int) -> Jet:
     """Convert to Fraction coefficients, one per nonzero numerator; the
     reduced integer form is kept as the jet's `_fast_form`."""
-    mono = _monomials_by_key(nvars, radix)
-    buckets = {deg: [(mono[k], n) for k, n in items.items() if n]
+    buckets = {deg: [(_unpack(k, radix, nvars), n) for k, n in items.items() if n]
                for deg, items in form.items()}
     g = gcd(denom, *(n for items in buckets.values() for _, n in items))
     if g > 1:

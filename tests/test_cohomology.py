@@ -270,6 +270,9 @@ def test_exact_tables_compare_by_value_and_hash_once():
     assert table[0][0][1] == Fraction(-1, 2)
     assert table != ExactTable([[[1, Fraction(1, 2)], [0, 3]]])
     assert table != ExactTable([[[1, Fraction(-1, 2), 0, 3]]])
+    plain = tuple(table)
+    assert plain == tuple(same) and table != plain and plain != table
+    assert len({table: 1, plain: 2}) == 2
 
 
 def test_module_cache_shares_equal_algebras_without_hashing_fractions(monkeypatch):

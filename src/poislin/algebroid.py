@@ -477,6 +477,7 @@ class _DualGradedComplex:
         self._layout: dict = {}
         self._mats: dict = {}
         self._solver_cache: dict = {}
+        self._rank_cache: dict = {}
 
     def _slot(self, subset) -> tuple:
         edeg = sum(1 for a in subset if a >= self.base_dim) - (len(subset) - 1)

@@ -40,7 +40,9 @@ from .cohomology import (
     ObstructionClass,
     coadjoint_rep,
     cohomology_dimension,
+    differential_rank,
     induced_polynomial_module,
+    squares_to_zero,
 )
 from .liealg import (
     LeviSplitError,
@@ -686,6 +688,9 @@ def run_cohomology(spec: ProblemSpec, args) -> tuple[dict, int]:
     started = time.perf_counter()
     module = induced_polynomial_module(algebra, nvars, rep, module_degree)
     h_dim = cohomology_dimension(module, degree)
+    # h_dim = dim C^r - rank d_r - rank d_{r-1}, on a complex checked to be one
+    ranks = {str(q): differential_rank(module, q) for q in (degree - 1, degree) if q >= 0}
+    verified = squares_to_zero(module, degree)
     elapsed = time.perf_counter() - started
     report = _base_report("cohomology", spec)
     report["result"] = {
@@ -696,9 +701,10 @@ def run_cohomology(spec: ProblemSpec, args) -> tuple[dict, int]:
         "cochain_dimensions": {
             str(r): module.cochain_dim(r) for r in range(degree + 2)
         },
+        "ranks": ranks,
     }
     report["timing_seconds"] = elapsed
-    report["verified"] = True
+    report["verified"] = verified
     return report, 0
 
 

@@ -6,11 +6,16 @@ r-tuple of basis indices; alternation is structural.  The differential is
     (dw)(X_0,..,X_r) = sum_a (-1)^a X_a . w(.., X_a omitted, ..)
                      + sum_{a<b} (-1)^{a+b} w([X_a,X_b], .., both omitted, ..)
 
-realized as one exact matrix per (module, degree), built once and cached on
-the module together with the eliminated solver.  `_build_differential` is the
-only code that writes it; a slot rule that keeps some module indices on each
-subset gives the matrices of a subcomplex, such as the fiber-degree graded
-piece the algebroid engine solves in.  Primitive selection is the
+realized as one exact sparse matrix per (module, degree), a list of
+{column: value} rows built once from the module's nonzero action entries and
+cached on the module together with its rank and any eliminated solver.
+Modules, too, keep only the nonzero entries of their operator matrices; no
+dense matrix is built on the way from module to solver.
+`_build_differential` is the only code that writes the differential; a slot
+rule that keeps some module indices on each subset gives the matrices of a
+subcomplex, such as the fiber-degree graded piece the algebroid engine solves
+in.  Cohomology dimensions need only ranks, which `linalg.rank` computes
+without the transform part a solver keeps.  Primitive selection is the
 deterministic rule from `linalg` (lowest-index pivots, free variables zero),
 so outputs reproduce bit for bit.
 """
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import LinearSolver, Matrix, Vector, dot, mat_vec
+from .linalg import LinearSolver, Vector, dot, rank
 from .liealg import ExactTable, LieAlgebra
 from .polyalg import monomials
 
@@ -35,41 +40,43 @@ class InputNotCocycle(ValueError):
 
 
 class GModule:
-    """Finite-dimensional module over a LieAlgebra, given by one operator
-    matrix per generator: (X_i . v)_l = sum_u matrices[i][l][u] v_u."""
+    """Finite-dimensional module over a LieAlgebra, stored as the nonzero
+    entries of one operator matrix per generator: `_nonzero_rows[i][l]` lists
+    the (column u, entry x) pairs of row l in column order, and
+    (X_i . v)_l = sum x v_u over them.  The constructor takes the dense
+    matrices; `matrices` rebuilds them as a dense view on each call."""
 
-    __slots__ = ("algebra", "matrices", "labels", "dim", "_subset_cache",
-                 "_matrix_cache", "_solver_cache", "_nonzeros")
+    __slots__ = ("algebra", "labels", "dim", "_nonzero_rows", "_subset_cache",
+                 "_matrix_cache", "_solver_cache", "_rank_cache")
 
     def __init__(self, algebra: LieAlgebra, matrices, labels=None):
-        matrices = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in mat) for mat in matrices
-        )
-        self._install(algebra, matrices, labels)
-        self._check_representation()
-
-    def _install(self, algebra, matrices, labels):
         if len(matrices) != algebra.dim:
             raise ValueError("need one matrix per algebra generator")
         dim = len(matrices[0]) if matrices else 0
         for mat in matrices:
             if len(mat) != dim or any(len(row) != dim for row in mat):
                 raise ValueError("representation matrices must be square, equal size")
-        self.algebra = algebra
-        self.matrices = matrices
-        self.dim = dim
-        self.labels = list(labels) if labels is not None else list(range(dim))
+        rows = [[[(u, x) for u, x in enumerate(map(Fraction, row)) if x] for row in mat]
+                for mat in matrices]
+        self._install(algebra, rows, list(labels) if labels is not None else list(range(dim)))
         if len(self.labels) != dim:
             raise ValueError("need one label per module basis vector")
+        self._check_representation()
+
+    def _install(self, algebra, rows, labels):
+        self.algebra = algebra
+        self._nonzero_rows = rows
+        self.labels = labels
+        self.dim = len(labels)
         self._subset_cache = {}
         self._matrix_cache = {}
         self._solver_cache = {}
-        self._nonzeros = None
+        self._rank_cache = {}
 
     def _check_representation(self) -> None:
         """[X_i, X_j] = sum_k c_ij^k X_k on every pair, row by row over the
         nonzero entries only."""
-        rows = self._nonzero_rows()
+        rows = self._nonzero_rows
         for i, j in combinations(range(self.algebra.dim), 2):
             terms = [(-c, rows[k]) for k, c in enumerate(self.algebra.constants[i][j]) if c]
             for l in range(self.dim):
@@ -87,26 +94,29 @@ class GModule:
                     )
 
     @classmethod
-    def _trusted(cls, algebra, matrices, labels=None, nonzeros=None) -> "GModule":
-        """Keep the matrices as given and skip the representation-property
-        check; for constructions that are homomorphisms by design, with
-        Fraction entries already (covered by property tests instead).  A
-        builder that knows its nonzero entries may pass them as `nonzeros`,
-        in the form `_nonzero_rows` returns."""
+    def _trusted(cls, algebra, rows, labels) -> "GModule":
+        """A module from its nonzero rows, in the form of `_nonzero_rows`
+        with Fraction entries, one row per label, skipping the
+        representation-property check; for constructions that are
+        homomorphisms by design (covered by property tests instead)."""
         module = cls.__new__(cls)
-        module._install(algebra, matrices, labels)
-        module._nonzeros = nonzeros
+        module._install(algebra, rows, list(labels))
         return module
 
-    def _nonzero_rows(self) -> list:
-        """Per generator and row, the (column, entry) pairs with a nonzero
-        entry, built once."""
-        if self._nonzeros is None:
-            self._nonzeros = [
-                [[(u, x) for u, x in enumerate(row) if x] for row in mat]
-                for mat in self.matrices
-            ]
-        return self._nonzeros
+    @property
+    def matrices(self) -> tuple:
+        """The operator matrices as dense tuples of Fractions, built anew on
+        each call; the module itself keeps only the nonzero rows."""
+        out = []
+        for mat in self._nonzero_rows:
+            dense = []
+            for row in mat:
+                line = [ZERO] * self.dim
+                for u, x in row:
+                    line[u] = x
+                dense.append(tuple(line))
+            out.append(tuple(dense))
+        return tuple(out)
 
     def subsets(self, r: int) -> list[tuple[int, ...]]:
         cached = self._subset_cache.get(r)
@@ -118,9 +128,10 @@ class GModule:
     def cochain_dim(self, r: int) -> int:
         return len(self.subsets(r)) * self.dim
 
-    def differential_matrix(self, r: int) -> Matrix:
-        """Matrix of d: C^r -> C^{r+1} on flat coordinates (subset-major,
-        module index minor)."""
+    def differential_matrix(self, r: int) -> list[dict]:
+        """Rows of d: C^r -> C^{r+1} on flat coordinates (subset-major,
+        module index minor), each a {column: value} map of its nonzero
+        entries."""
         cached = self._matrix_cache.get(r)
         if cached is None:
             cached = _build_differential(self, r)
@@ -161,13 +172,16 @@ def _cochain_layout(module: GModule, r: int, slots):
     return subsets, offsets, total
 
 
-def _build_differential(module: GModule, r: int, slots=None) -> Matrix:
-    """Matrix of d: C^r -> C^{r+1}, the only place the differential is written.
+def _build_differential(module: GModule, r: int, slots=None) -> list[dict]:
+    """Rows of d: C^r -> C^{r+1}, the only place the differential is written.
 
-    `slots(S)` lists, in module order, the module indices kept on subset S;
-    the default keeps them all.  Only kept rows are built and columns are
-    numbered by kept source positions, so slots that cut out a subcomplex
-    give its differential without building the rest.
+    Each row is a {column: Fraction} map of its nonzero entries, built from
+    the nonzero action entries and structure constants, so no zero entry is
+    ever written or scanned.  `slots(S)` lists, in module order, the module
+    indices kept on subset S; the default keeps them all.  Only kept rows
+    are built and columns are numbered by kept source positions, so slots
+    that cut out a subcomplex give its differential without building the
+    rest.
     """
     if slots is None:
         every = range(module.dim)
@@ -178,24 +192,35 @@ def _build_differential(module: GModule, r: int, slots=None) -> Matrix:
         s: {u: col_offsets[s] + p for p, u in enumerate(slots(s))}
         for s in col_subsets
     }
-    mat = [[ZERO] * ncols for _ in range(nrows)]
+    mat = [{} for _ in range(nrows)]
     constants = module.algebra.constants
-    action = module._nonzero_rows()
+    action = module._nonzero_rows
+
+    def add(out: dict, col: int, x: Fraction) -> None:
+        y = out.get(col)
+        if y is None:
+            out[col] = x
+            return
+        y += x
+        if y:
+            out[col] = y
+        else:
+            del out[col]
+
     for t_set in row_subsets:
         kept = slots(t_set)
         rows = mat[row_offsets[t_set]:row_offsets[t_set] + len(kept)]
         for a, ta in enumerate(t_set):
             cols = columns[t_set[:a] + t_set[a + 1:]]
-            sign = -ONE if a % 2 else ONE
+            odd = a % 2
             for out, l in zip(rows, kept):
                 for u, x in action[ta][l]:
                     col = cols.get(u)
                     if col is not None:
-                        out[col] += sign * x
+                        add(out, col, -x if odd else x)
         for a in range(len(t_set)):
             for b in range(a + 1, len(t_set)):
                 rest = tuple(x for p, x in enumerate(t_set) if p not in (a, b))
-                pair_sign = -ONE if (a + b) % 2 else ONE
                 for k in range(module.algebra.dim):
                     c = constants[t_set[a]][t_set[b]][k]
                     if not c:
@@ -204,11 +229,11 @@ def _build_differential(module: GModule, r: int, slots=None) -> Matrix:
                     if ins_sign == 0:
                         continue
                     cols = columns[subset]
-                    factor = pair_sign * ins_sign * c
+                    factor = c if (-1) ** (a + b) * ins_sign > 0 else -c
                     for out, l in zip(rows, kept):
                         col = cols.get(l)
                         if col is not None:
-                            out[col] += factor
+                            add(out, col, factor)
     return mat
 
 
@@ -299,8 +324,10 @@ class Cochain:
 
 
 def ce_differential(omega: Cochain) -> Cochain:
-    mat = omega.module.differential_matrix(omega.degree)
-    return Cochain(omega.module, omega.degree + 1, mat_vec(mat, omega.vector))
+    vec = omega.vector
+    rows = omega.module.differential_matrix(omega.degree)
+    return Cochain(omega.module, omega.degree + 1,
+                   [sum((x * vec[j] for j, x in row.items()), ZERO) for row in rows])
 
 
 def is_cocycle(omega: Cochain) -> bool:
@@ -319,11 +346,18 @@ class ObstructionClass:
     def verify(self) -> bool:
         module = self.cocycle.module
         r = self.cocycle.degree
-        mat = module.differential_matrix(r - 1)
+        rows = module.differential_matrix(r - 1)
         lam = self.functional
-        for col in range(module.cochain_dim(r - 1)):
-            if sum((lam[row] * mat[row][col] for row in range(len(mat))), ZERO):
-                return False
+        if len(lam) != len(rows):
+            return False
+        # lam . d over the nonzero entries: every column must vanish
+        image = {}
+        for weight, row in zip(lam, rows):
+            if weight:
+                for col, x in row.items():
+                    image[col] = image.get(col, ZERO) + weight * x
+        if any(image.values()):
+            return False
         return dot(lam, self.cocycle.vector) != 0
 
 
@@ -346,21 +380,47 @@ def solve_coboundary(target: Cochain):
 def cohomology_dimension(module, r: int) -> int:
     """dim H^r = dim ker(d_r) - rank(d_{r-1}), by exact rank computation.
 
-    Works on any complex with `cochain_dim` and `coboundary_solver`; the
-    ranks come from the complex's cached coboundary solvers, so H^r and
-    H^{r+1} share the elimination of d_r.
+    Works on any complex with `cochain_dim`, `differential_matrix` and the
+    `_solver_cache` and `_rank_cache` dicts of `GModule`.  A rank is read off
+    a coboundary solver the complex has already eliminated, or else computed
+    once by `linalg.rank`, which skips the transform part a solver keeps, and
+    cached on the complex, so H^r and H^{r+1} share the rank of d_r.
     """
     if r < 0:
         raise ValueError("negative cohomology degree")
-    kernel_dim = module.cochain_dim(r) - _differential_rank(module, r)
-    image_dim = _differential_rank(module, r - 1) if r >= 1 else 0
+    kernel_dim = module.cochain_dim(r) - differential_rank(module, r)
+    image_dim = differential_rank(module, r - 1) if r >= 1 else 0
     return kernel_dim - image_dim
 
 
-def _differential_rank(module, r: int) -> int:
+def squares_to_zero(module, r: int) -> bool:
+    """d_r . d_{r-1} = 0, composed over the nonzero entries of the rows the
+    complex has built."""
+    if r < 1:
+        return True
+    lower = module.differential_matrix(r - 1)
+    for row in module.differential_matrix(r):
+        image = {}
+        for k, x in row.items():
+            for j, y in lower[k].items():
+                image[j] = image.get(j, ZERO) + x * y
+        if any(image.values()):
+            return False
+    return True
+
+
+def differential_rank(module, r: int) -> int:
+    """rank of d_r: C^r -> C^{r+1}, cached on the complex."""
     if module.cochain_dim(r) == 0 or module.cochain_dim(r + 1) == 0:
         return 0
-    return module.coboundary_solver(r + 1).rank
+    solver = module._solver_cache.get(r + 1)
+    if solver is not None:
+        return solver.rank
+    cached = module._rank_cache.get(r)
+    if cached is None:
+        cached = rank(module.differential_matrix(r), module.cochain_dim(r))
+        module._rank_cache[r] = cached
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +507,8 @@ def _induced_module(L, nvars, rep, degree, monomial_filter, filter_key) -> GModu
     basis = [m for m in monomials(nvars, degree) if monomial_filter is None or monomial_filter(m)]
     index = {m: i for i, m in enumerate(basis)}
     d = len(basis)
-    mats = []
     nonzeros = []
     for i in range(L.dim):
-        mat = [[ZERO] * d for _ in range(d)]
         rows = [[] for _ in range(d)]
         # X_i . x^k = sum_l c x^l over the nonzero c only
         moves = [[(l, row[k]) for l, row in enumerate(rep[i]) if row[k]]
@@ -472,11 +530,9 @@ def _induced_module(L, nvars, rep, degree, monomial_filter, filter_key) -> GModu
                     column[row] = column.get(row, ZERO) + e * c
             for row, x in column.items():
                 if x:
-                    mat[row][col] = x
                     rows[row].append((col, x))
-        mats.append(mat)
         nonzeros.append(rows)
-    module = GModule._trusted(L, mats, labels=basis, nonzeros=nonzeros)
+    module = GModule._trusted(L, nonzeros, basis)
     if validate:
         module._check_representation()
     if cache_key is not None:

@@ -4,12 +4,17 @@ Everything here is deterministic: elimination picks the lowest-index pivot
 column first and, within a column, the earliest remaining row.  Solutions set
 all free variables to zero, so repeated runs are bit-for-bit identical.
 
-`LinearSolver` eliminates sparsely: it replays integer Gauss-Jordan on
-[M | I] over the nonzero entries only, with the same pivot rule, the same row
-swaps and the same row updates as a dense elimination, so its RREF rows,
-transform rows and left-null rows equal the dense ones entry for entry.  The
-coboundary matrices of the cohomology solvers are a few percent nonzero and
-split into many small blocks; the elimination never leaves a block.
+A matrix comes as dense rows or as {column: value} rows of its nonzero
+entries; the coboundary matrices of the cohomology solvers are built in the
+second form, a few percent nonzero and split into many small blocks, and
+nothing here scans a zero cell of them.  One pivot loop, `_eliminate`, serves
+both consumers.  `LinearSolver` runs integer Gauss-Jordan on [M | I] over the
+nonzero entries only, with the same pivot rule, the same row swaps and the
+same row updates as a dense elimination, so its RREF rows, transform rows and
+left-null rows equal the dense ones entry for entry.  `rank` runs the same
+loop with no identity tail and without reducing the rows above each pivot,
+since a rank needs only the pivot columns.  The elimination never leaves a
+block.
 """
 
 from __future__ import annotations
@@ -45,95 +50,137 @@ def identity_matrix(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
+def _entries(rows, ncols: int | None) -> tuple[list[dict], int]:
+    """The nonzero entries of each row as a {column: Fraction} map, and the
+    column count.  A row is a dense sequence of ncols entries or a
+    {column: value} map; ncols may be left out only for dense rows."""
+    if ncols is None:
+        if rows and isinstance(rows[0], dict):
+            raise ValueError("ncols is required for dict rows")
+        ncols = len(rows[0]) if rows else 0
+    out = []
+    for row in rows:
+        if isinstance(row, dict):
+            if row and (min(row) < 0 or max(row) >= ncols):
+                raise ValueError("column index out of range")
+            items = row.items()
+        else:
+            if len(row) != ncols:
+                raise ValueError("ragged matrix")
+            items = enumerate(row)
+        out.append({j: x if type(x) is Fraction else Fraction(x) for j, x in items if x})
+    return out, ncols
+
+
+def _scaled_row(entries: dict) -> tuple[dict, int]:
+    """A row of Fractions as integers times a common scale; (ints, scale)."""
+    scale = lcm(*(f.denominator for f in entries.values()))
+    if scale == 1:
+        return {j: f.numerator for j, f in entries.items()}, 1
+    return {j: f.numerator * (scale // f.denominator) for j, f in entries.items()}, scale
+
+
+def _eliminate(work: list[dict], ncols: int, jordan: bool) -> tuple[list[int], list[int]]:
+    """Integer elimination of the {column: int} rows `work` in place;
+    returns (position -> row, pivot columns).
+
+    The pivot rule is the dense one: the lowest column with a nonzero entry
+    at or below the next pivot position, and in it the row at the lowest
+    position, swapped into place.  Each other row with an entry in the pivot
+    column becomes row*p - prow*q over all its entries, keys at or past ncols
+    included, and is divided by the gcd of its entries.  With `jordan` the
+    rows above the pivot are reduced too (Gauss-Jordan, for the RREF);
+    without it they are left alone, since no later pivot reads them.  Row
+    scaling does not disturb the pivot structure, so the pivot columns are
+    the same either way.
+    """
+    n = len(work)
+    by_col: list[set] = [set() for _ in range(ncols)]
+    for i, row in enumerate(work):
+        for j in row:
+            if j < ncols:
+                by_col[j].add(i)
+    order = list(range(n))      # position -> row
+    where = list(range(n))      # row -> position
+    pivots: list[int] = []
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row == n:
+            break
+        live = by_col[col]
+        found = n
+        for r in live:
+            pos = where[r]
+            if pivot_row <= pos < found:
+                found = pos
+        if found == n:
+            continue
+        rid, other = order[found], order[pivot_row]
+        order[pivot_row], order[found] = rid, other
+        where[rid], where[other] = pivot_row, found
+        prow = work[rid]
+        p = prow[col]
+        for r in list(live):
+            if r == rid or not jordan and where[r] < pivot_row:
+                continue
+            row = work[r]
+            q = row[col]
+            # row*p - prow*q over the whole row, including entries left
+            # of col (a previously placed pivot lives there).
+            if p != 1:
+                for j in row:
+                    row[j] *= p
+            for j, x in prow.items():
+                y = row.get(j)
+                if y is None:
+                    row[j] = -x * q
+                    if j < ncols:
+                        by_col[j].add(r)
+                    continue
+                y -= x * q
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+                    if j < ncols:
+                        by_col[j].discard(r)
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+        pivots.append(col)
+        pivot_row += 1
+    return order, pivots
+
+
 class LinearSolver:
     """Reduced row echelon factorization of a matrix, reusable for many
     right-hand sides.
 
-    Each row of [M | I] is a {column: int} map, scaled to integers, whose
-    identity tail sits at keys ncols + i; a column index lists the rows with
-    a nonzero in each column, so a pivot step touches only those rows.  Keeps
-    the sparse row-operation rows E with E*M in reduced row echelon form and
-    the sparse left-null rows, so each later solve is a few integer dot
-    products plus a consistency check.  Free variables are zero in every
-    returned solution (the deterministic minimal primitive used throughout
-    the package).
+    The matrix comes as dense rows or as {column: value} rows of its nonzero
+    entries.  Each row of [M | I] is a {column: int} map, scaled to
+    integers, whose identity tail sits at keys ncols + i, and `_eliminate`
+    runs Gauss-Jordan on it over the nonzero entries only.  Keeps the sparse
+    row-operation rows E with E*M in reduced row echelon form and the sparse
+    left-null rows, so each later solve is a few integer dot products plus a
+    consistency check.  Free variables are zero in every returned solution
+    (the deterministic minimal primitive used throughout the package).
     """
 
-    def __init__(self, rows: Matrix, ncols: int | None = None):
+    def __init__(self, rows, ncols: int | None = None):
         self.nrows = len(rows)
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        self.ncols = ncols
-        self._elim(rows)
+        self._input_rows, self.ncols = _entries(rows, ncols)
+        self._elim()
 
-    def _elim(self, rows: Matrix) -> None:
-        n, m = self.nrows, self.ncols
-        # Integer Gauss-Jordan on [M | I]; row scaling does not disturb the
-        # pivot structure and keeps the inner loop in machine integers.
-        self._input_rows: list[dict] = []
-        work: list[dict] = []
-        by_col: list[set] = [set() for _ in range(m)]
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise ValueError("ragged matrix")
-            entries = {j: Fraction(x) for j, x in enumerate(row) if x}
-            self._input_rows.append(entries)
-            scale = lcm(*(f.denominator for f in entries.values()))
-            scaled = {j: f.numerator * (scale // f.denominator) for j, f in entries.items()}
+    def _elim(self) -> None:
+        m = self.ncols
+        work = []
+        for i, entries in enumerate(self._input_rows):
+            scaled, scale = _scaled_row(entries)
             scaled[m + i] = scale
             work.append(scaled)
-            for j in entries:
-                by_col[j].add(i)
-        order = list(range(n))      # position -> row
-        where = list(range(n))      # row -> position
-        pivots: list[int] = []
-        pivot_row = 0
-        for col in range(m):
-            if pivot_row == n:
-                break
-            live = by_col[col]
-            found = n
-            for r in live:
-                pos = where[r]
-                if pivot_row <= pos < found:
-                    found = pos
-            if found == n:
-                continue
-            rid, other = order[found], order[pivot_row]
-            order[pivot_row], order[found] = rid, other
-            where[rid], where[other] = pivot_row, found
-            prow = work[rid]
-            p = prow[col]
-            for r in list(live):
-                if r == rid:
-                    continue
-                row = work[r]
-                q = row[col]
-                # row*p - prow*q over the whole row, including entries left
-                # of col (a previously placed pivot lives there).
-                if p != 1:
-                    for j in row:
-                        row[j] *= p
-                for j, x in prow.items():
-                    y = row.get(j)
-                    if y is None:
-                        row[j] = -x * q
-                        if j < m:
-                            by_col[j].add(r)
-                        continue
-                    y -= x * q
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-                        if j < m:
-                            by_col[j].discard(r)
-                g = gcd(*row.values())
-                if g > 1:
-                    for j in row:
-                        row[j] //= g
-            pivots.append(col)
-            pivot_row += 1
+        order, pivots = _eliminate(work, m, jordan=True)
+        n = self.nrows
         self.rank = len(pivots)
         self.pivot_cols = pivots
         # Per pivot: its value and the integer RREF and E parts of its row;
@@ -242,8 +289,12 @@ class LinearSolver:
         return basis
 
 
-def rank(mat: Matrix, ncols: int | None = None) -> int:
-    return LinearSolver(mat, ncols).rank
+def rank(rows, ncols: int | None = None) -> int:
+    """Rank of a matrix given as `LinearSolver` takes it, by the same pivot
+    loop with no identity tail and no reduction above the pivots."""
+    entries, ncols = _entries(rows, ncols)
+    work = [_scaled_row(row)[0] for row in entries]
+    return len(_eliminate(work, ncols, jordan=False)[1])
 
 
 def det(mat: Matrix) -> Fraction:

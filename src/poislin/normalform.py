@@ -608,25 +608,23 @@ def _twisted_field_module(algebra: LieAlgebra, base: GModule, twists, key) -> GM
         return cached
     d = base.dim
     copies = len(twists[0]) if twists else 0
-    mats = []
-    for i in range(algebra.dim):
-        size = copies * d
-        mat = [[ZERO] * size for _ in range(size)]
-        vmat = base.matrices[i]
-        tw = twists[i]
+    rows = []
+    for vrows, tw in zip(base._nonzero_rows, twists):
+        mat = []
         for a in range(copies):
+            moves = [(b * d, -t) for b, t in enumerate(tw[a]) if t]
             for l in range(d):
-                row = mat[a * d + l]
-                for u in range(d):
-                    if vmat[l][u]:
-                        row[a * d + u] += vmat[l][u]
-            for b in range(copies):
-                if tw[a][b]:
-                    for l in range(d):
-                        mat[a * d + l][b * d + l] -= tw[a][b]
-        mats.append(mat)
+                entries = {a * d + u: x for u, x in vrows[l]}
+                for shift, t in moves:
+                    y = entries.get(shift + l, ZERO) + t
+                    if y:
+                        entries[shift + l] = y
+                    else:
+                        del entries[shift + l]
+                mat.append(sorted(entries.items()))
+        rows.append(mat)
     labels = [(a, mono) for a in range(copies) for mono in base.labels]
-    module = GModule._trusted(algebra, mats, labels=labels)
+    module = GModule._trusted(algebra, rows, labels)
     _TWISTED_MODULE_CACHE[key] = module
     return module
 

@@ -10,6 +10,11 @@ from poislin.linalg import LinearSolver
 from poislin.polyalg import CoordChange, Jet, PoissonJet, monomials
 
 
+def dense(rows, ncols):
+    """A matrix given by {column: value} rows, as dense rows of Fractions."""
+    return [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+
+
 def random_jet(rng, nvars, order, max_terms=6, lowest=0, coeff_pool=(-2, -1, 1, 2)):
     """Sparse random jet with small integer coefficients."""
     pool = []

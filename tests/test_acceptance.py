@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 from helpers import (
+    dense,
     gl2_algebra,
     gl2_matrix_algebroid,
     random_graded_change,
@@ -118,8 +119,10 @@ def test_acceptance_01_differential_squares_to_zero():
         for module_degree in range(1, 5):
             module = induced_polynomial_module(L, L.dim, rep, module_degree)
             for degree in range(3):
-                d_low = module.differential_matrix(degree)
-                d_high = module.differential_matrix(degree + 1)
+                d_low = dense(module.differential_matrix(degree),
+                              module.cochain_dim(degree))
+                d_high = dense(module.differential_matrix(degree + 1),
+                               module.cochain_dim(degree + 1))
                 for _ in range(5):
                     vec = [F(rng.randint(-3, 3))
                            for _ in range(module.cochain_dim(degree))]
@@ -184,10 +187,10 @@ def test_acceptance_05_obstruction_certificate(tmp_path, capsys):
     cert, _trace = out
     assert isinstance(cert, ObstructionClass)
     module = cert.cocycle.module
-    d1 = module.differential_matrix(1)
+    columns = module.cochain_dim(1)
+    d1 = dense(module.differential_matrix(1), columns)
     lam = cert.functional
     # the columns of d^1 span the coboundaries; annihilate each exactly
-    columns = module.cochain_dim(1)
     assert columns > 0
     for col in range(columns):
         assert sum((lam[row] * d1[row][col] for row in range(len(d1))), F(0)) == 0

@@ -384,6 +384,50 @@ def test_cohomology_command(tmp_path, capsys):
     assert "module-degree" in err
 
 
+def test_cohomology_report_carries_the_ranks_it_verified(tmp_path, capsys):
+    """h_dim = dim C^r - rank d_r - rank d_{r-1}, and `verified` is the
+    check d_r . d_{r-1} = 0 on the rows those ranks came from."""
+    path = write_problem(tmp_path, SO3_PROBLEM)
+    for degree, ranks in ((0, {"0": 3}), (1, {"0": 3, "1": 6}), (2, {"1": 6, "2": 3})):
+        code, out, _ = run_cli(capsys, ["cohomology", path, "--degree", str(degree),
+                                        "--module-degree", "1"])
+        assert code == 0
+        report = json.loads(out)
+        result = report["result"]
+        assert result["ranks"] == ranks
+        assert result["h_dim"] == (result["cochain_dimensions"][str(degree)]
+                                   - sum(ranks.values()))
+        assert report["verified"] is True
+
+
+def test_a_corrupted_differential_reports_unverified(tmp_path, capsys, monkeypatch):
+    """One wrong entry in d_2 breaks d_2 . d_1 = 0: the report says so,
+    with no traceback."""
+    import poislin
+    from poislin.cohomology import GModule
+
+    poislin.clear_caches()
+    built = GModule.differential_matrix
+
+    def corrupted(module, r):
+        rows = built(module, r)
+        if r != 2:
+            return rows
+        rows = [dict(row) for row in rows]
+        col = next(iter(rows[0]))
+        rows[0][col] += 1
+        return rows
+
+    monkeypatch.setattr(GModule, "differential_matrix", corrupted)
+    path = write_problem(tmp_path, SO3_PROBLEM)
+    code, out, err = run_cli(capsys, ["cohomology", path, "--degree", "2",
+                                      "--module-degree", "2"])
+    poislin.clear_caches()
+    assert code == 0
+    assert "Traceback" not in err
+    assert json.loads(out)["verified"] is False
+
+
 def test_scheduler_and_radius_overrides(tmp_path, capsys):
     path = write_problem(tmp_path, SO3_PROBLEM)
     code, out, _ = run_cli(capsys, ["linearize", path,

@@ -308,10 +308,39 @@ def test_clear_caches_empties_the_module_cache():
 @pytest.mark.parametrize("name, degree, h1", [
     ("so3", 10, 0),      # Whitehead: H^1 = H^2 = 0 for semisimple algebras
     ("sl2", 10, 0),
+    ("so3", 12, 0),
+    ("sl2", 12, 0),
     ("gl2", 8, 5),       # Kuenneth with the central w: H^1 = floor(d/2) + 1
+    ("gl2", 12, 7),
 ])
 def test_known_cohomology_at_high_module_degree(name, degree, h1):
     L = {"so3": so3_algebra, "sl2": sl2_algebra, "gl2": gl2_algebra}[name]()
     module = induced_polynomial_module(L, L.dim, coadjoint_rep(L), degree)
     assert cohomology_dimension(module, 1) == h1
     assert cohomology_dimension(module, 2) == 0
+
+
+def test_a_six_variable_coadjoint_module_holds_only_its_nonzero_rows():
+    """The degree-6 coadjoint module of the so(3) action algebroid's dual
+    isotropy (6 variables, 462 monomials) keeps no dense matrix: building
+    it holds under 3 MB, where one dense 462 x 462 Fraction matrix per
+    generator took about 10 MB."""
+    import tracemalloc
+
+    import poislin
+    from helpers import so3_action_algebroid
+    from poislin.algebroid import algebroid_to_poisson
+    from poislin.liealg import isotropy_from_linear_part
+
+    iso = isotropy_from_linear_part(algebroid_to_poisson(so3_action_algebroid(3)))
+    rep = coadjoint_rep(iso)
+    poislin.clear_caches()
+    tracemalloc.start()
+    try:
+        module = induced_polynomial_module(iso, 6, rep, 6)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        poislin.clear_caches()
+    assert module.dim == 462
+    assert held < 3 * 2 ** 20

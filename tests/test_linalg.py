@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from poislin.cohomology import coadjoint_rep, induced_polynomial_module
 from poislin.linalg import (
@@ -350,3 +351,54 @@ def test_coboundary_elimination_matches_golden_digest():
         state = repr((solver.pivot_cols, text(solver.rref_rows),
                       text(solver.transform_rows), text(solver.null_rows)))
         assert hashlib.sha256(state.encode()).hexdigest()[:16] == digest
+
+
+# ---------------------------------------------------------------------------
+# sparse input: {column: value} rows
+
+
+_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """(dense rows, ncols): small rational matrices, about half zeros."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    cell = st.one_of(st.just(Fraction(0)), _entries)
+    return [[draw(cell) for _ in range(ncols)] for _ in range(nrows)], ncols
+
+
+def _dict_rows(mat):
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_rational_matrices())
+def test_dict_rows_and_dense_rows_eliminate_alike(case):
+    mat, ncols = case
+    dense, sparse = LinearSolver(mat, ncols), LinearSolver(_dict_rows(mat), ncols)
+    assert sparse.pivot_cols == dense.pivot_cols
+    assert sparse.rref_rows == dense.rref_rows
+    assert sparse.transform_rows == dense.transform_rows
+    assert sparse.null_rows == dense.null_rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_rational_matrices())
+def test_rank_without_the_transform_matches_the_solver_and_sympy(case):
+    mat, ncols = case
+    expected = sympy.Matrix(len(mat), ncols, [x for row in mat for x in row]).rank()
+    assert rank(mat, ncols) == rank(_dict_rows(mat), ncols) == expected
+    assert LinearSolver(mat, ncols).rank == expected
+
+
+def test_dict_row_columns_must_lie_in_range():
+    for row in ({3: Fraction(1)}, {-1: Fraction(2)}, {0: Fraction(1), 7: Fraction(0)}):
+        with pytest.raises(ValueError, match="column"):
+            LinearSolver([{0: Fraction(1)}, row], 3)
+        with pytest.raises(ValueError, match="column"):
+            rank([row], 3)
+    with pytest.raises(ValueError, match="ncols"):
+        LinearSolver([{0: Fraction(1)}])
+    with pytest.raises(ValueError, match="ragged"):
+        rank([[1, 2], [3]], 2)

@@ -323,6 +323,16 @@ class Cochain:
         return f"<Cochain degree={self.degree} on {self.module!r}>"
 
 
+def _combine(weights, rows) -> dict:
+    """sum of w * rows[k] over the (k, w) pairs, as a {column: value} map;
+    one pass over the nonzero entries of the rows it reads."""
+    out = {}
+    for k, w in weights:
+        for j, x in rows[k].items():
+            out[j] = out.get(j, ZERO) + w * x
+    return out
+
+
 def ce_differential(omega: Cochain) -> Cochain:
     vec = omega.vector
     rows = omega.module.differential_matrix(omega.degree)
@@ -350,13 +360,8 @@ class ObstructionClass:
         lam = self.functional
         if len(lam) != len(rows):
             return False
-        # lam . d over the nonzero entries: every column must vanish
-        image = {}
-        for weight, row in zip(lam, rows):
-            if weight:
-                for col, x in row.items():
-                    image[col] = image.get(col, ZERO) + weight * x
-        if any(image.values()):
+        # lam . d must vanish on every column
+        if any(_combine(((k, w) for k, w in enumerate(lam) if w), rows).values()):
             return False
         return dot(lam, self.cocycle.vector) != 0
 
@@ -399,14 +404,8 @@ def squares_to_zero(module, r: int) -> bool:
     if r < 1:
         return True
     lower = module.differential_matrix(r - 1)
-    for row in module.differential_matrix(r):
-        image = {}
-        for k, x in row.items():
-            for j, y in lower[k].items():
-                image[j] = image.get(j, ZERO) + x * y
-        if any(image.values()):
-            return False
-    return True
+    return not any(any(_combine(row.items(), lower).values())
+                   for row in module.differential_matrix(r))
 
 
 def differential_rank(module, r: int) -> int:

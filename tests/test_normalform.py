@@ -341,6 +341,23 @@ def test_obstruction_functional_annihilates_coboundaries():
         assert sum(lam[row] * mat[row][col] for row in range(len(mat))) == 0
 
 
+def test_a_broken_certificate_does_not_verify():
+    """verify() rejects a functional that misses a coboundary, one that
+    pairs to zero with the cocycle, and one of the wrong length."""
+    resonant = PoissonJet.from_brackets(3, 4, {    # obstructed at degree 3
+        (0, 1): [((0, 1, 0), 1)],
+        (0, 2): [((0, 0, 1), 3), ((0, 3, 0), 1)],
+    })
+    obs, _ = linearize_poisson(resonant)
+    assert obs.verify()
+    rows = obs.cocycle.module.differential_matrix(1)
+    hit = next(k for k, row in enumerate(rows) if row)
+    missed = list(obs.functional)
+    missed[hit] += 1
+    for lam in (missed, [F(0)] * len(rows), obs.functional[:-1]):
+        assert not ObstructionClass(obs.cocycle, lam, obs.h_dim).verify()
+
+
 # ---------------------------------------------------------------------------
 # actions
 

@@ -15,9 +15,10 @@ keep base images free of e-variables and fiber images of weight exactly one,
 and the Chevalley-Eilenberg complex of the dual isotropy splits along the
 same weight.  Corrections are solved inside the weight-zero graded piece, so
 emitted changes are always a base diffeomorphism jet plus a frame change.
-That piece is not a second complex: it is a slot rule on the coadjoint
-polynomial module of the dual isotropy, and `cohomology._build_differential`
-builds its matrices from the kept rows and columns of the full complex.
+That piece is not a second complex class: it is a `cohomology.CochainComplex`
+whose slot rule keeps the monomials of one fiber degree on each subset of the
+coadjoint polynomial module of the dual isotropy, so its layout, matrices,
+solvers and ranks come from the same code as the full complex's.
 """
 
 from __future__ import annotations
@@ -27,16 +28,14 @@ from fractions import Fraction
 
 from .cohomology import (
     Cochain,
+    CochainComplex,
     LRUCache,
     ObstructionClass,
-    _build_differential,
-    _cochain_layout,
     coadjoint_rep,
     cohomology_dimension,
     induced_polynomial_module,
 )
 from .liealg import LeviSplit, LieAlgebra
-from .linalg import LinearSolver
 from .normalform import (
     ActionJet,
     _LeviProblem,
@@ -458,26 +457,22 @@ def action_algebroid(algebra: LieAlgebra, matrices, base_dim: int,
 _GRADED_CACHE = LRUCache()
 
 
-class _DualGradedComplex:
+class _DualGradedComplex(CochainComplex):
     """Fiber-degree graded piece of the Chevalley-Eilenberg complex of the
     dual isotropy algebra with values in degree-d polynomials.
 
-    A view over the coadjoint module `module`: subset S of generators keeps
-    the monomials of fiber-degree (#fiber generators in S) - (|S| - 1).  Base
-    generators act with weight -1 and fiber generators with weight 0, so the
-    differential maps kept slots to kept slots; the graded piece is a
-    subcomplex, and the module's own builder gives its matrices from the
-    kept rows and columns alone.
+    The complex of the coadjoint module `module` under a slot rule: subset S
+    of generators keeps the monomials of fiber-degree
+    (#fiber generators in S) - (|S| - 1).  Base generators act with weight
+    -1 and fiber generators with weight 0, so the differential maps kept
+    slots to kept slots; the graded piece is a subcomplex.
     """
 
     def __init__(self, iso: LieAlgebra, base_dim: int, degree: int):
+        super().__init__()
         self.module = induced_polynomial_module(iso, iso.dim, coadjoint_rep(iso), degree)
         self.base_dim = base_dim
         self._by_edeg: dict = {}
-        self._layout: dict = {}
-        self._mats: dict = {}
-        self._solver_cache: dict = {}
-        self._rank_cache: dict = {}
 
     def _slot(self, subset) -> tuple:
         edeg = sum(1 for a in subset if a >= self.base_dim) - (len(subset) - 1)
@@ -498,33 +493,6 @@ class _DualGradedComplex:
     def slot_basis(self, subset) -> tuple:
         """(kept monomials, monomial -> position) on a subset."""
         return self._slot(subset)[1:]
-
-    def layout(self, r: int):
-        """(subsets, offsets, total dimension) of graded C^r."""
-        cached = self._layout.get(r)
-        if cached is None:
-            cached = _cochain_layout(self.module, r, self.slots)
-            self._layout[r] = cached
-        return cached
-
-    def cochain_dim(self, r: int) -> int:
-        return self.layout(r)[2]
-
-    def differential_matrix(self, r: int):
-        cached = self._mats.get(r)
-        if cached is None:
-            cached = _build_differential(self.module, r, self.slots)
-            self._mats[r] = cached
-        return cached
-
-    def coboundary_solver(self, r: int) -> LinearSolver:
-        cached = self._solver_cache.get(r)
-        if cached is None:
-            cached = LinearSolver(
-                self.differential_matrix(r - 1), self.cochain_dim(r - 1)
-            )
-            self._solver_cache[r] = cached
-        return cached
 
     def h_dim(self, r: int) -> int:
         return cohomology_dimension(self, r)

@@ -40,7 +40,6 @@ from .cohomology import (
     ObstructionClass,
     coadjoint_rep,
     cohomology_dimension,
-    differential_rank,
     induced_polynomial_module,
     squares_to_zero,
 )
@@ -689,7 +688,7 @@ def run_cohomology(spec: ProblemSpec, args) -> tuple[dict, int]:
     module = induced_polynomial_module(algebra, nvars, rep, module_degree)
     h_dim = cohomology_dimension(module, degree)
     # h_dim = dim C^r - rank d_r - rank d_{r-1}, on a complex checked to be one
-    ranks = {str(q): differential_rank(module, q) for q in (degree - 1, degree) if q >= 0}
+    ranks = {str(q): module.differential_rank(q) for q in (degree - 1, degree) if q >= 0}
     verified = squares_to_zero(module, degree)
     elapsed = time.perf_counter() - started
     report = _base_report("cohomology", spec)

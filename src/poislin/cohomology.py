@@ -6,16 +6,20 @@ r-tuple of basis indices; alternation is structural.  The differential is
     (dw)(X_0,..,X_r) = sum_a (-1)^a X_a . w(.., X_a omitted, ..)
                      + sum_{a<b} (-1)^{a+b} w([X_a,X_b], .., both omitted, ..)
 
-realized as one exact sparse matrix per (module, degree), a list of
-{column: value} rows built once from the module's nonzero action entries and
-cached on the module together with its rank and any eliminated solver.
-Modules, too, keep only the nonzero entries of their operator matrices; no
-dense matrix is built on the way from module to solver.
-`_build_differential` is the only code that writes the differential; a slot
-rule that keeps some module indices on each subset gives the matrices of a
-subcomplex, such as the fiber-degree graded piece the algebroid engine solves
-in.  Cohomology dimensions need only ranks, which `linalg.rank` computes
-without the transform part a solver keeps.  Primitive selection is the
+realized as one exact sparse matrix per degree, a list of {column: value}
+rows built once from the module's nonzero action entries.  Modules, too,
+keep only the nonzero entries of their operator matrices; no dense matrix
+is built on the way from module to solver.
+
+There is one complex class, `CochainComplex`: a module plus a slot rule
+that keeps some module indices on each subset of generators.  It owns the
+layout, the differential (written only by `_build_differential`), the
+eliminated coboundary solvers and the ranks of every degree.  A `GModule`
+is its own complex and keeps every index; a rule that keeps fewer cuts out
+a subcomplex, such as the fiber-degree graded piece the algebroid engine
+solves in, whose matrices come from the kept rows and columns alone.
+Cohomology dimensions need only ranks, which `linalg.rank` computes without
+the transform part a solver keeps.  Primitive selection is the
 deterministic rule from `linalg` (lowest-index pivots, free variables zero),
 so outputs reproduce bit for bit.
 """
@@ -39,15 +43,82 @@ class InputNotCocycle(ValueError):
     """solve_coboundary was handed a cochain that is not closed."""
 
 
-class GModule:
+class CochainComplex:
+    """The Chevalley-Eilenberg complex of `module` in which a cochain of
+    degree r keeps, on each increasing r-subset S of generators, the module
+    indices `slots(S)`, in module order.  A subclass gives `module` and
+    `slots`; the layout, the differential, the eliminated coboundary solver
+    and the rank of each degree are built here once and cached."""
+
+    __slots__ = ("_layouts", "_matrices", "_solvers", "_ranks")
+
+    def __init__(self):
+        self._layouts = {}
+        self._matrices = {}
+        self._solvers = {}
+        self._ranks = {}
+
+    def layout(self, r: int):
+        """(subsets, offsets, total dimension) of C^r: subset S holds the
+        flat coordinates offsets[S] .. offsets[S] + len(slots(S)) - 1."""
+        cached = self._layouts.get(r)
+        if cached is None:
+            subsets = list(combinations(range(self.module.algebra.dim), r))
+            offsets = {}
+            total = 0
+            for s in subsets:
+                offsets[s] = total
+                total += len(self.slots(s))
+            cached = self._layouts[r] = (subsets, offsets, total)
+        return cached
+
+    def subsets(self, r: int) -> list[tuple[int, ...]]:
+        return self.layout(r)[0]
+
+    def cochain_dim(self, r: int) -> int:
+        return self.layout(r)[2]
+
+    def differential_matrix(self, r: int) -> list[dict]:
+        """Rows of d: C^r -> C^{r+1} on flat coordinates, each a
+        {column: value} map of its nonzero entries."""
+        cached = self._matrices.get(r)
+        if cached is None:
+            cached = self._matrices[r] = _build_differential(self, r)
+        return cached
+
+    def coboundary_solver(self, r: int) -> LinearSolver:
+        """Eliminated solver for d: C^{r-1} -> C^r (right-hand sides in C^r)."""
+        cached = self._solvers.get(r)
+        if cached is None:
+            cached = LinearSolver(self.differential_matrix(r - 1), self.cochain_dim(r - 1))
+            self._solvers[r] = cached
+        return cached
+
+    def differential_rank(self, r: int) -> int:
+        """rank of d_r: C^r -> C^{r+1}, read off a coboundary solver already
+        eliminated, or else computed once by `linalg.rank`, which skips the
+        transform part a solver keeps."""
+        if self.cochain_dim(r) == 0 or self.cochain_dim(r + 1) == 0:
+            return 0
+        solver = self._solvers.get(r + 1)
+        if solver is not None:
+            return solver.rank
+        cached = self._ranks.get(r)
+        if cached is None:
+            cached = self._ranks[r] = rank(self.differential_matrix(r), self.cochain_dim(r))
+        return cached
+
+
+class GModule(CochainComplex):
     """Finite-dimensional module over a LieAlgebra, stored as the nonzero
     entries of one operator matrix per generator: `_nonzero_rows[i][l]` lists
     the (column u, entry x) pairs of row l in column order, and
     (X_i . v)_l = sum x v_u over them.  The constructor takes the dense
-    matrices; `matrices` rebuilds them as a dense view on each call."""
+    matrices; `matrices` rebuilds them as a dense view on each call.  A
+    module is its own cochain complex, keeping every index on every subset,
+    so C^r is subset-major with module index minor."""
 
-    __slots__ = ("algebra", "labels", "dim", "_nonzero_rows", "_subset_cache",
-                 "_matrix_cache", "_solver_cache", "_rank_cache")
+    __slots__ = ("algebra", "labels", "dim", "_nonzero_rows")
 
     def __init__(self, algebra: LieAlgebra, matrices, labels=None):
         if len(matrices) != algebra.dim:
@@ -68,10 +139,7 @@ class GModule:
         self._nonzero_rows = rows
         self.labels = labels
         self.dim = len(labels)
-        self._subset_cache = {}
-        self._matrix_cache = {}
-        self._solver_cache = {}
-        self._rank_cache = {}
+        super().__init__()
 
     def _check_representation(self) -> None:
         """[X_i, X_j] = sum_k c_ij^k X_k on every pair, row by row over the
@@ -118,33 +186,12 @@ class GModule:
             out.append(tuple(dense))
         return tuple(out)
 
-    def subsets(self, r: int) -> list[tuple[int, ...]]:
-        cached = self._subset_cache.get(r)
-        if cached is None:
-            cached = list(combinations(range(self.algebra.dim), r))
-            self._subset_cache[r] = cached
-        return cached
+    @property
+    def module(self) -> "GModule":
+        return self
 
-    def cochain_dim(self, r: int) -> int:
-        return len(self.subsets(r)) * self.dim
-
-    def differential_matrix(self, r: int) -> list[dict]:
-        """Rows of d: C^r -> C^{r+1} on flat coordinates (subset-major,
-        module index minor), each a {column: value} map of its nonzero
-        entries."""
-        cached = self._matrix_cache.get(r)
-        if cached is None:
-            cached = _build_differential(self, r)
-            self._matrix_cache[r] = cached
-        return cached
-
-    def coboundary_solver(self, r: int) -> LinearSolver:
-        """Eliminated solver for d: C^{r-1} -> C^r (right-hand sides in C^r)."""
-        cached = self._solver_cache.get(r)
-        if cached is None:
-            cached = LinearSolver(self.differential_matrix(r - 1), self.cochain_dim(r - 1))
-            self._solver_cache[r] = cached
-        return cached
+    def slots(self, subset) -> range:
+        return range(self.dim)
 
     def __repr__(self):
         return f"<GModule dim={self.dim} over algebra dim={self.algebra.dim}>"
@@ -160,34 +207,19 @@ def _insert_index(k: int, rest: tuple[int, ...]):
     return (-1) ** before, merged
 
 
-def _cochain_layout(module: GModule, r: int, slots):
-    """(subsets, offsets, total dimension) of C^r when each subset S keeps
-    only the module indices slots(S)."""
-    subsets = module.subsets(r)
-    offsets = {}
-    total = 0
-    for s in subsets:
-        offsets[s] = total
-        total += len(slots(s))
-    return subsets, offsets, total
-
-
-def _build_differential(module: GModule, r: int, slots=None) -> list[dict]:
-    """Rows of d: C^r -> C^{r+1}, the only place the differential is written.
+def _build_differential(cx: CochainComplex, r: int) -> list[dict]:
+    """Rows of d: C^r -> C^{r+1} of a complex, the only place the
+    differential is written.
 
     Each row is a {column: Fraction} map of its nonzero entries, built from
     the nonzero action entries and structure constants, so no zero entry is
-    ever written or scanned.  `slots(S)` lists, in module order, the module
-    indices kept on subset S; the default keeps them all.  Only kept rows
-    are built and columns are numbered by kept source positions, so slots
-    that cut out a subcomplex give its differential without building the
-    rest.
+    ever written or scanned.  Only the rows of kept slots are built and
+    columns are numbered by kept source positions, so slots that cut out a
+    subcomplex give its differential without building the rest.
     """
-    if slots is None:
-        every = range(module.dim)
-        slots = lambda subset: every
-    row_subsets, row_offsets, nrows = _cochain_layout(module, r + 1, slots)
-    col_subsets, col_offsets, ncols = _cochain_layout(module, r, slots)
+    module, slots = cx.module, cx.slots
+    row_subsets, row_offsets, nrows = cx.layout(r + 1)
+    col_subsets, col_offsets, _ = cx.layout(r)
     columns = {
         s: {u: col_offsets[s] + p for p, u in enumerate(slots(s))}
         for s in col_subsets
@@ -382,44 +414,24 @@ def solve_coboundary(target: Cochain):
     return ObstructionClass(target, lam, cohomology_dimension(module, target.degree))
 
 
-def cohomology_dimension(module, r: int) -> int:
-    """dim H^r = dim ker(d_r) - rank(d_{r-1}), by exact rank computation.
-
-    Works on any complex with `cochain_dim`, `differential_matrix` and the
-    `_solver_cache` and `_rank_cache` dicts of `GModule`.  A rank is read off
-    a coboundary solver the complex has already eliminated, or else computed
-    once by `linalg.rank`, which skips the transform part a solver keeps, and
-    cached on the complex, so H^r and H^{r+1} share the rank of d_r.
-    """
+def cohomology_dimension(cx: CochainComplex, r: int) -> int:
+    """dim H^r = dim ker(d_r) - rank(d_{r-1}), by exact rank computation on
+    the ranks the complex caches, so H^r and H^{r+1} share the rank of d_r."""
     if r < 0:
         raise ValueError("negative cohomology degree")
-    kernel_dim = module.cochain_dim(r) - differential_rank(module, r)
-    image_dim = differential_rank(module, r - 1) if r >= 1 else 0
+    kernel_dim = cx.cochain_dim(r) - cx.differential_rank(r)
+    image_dim = cx.differential_rank(r - 1) if r >= 1 else 0
     return kernel_dim - image_dim
 
 
-def squares_to_zero(module, r: int) -> bool:
+def squares_to_zero(cx: CochainComplex, r: int) -> bool:
     """d_r . d_{r-1} = 0, composed over the nonzero entries of the rows the
     complex has built."""
     if r < 1:
         return True
-    lower = module.differential_matrix(r - 1)
+    lower = cx.differential_matrix(r - 1)
     return not any(any(_combine(row.items(), lower).values())
-                   for row in module.differential_matrix(r))
-
-
-def differential_rank(module, r: int) -> int:
-    """rank of d_r: C^r -> C^{r+1}, cached on the complex."""
-    if module.cochain_dim(r) == 0 or module.cochain_dim(r + 1) == 0:
-        return 0
-    solver = module._solver_cache.get(r + 1)
-    if solver is not None:
-        return solver.rank
-    cached = module._rank_cache.get(r)
-    if cached is None:
-        cached = rank(module.differential_matrix(r), module.cochain_dim(r))
-        module._rank_cache[r] = cached
-    return cached
+                   for row in cx.differential_matrix(r))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ deterministic: building one twice at the same order gives identical text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .polyalg import (

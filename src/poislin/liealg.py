@@ -17,7 +17,6 @@ from .linalg import (
     LinearSolver,
     Matrix,
     Vector,
-    det,
     extend_to_basis,
     mat_mul,
     rank,
@@ -195,7 +194,7 @@ def killing_form(L: LieAlgebra) -> Matrix:
 
 
 def is_semisimple(L: LieAlgebra) -> bool:
-    return det(killing_form(L)) != 0
+    return rank(killing_form(L), L.dim) == L.dim
 
 
 def is_compact_type(L: LieAlgebra) -> bool:
@@ -359,7 +358,7 @@ def verify_levi_split(L: LieAlgebra, s_basis, r_basis) -> LeviSplit:
         s_constants = subalgebra_constants(L, s_basis)
     except ValueError as exc:
         raise LeviSplitError("SNotSubalgebra", str(exc)) from exc
-    if det(killing_form(LieAlgebra(s_constants))) == 0:
+    if rank(killing_form(LieAlgebra(s_constants)), len(s_basis)) != len(s_basis):
         raise LeviSplitError("SNotSemisimple", "induced Killing form is degenerate")
     if r_basis:
         r_solver = row_space_solver(r_basis, n)

@@ -14,7 +14,8 @@ same row updates as a dense elimination, so its RREF rows, transform rows and
 left-null rows equal the dense ones entry for entry.  `rank` runs the same
 loop with no identity tail and without reducing the rows above each pivot,
 since a rank needs only the pivot columns.  The elimination never leaves a
-block.
+block.  There is no determinant: invertibility and nondegeneracy are read as
+`rank(M, n) == n` off the same loop.
 """
 
 from __future__ import annotations
@@ -295,37 +296,6 @@ def rank(rows, ncols: int | None = None) -> int:
     entries, ncols = _entries(rows, ncols)
     work = [_scaled_row(row)[0] for row in entries]
     return len(_eliminate(work, ncols, jordan=False)[1])
-
-
-def det(mat: Matrix) -> Fraction:
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("determinant of a non-square matrix")
-    work = [[Fraction(x) for x in row] for row in mat]
-    sign = 1
-    result = ONE
-    for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if work[r][col]:
-                piv = r
-                break
-        if piv < 0:
-            return ZERO
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            sign = -sign
-        p = work[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            q = work[r][col]
-            if q:
-                factor = q / p
-                row = work[r]
-                prow = work[col]
-                for j in range(col, n):
-                    row[j] -= factor * prow[j]
-    return result * sign
 
 
 def symmetric_signature(mat: Matrix) -> tuple[int, int, int]:

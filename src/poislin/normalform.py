@@ -51,6 +51,7 @@ from .polyalg import (
     _Powers,
     _inverse_form,
     compose_change,
+    derivative_along,
     monomials,
     pushforward,
 )
@@ -367,10 +368,6 @@ class _Problem:
 
     label = None
 
-    def tail_jets(self):
-        """Each of `state_jets()` less its linear part."""
-        return [jet - jet.homogeneous_part(1) for jet in self.state_jets()]
-
     def change(self) -> CoordChange:
         """Every correction composed once, right to left:
         c1.then(c2.then(...)), the identity when there is none."""
@@ -471,7 +468,7 @@ class ActionJet:
         self.order = order
         for i in range(algebra.dim):
             for j in range(i + 1, algebra.dim):
-                commutator = _field_commutator(fields[i], fields[j], nvars, order)
+                commutator = _field_commutator(fields[i], fields[j])
                 expected = [Jet.zero(nvars, order) for _ in range(nvars)]
                 for k in range(algebra.dim):
                     c = algebra.constants[i][j][k]
@@ -538,17 +535,9 @@ class ActionJet:
                 f"variables | order {self.order}>")
 
 
-def _field_commutator(v, w, nvars: int, order: int):
-    out = []
-    for a in range(nvars):
-        acc = Jet.zero(nvars, order)
-        for b in range(nvars):
-            if not v[b].is_zero():
-                acc = acc + v[b] * w[a].diff(b)
-            if not w[b].is_zero():
-                acc = acc - w[b] * v[a].diff(b)
-        out.append(acc)
-    return out
+def _field_commutator(v, w):
+    """[v, w]^a = v(w^a) - w(v^a)."""
+    return [derivative_along(v, wa) - derivative_along(w, va) for va, wa in zip(v, w)]
 
 
 def conjugate_action(action: ActionJet, change: CoordChange) -> ActionJet:
@@ -563,19 +552,10 @@ def conjugate_action(action: ActionJet, change: CoordChange) -> ActionJet:
 
 
 def _jacobian_fields(action: ActionJet, change: CoordChange) -> list:
-    """D(change) X_a for every field X_a, in the old coordinates."""
-    nvars, order = action.nvars, action.order
-    out = []
-    for fld in action.fields:
-        comps = []
-        for a in range(nvars):
-            acc = Jet.zero(nvars, order)
-            for b in range(nvars):
-                if not fld[b].is_zero():
-                    acc = acc + change.components[a].diff(b) * fld[b]
-            comps.append(acc)
-        out.append(comps)
-    return out
+    """D(change) X for every field X, in the old coordinates: component c is
+    X(change^c)."""
+    return [[derivative_along(fld, comp) for comp in change.components]
+            for fld in action.fields]
 
 
 def is_action_map(action: ActionJet, phi: CoordChange, target: ActionJet) -> bool:
@@ -799,7 +779,7 @@ class _LeviProblem(_PoissonProblem):
         )
 
     def finish(self) -> None:
-        if any(not jet.is_zero() for jet in self.tail_jets()):
+        if any(jet.highest_degree() not in (None, 1) for jet in self.state_jets()):
             raise SolverFailure("normalized blocks not exactly linear after the loop")
 
 

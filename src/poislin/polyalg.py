@@ -5,8 +5,8 @@ drop higher monomials immediately, so every operation below is exact modulo
 the degree-(N+1) ideal.  A jet's public coefficients are
 `fractions.Fraction` (`Scalar` below); floats are rejected.
 
-Products, brackets, substitution and inversion run on an integer core
-instead: a jet's `_fast_form` is one common denominator with integer
+Products, brackets, field derivatives X(f), substitution and inversion run
+on an integer core instead: a jet's `_fast_form` is one common denominator with integer
 numerators bucketed by degree, and inside a product or a transport the
 monomials become integer keys in base N+1, so multiplying two monomials is
 adding their keys.  Each result is turned into `Fraction`s once, one per
@@ -42,9 +42,10 @@ Conventions fixed here and relied on everywhere downstream:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
-from .linalg import LinearSolver, det
+from .linalg import LinearSolver, rank
 
 Scalar = Fraction
 Monomial = tuple[int, ...]
@@ -366,6 +367,32 @@ def _jet_from_packed(nvars: int, order: int, denom: int, form: dict, radix: int)
     return jet
 
 
+def derivative_along(field, f: Jet) -> Jet:
+    """X(f) = sum_b X^b d_b f for the vector field X with components
+    `field`, truncated at the lowest order among f and the components.
+
+    The partials of f are packed straight from its integer form (a key less
+    the weight of variable b is the key of the lowered monomial) and every
+    product is summed into one packed form, turned into a jet once."""
+    order = min(f.order, *(x.order for x in field))
+    radix = order + 1
+    n = f.nvars
+    fden, buckets = f._fast_form()
+    terms = [(deg - 1, _pack(mono, radix), mono, c)
+             for deg, items in buckets.items() if 0 < deg <= radix for mono, c in items]
+    xden, packed = _common(field, radix, order)
+    acc: dict[int, dict[int, int]] = {}
+    for b, x in enumerate(packed):
+        if x:
+            weight = radix ** (n - 1 - b)
+            partial: dict[int, dict[int, int]] = {}
+            for deg, key, mono, c in terms:
+                if mono[b]:
+                    partial.setdefault(deg, {})[key - weight] = c * mono[b]
+            _product(x, partial, order, acc)
+    return _jet_from_packed(n, order, xden * fden, acc, radix)
+
+
 class _Powers:
     """The powers args^m of one tuple of origin-preserving jets, shared by
     every jet substituted into that tuple.
@@ -491,7 +518,7 @@ class CoordChange:
         self.nvars = nvars
         self.order = order
         self.components = components
-        if det(self.linear_matrix()) == 0:
+        if rank(self.linear_matrix(), nvars) != nvars:
             raise ValueError("linear part is not invertible")
 
     @classmethod
@@ -786,21 +813,16 @@ def _brackets(pi: PoissonJet, funcs, order: int) -> dict:
 
 
 def jacobiator(pi: PoissonJet) -> dict[tuple[int, int, int], Jet]:
-    """J^{ijk} = sum_l (Pi^il d_l Pi^jk + Pi^jl d_l Pi^ki + Pi^kl d_l Pi^ij)
-    for i < j < k; identically zero through the order iff Pi is Poisson."""
-    n = pi.nvars
-    derivs = [[[pi.entries[i][j].diff(l) for l in range(n)] for j in range(n)] for i in range(n)]
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = Jet.zero(n, pi.order)
-                for l in range(n):
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        if not pi.entries[a][l].is_zero():
-                            total = total + pi.entries[a][l] * derivs[b][c][l]
-                out[(i, j, k)] = total
-    return out
+    """J^{ijk} = X_i(Pi^jk) + X_j(Pi^ki) + X_k(Pi^ij) for i < j < k, where
+    X_i = (Pi^il)_l is the Hamiltonian field of x^i; identically zero through
+    the order iff Pi is Poisson."""
+    rows = pi.entries
+    return {
+        (i, j, k): derivative_along(rows[i], rows[j][k])
+        + derivative_along(rows[j], rows[k][i])
+        + derivative_along(rows[k], rows[i][j])
+        for i, j, k in combinations(range(pi.nvars), 3)
+    }
 
 
 def pushforward(pi: PoissonJet, phi: CoordChange) -> PoissonJet:
@@ -911,15 +933,12 @@ def sharp(alpha: PolyOneForm, pi: PoissonJet) -> list[Jet]:
 
 def one_form_lie_derivative(field: list[Jet], beta: PolyOneForm) -> PolyOneForm:
     """Lie derivative of a one-form along a vector field (Cartan formula)."""
-    n = beta.nvars
     comps = []
-    for k in range(n):
-        acc = Jet.zero(n, beta.order)
-        for j in range(n):
-            if not field[j].is_zero():
-                acc = acc + field[j] * beta.components[k].diff(j)
-            if not beta.components[j].is_zero():
-                acc = acc + beta.components[j] * field[j].diff(k)
+    for k in range(beta.nvars):
+        acc = derivative_along(field, beta.components[k])
+        for b, v in zip(beta.components, field):
+            if not b.is_zero():
+                acc = acc + b * v.diff(k)
         comps.append(acc)
     return PolyOneForm(comps)
 

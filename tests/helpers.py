@@ -109,11 +109,11 @@ def change_basis_constants(L, basis):
 
 
 def random_invertible_matrix(rng, n, pool=(-2, -1, 0, 1, 2, 3)):
-    from poislin.linalg import det
+    from poislin.linalg import rank
 
     while True:
         mat = [[Fraction(rng.choice(pool)) for _ in range(n)] for _ in range(n)]
-        if det(mat) != 0:
+        if rank(mat, n) == n:
             return mat
 
 

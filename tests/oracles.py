@@ -59,6 +59,19 @@ def jacobiator_expr(entries, variables, i, j, k):
     return sympy.expand(acc)
 
 
+def field_derivative_expr(v, f, variables):
+    """v(f) = sum_b v^b d_b f for a field given by sympy components."""
+    return sympy.expand(sum((vb * sympy.diff(f, x) for vb, x in zip(v, variables)),
+                            sympy.Integer(0)))
+
+
+def field_commutator_expr(v, w, variables):
+    """[v, w]^a = sum_b v^b d_b w^a - w^b d_b v^a, one expression per a."""
+    return [sympy.expand(field_derivative_expr(v, wa, variables)
+                         - field_derivative_expr(w, va, variables))
+            for va, wa in zip(v, w)]
+
+
 def series_inverse(expr, var, order):
     """Compositional inverse of a one-variable series with f(0)=0, f'(0)!=0."""
     g = sympy.Integer(0)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from poislin.cohomology import coadjoint_rep, induced_polynomial_module
 from poislin.linalg import (
     LinearSolver,
-    det,
     extend_to_basis,
     identity_matrix,
     mat_mul,
@@ -34,15 +33,6 @@ def test_rank_matches_sympy():
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         mat = random_matrix(rng, n, m)
         assert rank(mat) == sympy.Matrix(mat).rank()
-
-
-def test_det_matches_sympy():
-    rng = random.Random(32)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        mat = random_matrix(rng, n, n)
-        expected = Fraction(sympy.Rational(sympy.Matrix(mat).det()))
-        assert det(mat) == expected
 
 
 def test_solve_consistent_systems():
@@ -87,7 +77,7 @@ def test_solver_inverts_matrices():
     for _ in range(25):
         n = rng.randint(1, 5)
         mat = random_matrix(rng, n, n)
-        if det(mat) == 0:
+        if rank(mat, n) != n:
             continue
         solver = LinearSolver(mat)
         inv_cols = [solver.solve([Fraction(int(i == j)) for i in range(n)]) for j in range(n)]

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     dense,
     gl2_algebra,
+    random_jet,
     random_near_identity_change,
     random_linear_change,
     sl2_algebra,
@@ -16,7 +17,13 @@ from helpers import (
 )
 from poislin import CoordChange, Jet, PoissonJet, compose_change, pushforward
 from poislin.cohomology import ObstructionClass, is_cocycle, solve_coboundary
-from poislin.liealg import LeviSplit, LieAlgebra, isotropy_from_linear_part, levi_lift
+from poislin.liealg import (
+    LeviSplit,
+    LieAlgebra,
+    SolverFailure,
+    isotropy_from_linear_part,
+    levi_lift,
+)
 from poislin.normalform import (
     ActionJet,
     IterationStep,
@@ -24,6 +31,9 @@ from poislin.normalform import (
     LeviNormalForm,
     PreconditionNotNormalized,
     SplitNotCertified,
+    _LeviProblem,
+    _field_commutator,
+    _jacobian_fields,
     _tail_stats,
     action_remainder,
     conjugate_action,
@@ -35,6 +45,14 @@ from poislin.normalform import (
     linearize_action,
     linearize_poisson,
     poisson_remainder,
+)
+from oracles import (
+    field_commutator_expr,
+    field_derivative_expr,
+    jet_dict,
+    jet_to_expr,
+    poly_dict,
+    sym_vars,
 )
 
 F = Fraction
@@ -371,6 +389,30 @@ def test_action_jet_validates_the_morphism_property():
         ActionJet(L, broken, 5)
 
 
+def test_field_commutator_and_jacobian_fields_match_sympy():
+    # fields vanish at the origin, so every product is exact through the
+    # truncation order despite the derivative
+    rng = random.Random(41)
+    n, order = 3, 4
+    x = sym_vars(n)
+    for _ in range(6):
+        v, w = ([random_jet(rng, n, order, max_terms=3, lowest=1) for _ in range(n)]
+                for _ in range(2))
+        v_expr, w_expr = ([jet_to_expr(c, x) for c in fld] for fld in (v, w))
+        got = _field_commutator(v, w)
+        assert [c.order for c in got] == [order] * n
+        assert [jet_dict(c) for c in got] == [
+            poly_dict(e, x, order) for e in field_commutator_expr(v_expr, w_expr, x)]
+        change = random_near_identity_change(rng, n, order)
+        abelian = LieAlgebra([[[F(0)] * 2 for _ in range(2)] for _ in range(2)])
+        action = ActionJet._trusted(abelian, [v, w], n, order)
+        for fld, fld_expr, image in zip((v, w), (v_expr, w_expr),
+                                        _jacobian_fields(action, change)):
+            assert [jet_dict(c) for c in image] == [
+                poly_dict(field_derivative_expr(fld_expr, jet_to_expr(comp, x), x), x, order)
+                for comp in change.components]
+
+
 def test_action_jet_rejects_origin_moving_fields():
     L = LieAlgebra([[[F(0)]]])
     with pytest.raises(ValueError, match="origin"):
@@ -527,6 +569,16 @@ def test_levi_with_empty_semisimple_factor():
     assert form.s_constants == []
     assert pushforward(flat, phi) == form.to_bivector()
     assert form.residual[(0, 1)] == flat.entries[0][1]
+
+
+def test_levi_finish_rejects_a_nonlinear_normalized_block():
+    linear = sl2_bivector(2)
+    bent = pushforward(linear, CoordChange([
+        Jet.variable(0, 3, 2), Jet(3, 2, {(0, 1, 0): 1, (2, 0, 0): 1}), Jet.variable(2, 3, 2)]))
+    identity = CoordChange.identity(3, 2)
+    _LeviProblem(linear, identity, range(3), []).finish()
+    with pytest.raises(SolverFailure, match="not exactly linear"):
+        _LeviProblem(bent, identity, range(3), []).finish()
 
 
 def test_levi_rejects_uncertified_splits():

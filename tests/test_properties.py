@@ -7,13 +7,18 @@ obstructed at degree k.  For every input the two schedulers return the same
 change, normal form or certificate; every certificate verifies; and a second
 run reproduces the first bit for bit, trace included.
 
-One family is not built by transport: every bivector {x, y} = y + f with f
-of degree >= 2 is Poisson (Jacobi is empty in dimension two) and, by
+Two families are not built by transport.  Every bivector {x, y} = y + f
+with f of degree >= 2 is Poisson (Jacobi is empty in dimension two) and, by
 Arnold's theorem, formally linearizable to the aff(1) structure {x, y} = y.
+In dimension three every Jacobian structure {x_i, x_j} = eps_ijk f d_k C is
+Poisson; with C the so(3) or sl(2) Casimir plus higher terms and f(0) = 1
+its linear part is semisimple, so by Weinstein's formal theorem it
+linearizes to the Casimir's linear bracket.
 """
 
 import argparse
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +41,14 @@ from poislin.normalform import (
     linearize_action,
     linearize_poisson,
 )
-from poislin.polyalg import Jet, PoissonJet, format_polynomial, is_poisson_map, pushforward
+from poislin.polyalg import (
+    Jet,
+    PoissonJet,
+    format_polynomial,
+    is_poisson_map,
+    monomials,
+    pushforward,
+)
 
 KINDS = ("so3", "sl2", "action", "algebroid", "resonant")
 
@@ -150,4 +162,50 @@ def test_dimension_two_brackets_linearize_to_aff1(case, scheduler):
     # never obstructed, and the report checks the morphism equation
     assert code == 0
     assert report["result"]["normal_form"]["brackets"] == {"x,y": "y"}
+    assert report["verified"] is True
+
+
+# x^2 + y^2 -+ z^2, halved: the Casimirs of so(3) and sl(2)
+CASIMIRS = {"so3": {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1},
+            "sl2": {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1}}
+
+
+@st.composite
+def jacobian_structures(draw, casimir):
+    """(order, scheduler, {pair: text}) for {x_i, x_j} = eps_ijk f d_k C:
+    C the Casimir plus terms of degree 3..order+1, f = 1 plus terms of
+    degree >= 1."""
+    order = draw(st.integers(3, 5))
+    coeffs = st.fractions(-3, 3, max_denominator=3).filter(bool)
+
+    def extra(low, high):
+        pool = [m for d in range(low, high + 1) for m in monomials(3, d)]
+        return draw(st.dictionaries(st.sampled_from(pool), coeffs, max_size=3))
+
+    quadric = {m: Fraction(c, 2) for m, c in CASIMIRS[casimir].items()}
+    c = Jet(3, order + 1, {**extra(3, order + 1), **quadric})
+    f = Jet(3, order, {**extra(1, order - 1), (0, 0, 0): 1})
+    grad = [c.diff(k).truncate(order) for k in range(3)]
+    # eps_xyz = eps_yzx = +1 and eps_xzy = -1
+    brackets = {"x,y": f * grad[2], "x,z": -(f * grad[1]), "y,z": f * grad[0]}
+    names = ["x", "y", "z"]
+    return (order, draw(st.sampled_from(("doubling", "degree"))),
+            {pair: format_polynomial(jet, names) for pair, jet in brackets.items()})
+
+
+@pytest.mark.parametrize("casimir", sorted(CASIMIRS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_dimension_three_jacobian_structures_linearize_to_the_casimir_bracket(casimir, data):
+    order, scheduler, brackets = data.draw(jacobian_structures(casimir))
+    spec = cli.problem_from_dict({
+        "kind": "poisson", "variables": ["x", "y", "z"], "order": order,
+        "scheduler": scheduler, "brackets": brackets,
+    })
+    report, code = cli.run_linearize(spec, argparse.Namespace(max_degree=None))
+    # {x_i, x_j} = eps_ijk x_k for so(3), with the z-terms flipped for sl(2)
+    sign = "-" if casimir == "sl2" else ""
+    linear = {"x,y": sign + "z", "x,z": "-y", "y,z": "x"}
+    assert code == 0
+    assert report["result"]["normal_form"]["brackets"] == linear
     assert report["verified"] is True

@@ -18,10 +18,10 @@ eliminated coboundary solvers and the ranks of every degree.  A `GModule`
 is its own complex and keeps every index; a rule that keeps fewer cuts out
 a subcomplex, such as the fiber-degree graded piece the algebroid engine
 solves in, whose matrices come from the kept rows and columns alone.
-Cohomology dimensions need only ranks, which `linalg.rank` computes without
-the transform part a solver keeps.  Primitive selection is the
-deterministic rule from `linalg` (lowest-index pivots, free variables zero),
-so outputs reproduce bit for bit.
+Cohomology dimensions need only ranks, which `linalg.rank` reads off the
+same forward pass a solver runs, without its identity tail.  Primitive
+selection is the deterministic rule from `linalg` (lowest-index pivots,
+free variables zero), so outputs reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class CochainComplex:
 
     def differential_rank(self, r: int) -> int:
         """rank of d_r: C^r -> C^{r+1}, read off a coboundary solver already
-        eliminated, or else computed once by `linalg.rank`, which skips the
-        transform part a solver keeps."""
+        eliminated, or else computed once by `linalg.rank`, which runs the
+        solver's forward pass without the identity tail."""
         if self.cochain_dim(r) == 0 or self.cochain_dim(r + 1) == 0:
             return 0
         solver = self._solvers.get(r + 1)

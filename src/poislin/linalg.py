@@ -7,15 +7,12 @@ all free variables to zero, so repeated runs are bit-for-bit identical.
 A matrix comes as dense rows or as {column: value} rows of its nonzero
 entries; the coboundary matrices of the cohomology solvers are built in the
 second form, a few percent nonzero and split into many small blocks, and
-nothing here scans a zero cell of them.  One pivot loop, `_eliminate`, serves
-both consumers.  `LinearSolver` runs integer Gauss-Jordan on [M | I] over the
-nonzero entries only, with the same pivot rule, the same row swaps and the
-same row updates as a dense elimination, so its RREF rows, transform rows and
-left-null rows equal the dense ones entry for entry.  `rank` runs the same
-loop with no identity tail and without reducing the rows above each pivot,
-since a rank needs only the pivot columns.  The elimination never leaves a
-block.  There is no determinant: invertibility and nondegeneracy are read as
-`rank(M, n) == n` off the same loop.
+nothing here scans a zero cell of them.  The one elimination, `_eliminate`,
+is an integer forward pass that never touches a row above its pivot, so it
+never leaves a block.  `rank` runs it on M; `LinearSolver` runs it on
+[M | I] and back-substitutes through the echelon rows on integers, for every
+solve and for its RREF, transform and kernel views.  There is no
+determinant: invertibility and nondegeneracy are read as `rank(M, n) == n`.
 """
 
 from __future__ import annotations
@@ -51,8 +48,9 @@ def identity_matrix(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def _entries(rows, ncols: int | None) -> tuple[list[dict], int]:
-    """The nonzero entries of each row as a {column: Fraction} map, and the
+def _integer_rows(rows, ncols: int | None) -> tuple[list[tuple[dict, int]], int]:
+    """The rows as (numerators, denominator) pairs, each row's nonzero
+    entries as {column: int} over the lcm of their denominators; and the
     column count.  A row is a dense sequence of ncols entries or a
     {column: value} map; ncols may be left out only for dense rows."""
     if ncols is None:
@@ -69,31 +67,25 @@ def _entries(rows, ncols: int | None) -> tuple[list[dict], int]:
             if len(row) != ncols:
                 raise ValueError("ragged matrix")
             items = enumerate(row)
-        out.append({j: x if type(x) is Fraction else Fraction(x) for j, x in items if x})
+        entries = {j: x if type(x) is Fraction else Fraction(x) for j, x in items if x}
+        scale = lcm(*(x.denominator for x in entries.values()))
+        out.append(({j: x.numerator if scale == 1 else x.numerator * (scale // x.denominator)
+                     for j, x in entries.items()}, scale))
     return out, ncols
 
 
-def _scaled_row(entries: dict) -> tuple[dict, int]:
-    """A row of Fractions as integers times a common scale; (ints, scale)."""
-    scale = lcm(*(f.denominator for f in entries.values()))
-    if scale == 1:
-        return {j: f.numerator for j, f in entries.items()}, 1
-    return {j: f.numerator * (scale // f.denominator) for j, f in entries.items()}, scale
-
-
-def _eliminate(work: list[dict], ncols: int, jordan: bool) -> tuple[list[int], list[int]]:
-    """Integer elimination of the {column: int} rows `work` in place;
+def _eliminate(work: list[dict], ncols: int) -> tuple[list[int], list[int]]:
+    """Integer forward elimination of the {column: int} rows `work` in place;
     returns (position -> row, pivot columns).
 
     The pivot rule is the dense one: the lowest column with a nonzero entry
     at or below the next pivot position, and in it the row at the lowest
-    position, swapped into place.  Each other row with an entry in the pivot
+    position, swapped into place.  Each later row with an entry in the pivot
     column becomes row*p - prow*q over all its entries, keys at or past ncols
-    included, and is divided by the gcd of its entries.  With `jordan` the
-    rows above the pivot are reduced too (Gauss-Jordan, for the RREF);
-    without it they are left alone, since no later pivot reads them.  Row
-    scaling does not disturb the pivot structure, so the pivot columns are
-    the same either way.
+    included, and is divided by the gcd of its entries.  A placed pivot row
+    is never touched again, so the pivot columns are the first maximal
+    independent set of columns and the rows below the rank are the same as
+    a Gauss-Jordan pass would leave.
     """
     n = len(work)
     by_col: list[set] = [set() for _ in range(ncols)]
@@ -122,12 +114,10 @@ def _eliminate(work: list[dict], ncols: int, jordan: bool) -> tuple[list[int], l
         prow = work[rid]
         p = prow[col]
         for r in list(live):
-            if r == rid or not jordan and where[r] < pivot_row:
+            if where[r] <= pivot_row:
                 continue
             row = work[r]
             q = row[col]
-            # row*p - prow*q over the whole row, including entries left
-            # of col (a previously placed pivot lives there).
             if p != 1:
                 for j in row:
                     row[j] *= p
@@ -155,46 +145,40 @@ def _eliminate(work: list[dict], ncols: int, jordan: bool) -> tuple[list[int], l
 
 
 class LinearSolver:
-    """Reduced row echelon factorization of a matrix, reusable for many
-    right-hand sides.
+    """Forward elimination of a matrix, reusable for many right-hand sides.
 
-    The matrix comes as dense rows or as {column: value} rows of its nonzero
-    entries.  Each row of [M | I] is a {column: int} map, scaled to
-    integers, whose identity tail sits at keys ncols + i, and `_eliminate`
-    runs Gauss-Jordan on it over the nonzero entries only.  Keeps the sparse
-    row-operation rows E with E*M in reduced row echelon form and the sparse
-    left-null rows, so each later solve is a few integer dot products plus a
-    consistency check.  Free variables are zero in every returned solution
-    (the deterministic minimal primitive used throughout the package).
+    `_eliminate` runs once on [M | I], scaled to integer rows whose identity
+    tail sits at keys ncols + i.  Of the echelon rows [U | L] it leaves
+    (U = L*M) the solver keeps, per pivot, the value and the other entries
+    of U and L, and the left-null rows below the rank.  A solve checks b
+    against the null rows, applies L and back-substitutes through U; the
+    kernel, RREF and transform views back-substitute a column of U or of L.
+    Free variables are zero in every returned solution (the deterministic
+    minimal primitive used throughout the package).
     """
 
     def __init__(self, rows, ncols: int | None = None):
-        self.nrows = len(rows)
-        self._input_rows, self.ncols = _entries(rows, ncols)
-        self._elim()
-
-    def _elim(self) -> None:
+        rows, self.ncols = _integer_rows(rows, ncols)
+        self.nrows = n = len(rows)
         m = self.ncols
-        work = []
-        for i, entries in enumerate(self._input_rows):
-            scaled, scale = _scaled_row(entries)
-            scaled[m + i] = scale
-            work.append(scaled)
-        order, pivots = _eliminate(work, m, jordan=True)
-        n = self.nrows
+        work = [ints | {m + i: scale} for i, (ints, scale) in enumerate(rows)]
+        order, pivots = _eliminate(work, m)
         self.rank = len(pivots)
         self.pivot_cols = pivots
-        # Per pivot: its value and the integer RREF and E parts of its row;
-        # every RREF and E entry is the integer over the pivot value.
-        self._pivot_rows: list[tuple[int, dict, dict]] = []
-        for pos, col in enumerate(pivots):
-            row = work[order[pos]]
-            self._pivot_rows.append((
-                row[col],
-                {j: x for j, x in row.items() if j < m},
-                {j - m: x for j, x in row.items() if j >= m},
-            ))
-        # Left-null rows: the E part of each row below the rank, made
+        # Per pivot: (value, {later pivot column: entry of U}, {free column:
+        # entry of U}); per row i of M, L's column i as (pivot, entry) pairs.
+        self._pivots: list[tuple[int, dict, dict]] = []
+        self._l_columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        pivot_set = set(pivots)
+        for k, col in enumerate(pivots):
+            row = work[order[k]]
+            p = row.pop(col)
+            self._pivots.append((p, {j: x for j, x in row.items() if j in pivot_set},
+                                 {j: x for j, x in row.items() if j < m and j not in pivot_set}))
+            for j, x in row.items():
+                if j >= m:
+                    self._l_columns[j - m].append((k, x))
+        # Left-null rows: the L part of each row below the rank, made
         # primitive with its first nonzero entry positive.
         self._null_rows: list[dict] = []
         for pos in range(self.rank, n):
@@ -206,23 +190,53 @@ class LinearSolver:
                 g = -g
             self._null_rows.append({j - m: x // g for j, x in row.items()})
 
+    def _back_substitute(self, rhs: list[int], den: int = 1) -> Vector:
+        """x with U x = rhs / den and zero on the free columns, filled from
+        the last pivot up as integers y over one scale, which grows only by
+        the part of each pivot that does not divide its numerator."""
+        y = [0] * self.ncols
+        scale = 1
+        for (p, later, _), col, c in zip(reversed(self._pivots), reversed(self.pivot_cols),
+                                         reversed(rhs)):
+            t = c * scale - sum(a * y[j] for j, a in later.items())
+            if t:
+                g = gcd(t, p) if p > 0 else -gcd(t, p)
+                if g != p:
+                    scale *= p // g
+                    y = [v * (p // g) for v in y]
+                y[col] = t // g
+        scale *= den
+        return [Fraction(v, scale) if v else ZERO for v in y]
+
+    def kernel_basis(self) -> Matrix:
+        """One kernel vector per free column f: 1 at f, and on the pivot
+        columns the back substitution of minus U's column f."""
+        basis = []
+        for f in range(self.ncols):
+            if f not in self.pivot_cols:
+                basis.append(self._back_substitute([-free.get(f, 0) for *_, free in self._pivots]))
+                basis[-1][f] = ONE
+        return basis
+
     @property
     def rref_rows(self) -> Matrix:
-        m = self.ncols
-        return [[Fraction(row.get(j, 0), p) for j in range(m)]
-                for p, row, _ in self._pivot_rows]
+        """Reduced row echelon rows: 1 at the pivot, minus the kernel vectors."""
+        free = [j for j in range(self.ncols) if j not in self.pivot_cols]
+        kernel = dict(zip(free, self.kernel_basis()))
+        return [[-kernel[j][col] if j in kernel else ONE if j == col else ZERO
+                 for j in range(self.ncols)] for col in self.pivot_cols]
 
     @property
     def transform_rows(self) -> Matrix:
-        """The rows of E that belong to the pivots: their product with M is
-        rref_rows."""
+        """The rows of the transform E that belong to the pivots, one column
+        per column of L: their product with M is rref_rows."""
         n = self.nrows
-        return [[Fraction(row.get(i, 0), p) for i in range(n)]
-                for p, _, row in self._pivot_rows]
+        columns = [self._pivot_solution([int(i == j) for i in range(n)], 1) for j in range(n)]
+        return [[x[col] for x in columns] for col in self.pivot_cols]
 
     @property
     def null_rows(self) -> Matrix:
-        """A basis of the left null space of M: the rows of E below the rank."""
+        """A basis of the left null space of M: the L parts below the rank."""
         n = self.nrows
         return [[Fraction(row.get(i, 0)) for i in range(n)] for row in self._null_rows]
 
@@ -234,12 +248,8 @@ class LinearSolver:
         """b as integer numerators over one common denominator."""
         if len(b) != self.nrows:
             raise ValueError("right-hand side has wrong length")
-        nonzero = [(i, x) for i, x in enumerate(b) if x]
-        den = lcm(*(x.denominator for _, x in nonzero))
-        ints = [0] * len(b)
-        for i, x in nonzero:
-            ints[i] = x.numerator * (den // x.denominator)
-        return ints, den
+        den = lcm(*(x.denominator for x in b if x))
+        return [x.numerator * (den // x.denominator) if x else 0 for x in b], den
 
     def _consistent(self, ints: list[int]) -> bool:
         return not any(sum(x * ints[i] for i, x in row.items()) for row in self._null_rows)
@@ -254,12 +264,10 @@ class LinearSolver:
             return None
         return self._pivot_solution(ints, den)
 
-    def solve_partial(self, b: Vector) -> tuple[Vector, Vector]:
-        """Best deterministic partial solution: x from the pivot rows plus the
-        unremovable residual b - M x (zero iff the system was consistent)."""
-        x = self._pivot_solution(*self._scaled(b))
-        return x, [bi - sum((a * x[j] for j, a in row.items()), ZERO)
-                   for bi, row in zip(b, self._input_rows)]
+    def solve_partial(self, b: Vector) -> Vector:
+        """Best deterministic partial solution: x from the pivot rows, with
+        M x = b exactly when the system is consistent."""
+        return self._pivot_solution(*self._scaled(b))
 
     def null_functional(self, b: Vector) -> Vector | None:
         """A row functional vanishing on the column span of M but not on b."""
@@ -270,32 +278,26 @@ class LinearSolver:
         return None
 
     def _pivot_solution(self, ints: list[int], den: int) -> Vector:
-        x = zero_vector(self.ncols)
-        for col, (p, _, erow) in zip(self.pivot_cols, self._pivot_rows):
-            x[col] = Fraction(sum(e * ints[i] for i, e in erow.items()), p * den)
-        return x
+        """The solution for b = ints / den with the free variables zero: L
+        applied to ints column by column, then back substitution."""
+        rhs = [0] * self.rank
+        for i, v in enumerate(ints):
+            if v:
+                for k, e in self._l_columns[i]:
+                    rhs[k] += e * v
+        return self._back_substitute(rhs, den)
 
-    def kernel_basis(self) -> Matrix:
-        basis = []
-        pivot_set = set(self.pivot_cols)
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            v = zero_vector(self.ncols)
-            v[free] = ONE
-            for col, (p, row, _) in zip(self.pivot_cols, self._pivot_rows):
-                if free in row:
-                    v[col] = -Fraction(row[free], p)
-            basis.append(v)
-        return basis
+
+def _pivot_columns(rows, ncols: int | None) -> list[int]:
+    """The pivot columns of a matrix given as `LinearSolver` takes it, by the
+    same pass with no identity tail."""
+    rows, ncols = _integer_rows(rows, ncols)
+    return _eliminate([ints for ints, _ in rows], ncols)[1]
 
 
 def rank(rows, ncols: int | None = None) -> int:
-    """Rank of a matrix given as `LinearSolver` takes it, by the same pivot
-    loop with no identity tail and no reduction above the pivots."""
-    entries, ncols = _entries(rows, ncols)
-    work = [_scaled_row(row)[0] for row in entries]
-    return len(_eliminate(work, ncols, jordan=False)[1])
+    """Rank of a matrix given as `LinearSolver` takes it."""
+    return len(_pivot_columns(rows, ncols))
 
 
 def symmetric_signature(mat: Matrix) -> tuple[int, int, int]:
@@ -376,8 +378,5 @@ def row_space_solver(vectors: Matrix, ambient_dim: int) -> LinearSolver:
 def extend_to_basis(vectors: Matrix, dim: int) -> list[int]:
     """Indices of standard basis vectors completing the span of `vectors` to
     the full space (lowest indices first)."""
-    if not vectors:
-        return list(range(dim))
-    solver = LinearSolver([list(v) for v in vectors], dim)
-    pivot_set = set(solver.pivot_cols)
+    pivot_set = set(_pivot_columns(vectors, dim))
     return [j for j in range(dim) if j not in pivot_set]

@@ -295,7 +295,7 @@ def _clear_degree(problem, degree: int):
         if solution is None:
             # the adapter decides: a certificate, or SolverFailure
             obstruction = problem.obstruction(sub, solver.null_functional(sub.vector))
-            solution, _residual = solver.solve_partial(sub.vector)
+            solution = solver.solve_partial(sub.vector)
         if any(solution):
             nvars, order = problem.state.nvars, problem.state.order
             problem.apply(_correction(solution, sub.targets, nvars, order))

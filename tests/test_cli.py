@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_near_identity_change, so3_bivector
 from poislin import cli, corpus, normalform, polyalg
@@ -522,9 +528,13 @@ def test_corpus_flat_entry_is_linear_with_identity_change(capsys):
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     path = write_problem(tmp_path, SO3_PROBLEM)
+    # the child imports poislin from where this process found it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "poislin", "analyze", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert done.returncode == 0
     report = json.loads(done.stdout)
@@ -532,7 +542,84 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
 
     bad = subprocess.run(
         [sys.executable, "-m", "poislin", "linearize", str(tmp_path / "no.json")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert bad.returncode == 1
     assert "error" in bad.stderr
+
+
+# ---------------------------------------------------------------------------
+# fuzzed problem files
+
+
+# Replacement values: wrong types, malformed text, and numbers below every
+# corpus order, so no mutant outgrows its source.
+GARBAGE = (None, True, False, 0, -1, 1.5, "", "?", "x^", "1/0", "x,x", "((",
+           [], {}, [[]], [0, 0, 0], {"": ""})
+NON_OBJECTS = ("[]", "1", "null", "\"poisson\"", "[1, 2]", "true")
+FUZZ_COMMANDS = (["check"], ["analyze"], ["linearize"],
+                 ["cohomology", "--degree", "2", "--module-degree", "2"])
+
+
+def _corpus_problem(name):
+    """A corpus problem at no less than the default order, so that a mutant
+    dropping its order is not larger than it."""
+    entry = corpus.get(name)
+    return entry.problem(max(entry.default_order, cli.DEFAULT_ORDER))
+
+
+def _mutant(rng, problem):
+    """The text of one mutation of a problem: a dropped key or item, a
+    garbage value at any depth, truncated text, or JSON that is no object."""
+    how = rng.choice(("drop", "garbage", "truncate", "non-object"))
+    if how == "non-object":
+        return rng.choice(NON_OBJECTS)
+    if how == "truncate":
+        text = json.dumps(problem, indent=1)
+        return text[:rng.randrange(len(text))]
+    data = copy.deepcopy(problem)
+    node = data
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = rng.choice(keys)
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and rng.random() < 0.6:
+            node = child
+            continue
+        if how == "drop":
+            del node[key]
+        else:
+            node[key] = rng.choice(GARBAGE)
+        return json.dumps(data)
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(corpus.names()), rng=st.randoms(use_true_random=False))
+def test_mutated_corpus_problems_end_in_a_clean_exit(name, rng):
+    text = _mutant(rng, _corpus_problem(name))
+    try:
+        json.loads(text)
+        malformed = False
+    except json.JSONDecodeError:
+        malformed = True
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "problem.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for command in FUZZ_COMMANDS:
+            code, err = _run_main([command[0], path] + command[1:])
+            assert code in (0, 1, 2), (command, text)
+            if code == 1:
+                assert err.startswith("error: ") and err[7:].strip(), (command, text)
+            if malformed:
+                assert code == 1 and "line" in err and "column" in err, (command, text)

@@ -63,6 +63,18 @@ def resonant_bivector(k, order):
     })
 
 
+def resonant_k(seed, order):
+    return min(order - 1, 2 + seed % 2)
+
+
+def cocycle_degree(obstruction):
+    """The polynomial degree of the module an obstruction's cocycle lives in."""
+    module = obstruction.cocycle.module
+    degrees = {sum(label) for label in module.labels}
+    assert len(degrees) == 1
+    return degrees.pop()
+
+
 def build(kind, seed, order):
     """(engine, input) for one seeded instance."""
     rng = random.Random(seed)
@@ -73,7 +85,7 @@ def build(kind, seed, order):
         return linearize_poisson, pushforward(
             sl2_bivector(order), random_near_identity_change(rng, 3, order))
     if kind == "resonant":
-        k = min(order - 1, 2 + seed % 2)
+        k = resonant_k(seed, order)
         return linearize_poisson, pushforward(
             resonant_bivector(k, order), random_near_identity_change(rng, 3, order))
     if kind == "action":
@@ -113,6 +125,9 @@ def test_outcomes_verify(kind, seed, order):
     if isinstance(outcome[0], ObstructionClass):
         assert outcome[0].verify()
         assert outcome[-1].steps[-1].obstructed
+        assert kind == "resonant"
+        # the cocycle is the class of y^k: it lives on degree-k polynomials
+        assert cocycle_degree(outcome[0]) == resonant_k(seed, order)
         return
     assert kind != "resonant"
     change, linear, _ = outcome
@@ -134,6 +149,40 @@ def test_outcomes_verify(kind, seed, order):
 def test_repeated_runs_are_bit_identical(kind, seed, order, scheduler):
     engine, payload = build(kind, seed, order)
     assert engine(payload, scheduler) == engine(payload, scheduler)
+
+
+@PROPERTY
+@given(seed=seeds, order=orders, scheduler=st.sampled_from(("doubling", "degree")))
+def test_abelian_x2_family_obstructs_at_degree_two(seed, order, scheduler):
+    """{x, y} = x^2 moved by a near-identity change keeps its quadratic part;
+    over the abelian linear part every differential vanishes, so that part
+    is a nonzero class of H^2 on quadratic polynomials."""
+    moved = pushforward(abelian_x2_bivector(order),
+                        random_near_identity_change(random.Random(seed), 2, order))
+    obstruction, trace = linearize_poisson(moved, scheduler)
+    assert isinstance(obstruction, ObstructionClass)
+    assert obstruction.verify()
+    assert cocycle_degree(obstruction) == 2
+    assert trace.steps[-1].obstructed and trace.steps[-1].degrees[0] == 2
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+@pytest.mark.parametrize("scheduler", ("doubling", "degree"))
+def test_resonant_family_obstructs_at_degree_k(k, scheduler):
+    """{x,y} = y, {x,z} = k z + y^k: the weight of y^k under ad x equals that
+    of z, so y^k is a class of H^2 on degree-k polynomials.  What the
+    change adds below degree k is removed, and the run stops at k."""
+    moved = pushforward(resonant_bivector(k, k + 2),
+                        random_near_identity_change(random.Random(k), 3, k + 2))
+    obstruction, trace = linearize_poisson(moved, scheduler)
+    assert isinstance(obstruction, ObstructionClass)
+    assert obstruction.verify()
+    assert cocycle_degree(obstruction) == k
+    assert trace.steps[-1].obstructed and k in trace.steps[-1].degrees
+
+
+def abelian_x2_bivector(order):
+    return PoissonJet.from_brackets(2, order, {(0, 1): Jet(2, order, {(2, 0): 1})})
 
 
 @st.composite

@@ -6,10 +6,14 @@ r-tuple of basis indices; alternation is structural.  The differential is
     (dw)(X_0,..,X_r) = sum_a (-1)^a X_a . w(.., X_a omitted, ..)
                      + sum_{a<b} (-1)^{a+b} w([X_a,X_b], .., both omitted, ..)
 
-realized as one exact sparse matrix per degree, a list of {column: value}
-rows built once from the module's nonzero action entries.  Modules, too,
-keep only the nonzero entries of their operator matrices; no dense matrix
-is built on the way from module to solver.
+realized as one exact sparse matrix per degree, `IntegerRows`: {column: int}
+numerator rows over one denominator E, built once from the module's nonzero
+action entries.  Modules, too, keep only the nonzero entries of their
+operator matrices, as integer numerators over one module-wide denominator
+(1 in any basis with integral structure constants).  From the module to the
+rank no dense matrix and no rational entry is built; the rational matrices
+are views at the edges (`GModule.matrices`, the rows `differential_matrix`
+returns when read as rationals).
 
 There is one complex class, `CochainComplex`: a module plus a slot rule
 that keeps some module indices on each subset of generators.  It owns the
@@ -30,13 +34,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .linalg import LinearSolver, Vector, dot, rank
+from .linalg import IntegerRows, LinearSolver, Vector, dot, rank
 from .liealg import ExactTable, LieAlgebra
 from .polyalg import monomials
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class InputNotCocycle(ValueError):
@@ -78,9 +82,10 @@ class CochainComplex:
     def cochain_dim(self, r: int) -> int:
         return self.layout(r)[2]
 
-    def differential_matrix(self, r: int) -> list[dict]:
+    def differential_matrix(self, r: int) -> IntegerRows:
         """Rows of d: C^r -> C^{r+1} on flat coordinates, each a
-        {column: value} map of its nonzero entries."""
+        {column: value} map of its nonzero entries when read as rationals,
+        held as integer numerators over one denominator."""
         cached = self._matrices.get(r)
         if cached is None:
             cached = self._matrices[r] = _build_differential(self, r)
@@ -111,14 +116,15 @@ class CochainComplex:
 
 class GModule(CochainComplex):
     """Finite-dimensional module over a LieAlgebra, stored as the nonzero
-    entries of one operator matrix per generator: `_nonzero_rows[i][l]` lists
-    the (column u, entry x) pairs of row l in column order, and
-    (X_i . v)_l = sum x v_u over them.  The constructor takes the dense
-    matrices; `matrices` rebuilds them as a dense view on each call.  A
-    module is its own cochain complex, keeping every index on every subset,
-    so C^r is subset-major with module index minor."""
+    entries of one operator matrix per generator, as integer numerators over
+    one positive denominator `den`: `_nonzero_rows[i][l]` lists the
+    (column u, numerator x) pairs of row l in column order, and
+    (X_i . v)_l = sum x v_u / den over them.  The constructor takes the
+    dense rational matrices; `matrices` rebuilds them as a dense view on
+    each call.  A module is its own cochain complex, keeping every index on
+    every subset, so C^r is subset-major with module index minor."""
 
-    __slots__ = ("algebra", "labels", "dim", "_nonzero_rows")
+    __slots__ = ("algebra", "labels", "dim", "den", "_nonzero_rows")
 
     def __init__(self, algebra: LieAlgebra, matrices, labels=None):
         if len(matrices) != algebra.dim:
@@ -127,61 +133,71 @@ class GModule(CochainComplex):
         for mat in matrices:
             if len(mat) != dim or any(len(row) != dim for row in mat):
                 raise ValueError("representation matrices must be square, equal size")
-        rows = [[[(u, x) for u, x in enumerate(map(Fraction, row)) if x] for row in mat]
-                for mat in matrices]
-        self._install(algebra, rows, list(labels) if labels is not None else list(range(dim)))
+        mats = [[[Fraction(x) for x in row] for row in mat] for mat in matrices]
+        den = lcm(*(x.denominator for mat in mats for row in mat for x in row))
+        rows = [[[(u, x.numerator * (den // x.denominator)) for u, x in enumerate(row) if x]
+                 for row in mat] for mat in mats]
+        self._install(algebra, rows, den,
+                      list(labels) if labels is not None else list(range(dim)))
         if len(self.labels) != dim:
             raise ValueError("need one label per module basis vector")
         self._check_representation()
 
-    def _install(self, algebra, rows, labels):
+    def _install(self, algebra, rows, den, labels):
         self.algebra = algebra
         self._nonzero_rows = rows
+        self.den = den
         self.labels = labels
         self.dim = len(labels)
         super().__init__()
 
     def _check_representation(self) -> None:
         """[X_i, X_j] = sum_k c_ij^k X_k on every pair, row by row over the
-        nonzero entries only."""
-        rows = self._nonzero_rows
+        nonzero entries only, on integers: with N = den X and C the lcm of
+        the pair's constant denominators, C [N_i, N_j] = den sum_k (C c_ij^k) N_k."""
+        rows, den = self._nonzero_rows, self.den
         for i, j in combinations(range(self.algebra.dim), 2):
-            terms = [(-c, rows[k]) for k, c in enumerate(self.algebra.constants[i][j]) if c]
+            plane = self.algebra.constants[i][j]
+            scale = lcm(*(c.denominator for c in plane if c))
+            terms = [(-den * c.numerator * (scale // c.denominator), rows[k])
+                     for k, c in enumerate(plane) if c]
             for l in range(self.dim):
                 acc = {}
-                for sign, first, second in ((ONE, rows[i], rows[j]), (-ONE, rows[j], rows[i])):
+                for sign, first, second in ((scale, rows[i], rows[j]),
+                                            (-scale, rows[j], rows[i])):
                     for u, x in first[l]:
                         for w, y in second[u]:
-                            acc[w] = acc.get(w, ZERO) + sign * x * y
+                            acc[w] = acc.get(w, 0) + sign * x * y
                 for c, mat in terms:
                     for u, x in mat[l]:
-                        acc[u] = acc.get(u, ZERO) + c * x
+                        acc[u] = acc.get(u, 0) + c * x
                 if any(acc.values()):
                     raise ValueError(
                         f"matrices violate the representation property on ({i},{j})"
                     )
 
     @classmethod
-    def _trusted(cls, algebra, rows, labels) -> "GModule":
-        """A module from its nonzero rows, in the form of `_nonzero_rows`
-        with Fraction entries, one row per label, skipping the
-        representation-property check; for constructions that are
-        homomorphisms by design (covered by property tests instead)."""
+    def _trusted(cls, algebra, rows, den, labels) -> "GModule":
+        """A module from its nonzero rows, in the form of `_nonzero_rows`:
+        integer numerators over the positive denominator `den`, one row per
+        label, skipping the representation-property check; for
+        constructions that are homomorphisms by design (covered by property
+        tests instead)."""
         module = cls.__new__(cls)
-        module._install(algebra, rows, list(labels))
+        module._install(algebra, rows, den, list(labels))
         return module
 
     @property
     def matrices(self) -> tuple:
         """The operator matrices as dense tuples of Fractions, built anew on
-        each call; the module itself keeps only the nonzero rows."""
+        each call; the module itself keeps only the nonzero numerators."""
         out = []
         for mat in self._nonzero_rows:
             dense = []
             for row in mat:
                 line = [ZERO] * self.dim
                 for u, x in row:
-                    line[u] = x
+                    line[u] = Fraction(x, self.den)
                 dense.append(tuple(line))
             out.append(tuple(dense))
         return tuple(out)
@@ -207,15 +223,17 @@ def _insert_index(k: int, rest: tuple[int, ...]):
     return (-1) ** before, merged
 
 
-def _build_differential(cx: CochainComplex, r: int) -> list[dict]:
+def _build_differential(cx: CochainComplex, r: int) -> IntegerRows:
     """Rows of d: C^r -> C^{r+1} of a complex, the only place the
     differential is written.
 
-    Each row is a {column: Fraction} map of its nonzero entries, built from
-    the nonzero action entries and structure constants, so no zero entry is
-    ever written or scanned.  Only the rows of kept slots are built and
-    columns are numbered by kept source positions, so slots that cut out a
-    subcomplex give its differential without building the rest.
+    Each row is a {column: int} map of its nonzero entries over one
+    denominator E, the lcm of the module's and the structure constants'
+    denominators, built from the nonzero action entries and structure
+    constants, so no zero entry is ever written or scanned.  Only the rows
+    of kept slots are built and columns are numbered by kept source
+    positions, so slots that cut out a subcomplex give its differential
+    without building the rest.
     """
     module, slots = cx.module, cx.slots
     row_subsets, row_offsets, nrows = cx.layout(r + 1)
@@ -226,9 +244,14 @@ def _build_differential(cx: CochainComplex, r: int) -> list[dict]:
     }
     mat = [{} for _ in range(nrows)]
     constants = module.algebra.constants
+    den = lcm(module.den, *(c.denominator for plane in constants for row in plane
+                            for c in row if c))
     action = module._nonzero_rows
+    if den != module.den:
+        up = den // module.den
+        action = [[[(u, x * up) for u, x in row] for row in op] for op in action]
 
-    def add(out: dict, col: int, x: Fraction) -> None:
+    def add(out: dict, col: int, x: int) -> None:
         y = out.get(col)
         if y is None:
             out[col] = x
@@ -261,12 +284,14 @@ def _build_differential(cx: CochainComplex, r: int) -> list[dict]:
                     if ins_sign == 0:
                         continue
                     cols = columns[subset]
-                    factor = c if (-1) ** (a + b) * ins_sign > 0 else -c
+                    factor = c.numerator * (den // c.denominator)
+                    if (-1) ** (a + b) * ins_sign < 0:
+                        factor = -factor
                     for out, l in zip(rows, kept):
                         col = cols.get(l)
                         if col is not None:
                             add(out, col, factor)
-    return mat
+    return IntegerRows(mat, den)
 
 
 class Cochain:
@@ -388,7 +413,7 @@ class ObstructionClass:
     def verify(self) -> bool:
         module = self.cocycle.module
         r = self.cocycle.degree
-        rows = module.differential_matrix(r - 1)
+        rows = list(module.differential_matrix(r - 1))   # rational rows, read once
         lam = self.functional
         if len(lam) != len(rows):
             return False
@@ -429,7 +454,7 @@ def squares_to_zero(cx: CochainComplex, r: int) -> bool:
     complex has built."""
     if r < 1:
         return True
-    lower = cx.differential_matrix(r - 1)
+    lower = list(cx.differential_matrix(r - 1))   # rational rows, read once
     return not any(any(_combine(row.items(), lower).values())
                    for row in cx.differential_matrix(r))
 
@@ -518,11 +543,13 @@ def _induced_module(L, nvars, rep, degree, monomial_filter, filter_key) -> GModu
     basis = [m for m in monomials(nvars, degree) if monomial_filter is None or monomial_filter(m)]
     index = {m: i for i, m in enumerate(basis)}
     d = len(basis)
+    den = lcm(*(c.denominator for mat in rep for row in mat for c in row if c))
     nonzeros = []
     for i in range(L.dim):
         rows = [[] for _ in range(d)]
-        # X_i . x^k = sum_l c x^l over the nonzero c only
-        moves = [[(l, row[k]) for l, row in enumerate(rep[i]) if row[k]]
+        # X_i . x^k = sum_l (c / den) x^l over the nonzero numerators c only
+        moves = [[(l, row[k].numerator * (den // row[k].denominator))
+                  for l, row in enumerate(rep[i]) if row[k]]
                  for k in range(nvars)]
         for col, mono in enumerate(basis):
             column = {}
@@ -538,12 +565,12 @@ def _induced_module(L, nvars, rep, degree, monomial_filter, filter_key) -> GModu
                         raise ValueError(
                             "monomial filter does not cut out a submodule"
                         )
-                    column[row] = column.get(row, ZERO) + e * c
+                    column[row] = column.get(row, 0) + e * c
             for row, x in column.items():
                 if x:
                     rows[row].append((col, x))
         nonzeros.append(rows)
-    module = GModule._trusted(L, nonzeros, basis)
+    module = GModule._trusted(L, nonzeros, den, basis)
     if validate:
         module._check_representation()
     if cache_key is not None:

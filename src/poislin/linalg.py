@@ -4,10 +4,13 @@ Everything here is deterministic: elimination picks the lowest-index pivot
 column first and, within a column, the earliest remaining row.  Solutions set
 all free variables to zero, so repeated runs are bit-for-bit identical.
 
-A matrix comes as dense rows or as {column: value} rows of its nonzero
-entries; the coboundary matrices of the cohomology solvers are built in the
-second form, a few percent nonzero and split into many small blocks, and
-nothing here scans a zero cell of them.  The one elimination, `_eliminate`,
+A matrix comes as dense rows, as {column: value} rows of its nonzero
+entries, or as `IntegerRows`: {column: int} numerator rows over one
+denominator.  The coboundary matrices of the cohomology solvers are built in
+the last form, a few percent nonzero and split into many small blocks; they
+are eliminated as they are, with no rational entry built and no zero cell
+scanned.  Rational rows are scaled to integers once, row by row, on the way
+in.  The one elimination, `_eliminate`,
 is an integer forward pass that never touches a row above its pivot, so it
 never leaves a block.  `rank` runs it on M; `LinearSolver` runs it on
 [M | I] and back-substitutes through the echelon rows on integers, for every
@@ -17,6 +20,7 @@ determinant: invertibility and nondegeneracy are read as `rank(M, n) == n`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -48,15 +52,43 @@ def identity_matrix(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
+class IntegerRows(Sequence):
+    """A sparse matrix as {column: int} numerator rows over one positive
+    denominator: row i reads as {j: x / den for j, x in numerators[i]}.
+
+    Indexing and iteration give that rational view, which is the numerator
+    dict itself when den is 1; `rank` and `LinearSolver` eliminate copies of
+    the numerators with no rational entry built.  Keys must lie in the
+    column range the eliminating caller is given; they are not checked."""
+
+    __slots__ = ("numerators", "den")
+
+    def __init__(self, numerators: list[dict], den: int):
+        self.numerators = numerators
+        self.den = den
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, i) -> dict:
+        row = self.numerators[i]
+        if self.den == 1:
+            return row
+        return {j: Fraction(x, self.den) for j, x in row.items()}
+
+
 def _integer_rows(rows, ncols: int | None) -> tuple[list[tuple[dict, int]], int]:
     """The rows as (numerators, denominator) pairs, each row's nonzero
-    entries as {column: int} over the lcm of their denominators; and the
-    column count.  A row is a dense sequence of ncols entries or a
+    entries as a new {column: int} dict the caller may change, over the lcm
+    of their denominators (over `den` for IntegerRows, copied as they are);
+    and the column count.  A row is a dense sequence of ncols entries or a
     {column: value} map; ncols may be left out only for dense rows."""
     if ncols is None:
         if rows and isinstance(rows[0], dict):
             raise ValueError("ncols is required for dict rows")
         ncols = len(rows[0]) if rows else 0
+    if isinstance(rows, IntegerRows):
+        return [(dict(row), rows.den) for row in rows.numerators], ncols
     out = []
     for row in rows:
         if isinstance(row, dict):
@@ -161,7 +193,10 @@ class LinearSolver:
         rows, self.ncols = _integer_rows(rows, ncols)
         self.nrows = n = len(rows)
         m = self.ncols
-        work = [ints | {m + i: scale} for i, (ints, scale) in enumerate(rows)]
+        work = []
+        for i, (ints, scale) in enumerate(rows):
+            ints[m + i] = scale
+            work.append(ints)
         order, pivots = _eliminate(work, m)
         self.rank = len(pivots)
         self.pivot_cols = pivots

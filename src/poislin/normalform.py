@@ -580,23 +580,27 @@ def _twisted_field_module(algebra: LieAlgebra, base: GModule, twists, key) -> GM
     """Module of tuples over `base` twisted by matrices T_i:
     (X_i . u)^a = base action on u^a minus sum_b T_i[a][b] u^b.
 
-    The rep property follows from T_j T_i - T_i T_j = sum_l c_ij^l T_l, which
-    holds for linear parts of an action and for the r-block constants of a
-    certified Levi split."""
+    Its numerators share one denominator, the lcm of the base's and the
+    twists' denominators.  The rep property follows from
+    T_j T_i - T_i T_j = sum_l c_ij^l T_l, which holds for linear parts of an
+    action and for the r-block constants of a certified Levi split."""
     cached = _TWISTED_MODULE_CACHE.get(key)
     if cached is not None:
         return cached
     d = base.dim
     copies = len(twists[0]) if twists else 0
+    den = math.lcm(base.den, *(t.denominator for tw in twists for row in tw for t in row if t))
+    up = den // base.den
     rows = []
     for vrows, tw in zip(base._nonzero_rows, twists):
         mat = []
         for a in range(copies):
-            moves = [(b * d, -t) for b, t in enumerate(tw[a]) if t]
+            moves = [(b * d, -t.numerator * (den // t.denominator))
+                     for b, t in enumerate(tw[a]) if t]
             for l in range(d):
-                entries = {a * d + u: x for u, x in vrows[l]}
+                entries = {a * d + u: x * up for u, x in vrows[l]}
                 for shift, t in moves:
-                    y = entries.get(shift + l, ZERO) + t
+                    y = entries.get(shift + l, 0) + t
                     if y:
                         entries[shift + l] = y
                     else:
@@ -604,7 +608,7 @@ def _twisted_field_module(algebra: LieAlgebra, base: GModule, twists, key) -> GM
                 mat.append(sorted(entries.items()))
         rows.append(mat)
     labels = [(a, mono) for a in range(copies) for mono in base.labels]
-    module = GModule._trusted(algebra, rows, labels)
+    module = GModule._trusted(algebra, rows, den, labels)
     _TWISTED_MODULE_CACHE[key] = module
     return module
 

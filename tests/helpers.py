@@ -108,6 +108,22 @@ def change_basis_constants(L, basis):
     return table
 
 
+def random_rational_basis(rng, n, pool=(-2, -1, 0, 1, 2, 3), denominators=(1, 2, 3)):
+    """Rows of a random invertible matrix with small rational entries."""
+    from poislin.linalg import rank
+
+    while True:
+        mat = [[Fraction(rng.choice(pool), rng.choice(denominators)) for _ in range(n)]
+               for _ in range(n)]
+        if rank(mat, n) == n:
+            return mat
+
+
+def rebased_algebra(L, basis):
+    """L in the basis f_a = sum_i basis[a][i] e_i."""
+    return LieAlgebra(change_basis_constants(L, basis))
+
+
 def random_invertible_matrix(rng, n, pool=(-2, -1, 0, 1, 2, 3)):
     from poislin.linalg import rank
 

@@ -6,6 +6,7 @@ truncated at a total degree, comparable against Jet.terms().
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import sympy
 
@@ -109,3 +110,85 @@ def brute_killing(constants):
                     tr += Fraction(ad[a][p][q]) * Fraction(ad[b][q][p])
             out[a][b] = tr
     return out
+
+
+def induced_module_matrices(rep, labels):
+    """Operator matrices of the derivation extension of a linear action to
+    the polynomials spanned by `labels` (exponent tuples of one degree):
+    X_i sends x_u to sum_l rep[i][l][u] x_l and acts on products by the
+    Leibniz rule.  Entry [row][col] is the coefficient of labels[row] in
+    X_i applied to labels[col]."""
+    n = len(labels[0])
+    variables = sym_vars(n)
+    index = {m: i for i, m in enumerate(labels)}
+    degree = sum(labels[0])
+    out = []
+    for mat in rep:
+        images = [sum((sympy.Rational(Fraction(mat[l][u]).numerator,
+                                      Fraction(mat[l][u]).denominator) * variables[l]
+                       for l in range(n)), sympy.Integer(0)) for u in range(n)]
+        dense = [[Fraction(0)] * len(labels) for _ in labels]
+        for col, mono in enumerate(labels):
+            f = sympy.Mul(*(v ** e for v, e in zip(variables, mono)))
+            image = sum((sympy.diff(f, v) * w for v, w in zip(variables, images)),
+                        sympy.Integer(0))
+            for m, c in poly_dict(image, variables, degree).items():
+                dense[index[m]][col] = c
+        out.append(dense)
+    return out
+
+
+def ce_differential_dense(constants, matrices, r):
+    """Dense matrix of d: C^r -> C^{r+1} straight from the Chevalley-Eilenberg
+    formula
+
+        (dw)(X_t0..X_tr) = sum_a (-1)^a X_ta . w(.., X_ta omitted, ..)
+                         + sum_{a<b} (-1)^(a+b) w([X_ta, X_tb], .., both omitted, ..)
+
+    on cochains stored on increasing index tuples (subset-major, module index
+    minor), with w(X_k, rest) = (-1)^#{x in rest: x < k} w(sorted(k, rest))
+    and zero when k is in rest."""
+    n = len(constants)
+    d = len(matrices[0]) if matrices else 0
+    targets = list(combinations(range(n), r + 1))
+    sources = {s: i for i, s in enumerate(combinations(range(n), r))}
+    out = [[Fraction(0)] * (len(sources) * d) for _ in range(len(targets) * d)]
+    for t_pos, t in enumerate(targets):
+        for a in range(r + 1):
+            base = sources[t[:a] + t[a + 1:]] * d
+            for l in range(d):
+                for u in range(d):
+                    out[t_pos * d + l][base + u] += (-1) ** a * Fraction(matrices[t[a]][l][u])
+        for a, b in combinations(range(r + 1), 2):
+            rest = tuple(x for p, x in enumerate(t) if p not in (a, b))
+            for k in range(n):
+                c = Fraction(constants[t[a]][t[b]][k])
+                if not c or k in rest:
+                    continue
+                sign = (-1) ** (a + b + sum(1 for x in rest if x < k))
+                base = sources[tuple(sorted(rest + (k,)))] * d
+                for l in range(d):
+                    out[t_pos * d + l][base + l] += sign * c
+    return out
+
+
+def representation_defect(constants, matrices) -> bool:
+    """Whether some pair violates [X_i, X_j] = sum_k c_ij^k X_k, in dense
+    Fraction arithmetic."""
+    n = len(constants)
+    d = len(matrices[0]) if matrices else 0
+    mats = [[[Fraction(x) for x in row] for row in mat] for mat in matrices]
+
+    def product(p, q):
+        return [[sum((p[l][u] * q[u][w] for u in range(d)), Fraction(0)) for w in range(d)]
+                for l in range(d)]
+
+    for i, j in combinations(range(n), 2):
+        ij, ji = product(mats[i], mats[j]), product(mats[j], mats[i])
+        for l in range(d):
+            for w in range(d):
+                want = sum((Fraction(constants[i][j][k]) * mats[k][l][w] for k in range(n)),
+                           Fraction(0))
+                if ij[l][w] - ji[l][w] != want:
+                    return True
+    return False

@@ -152,7 +152,19 @@ def test_analyze_so3(tmp_path, capsys):
     assert cls["radical_dimension"] == 0
     assert cls["killing_signature"] == {"positive": 0, "negative": 3, "zero": 0}
     assert cls["killing_form"][0] == ["-2", "0", "0"]
-    assert report["verified"] is True
+    assert "verified" not in report
+
+
+def test_check_and_analyze_reports_claim_no_verification(tmp_path, capsys):
+    """check and analyze verify nothing, so their reports carry no
+    `verified`; every corpus entry runs a command whose report does."""
+    path = write_problem(tmp_path, SO3_PROBLEM)
+    for command in ("check", "analyze"):
+        code, out, _ = run_cli(capsys, [command, path])
+        assert code == 0
+        assert "verified" not in json.loads(out)
+    assert {corpus.get(name).command for name in corpus.names()} <= {
+        "linearize", "levi", "algebroid"}
 
 
 def test_check_reports_input_errors_with_exit_1(tmp_path, capsys):
@@ -281,6 +293,27 @@ def test_verifiers_take_no_inverse(tmp_path, capsys, monkeypatch, command, data,
     monkeypatch.setattr(normalform, "_inverse_form", refuse)
     verify = getattr(cli, verifier)
     assert verify(spec, spec.order, result["change"], result["normal_form"]) is True
+
+
+@pytest.mark.parametrize("command, data, verifier, where", REPORTED,
+                         ids=[f"{c}-{v}" for c, _, v, _ in REPORTED])
+def test_timing_covers_verification(tmp_path, capsys, monkeypatch, command, data,
+                                    verifier, where):
+    """timing_seconds stops after the verifier: one that sleeps 50 ms shows
+    in it."""
+    import time
+
+    check = getattr(cli, verifier)
+
+    def slow(*args):
+        time.sleep(0.05)
+        return check(*args)
+
+    monkeypatch.setattr(cli, verifier, slow)
+    code, out, _ = run_cli(capsys, [command, write_problem(tmp_path, data)])
+    report = json.loads(out)
+    assert code == 0 and report["verified"] is True
+    assert report["timing_seconds"] >= 0.05
 
 
 def test_a_perturbed_lie_poisson_normal_form_does_not_verify(tmp_path, capsys):

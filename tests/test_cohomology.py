@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from poislin.cohomology import (
     Cochain,
@@ -22,7 +23,16 @@ from poislin.liealg import ExactTable, LieAlgebra
 from poislin.linalg import LinearSolver
 from poislin.polyalg import monomials
 
-from helpers import gl2_algebra, sl2_algebra, so3_algebra
+from helpers import (
+    dense,
+    gl2_algebra,
+    random_rational_basis,
+    rebased_algebra,
+    sl2_algebra,
+    so3_algebra,
+    solvable2_algebra,
+)
+from oracles import ce_differential_dense, induced_module_matrices, representation_defect
 
 
 def adjoint_module(L):
@@ -344,3 +354,111 @@ def test_a_six_variable_coadjoint_module_holds_only_its_nonzero_rows():
         poislin.clear_caches()
     assert module.dim == 462
     assert held < 3 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# rational bases: numerators over a denominator from module to rank
+
+
+ALGEBRAS = {"so3": so3_algebra, "sl2": sl2_algebra, "gl2": gl2_algebra,
+            "aff1": solvable2_algebra}
+
+
+def _rebased_modules(name, rng):
+    """(standard algebra, rebased algebra, two reps of the rebased algebra):
+    its coadjoint rep, whose numerators share the constants' denominator,
+    and the standard coadjoint rep pulled back along the basis change,
+    whose entries carry only the basis's denominators."""
+    standard = ALGEBRAS[name]()
+    basis = random_rational_basis(rng, standard.dim)
+    L = rebased_algebra(standard, basis)
+    n = L.dim
+    plain = coadjoint_rep(standard)
+    pulled = [[[sum((basis[a][i] * plain[i][l][u] for i in range(n)), Fraction(0))
+                for u in range(n)] for l in range(n)] for a in range(n)]
+    return standard, L, (coadjoint_rep(L), pulled)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(ALGEBRAS)), seed=st.integers(0, 10 ** 6),
+       degree=st.integers(1, 3))
+def test_rational_bases_match_the_standard_basis_and_the_ce_formula(name, seed, degree):
+    """In a seeded rational basis the coadjoint modules of so(3), sl(2),
+    gl(2) and aff(1) have the standard basis's H^1 and H^2; their operator
+    matrices and differentials equal a Fraction reference built from the
+    derivation rule and the Chevalley-Eilenberg formula; and a perturbed
+    rational rep is rejected."""
+    import poislin
+
+    poislin.clear_caches()
+    rng = random.Random(seed)
+    standard, L, reps = _rebased_modules(name, rng)
+    n = L.dim
+    plain = induced_polynomial_module(standard, n, coadjoint_rep(standard), degree)
+    for rep in reps:
+        module = induced_polynomial_module(L, n, rep, degree)
+        for r in (1, 2):
+            assert cohomology_dimension(module, r) == cohomology_dimension(plain, r)
+        matrices = induced_module_matrices(rep, module.labels)
+        assert [[list(row) for row in mat] for mat in module.matrices] == matrices
+        for r in range(3):
+            assert (dense(module.differential_matrix(r), module.cochain_dim(r))
+                    == ce_differential_dense(L.constants, matrices, r))
+    bad = [[list(row) for row in mat] for mat in reps[rng.randrange(2)]]
+    i, l, u = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    bad[i][l][u] += Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+    assume(representation_defect(L.constants, bad))
+    with pytest.raises(ValueError, match="representation property"):
+        induced_polynomial_module(L, n, bad, degree)
+
+
+def test_a_rational_basis_gives_non_integral_modules_and_differentials():
+    """The rebased algebras the test above draws carry denominators into
+    the module and the differential (here for one fixed seed each), and
+    pulled-back reps can have a smaller module denominator than their
+    differential, which then scales the action numerators up."""
+    wider = []
+    for name in sorted(ALGEBRAS):
+        _, L, (coadjoint, pulled) = _rebased_modules(name, random.Random(name))
+        module = induced_polynomial_module(L, L.dim, coadjoint, 2)
+        assert module.den > 1, name
+        assert module.differential_matrix(1).den > 1, name
+        module = induced_polynomial_module(L, L.dim, pulled, 2)
+        if module.differential_matrix(1).den > module.den:
+            wider.append(name)
+    assert wider == ["gl2", "sl2", "so3"]
+
+
+def test_cold_cohomology_builds_fewer_fractions_than_differential_nonzeros():
+    """From module to rank the so(3) degree-6 coadjoint queries run on
+    integers: counted with a profile hook on Fraction.__new__, cold H^1 and
+    H^2 construct fewer Fractions than a tenth of the nonzeros of the
+    differentials they build, so no per-entry round trip through Fraction
+    is left (building the module and differentials from Fraction entries
+    took 477 constructions for 588 nonzeros)."""
+    import sys
+
+    import poislin
+
+    L = so3_algebra()
+    rep = ExactTable(coadjoint_rep(L))
+    poislin.clear_caches()
+    code = Fraction.__new__.__code__
+    built = [0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            built[0] += 1
+
+    sys.setprofile(count)
+    try:
+        module = induced_polynomial_module(L, 3, rep, 6)
+        dims = cohomology_dimension(module, 1), cohomology_dimension(module, 2)
+    finally:
+        sys.setprofile(None)
+    assert dims == (0, 0)
+    nonzeros = sum(len(row) for r in range(3)
+                   for row in module.differential_matrix(r))
+    poislin.clear_caches()
+    assert nonzeros == 588
+    assert built[0] * 10 < nonzeros

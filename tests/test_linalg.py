@@ -1,6 +1,7 @@
 """Exact linear algebra layer, cross-checked against sympy matrices."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from poislin.cohomology import coadjoint_rep, induced_polynomial_module
 from poislin.linalg import (
+    IntegerRows,
     LinearSolver,
     extend_to_basis,
     identity_matrix,
@@ -365,12 +367,24 @@ def _dict_rows(mat):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_rational_matrices())
 def test_dict_rows_and_dense_rows_eliminate_alike(case):
+    """Dense rows, {column: value} rows and IntegerRows (numerators over the
+    lcm of all entries' denominators, read back as the dict rows) give the
+    same pivots, views and solutions."""
     mat, ncols = case
-    dense, sparse = LinearSolver(mat, ncols), LinearSolver(_dict_rows(mat), ncols)
-    assert sparse.pivot_cols == dense.pivot_cols
-    assert sparse.rref_rows == dense.rref_rows
-    assert sparse.transform_rows == dense.transform_rows
-    assert sparse.null_rows == dense.null_rows
+    den = math.lcm(*(x.denominator for row in mat for x in row))
+    numerators = IntegerRows([{j: int(x * den) for j, x in row.items()}
+                              for row in _dict_rows(mat)], den)
+    assert list(numerators) == _dict_rows(mat)
+    dense = LinearSolver(mat, ncols)
+    assert rank(numerators, ncols) == dense.rank
+    for sparse in (LinearSolver(_dict_rows(mat), ncols), LinearSolver(numerators, ncols)):
+        assert sparse.pivot_cols == dense.pivot_cols
+        assert sparse.rref_rows == dense.rref_rows
+        assert sparse.transform_rows == dense.transform_rows
+        assert sparse.null_rows == dense.null_rows
+        for b in ([Fraction(1)] * len(mat), [Fraction(i, 3) for i in range(len(mat))]):
+            assert sparse.solve(b) == dense.solve(b)
+            assert sparse.solve_partial(b) == dense.solve_partial(b)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -692,3 +692,22 @@ def test_tail_stats_read_the_nonlinear_parts_off_integer_forms():
         norm = max(hermitian_norm(t, radius) for t in tails)
         assert _tail_stats(jets, radius) == (lowest, norm)
     assert _tail_stats([Jet.variable(0, 2, 4)], 1) == (None, 0.0)
+
+
+def test_twisted_field_module_numerators_share_the_base_and_twist_denominators():
+    """(X . u)^a = base action on u^a - sum_b T[a][b] u^b, read off the
+    module's integer numerators over the lcm of the base's denominator (1
+    here) and the twists' (6), against the dense Fraction formula."""
+    from poislin.cohomology import induced_polynomial_module
+    from poislin.normalform import _twisted_field_module
+
+    L = LieAlgebra.abelian(1)
+    base = induced_polynomial_module(L, 2, [[[1, 0], [0, 2]]], 2)
+    twist = [[F(1, 2), F(1, 3)], [F(0), F(-1, 2)]]
+    module = _twisted_field_module(L, base, [twist], ("test", "twisted-denominators"))
+    (plain,) = base.matrices
+    d = base.dim
+    expected = [[(plain[l][u] if a == b else F(0)) - (twist[a][b] if l == u else F(0))
+                 for b in range(2) for u in range(d)] for a in range(2) for l in range(d)]
+    assert (base.den, module.den) == (1, 6)
+    assert [list(row) for row in module.matrices[0]] == expected

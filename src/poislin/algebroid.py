@@ -64,19 +64,24 @@ def _fiber_degree(mono, base_dim: int) -> int:
 def _promote(jet: Jet, base_dim: int, rank: int, order: int) -> Jet:
     """Reinterpret a base-variable jet in the dual variables."""
     pad = (0,) * rank
-    return Jet._raw(
-        base_dim + rank, order, {mono + pad: c for mono, c in jet._c.items()}
-    )
+    return Jet(base_dim + rank, order, {mono + pad: c for mono, c in jet.terms()})
+
+
+def _fiber_sum(jets, base_dim: int, rank: int, order: int) -> Jet:
+    """sum_k jets[k] e_k in the dual variables, for base-variable jets."""
+    total = base_dim + rank
+    return sum((_promote(jet, base_dim, rank, order) * Jet.variable(base_dim + k, total, order)
+                for k, jet in enumerate(jets)), Jet.zero(total, order))
 
 
 def _base_part(jet: Jet, base_dim: int, order: int) -> Jet:
     """Drop the fiber variables from a jet that does not use them."""
     coeffs = {}
-    for mono, c in jet._c.items():
+    for mono, c in jet.terms():
         if any(mono[base_dim:]):
             raise ValueError("jet depends on fiber variables")
         coeffs[mono[:base_dim]] = c
-    return Jet._raw(base_dim, order, coeffs)
+    return Jet(base_dim, order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +158,7 @@ class AlgebroidJet:
         grid = [[Jet.zero(total, dual_order) for _ in range(total)] for _ in range(total)]
         for i in range(r):
             for j in range(i + 1, r):
-                coeffs = {}
-                for k in range(r):
-                    unit = tuple(1 if t == k else 0 for t in range(r))
-                    for mono, c in self.structure[i][j][k]._c.items():
-                        coeffs[mono + unit] = coeffs.get(mono + unit, ZERO) + c
-                jet = Jet(total, dual_order, coeffs)
+                jet = _fiber_sum(self.structure[i][j], n, r, dual_order)
                 grid[n + i][n + j] = jet
                 grid[n + j][n + i] = -jet
             for l in range(n):
@@ -253,10 +253,10 @@ def fiberwise_linearity_check(pi: PoissonJet, base_dim: int) -> bool:
                 if not entry.is_zero():
                     return False
             elif a < base_dim:
-                if any(_fiber_degree(m, base_dim) for m in entry._c):
+                if any(_fiber_degree(m, base_dim) for m, _ in entry.numerators()):
                     return False
             else:
-                if any(_fiber_degree(m, base_dim) != 1 for m in entry._c):
+                if any(_fiber_degree(m, base_dim) != 1 for m, _ in entry.numerators()):
                     return False
     return True
 
@@ -278,12 +278,9 @@ def poisson_to_algebroid(pi: PoissonJet, base_dim: int) -> AlgebroidJet:
     anchor = [[Jet.zero(n, order + 1) for _ in range(n)] for _ in range(rank)]
     for i in range(rank):
         for j in range(i + 1, rank):
-            blocks = [{} for _ in range(rank)]
-            for mono, c in pi.entries[n + i][n + j]._c.items():
-                k = next(t for t in range(rank) if mono[n + t])
-                blocks[k][mono[:n]] = c
             for k in range(rank):
-                jet = Jet(n, order, blocks[k])
+                # the entry is fiber-linear: its e_k coefficient is d/de_k
+                jet = _base_part(pi.entries[n + i][n + j].diff(n + k), n, order)
                 structure[i][j][k] = jet
                 structure[j][i][k] = -jet
         for l in range(n):
@@ -301,7 +298,7 @@ def is_graded_change(change: CoordChange, base_dim: int) -> bool:
     fiber-degree exactly one."""
     for a, comp in enumerate(change.components):
         want = 0 if a < base_dim else 1
-        if any(_fiber_degree(m, base_dim) != want for m in comp._c):
+        if any(_fiber_degree(m, base_dim) != want for m, _ in comp.numerators()):
             return False
     return True
 
@@ -347,15 +344,7 @@ class AlgebroidChange:
         r = self.rank
         order = self.base.order
         comps = [_promote(c, n, r, order) for c in self.base.components]
-        for i in range(r):
-            coeffs = {}
-            for j in range(r):
-                unit = tuple(1 if t == j else 0 for t in range(r))
-                for mono, c in self.frame[i][j]._c.items():
-                    if sum(mono) + 1 <= order:
-                        key = mono + unit
-                        coeffs[key] = coeffs.get(key, ZERO) + c
-            comps.append(Jet(n + r, order, coeffs))
+        comps += [_fiber_sum(row, n, r, order) for row in self.frame]
         return CoordChange(comps)
 
     @classmethod
@@ -368,13 +357,9 @@ class AlgebroidChange:
         base = CoordChange(
             [_base_part(c, n, order) for c in change.components[:n]]
         )
-        frame = []
-        for i in range(r):
-            row = [{} for _ in range(r)]
-            for mono, c in change.components[n + i]._c.items():
-                j = next(t for t in range(r) if mono[n + t])
-                row[j][mono[:n]] = c
-            frame.append([Jet(n, order, blk) for blk in row])
+        # fiber images are fiber-linear: the e_j coefficient is d/de_j
+        frame = [[_base_part(comp.diff(n + j), n, order) for j in range(r)]
+                 for comp in change.components[n:]]
         return cls(base, frame)
 
     def __eq__(self, other):

@@ -103,21 +103,14 @@ def hermitian_inner(f: Jet, g: Jet, radius=ONE, min_degree: int = 0) -> Fraction
     # per degree d, S_d = sum of a*b*alpha! over the integer numerators; the
     # inner product is sum_d S_d n! r^(2d) / (d+n)! over both denominators,
     # put over one common denominator and turned into a Fraction once
-    fden, fbuckets = f._fast_form()
-    gden, gbuckets = g._fast_form()
     fact = math.factorial
+    other = None if g is f else dict(g.numerators())
     sums = {}
-    for d, items in fbuckets.items():
-        if d < min_degree:
-            continue
-        other = dict(gbuckets.get(d, ()))
-        acc = 0
-        for mono, a in items:
-            b = other.get(mono)
-            if b:
-                acc += a * b * math.prod(map(fact, mono))
-        if acc:
-            sums[d] = acc
+    for mono, a in f.numerators():
+        d = sum(mono)
+        b = a if other is None else other.get(mono)
+        if b and d >= min_degree:
+            sums[d] = sums.get(d, 0) + a * b * math.prod(map(fact, mono))
     if not sums:
         return ZERO
     n = f.nvars
@@ -127,7 +120,7 @@ def hermitian_inner(f: Jet, g: Jet, radius=ONE, min_degree: int = 0) -> Fraction
         acc * p ** (2 * d) * q ** (2 * (top - d)) * (fact(top + n) // fact(d + n))
         for d, acc in sums.items()
     )
-    return Fraction(num * fact(n), fact(top + n) * q ** (2 * top) * fden * gden)
+    return Fraction(num * fact(n), fact(top + n) * q ** (2 * top) * f.den * g.den)
 
 
 def hermitian_norm(f: Jet, radius=ONE, min_degree: int = 0) -> float:
@@ -208,11 +201,11 @@ def convergence_report(trace: IterationTrace) -> dict:
 
 def _tail_stats(jets, radius) -> tuple[int | None, float]:
     """Lowest degree and largest Hermitian norm of the jets' parts of degree
-    >= 2, read off their integer forms."""
+    >= 2, read off their integer numerators."""
     lowest = None
     norm = 0.0
     for jet in jets:
-        low = min((d for d in jet._fast_form()[1] if d > 1), default=None)
+        low = next((sum(m) for m, _ in jet.numerators() if sum(m) > 1), None)
         if low is not None and (lowest is None or low < lowest):
             lowest = low
         norm = max(norm, hermitian_norm(jet, radius, 2))
@@ -241,8 +234,10 @@ def _remainder_vector(blocks, degree: int) -> list:
     vec = []
     for jet, index in blocks:
         block = [ZERO] * len(index)
-        for mono, c in jet._c.items():
+        for mono, c in jet.terms():     # in graded order: stop above degree d
             deg = sum(mono)
+            if deg > degree:
+                break
             if deg == degree:
                 pos = index.get(mono)
                 if pos is None:
@@ -273,10 +268,8 @@ def _correction(solution, targets, nvars: int, order: int) -> CoordChange:
     comps = [Jet.variable(t, nvars, order) for t in range(nvars)]
     pos = 0
     for t, basis in targets:
-        block = solution[pos:pos + len(basis)]
-        terms = {mono: -c for mono, c in zip(basis, block) if c}
-        terms.update(comps[t]._c)
-        comps[t] = Jet._raw(nvars, order, terms)
+        sigma = {mono: c for mono, c in zip(basis, solution[pos:pos + len(basis)]) if c}
+        comps[t] = comps[t] - Jet(nvars, order, sigma)
         pos += len(basis)
     return CoordChange._trusted(comps)
 

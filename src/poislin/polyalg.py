@@ -2,20 +2,27 @@
 
 A jet of order N is a polynomial kept only through total degree N; products
 drop higher monomials immediately, so every operation below is exact modulo
-the degree-(N+1) ideal.  A jet's public coefficients are
-`fractions.Fraction` (`Scalar` below); floats are rejected.
+the degree-(N+1) ideal.
 
-Products, brackets, field derivatives X(f), substitution and inversion run
-on an integer core instead: a jet's `_fast_form` is one common denominator with integer
-numerators bucketed by degree, and inside a product or a transport the
-monomials become integer keys in base N+1, so multiplying two monomials is
-adding their keys.  Each result is turned into `Fraction`s once, one per
-coefficient.  Every jet substituted into the same argument tuple (the
-entries of a pushforward, the components of a composition, the tails of an
-inversion round, the fields of a conjugation) shares one power table of
-those arguments, built by the transport that needs it and dropped with it.
-For arguments x plus a tail of lowest degree l, such as every correction
-and its inverse, args^m of degree above N - l + 1 is x^m through degree N.
+A jet has one state: a positive denominator `den` and integer numerators
+bucketed by degree, {degree: {key: numerator}}.  A key packs a monomial's
+exponents as digits in base N+1, so multiplying two monomials is adding
+their keys, and within a degree a larger key is an earlier monomial in
+graded-lex order.  The state is canonical (no zero numerator, no empty
+bucket, `den` coprime to the numerators), so equal jets have equal states.
+Sums, products, brackets, field derivatives X(f), substitution and inversion
+read states as they are and hand theirs to the one normalizer,
+`_canonical`.  A key depends on the order, so a change of order goes through
+`_rebase`, the one place a key changes base.  `fractions.Fraction` appears
+only at the edges: the constructors, which reject floats, `terms()`,
+`coefficient()` and the text form.
+
+Every jet substituted into the same argument tuple (the entries of a
+pushforward, the components of a composition, the tails of an inversion
+round, the fields of a conjugation) shares one power table of those
+arguments, built by the transport that needs it and dropped with it.  For
+arguments x plus a tail of lowest degree l, such as every correction and its
+inverse, args^m of degree above N - l + 1 is x^m through degree N.
 `_inverse_form` runs psi <- A^-1 (y - T(psi)) on packed forms, each round
 only through the degree it makes exact, and pushforward and conjugation
 build their power table from its result: floor((N-1)/(l-1)) rounds.
@@ -47,7 +54,6 @@ from math import gcd, lcm
 
 from .linalg import LinearSolver, rank
 
-Scalar = Fraction
 Monomial = tuple[int, ...]
 
 _ZERO = Fraction(0)
@@ -78,21 +84,41 @@ def monomials(nvars: int, degree: int) -> list[Monomial]:
 
 
 def _as_scalar(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("float coefficients are not allowed; use Fraction")
     return Fraction(value)
 
 
-class Jet:
-    """Sparse polynomial truncated at a fixed total degree."""
+def _canonical(den: int, num: dict) -> tuple[int, dict]:
+    """The canonical state of numerators `num` over a positive `den`: zero
+    numerators and empty buckets dropped, the content shared by `den` and
+    the numerators divided out."""
+    kept = {}
+    for deg, items in num.items():
+        if not all(items.values()):
+            items = {k: v for k, v in items.items() if v}
+        if items:
+            kept[deg] = items
+    if den > 1:
+        g = gcd(den, *[v for items in kept.values() for v in items.values()])
+        if g > 1:
+            den //= g
+            kept = {deg: {k: v // g for k, v in items.items()} for deg, items in kept.items()}
+    return den, kept
 
-    __slots__ = ("nvars", "order", "_c", "_fast")
+
+class Jet:
+    """Sparse polynomial truncated at a fixed total degree: integer
+    numerators over one positive denominator `den` (see the module
+    docstring)."""
+
+    __slots__ = ("nvars", "order", "den", "_num")
 
     def __init__(self, nvars: int, order: int, coeffs=None):
         if nvars < 0 or order < 0:
             raise ValueError("nvars and order must be non-negative")
-        self.nvars = nvars
-        self.order = order
         clean: dict[Monomial, Fraction] = {}
         if coeffs:
             for mono, value in dict(coeffs).items():
@@ -102,34 +128,41 @@ class Jet:
                 c = _as_scalar(value)
                 if c and sum(mono) <= order:
                     clean[mono] = c
-        self._c = clean
-        self._fast = None
+        den = lcm(*(c.denominator for c in clean.values()))
+        num: dict[int, dict[int, int]] = {}
+        for mono, c in clean.items():
+            num.setdefault(sum(mono), {})[_pack(mono, order + 1)] = (
+                c.numerator * (den // c.denominator))
+        self.nvars = nvars
+        self.order = order
+        self.den, self._num = _canonical(den, num)
 
     @classmethod
-    def _raw(cls, nvars: int, order: int, coeffs: dict) -> "Jet":
+    def _from_state(cls, nvars: int, order: int, den: int, num: dict) -> "Jet":
+        """The jet of numerators `num` (keys in base order+1, degrees at most
+        `order`) over `den`, brought to canonical form."""
         jet = cls.__new__(cls)
         jet.nvars = nvars
         jet.order = order
-        jet._c = coeffs
-        jet._fast = None
+        jet.den, jet._num = _canonical(den, num)
         return jet
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int, order: int) -> "Jet":
-        return cls._raw(nvars, order, {})
+        return cls._from_state(nvars, order, 1, {})
 
     @classmethod
     def one(cls, nvars: int, order: int) -> "Jet":
-        return cls._raw(nvars, order, {(0,) * nvars: _ONE})
+        return cls._from_state(nvars, order, 1, {0: {0: 1}})
 
     @classmethod
     def variable(cls, index: int, nvars: int, order: int) -> "Jet":
         if not 0 <= index < nvars:
             raise ValueError("variable index out of range")
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._raw(nvars, order, {mono: _ONE} if order >= 1 else {})
+        key = (order + 1) ** (nvars - 1 - index)
+        return cls._from_state(nvars, order, 1, {1: {key: 1}} if order >= 1 else {})
 
     @classmethod
     def from_terms(cls, nvars: int, order: int, terms) -> "Jet":
@@ -141,46 +174,58 @@ class Jet:
 
     # -- inspection --------------------------------------------------------
 
-    def coefficient(self, mono) -> Fraction:
-        return self._c.get(tuple(mono), _ZERO)
+    def numerators(self):
+        """(monomial, integer numerator) pairs in graded-lex order; each
+        coefficient is its numerator over `den`.  The integer view of
+        `terms()`."""
+        radix, n = self.order + 1, self.nvars
+        for deg in sorted(self._num):
+            items = self._num[deg]
+            yield from [(_unpack(k, radix, n), items[k]) for k in sorted(items, reverse=True)]
 
     def terms(self):
         """(monomial, coefficient) pairs in graded-lex order."""
-        for mono in sorted(self._c, key=grlex_key):
-            yield mono, self._c[mono]
+        for mono, n in self.numerators():
+            yield mono, Fraction(n, self.den)
+
+    def coefficient(self, mono) -> Fraction:
+        mono = tuple(mono)
+        if len(mono) != self.nvars or min(mono, default=0) < 0:
+            return _ZERO    # a negative exponent can pack like a real monomial
+        part = self._num.get(sum(mono), {})
+        return Fraction(part.get(_pack(mono, self.order + 1), 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._num
 
     @property
     def constant_term(self) -> Fraction:
-        return self._c.get((0,) * self.nvars, _ZERO)
+        return Fraction(self._num[0][0], self.den) if 0 in self._num else _ZERO
 
     def lowest_degree(self) -> int | None:
-        return min((sum(m) for m in self._c), default=None)
+        return min(self._num, default=None)
 
     def highest_degree(self) -> int | None:
-        return max((sum(m) for m in self._c), default=None)
+        return max(self._num, default=None)
 
     def homogeneous_part(self, degree: int) -> "Jet":
-        part = {m: c for m, c in self._c.items() if sum(m) == degree}
-        return Jet._raw(self.nvars, self.order, part)
+        part = {degree: self._num[degree]} if degree in self._num else {}
+        return Jet._from_state(self.nvars, self.order, self.den, part)
 
     def truncate(self, order: int) -> "Jet":
         """Change the truncation bound (raising it only relabels the container;
         dropped information is not recovered)."""
-        if order >= self.order:
-            return Jet._raw(self.nvars, order, dict(self._c))
-        kept = {m: c for m, c in self._c.items() if sum(m) <= order}
-        return Jet._raw(self.nvars, order, kept)
+        return Jet._from_state(self.nvars, order, self.den, _packed(self, order))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Jet):
             return NotImplemented
-        return (self.nvars, self.order) == (other.nvars, other.order) and self._c == other._c
+        return ((self.nvars, self.order, self.den, self._num)
+                == (other.nvars, other.order, other.den, other._num))
 
     def __hash__(self):
-        return hash((self.nvars, self.order, frozenset(self._c.items())))
+        return hash((self.nvars, self.order, self.den,
+                     frozenset((k, v) for items in self._num.values() for k, v in items.items())))
 
     def __repr__(self) -> str:
         return f"<Jet {format_polynomial(self, default_names(self.nvars))} | order {self.order}>"
@@ -193,24 +238,22 @@ class Jet:
         return min(self.order, other.order)
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            order = self._check_compatible(other)
-            acc = {m: c for m, c in self._c.items() if sum(m) <= order}
-            for m, c in other._c.items():
-                if sum(m) > order:
-                    continue
-                s = acc.get(m, _ZERO) + c
-                if s:
-                    acc[m] = s
-                elif m in acc:
-                    del acc[m]
-            return Jet._raw(self.nvars, order, acc)
-        return self + Jet._raw(self.nvars, self.order, {(0,) * self.nvars: _as_scalar(other)})
+        if not isinstance(other, Jet):
+            other = Jet.one(self.nvars, self.order) * other
+        order = self._check_compatible(other)
+        den, (a, b) = _common((self, other), order)
+        out = {deg: dict(items) for deg, items in a.items()}
+        for deg, items in b.items():
+            acc = out.setdefault(deg, {})
+            for k, v in items.items():
+                acc[k] = acc.get(k, 0) + v
+        return Jet._from_state(self.nvars, order, den, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet._raw(self.nvars, self.order, {m: -c for m, c in self._c.items()})
+        return Jet._from_state(self.nvars, self.order, self.den, {
+            deg: {k: -v for k, v in items.items()} for deg, items in self._num.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -_as_scalar(other))
@@ -218,31 +261,15 @@ class Jet:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _fast_form(self):
-        """Integer form (denominator, {degree: [(monomial, numerator)]}): the
-        lcm of the coefficients' denominators and the numerators over it,
-        bucketed by degree.  Products and the transport core read only this."""
-        if self._fast is None:
-            denom = lcm(*(c.denominator for c in self._c.values()))
-            buckets: dict[int, list[tuple[Monomial, int]]] = {}
-            for m, c in self._c.items():
-                buckets.setdefault(sum(m), []).append(
-                    (m, c.numerator * (denom // c.denominator))
-                )
-            self._fast = (denom, buckets)
-        return self._fast
-
     def __mul__(self, other):
         if not isinstance(other, Jet):
             c = _as_scalar(other)
-            if not c:
-                return Jet._raw(self.nvars, self.order, {})
-            return Jet._raw(self.nvars, self.order, {m: v * c for m, v in self._c.items()})
+            return Jet._from_state(self.nvars, self.order, self.den * c.denominator, {
+                deg: {k: v * c.numerator for k, v in items.items()}
+                for deg, items in self._num.items()})
         order = self._check_compatible(other)
-        radix = order + 1
-        form = _product(_packed(self, radix, order), _packed(other, radix, order), order)
-        denom = self._fast_form()[0] * other._fast_form()[0]
-        return _jet_from_packed(self.nvars, order, denom, form, radix)
+        form = _product(_packed(self, order), _packed(other, order), order)
+        return Jet._from_state(self.nvars, order, self.den * other.den, form)
 
     __rmul__ = __mul__
 
@@ -272,13 +299,7 @@ class Jet:
         exact through order-1 when self saturates its order."""
         if not 0 <= index < self.nvars:
             raise ValueError("variable index out of range")
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._c.items():
-            e = m[index]
-            if e:
-                lower = m[:index] + (e - 1,) + m[index + 1:]
-                out[lower] = c * e
-        return Jet._raw(self.nvars, self.order, out)
+        return Jet._from_state(self.nvars, self.order, self.den, _partial(self, index))
 
     def substitute(self, args) -> "Jet":
         """Compose with origin-preserving jets: replace variable i by args[i]."""
@@ -286,7 +307,7 @@ class Jet:
         if len(args) != self.nvars:
             raise ValueError("substitute needs one jet per variable")
         if not args:
-            return Jet._raw(0, self.order, dict(self._c))
+            return self
         return _Powers.of(args).substitute(self)
 
 
@@ -294,9 +315,10 @@ class Jet:
 # integer transport core
 #
 # A packed form is {degree: {key: numerator}} over a denominator kept beside
-# it.  A key packs a monomial's exponents as digits in base `radix`, one more
-# than the truncation order, so multiplying monomials is adding keys: no
-# exponent of a truncated product can reach the base.
+# it, a jet's state without the normalization.  A key packs a monomial's
+# exponents as digits in base `radix`, one more than the truncation order,
+# so multiplying monomials is adding keys: no exponent of a truncated product
+# can reach the base.
 
 
 def _pack(mono: Monomial, radix: int) -> int:
@@ -308,24 +330,55 @@ def _pack(mono: Monomial, radix: int) -> int:
 
 def _unpack(key: int, radix: int, nvars: int) -> Monomial:
     exps = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        key, exps[i] = divmod(key, radix)
+    i = nvars
+    while i:
+        i -= 1
+        exps[i] = key % radix
+        key //= radix
     return tuple(exps)
 
 
-def _packed(jet: Jet, radix: int, order: int, scale: int = 1) -> dict:
-    """The jet's numerators times `scale`, packed, through degree `order`."""
-    _, buckets = jet._fast_form()
-    return {
-        deg: {_pack(m, radix): n * scale for m, n in items}
-        for deg, items in buckets.items() if deg <= order
-    }
+def _rebase(num: dict, nvars: int, radix: int, order: int) -> dict:
+    """Packed numerators keyed in base `radix`, through degree `order` and
+    keyed in base order+1: the one place a key changes base.  Numerators
+    already in that base come back as they are, or with the degrees above
+    `order` left out."""
+    if radix == order + 1:
+        return num if max(num, default=0) <= order else {
+            deg: items for deg, items in num.items() if deg <= order}
+    return {deg: {_pack(_unpack(k, radix, nvars), order + 1): v for k, v in items.items()}
+            for deg, items in num.items() if deg <= order}
 
 
-def _common(jets, radix: int, order: int) -> tuple[int, list]:
-    """(D, the jets packed over their common denominator D)."""
-    denom = lcm(*(jet._fast_form()[0] for jet in jets))
-    return denom, [_packed(jet, radix, order, denom // jet._fast_form()[0]) for jet in jets]
+def _packed(jet: Jet, order: int) -> dict:
+    """The jet's numerators through degree `order`, keyed in base order+1."""
+    return _rebase(jet._num, jet.nvars, jet.order + 1, order)
+
+
+def _partial(jet: Jet, index: int) -> dict:
+    """The numerators of d jet / dx_index over the jet's denominator, keyed
+    in the jet's base: a key less the weight of x_index is the key of the
+    lowered monomial."""
+    radix = jet.order + 1
+    weight = radix ** (jet.nvars - 1 - index)
+    out = {}
+    for deg, items in jet._num.items():
+        part = {k - weight: v * e for k, v in items.items() if (e := k // weight % radix)}
+        if part:
+            out[deg - 1] = part
+    return out
+
+
+def _common(jets, order: int) -> tuple[int, list]:
+    """(D, the jets' numerators through `order` over their common
+    denominator D, keyed in base order+1)."""
+    denom = lcm(*(jet.den for jet in jets))
+    out = []
+    for jet in jets:
+        num, up = _packed(jet, order), denom // jet.den
+        out.append(num if up == 1 else
+                   {deg: {k: v * up for k, v in items.items()} for deg, items in num.items()})
+    return denom, out
 
 
 def _product(a: dict, b: dict, order: int, out: dict | None = None, sign: int = 1) -> dict:
@@ -351,46 +404,17 @@ def _product(a: dict, b: dict, order: int, out: dict | None = None, sign: int = 
     return out
 
 
-def _jet_from_packed(nvars: int, order: int, denom: int, form: dict, radix: int) -> Jet:
-    """Convert to Fraction coefficients, one per nonzero numerator; the
-    reduced integer form is kept as the jet's `_fast_form`."""
-    buckets = {deg: [(_unpack(k, radix, nvars), n) for k, n in items.items() if n]
-               for deg, items in form.items()}
-    g = gcd(denom, *(n for items in buckets.values() for _, n in items))
-    if g > 1:
-        denom //= g
-        buckets = {deg: [(m, n // g) for m, n in items] for deg, items in buckets.items()}
-    jet = Jet._raw(nvars, order, {
-        m: Fraction(n, denom) for items in buckets.values() for m, n in items
-    })
-    jet._fast = (denom, {deg: items for deg, items in buckets.items() if items})
-    return jet
-
-
 def derivative_along(field, f: Jet) -> Jet:
     """X(f) = sum_b X^b d_b f for the vector field X with components
-    `field`, truncated at the lowest order among f and the components.
-
-    The partials of f are packed straight from its integer form (a key less
-    the weight of variable b is the key of the lowered monomial) and every
-    product is summed into one packed form, turned into a jet once."""
+    `field`, truncated at the lowest order among f and the components; every
+    product is summed into one packed form."""
     order = min(f.order, *(x.order for x in field))
-    radix = order + 1
-    n = f.nvars
-    fden, buckets = f._fast_form()
-    terms = [(deg - 1, _pack(mono, radix), mono, c)
-             for deg, items in buckets.items() if 0 < deg <= radix for mono, c in items]
-    xden, packed = _common(field, radix, order)
+    xden, packed = _common(field, order)
     acc: dict[int, dict[int, int]] = {}
     for b, x in enumerate(packed):
         if x:
-            weight = radix ** (n - 1 - b)
-            partial: dict[int, dict[int, int]] = {}
-            for deg, key, mono, c in terms:
-                if mono[b]:
-                    partial.setdefault(deg, {})[key - weight] = c * mono[b]
-            _product(x, partial, order, acc)
-    return _jet_from_packed(n, order, xden * fden, acc, radix)
+            _product(x, _rebase(_partial(f, b), f.nvars, f.order + 1, order), order, acc)
+    return Jet._from_state(f.nvars, order, xden * f.den, acc)
 
 
 class _Powers:
@@ -401,7 +425,7 @@ class _Powers:
     args^m is table[m] / D^|m|; a power is built once, from the power one
     degree lower, the first time a substituted jet needs it.  A
     substitution accumulates c_m D^(top-|m|) table[m] over the jet's integer
-    numerators c_m and converts to Fraction once per result coefficient."""
+    numerators c_m."""
 
     __slots__ = ("nvars", "order", "radix", "denom", "args", "table", "keep")
 
@@ -429,11 +453,10 @@ class _Powers:
         for a in jets:
             if a.nvars != nvars:
                 raise ValueError("substitution jets live on different variable sets")
-            if a.constant_term:
+            if 0 in a._num:
                 raise ValueError("substitution jets must vanish at the origin")
         order = min(a.order for a in jets)
-        denom, args = _common(jets, order + 1, order)
-        return cls(nvars, order, order + 1, denom, args)
+        return cls(nvars, order, order + 1, *_common(jets, order))
 
     def power(self, key: int, degree: int) -> dict:
         """The packed numerators of args^m, m the monomial of the given
@@ -483,15 +506,15 @@ class _Powers:
         """jet(args), truncated at the lower of the two orders."""
         if jet.nvars != len(self.args):
             raise ValueError("substitute needs one jet per variable")
-        order = min(jet.order, self.order)
-        return self.substitute_form(
-            (jet._fast_form()[0], _packed(jet, self.radix, order)), order)
+        num = _rebase(jet._num, jet.nvars, jet.order + 1, self.radix - 1)
+        return self.substitute_form((jet.den, num), min(jet.order, self.order))
 
     def substitute_form(self, form, order: int) -> Jet:
         """A packed function of the arguments, composed with them through
         degree `order` <= self.order, as a jet."""
         denom, packed = self.combine(form, order)
-        return _jet_from_packed(self.nvars, order, denom, packed, self.radix)
+        return Jet._from_state(self.nvars, order, denom,
+                               _rebase(packed, self.nvars, self.radix, order))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +570,7 @@ class CoordChange:
                 if c:
                     mono = tuple(1 if k == j else 0 for k in range(nvars))
                     terms[mono] = c
-            comps.append(Jet._raw(nvars, order, terms))
+            comps.append(Jet(nvars, order, terms))
         return cls(comps)
 
     def linear_matrix(self):
@@ -616,17 +639,20 @@ def _inverse_form(phi: CoordChange) -> tuple[int, list]:
     round."""
     n, order = phi.nvars, phi.order
     radix = order + 1
-    inv = phi.linear_matrix()
-    if inv != [[int(i == j) for j in range(n)] for i in range(n)]:
-        solver = LinearSolver(inv)
-        cols = [solver.solve([int(i == j) for i in range(n)]) for j in range(n)]
+    units = [radix ** (n - 1 - j) for j in range(n)]
+    image = _Powers(n, order, radix, *_common(phi.components, order))
+    # the linear part is image.args' degree-1 numerators over image.denom
+    linear = [[arg.get(1, {}).get(unit, 0) for unit in units] for arg in image.args]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    if linear != [[image.denom * e for e in row] for row in inv]:
+        solver = LinearSolver(linear)
+        cols = [solver.solve(unit) for unit in inv]
         if None in cols:
             raise ValueError("linear part is not invertible")
-        inv = [[col[i] for col in cols] for i in range(n)]
+        inv = [[image.denom * col[i] for col in cols] for i in range(n)]
     q = lcm(*(c.denominator for row in inv for c in row))
-    start = [{1: {radix ** (n - 1 - j): c.numerator * (q // c.denominator)
-                  for j, c in enumerate(row) if c}} for row in inv]
-    image = _Powers(n, order, radix, *_common(phi.components, radix, order))
+    start = [{1: {unit: c.numerator * (q // c.denominator)
+                  for unit, c in zip(units, row) if c}} for row in inv]
     shifted = []
     for first in start:
         den, form = image.combine((q, first), order)
@@ -660,7 +686,7 @@ def _inverse_form(phi: CoordChange) -> tuple[int, list]:
 def invert_change(phi: CoordChange) -> CoordChange:
     """Compositional inverse, exact through the truncation."""
     denom, psi = _inverse_form(phi)
-    return CoordChange._trusted([_jet_from_packed(phi.nvars, phi.order, denom, comp, phi.order + 1)
+    return CoordChange._trusted([Jet._from_state(phi.nvars, phi.order, denom, comp)
                                  for comp in psi])
 
 
@@ -771,7 +797,7 @@ def poisson_bracket(f: Jet, g: Jet, pi: PoissonJet) -> Jet:
         raise ValueError("functions and bivector live on different variable sets")
     order = min(f.order, g.order, pi.order)
     denom, form = _brackets(pi, [f, g], order)[0, 1]
-    return _jet_from_packed(pi.nvars, order, denom, form, order + 1)
+    return Jet._from_state(pi.nvars, order, denom, form)
 
 
 def _brackets(pi: PoissonJet, funcs, order: int) -> dict:
@@ -779,24 +805,10 @@ def _brackets(pi: PoissonJet, funcs, order: int) -> dict:
     (denominator, packed form in base order+1); the partials of every
     function and the packed entries of pi are built once for all pairs."""
     n = pi.nvars
-    radix = order + 1
-    weights = [radix ** (n - 1 - a) for a in range(n)]
-    fden = lcm(*(f._fast_form()[0] for f in funcs))
-    partials = []
-    for f in funcs:
-        den, buckets = f._fast_form()
-        scale = fden // den
-        parts: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
-        for deg, items in buckets.items():
-            if 0 < deg <= order:
-                for mono, c in items:
-                    key = _pack(mono, radix)
-                    for a, e in enumerate(mono):
-                        if e:
-                            parts[a].setdefault(deg - 1, {})[key - weights[a]] = c * scale * e
-        partials.append(parts)
+    partials = [[_rebase(_partial(f, a), n, f.order + 1, order) for a in range(n)]
+                for f in funcs]
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if not pi.entries[a][b].is_zero()]
-    pden, entries = _common([pi.entries[a][b] for a, b in pairs], radix, order)
+    pden, entries = _common([pi.entries[a][b] for a, b in pairs], order)
     out = {}
     for i in range(len(funcs)):
         for j in range(i + 1, len(funcs)):
@@ -808,7 +820,7 @@ def _brackets(pi: PoissonJet, funcs, order: int) -> dict:
                     inner = _product(fi[a], fj[b], limit)
                     _product(fi[b], fj[a], limit, inner, -1)
                     _product(entry, inner, order, acc)
-            out[i, j] = (pden * fden * fden, acc)
+            out[i, j] = (pden * funcs[i].den * funcs[j].den, acc)
     return out
 
 
@@ -850,8 +862,7 @@ def is_poisson_map(pi: PoissonJet, phi: CoordChange, target: PoissonJet) -> bool
     order = min(pi.order, phi.order)
     powers = _Powers.of(phi.components)
     return all(
-        _jet_from_packed(n, order, denom, form, order + 1)
-        == powers.substitute(target.entries[i][j])
+        Jet._from_state(n, order, denom, form) == powers.substitute(target.entries[i][j])
         for (i, j), (denom, form) in _brackets(pi, phi.components, order).items()
     )
 
@@ -1026,6 +1037,9 @@ class ParseError(ValueError):
         self.column = col
 
 
+_DIGITS = frozenset("0123456789")   # ASCII only: int() reads other digits, or fails
+
+
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
@@ -1034,9 +1048,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j
@@ -1075,19 +1089,24 @@ def parse_polynomial(text: str, names, order: int) -> Jet:
         pos += 1
         return tok
 
-    def parse_number() -> Fraction:
+    def integer(what: str) -> int:
         kind, value, at = advance()
         if kind != "num":
-            raise ParseError("expected a number", text, at)
-        result = Fraction(int(value))
+            raise ParseError(f"expected {what}", text, at)
+        try:
+            return int(value)
+        except ValueError:      # beyond the interpreter's digit limit
+            raise ParseError(f"{len(value)}-digit number is too long", text, at) from None
+
+    def parse_number() -> Fraction:
+        result = Fraction(integer("a number"))
         if peek()[0] == "/":
             advance()
-            kind, value, at = advance()
-            if kind != "num":
-                raise ParseError("expected a denominator", text, at)
-            if int(value) == 0:
+            at = peek()[2]
+            den = integer("a denominator")
+            if den == 0:
                 raise ParseError("zero denominator", text, at)
-            result /= int(value)
+            result /= den
         return result
 
     def parse_factor() -> tuple[Fraction, dict[int, int]]:
@@ -1101,10 +1120,7 @@ def parse_polynomial(text: str, names, order: int) -> Jet:
             exp = 1
             if peek()[0] == "^":
                 advance()
-                kind2, value2, at2 = advance()
-                if kind2 != "num":
-                    raise ParseError("expected an integer exponent", text, at2)
-                exp = int(value2)
+                exp = integer("an integer exponent")
             return _ONE, {index[value]: exp}
         raise ParseError("expected a number or a variable", text, at)
 

@@ -1,8 +1,9 @@
 """Independent reference computations used to freeze expected values.
 
-Everything here goes through sympy so the package under test shares no code
-with the oracle.  Results come back as {exponent tuple: Fraction} dicts
-truncated at a total degree, comparable against Jet.terms().
+Everything here goes through sympy or plain `Fraction` arithmetic, so the
+package under test shares no code with the oracle.  Results come back as
+{exponent tuple: Fraction} dicts truncated at a total degree, comparable
+against Jet.terms().
 """
 
 from fractions import Fraction
@@ -192,3 +193,52 @@ def representation_defect(constants, matrices) -> bool:
                 if ij[l][w] - ji[l][w] != want:
                     return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# truncated polynomials as plain {exponent tuple: Fraction} dicts
+
+
+def dict_truncate(a, order):
+    return {m: c for m, c in a.items() if sum(m) <= order}
+
+
+def dict_scale(a, c):
+    return {m: v * c for m, v in a.items() if v * c}
+
+
+def dict_add(a, b, order):
+    out = dict_truncate(a, order)
+    for m, c in dict_truncate(b, order).items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def dict_mul(a, b, order):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if sum(m) <= order:
+                out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def dict_diff(a, index):
+    out = {}
+    for m, c in a.items():
+        if m[index]:
+            out[m[:index] + (m[index] - 1,) + m[index + 1:]] = c * m[index]
+    return out
+
+
+def dict_substitute(a, args, order):
+    """a with variable i replaced by args[i], through degree `order`."""
+    out = {}
+    for m, c in a.items():
+        term = {tuple(0 for _ in m): c}
+        for arg, e in zip(args, m):
+            for _ in range(e):
+                term = dict_mul(term, arg, order)
+        out = dict_add(out, term, order)
+    return out

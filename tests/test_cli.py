@@ -177,6 +177,22 @@ def test_check_reports_input_errors_with_exit_1(tmp_path, capsys):
     assert "Jacobi" in err
 
 
+@pytest.mark.parametrize("bracket", [
+    "y + x^\u00b2",                  # superscript two: int() refuses it
+    "y + x^\u0663",                  # Arabic-Indic three: int() reads it as 3
+    "y + " + "7" * 5000 + "*x^2",    # beyond int()'s 4300-digit limit
+    "y + x^" + "7" * 5000,
+], ids=["superscript", "arabic-indic", "long-coefficient", "long-exponent"])
+def test_check_rejects_non_ascii_digits_and_overlong_numbers(tmp_path, capsys, bracket):
+    path = write_problem(tmp_path, {"kind": "poisson", "variables": ["x", "y"],
+                                    "order": 3, "brackets": {"x,y": bracket}})
+    code, out, err = run_cli(capsys, ["check", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: brackets['x,y']: ")
+    assert "(line 1, column " in err
+
+
 def test_check_rejects_a_boolean_order(tmp_path, capsys):
     path = write_problem(tmp_path, dict(SO3_PROBLEM, order=True))
     code, out, err = run_cli(capsys, ["check", path])

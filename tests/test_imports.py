@@ -1,14 +1,20 @@
-"""Every name a poislin module imports is used in that module.
+"""Every name a poislin module imports is used in that module, and only
+polyalg knows how a jet is stored.
 
 Deleting code tends to strand the imports it needed; this test reads each
 module's syntax tree with the standard `ast` module and names the strays.
-The package `__init__` re-exports by design and is left out.
+The package `__init__` re-exports by design and is left out.  The same
+trees show every read of a jet's private attributes outside polyalg: an
+attribute access by one of `Jet`'s leading-underscore names, or by a name
+the jet state had before it was made one.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from poislin.polyalg import Jet
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "poislin"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -36,3 +42,26 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_modules_import_only_what_they_use(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the private names of Jet, and those of the jet state it replaced
+JET_PRIVATE = {name for name in vars(Jet) if name.startswith("_") and not name.endswith("__")}
+JET_PRIVATE |= {"_c", "_fast", "_fast_form", "_raw"}
+
+
+def jet_internals(source: str) -> list[str]:
+    found = sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in JET_PRIVATE)
+    return [f"line {line}: .{attr}" for line, attr in found]
+
+
+def test_the_check_sees_jet_internals():
+    assert {"_num", "_from_state"} <= JET_PRIVATE
+    assert jet_internals("jet.terms()\nJet._raw(2, 3, {})\nn = f._num\n") == [
+        "line 2: ._raw", "line 3: ._num"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "polyalg.py"],
+                         ids=lambda p: p.name)
+def test_only_polyalg_reads_jet_internals(path):
+    assert jet_internals(path.read_text()) == []

@@ -2,10 +2,14 @@
 checked against sympy-based reference computations."""
 
 import random
+import sys
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from poislin.polyalg import (
     CoordChange,
@@ -37,7 +41,21 @@ from helpers import (
     sl2_bivector,
     so3_bivector,
 )
-from oracles import bracket_expr, jacobiator_expr, jet_dict, jet_to_expr, poly_dict, series_inverse, sym_vars
+from oracles import (
+    bracket_expr,
+    dict_add,
+    dict_diff,
+    dict_mul,
+    dict_scale,
+    dict_substitute,
+    dict_truncate,
+    jacobiator_expr,
+    jet_dict,
+    jet_to_expr,
+    poly_dict,
+    series_inverse,
+    sym_vars,
+)
 
 
 def test_monomial_order_degree_two():
@@ -155,6 +173,65 @@ def test_homogeneous_part_and_degrees():
     assert jet.highest_degree() == 4
     assert jet_dict(jet.homogeneous_part(2)) == {(1, 1): Fraction(3)}
     assert Jet.zero(2, 4).lowest_degree() is None
+    # (1, -4, 3) packs in base 3 like the constant monomial
+    assert Jet.one(3, 2).coefficient((1, -4, 3)) == 0
+
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _jets(draw, nvars, lowest=0):
+    """(jet, its terms as a Fraction dict): up to six terms of degree
+    `lowest` through an order of 0 to 5, small rational coefficients."""
+    order = draw(st.integers(0, 5))
+    pool = [m for m in product(range(order + 1), repeat=nvars) if lowest <= sum(m) <= order]
+    terms = draw(st.dictionaries(st.sampled_from(pool), COEFFS, max_size=6)) if pool else {}
+    return Jet(nvars, order, terms), {m: c for m, c in terms.items() if c}
+
+
+def _same(jet, ref, order):
+    """jet is the jet of the Fraction dict `ref` at `order`: its terms in
+    graded-lex order, equal to and hashing like the jet built from `ref`,
+    and its state canonical (den the lcm of the term denominators)."""
+    n = jet.nvars
+    assert jet.order == order
+    assert list(jet.terms()) == sorted(ref.items(), key=lambda t: grlex_key(t[0]))
+    direct = Jet(n, order, ref)
+    assert jet == direct and hash(jet) == hash(direct)
+    assert jet.den == lcm(*(c.denominator for c in ref.values()))
+    assert gcd(jet.den, *(v for _, v in jet.numerators())) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_jet_state_matches_a_fraction_dict_reference(data):
+    n = data.draw(st.integers(1, 3))
+    (a, ra), (b, rb) = data.draw(_jets(n)), data.draw(_jets(n))
+    c = data.draw(COEFFS.filter(bool))
+    low = min(a.order, b.order)
+    _same(a + b, dict_add(ra, rb, low), low)
+    _same(a - b, dict_add(ra, dict_scale(rb, -1), low), low)
+    _same(-a, dict_scale(ra, -1), a.order)
+    _same(a * c, dict_scale(ra, c), a.order)
+    _same(a / c, dict_scale(ra, 1 / c), a.order)
+    _same(a * b, dict_mul(ra, rb, low), low)
+    for order in range(a.order + 3):
+        _same(a.truncate(order), dict_truncate(ra, order), order)
+    for i in range(n):
+        _same(a.diff(i), dict_diff(ra, i), a.order)
+    for d in range(a.order + 2):
+        _same(a.homogeneous_part(d), {m: v for m, v in ra.items() if sum(m) == d}, a.order)
+    args = [data.draw(_jets(n, lowest=1)) for _ in range(n)]
+    order = min(a.order, *(arg.order for arg, _ in args))
+    _same(a.substitute([arg for arg, _ in args]),
+          dict_substitute(ra, [r for _, r in args], order), order)
+    for m in product(range(a.order + 2), repeat=n):
+        assert a.coefficient(m) == ra.get(m, 0)
+    # equal jets built along different paths
+    for x, y in (((a + b) - b, a.truncate(low)), (a * c / c, a), (-(-a), a),
+                 (a * b, b * a), (a.truncate(a.order + 2).truncate(a.order), a)):
+        assert x == y and hash(x) == hash(y)
 
 
 # -- coordinate changes -----------------------------------------------------
@@ -305,6 +382,38 @@ def test_power_tables_pass_high_degrees_through_for_identity_linear_parts():
                 chi = _tail_change(rng, 3, order, [rng.randint(2, order)],
                                    linear=rng.random() < 0.5)
                 assert pushforward(moved, chi) == pushforward(pi, phi.then(chi))
+
+
+def test_transports_build_no_fractions():
+    """Transports read and write the jets' integer states: counted with a
+    profile hook on Fraction.__new__, moving an so(3) dual at order 6 by
+    near-identity changes, composing, inverting and checking the map build
+    no Fraction at all (converting every result to Fraction coefficients
+    took 249 constructions here)."""
+    rng = random.Random(13)
+    order = 6
+    pi = so3_bivector(order)
+    phi = random_near_identity_change(rng, 3, order)
+    psi = random_near_identity_change(rng, 3, order)
+    moved = pushforward(pi, phi)
+    code = Fraction.__new__.__code__
+    built = [0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            built[0] += 1
+
+    sys.setprofile(count)
+    try:
+        again = pushforward(moved, psi)
+        both = compose_change(phi, psi)
+        inverse = invert_change(phi)
+        maps = is_poisson_map(pi, phi, moved), is_poisson_map(pi, both, again)
+    finally:
+        sys.setprofile(None)
+    assert maps == (True, True)
+    assert compose_change(phi, inverse).is_identity()
+    assert built[0] == 0
 
 
 def test_compose_applies_left_argument_first():

@@ -315,6 +315,8 @@ def parse_problem(text: str) -> ProblemSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _fail(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:   # an integer literal past the interpreter's digit limit
+        raise _fail(f"problem file: {exc}")
     return problem_from_dict(data)
 
 
@@ -637,6 +639,8 @@ def _load_levi(spec: ProblemSpec, args):
         except json.JSONDecodeError as exc:
             raise _fail(f"levi factor file: line {exc.lineno}, "
                         f"column {exc.colno}: {exc.msg}")
+        except ValueError as exc:   # as in parse_problem
+            raise _fail(f"levi factor file: {exc}")
         rows = _parse_levi({"levi_factor": block},
                            _isotropy_of(spec).dim)
     if rows is None:

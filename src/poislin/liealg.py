@@ -42,7 +42,8 @@ class ExactTable(tuple):
     ExactTables, never a plain tuple, so equal tables hash alike."""
 
     def __new__(cls, table):
-        planes = (tuple(tuple(map(Fraction, row)) for row in plane) for plane in table)
+        planes = (tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                        for row in plane) for plane in table)
         return super().__new__(cls, planes)
 
     @cached_property

@@ -104,13 +104,7 @@ def hermitian_inner(f: Jet, g: Jet, radius=ONE, min_degree: int = 0) -> Fraction
     # inner product is sum_d S_d n! r^(2d) / (d+n)! over both denominators,
     # put over one common denominator and turned into a Fraction once
     fact = math.factorial
-    other = None if g is f else dict(g.numerators())
-    sums = {}
-    for mono, a in f.numerators():
-        d = sum(mono)
-        b = a if other is None else other.get(mono)
-        if b and d >= min_degree:
-            sums[d] = sums.get(d, 0) + a * b * math.prod(map(fact, mono))
+    sums = f.weighted_sums(g, min_degree)
     if not sums:
         return ZERO
     n = f.nvars
@@ -201,15 +195,10 @@ def convergence_report(trace: IterationTrace) -> dict:
 
 def _tail_stats(jets, radius) -> tuple[int | None, float]:
     """Lowest degree and largest Hermitian norm of the jets' parts of degree
-    >= 2, read off their integer numerators."""
-    lowest = None
-    norm = 0.0
-    for jet in jets:
-        low = next((sum(m) for m, _ in jet.numerators() if sum(m) > 1), None)
-        if low is not None and (lowest is None or low < lowest):
-            lowest = low
-        norm = max(norm, hermitian_norm(jet, radius, 2))
-    return lowest, norm
+    >= 2."""
+    lowest = min((low for jet in jets if (low := jet.lowest_degree(2)) is not None),
+                 default=None)
+    return lowest, max((hermitian_norm(jet, radius, 2) for jet in jets), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +222,18 @@ def _remainder_vector(blocks, degree: int) -> list:
     Nonlinear terms below degree d must already be cleared."""
     vec = []
     for jet, index in blocks:
+        low = jet.lowest_degree(2)
+        if low is not None and low < degree:
+            mono = next(jet.homogeneous_part(low).numerators())[0]
+            raise PreconditionNotNormalized(
+                f"degree-{low} term {mono} left below degree {degree}"
+            )
         block = [ZERO] * len(index)
-        for mono, c in jet.terms():     # in graded order: stop above degree d
-            deg = sum(mono)
-            if deg > degree:
-                break
-            if deg == degree:
-                pos = index.get(mono)
-                if pos is None:
-                    raise SolverFailure("remainder leaves the module's monomial span")
-                block[pos] = c
-            elif 1 < deg < degree:
-                raise PreconditionNotNormalized(
-                    f"degree-{deg} term {mono} left below degree {degree}"
-                )
+        for mono, n in jet.degree_numerators(degree).items():
+            pos = index.get(mono)
+            if pos is None:
+                raise SolverFailure("remainder leaves the module's monomial span")
+            block[pos] = Fraction(n, jet.den)
         vec.extend(block)
     return vec
 
@@ -263,13 +250,17 @@ def _entry_solve(pi: PoissonJet, module, r: int, entries, basis, targets,
 
 
 def _correction(solution, targets, nvars: int, order: int) -> CoordChange:
-    """x^t -> x^t - sigma^t, each sigma^t read off its block of the solution;
+    """x^t -> x^t - sigma^t, each sigma^t read off its block of the solution,
+    as integer numerators over the lcm of the solution's denominators;
     targets are distinct and sigma has degree >= 2, so no check is needed."""
+    den = math.lcm(*(c.denominator for c in solution if c))
     comps = [Jet.variable(t, nvars, order) for t in range(nvars)]
     pos = 0
     for t, basis in targets:
-        sigma = {mono: c for mono, c in zip(basis, solution[pos:pos + len(basis)]) if c}
-        comps[t] = comps[t] - Jet(nvars, order, sigma)
+        sigma = [(mono, -c.numerator * (den // c.denominator))
+                 for mono, c in zip(basis, solution[pos:pos + len(basis)]) if c]
+        sigma.append((tuple(int(s == t) for s in range(nvars)), den))
+        comps[t] = Jet.from_numerators(nvars, order, den, sigma)
         pos += len(basis)
     return CoordChange._trusted(comps)
 
@@ -304,8 +295,11 @@ def _run_scheduler(problem, scheduler: str, order: int, radius):
     stops.  A run that clears every degree ends with the adapter's own
     linearity check."""
     trace = IterationTrace(problem.label or scheduler, Fraction(radius), order)
+    # a block that treats no degree leaves the state as it was, so the stats
+    # are computed once per state and carried forward
+    stats = _tail_stats(problem.state_jets(), radius)
     for block_index, degrees in _scheduler_blocks(scheduler, order):
-        lowest_before, norm_before = _tail_stats(problem.state_jets(), radius)
+        lowest_before, norm_before = stats
         if lowest_before is None or lowest_before > degrees[-1]:
             continue
         treated = []
@@ -317,7 +311,7 @@ def _run_scheduler(problem, scheduler: str, order: int, radius):
             if obstruction is not None:
                 break
         if treated:
-            lowest_after, norm_after = _tail_stats(problem.state_jets(), radius)
+            stats = lowest_after, norm_after = _tail_stats(problem.state_jets(), radius)
             trace.steps.append(IterationStep(
                 block_index, tuple(treated), lowest_before, lowest_after,
                 norm_before, norm_after, obstructed=obstruction is not None,

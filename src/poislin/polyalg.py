@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .linalg import LinearSolver, rank
 
@@ -165,6 +165,17 @@ class Jet:
         return cls._from_state(nvars, order, 1, {1: {key: 1}} if order >= 1 else {})
 
     @classmethod
+    def from_numerators(cls, nvars: int, order: int, den: int, numerators) -> "Jet":
+        """The jet of (monomial, integer numerator) pairs, distinct monomials
+        of `nvars` exponents, over a positive `den`, built with no check and
+        no Fraction; terms above the order are dropped."""
+        num: dict[int, dict[int, int]] = {}
+        for mono, n in numerators:
+            if sum(mono) <= order:
+                num.setdefault(sum(mono), {})[_pack(mono, order + 1)] = n
+        return cls._from_state(nvars, order, den, num)
+
+    @classmethod
     def from_terms(cls, nvars: int, order: int, terms) -> "Jet":
         acc: dict[Monomial, Fraction] = {}
         for mono, value in terms:
@@ -182,6 +193,34 @@ class Jet:
         for deg in sorted(self._num):
             items = self._num[deg]
             yield from [(_unpack(k, radix, n), items[k]) for k in sorted(items, reverse=True)]
+
+    def degree_numerators(self, degree: int) -> dict[Monomial, int]:
+        """{monomial: integer numerator} of the degree-d part, unsorted; each
+        coefficient is its numerator over `den`."""
+        radix, n = self.order + 1, self.nvars
+        return {_unpack(k, radix, n): v for k, v in self._num.get(degree, {}).items()}
+
+    def weighted_sums(self, other: "Jet", start: int = 0) -> dict[int, int]:
+        """{d: sum of a*b*alpha!} per degree d >= start, over the monomials
+        x^alpha on which self and other carry the numerators a and b; each
+        alpha! is read off the digits of a packed key."""
+        radix = self.order + 1
+        fact = [factorial(e) for e in range(radix)]
+        theirs = _rebase(other._num, other.nvars, other.order + 1, self.order)
+        sums = {}
+        for deg, items in self._num.items():
+            match = theirs.get(deg, {}) if deg >= start else {}
+            acc = 0
+            for key, a in items.items():
+                if b := match.get(key):
+                    w = a * b
+                    while key:
+                        key, e = divmod(key, radix)
+                        w *= fact[e]
+                    acc += w
+            if acc:
+                sums[deg] = acc
+        return sums
 
     def terms(self):
         """(monomial, coefficient) pairs in graded-lex order."""
@@ -202,8 +241,9 @@ class Jet:
     def constant_term(self) -> Fraction:
         return Fraction(self._num[0][0], self.den) if 0 in self._num else _ZERO
 
-    def lowest_degree(self) -> int | None:
-        return min(self._num, default=None)
+    def lowest_degree(self, start: int = 0) -> int | None:
+        """The lowest degree at least `start` with a nonzero part."""
+        return min((d for d in self._num if d >= start), default=None)
 
     def highest_degree(self) -> int | None:
         return max(self._num, default=None)
@@ -754,12 +794,10 @@ class PoissonJet:
 
     def linear_constants(self):
         """c[i][j][k] with {x^i, x^j} = sum_k c[i][j][k] x^k + higher order."""
-        n = self.nvars
-        unit = lambda k: tuple(1 if t == k else 0 for t in range(n))
-        return [
-            [[self.entries[i][j].coefficient(unit(k)) for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
+        units = [(self.order + 1) ** (self.nvars - 1 - k) for k in range(self.nvars)]
+        parts = [[(jet._num.get(1, {}), jet.den) for jet in row] for row in self.entries]
+        return [[[Fraction(part[u], den) if u in part else _ZERO for u in units]
+                 for part, den in row] for row in parts]
 
     def linear_part(self) -> "PoissonJet":
         grid = [[jet.homogeneous_part(1) for jet in row] for row in self.entries]

@@ -409,6 +409,28 @@ def test_levi_command_rejects_bad_factor(tmp_path, capsys):
     assert "levi factor rejected" in err
 
 
+LONG_INTEGER = "7" * 5000     # past the interpreter's 4300-digit conversion limit
+
+
+def test_an_overlong_integer_in_the_problem_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(SO3_PROBLEM).replace('"order": 6', f'"order": {LONG_INTEGER}'))
+    code, out, err = run_cli(capsys, ["check", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: problem file:") and "Traceback" not in err
+
+
+def test_an_overlong_integer_in_the_levi_factor_file_is_an_input_error(tmp_path, capsys):
+    prob = corpus.get("gl2-levi").problem(4)
+    prob.pop("levi_factor")
+    factor = tmp_path / "split.json"
+    factor.write_text(f'{{"s": [[{LONG_INTEGER}]], "r": []}}')
+    argv = ["levi", write_problem(tmp_path, prob), "--levi-factor", str(factor)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: levi factor file:") and "Traceback" not in err
+
+
 def test_algebroid_command(tmp_path, capsys):
     path = write_problem(tmp_path, corpus.get("so3-coadjoint-algebroid").problem())
     code, out, _ = run_cli(capsys, ["algebroid", path])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from poislin.liealg import (
+    ExactTable,
     LeviSplit,
     LeviSplitError,
     LieAlgebra,
@@ -81,6 +82,14 @@ def test_jacobi_failure_names_the_first_ordered_triple():
             LieAlgebra(table)
         assert str(info.value) == "Jacobi identity fails on basis triple ({},{},{})".format(*triple)
     assert failures > 40
+
+
+def test_exact_table_keeps_the_fractions_it_is_given():
+    q = Fraction(2, 3)
+    table = ExactTable([[[q, 1], [0, "-1/2"]]])
+    assert table[0][0][0] is q
+    assert all(type(x) is Fraction for row in table[0] for x in row)
+    assert table == ExactTable([[[Fraction(4, 6), Fraction(1)], [0, Fraction(-1, 2)]]])
 
 
 def test_from_sparse_rejects_duplicates():

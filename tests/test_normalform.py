@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,9 @@ from helpers import (
     so3_algebra,
     so3_bivector,
 )
-from poislin import CoordChange, Jet, PoissonJet, compose_change, pushforward
+from poislin import CoordChange, Jet, PoissonJet, compose_change, normalform, pushforward
 from poislin.cohomology import ObstructionClass, is_cocycle, solve_coboundary
+from poislin.polyalg import monomials
 from poislin.liealg import (
     LeviSplit,
     LieAlgebra,
@@ -32,8 +34,13 @@ from poislin.normalform import (
     PreconditionNotNormalized,
     SplitNotCertified,
     _LeviProblem,
+    _PoissonProblem,
+    _clear_degree,
+    _correction,
     _field_commutator,
     _jacobian_fields,
+    _remainder_vector,
+    _scheduler_blocks,
     _tail_stats,
     action_remainder,
     conjugate_action,
@@ -226,6 +233,104 @@ def test_poisson_remainder_requires_normalized_lower_degrees():
         poisson_remainder(pi, 3)
     with pytest.raises(ValueError):
         poisson_remainder(pi, 1)
+
+
+def _reference_remainder(blocks, degree):
+    """The remainder read term by term through terms(), one Fraction each."""
+    vec = []
+    for jet, index in blocks:
+        block = [F(0)] * len(index)
+        for mono, c in jet.terms():
+            deg = sum(mono)
+            if deg == degree:
+                pos = index.get(mono)
+                if pos is None:
+                    raise SolverFailure("remainder leaves the module's monomial span")
+                block[pos] = c
+            elif 1 < deg < degree:
+                raise PreconditionNotNormalized(
+                    f"degree-{deg} term {mono} left below degree {degree}")
+        vec.extend(block)
+    return vec
+
+
+def test_remainder_vector_matches_the_per_term_fraction_reading():
+    rng = random.Random(1401)
+    pool = (F(1, 2), F(-2, 3), F(5, 6), -1, 3)
+    outcomes, dens = [], []
+    for _ in range(300):
+        n, order = rng.randint(1, 3), rng.randint(2, 5)
+        degree = rng.randint(2, order)
+        # a subset of the degree-d monomials, so some remainders leave the span
+        basis = monomials(n, degree)
+        kept = rng.sample(basis, rng.randint(1, len(basis)))
+        index = {mono: i for i, mono in enumerate(kept)}
+        blocks = [(random_jet(rng, n, order, max_terms=8, coeff_pool=pool,
+                              lowest=rng.choice([0, degree, degree, degree])), index)
+                  for _ in range(rng.randint(1, 3))]
+        dens.extend(jet.den for jet, _ in blocks)
+        try:
+            expected = _reference_remainder(blocks, degree)
+        except (PreconditionNotNormalized, SolverFailure) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$") as raised:
+                _remainder_vector(blocks, degree)
+            assert type(raised.value) is type(exc)
+            outcomes.append(type(exc))
+        else:
+            assert _remainder_vector(blocks, degree) == expected
+            outcomes.append(None if any(expected) else "zero")
+    assert set(outcomes) == {None, "zero", PreconditionNotNormalized, SolverFailure}
+    assert max(dens) > 1
+
+
+def test_correction_matches_the_fraction_construction():
+    rng = random.Random(1402)
+    pool = (0, 0, 0, 2, -1, F(1, 2), F(-3, 4), F(5, 3), F(7, 6))
+    for _ in range(150):
+        n, order = rng.randint(1, 4), rng.randint(2, 6)
+        basis = monomials(n, rng.randint(2, order))
+        targets = [(t, basis) for t in rng.sample(range(n), rng.randint(1, n))]
+        solution = [F(rng.choice(pool)) for _ in range(len(targets) * len(basis))]
+        expected = [Jet.variable(t, n, order) for t in range(n)]
+        pos = 0
+        for t, mons in targets:
+            sigma = {mono: c for mono, c in zip(mons, solution[pos:pos + len(mons)]) if c}
+            expected[t] = Jet.variable(t, n, order) - Jet(n, order, sigma)
+            pos += len(mons)
+        assert _correction(solution, targets, n, order).components == tuple(expected)
+
+
+def _per_block_trace(problem, scheduler, order, radius):
+    """The driver's loop with the stats recomputed before every block."""
+    trace = IterationTrace(scheduler, F(radius), order)
+    for block_index, degrees in _scheduler_blocks(scheduler, order):
+        lowest_before, norm_before = _tail_stats(problem.state_jets(), radius)
+        if lowest_before is None or lowest_before > degrees[-1]:
+            continue
+        treated = tuple(d for d in degrees if _clear_degree(problem, d)[0])
+        if treated:
+            lowest_after, norm_after = _tail_stats(problem.state_jets(), radius)
+            trace.steps.append(IterationStep(block_index, treated, lowest_before,
+                                             lowest_after, norm_before, norm_after))
+    return trace
+
+
+@pytest.mark.parametrize("scheduler", ["degree", "doubling"])
+def test_trace_stats_run_once_per_state(scheduler, monkeypatch):
+    rng = random.Random(1403)
+    radius = F(3, 2)
+    for base in (so3_bivector(6), sl2_bivector(6)):
+        for _ in range(3):
+            pert = pushforward(base, random_near_identity_change(rng, 3, 6))
+            reference = _per_block_trace(_PoissonProblem(pert), scheduler, 6, radius)
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(normalform, "hermitian_norm",
+                              lambda *args: calls.append(args) or hermitian_norm(*args))
+                _, _, trace = linearize_poisson(pert, scheduler, radius=radius)
+            assert trace.steps
+            assert len(calls) == (1 + len(trace.steps)) * 3     # three state jets
+            assert trace == reference
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Jet arithmetic, coordinate changes, bivectors, and the text form,
 checked against sympy-based reference computations."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -201,6 +202,26 @@ def _same(jet, ref, order):
     assert jet == direct and hash(jet) == hash(direct)
     assert jet.den == lcm(*(c.denominator for c in ref.values()))
     assert gcd(jet.den, *(v for _, v in jet.numerators())) == 1
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_integer_views_match_a_fraction_dict_reference(data):
+    n = data.draw(st.integers(1, 3))
+    (a, ra), (b, rb) = data.draw(_jets(n)), data.draw(_jets(n))
+    for d in range(a.order + 2):
+        assert {m: Fraction(v, a.den) for m, v in a.degree_numerators(d).items()} == {
+            m: c for m, c in ra.items() if sum(m) == d}
+    assert Jet.from_numerators(n, a.order, a.den, a.numerators()) == a
+    assert a.lowest_degree(2) == min((sum(m) for m in ra if sum(m) >= 2), default=None)
+    for other, ref in ((a, ra), (b, rb)):
+        for start in (0, 2):
+            sums = {}
+            for m, c in ra.items():
+                if m in ref and sum(m) >= start:
+                    weight = math.prod(math.factorial(e) for e in m)
+                    sums[sum(m)] = sums.get(sum(m), 0) + c * a.den * ref[m] * other.den * weight
+            assert a.weighted_sums(other, start) == {d: v for d, v in sums.items() if v}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -530,6 +551,12 @@ def test_linear_constants_so3():
     assert c[1][2] == [1, 0, 0]
     assert c[2][0] == [0, 1, 0]
     assert c[1][0] == [0, 0, -1]
+    # rational linear parts: equal to the per-monomial coefficients
+    pi = pushforward(sl2_bivector(3), CoordChange.linear([[2, 1, 0], [0, 1, 0], [1, 0, 3]], 3))
+    assert any(jet.den > 1 for row in pi.entries for jet in row)
+    units = [tuple(int(t == k) for t in range(3)) for k in range(3)]
+    assert pi.linear_constants() == [[[jet.coefficient(u) for u in units] for jet in row]
+                                     for row in pi.entries]
 
 
 def test_pushforward_matches_sympy():

@@ -18,7 +18,6 @@ from helpers import (
 )
 from poislin import CoordChange, Jet, PoissonJet, compose_change, normalform, pushforward
 from poislin.cohomology import ObstructionClass, is_cocycle, solve_coboundary
-from poislin.polyalg import monomials
 from poislin.liealg import (
     LeviSplit,
     LieAlgebra,
@@ -53,6 +52,7 @@ from poislin.normalform import (
     linearize_poisson,
     poisson_remainder,
 )
+from poislin.polyalg import monomials
 from oracles import (
     field_commutator_expr,
     field_derivative_expr,

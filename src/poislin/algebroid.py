@@ -1,24 +1,25 @@
 """Truncated Lie algebroid structures through their fiberwise-linear duals.
 
-A rank-r algebroid jet over a ball around the origin of R^n is stored as
-structure-function jets c^k_ij(x) and anchor-component jets B^l_i(x).  On the
-dual coordinates (x^1..x^n, e_1..e_r) it induces the bivector
+A rank-r algebroid jet over a ball around the origin of R^n is held as one
+state, the bivector it induces on the dual coordinates (x^1..x^n, e_1..e_r),
 
     {e_i, e_j} = sum_k c^k_ij(x) e_k,   {e_i, x^j} = B^j_i(x),   {x^i, x^j} = 0,
 
-and one truncated Jacobi identity for that bivector encodes the algebroid
-Jacobi identity and the bracket compatibility of the anchor at once.  Every
-engine in this module therefore runs on the dual bivector; what makes the
-runs algebroid-aware is the fiber-degree grading.  Giving each e-variable
-weight one and each x-variable weight zero, admissible coordinate changes
-keep base images free of e-variables and fiber images of weight exactly one,
-and the Chevalley-Eilenberg complex of the dual isotropy splits along the
-same weight.  Corrections are solved inside the weight-zero graded piece, so
-emitted changes are always a base diffeomorphism jet plus a frame change.
-That piece is not a second complex class: it is a `cohomology.CochainComplex`
-whose slot rule keeps the monomials of one fiber degree on each subset of the
-coadjoint polynomial module of the dual isotropy, so its layout, matrices,
-solvers and ranks come from the same code as the full complex's.
+for structure-function jets c^k_ij(x) and anchor-component jets B^l_i(x),
+which are read-only views of it.  One truncated Jacobi identity for that
+bivector encodes the algebroid Jacobi identity and the bracket compatibility
+of the anchor at once.  Every engine in this module therefore runs on the
+dual bivector; what makes the runs algebroid-aware is the fiber-degree
+grading.  Giving each e-variable weight one and each x-variable weight zero,
+admissible coordinate changes keep base images free of e-variables and fiber
+images of weight exactly one, and the Chevalley-Eilenberg complex of the dual
+isotropy splits along the same weight.  Corrections are solved inside the
+weight-zero graded piece, so emitted changes are always a base
+diffeomorphism jet plus a frame change.  That piece is not a second complex
+class: it is a `cohomology.CochainComplex` whose slot rule keeps the
+monomials of one fiber degree on each subset of the coadjoint polynomial
+module of the dual isotropy, so its layout, matrices, solvers and ranks come
+from the same code as the full complex's.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _fiber_degree(mono, base_dim: int) -> int:
 def _promote(jet: Jet, base_dim: int, rank: int, order: int) -> Jet:
     """Reinterpret a base-variable jet in the dual variables."""
     pad = (0,) * rank
-    return Jet(base_dim + rank, order, {mono + pad: c for mono, c in jet.terms()})
+    return Jet.from_numerators(base_dim + rank, order, jet.den,
+                               [(mono + pad, c) for mono, c in jet.numerators()])
 
 
 def _fiber_sum(jets, base_dim: int, rank: int, order: int) -> Jet:
@@ -76,12 +78,36 @@ def _fiber_sum(jets, base_dim: int, rank: int, order: int) -> Jet:
 
 def _base_part(jet: Jet, base_dim: int, order: int) -> Jet:
     """Drop the fiber variables from a jet that does not use them."""
-    coeffs = {}
-    for mono, c in jet.terms():
-        if any(mono[base_dim:]):
-            raise ValueError("jet depends on fiber variables")
-        coeffs[mono[:base_dim]] = c
-    return Jet(base_dim, order, coeffs)
+    terms = list(jet.numerators())
+    if any(any(mono[base_dim:]) for mono, _ in terms):
+        raise ValueError("jet depends on fiber variables")
+    return Jet.from_numerators(base_dim, order, jet.den,
+                               [(mono[:base_dim], c) for mono, c in terms])
+
+
+def _read_views(dual: PoissonJet, base_dim: int) -> tuple:
+    """(structure, anchor) read off a fiberwise linear dual."""
+    n, order, rows = base_dim, dual.order - 1, dual.entries
+    rank = dual.nvars - n
+    structure = [[[Jet.zero(n, order)] * rank for _ in range(rank)] for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            # the entry is fiber-linear: its e_k coefficient is d/de_k
+            row = [_base_part(rows[n + i][n + j].diff(n + k), n, order) for k in range(rank)]
+            structure[i][j], structure[j][i] = row, [-jet for jet in row]
+    anchor = tuple(tuple(_base_part(jet, n, order + 1) for jet in rows[n + i][:n])
+                   for i in range(rank))
+    return tuple(tuple(map(tuple, block)) for block in structure), anchor
+
+
+def _linear_data(dual: PoissonJet, base_dim: int) -> tuple:
+    """(fiber algebra, anchor matrices) of a fiberwise linear dual, read off
+    its linear constants: the fiber algebra has the structure constants
+    c^k_ij(0), and action[i][l][k] is the x^k coefficient of B^l_i."""
+    n, sections = base_dim, dual.linear_constants()[base_dim:]
+    # the fiber block of the validated dual's isotropy, a subalgebra
+    fiber = LieAlgebra._trusted([[row[n:] for row in plane[n:]] for plane in sections])
+    return fiber, [[row[:n] for row in plane[:n]] for plane in sections]
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +125,12 @@ class AlgebroidJet:
     terms c(x)e fill it exactly while anchors reach one x-degree further;
     carrying that extra degree keeps the class closed under frame and base
     changes.  Construction certifies the data by validating the truncated
-    Jacobi identity of the dual.
+    Jacobi identity of the dual, and the dual is the jet's one state:
+    structure and anchor are read-only views, the constructor's checked
+    inputs or, for a jet wrapped around a dual, read off it on first use.
     """
 
-    __slots__ = ("base_dim", "rank", "structure", "anchor", "order", "_dual")
+    __slots__ = ("base_dim", "rank", "order", "_dual", "_views")
 
     def __init__(self, base_dim: int, rank: int, structure, anchor, order: int):
         if base_dim < 0 or rank < 0 or order < 1:
@@ -144,84 +172,78 @@ class AlgebroidJet:
             for l in range(base_dim):
                 if anchor[i][l].constant_term:
                     raise ValueError("anchor must vanish at the origin")
-        self.base_dim = base_dim
-        self.rank = rank
-        self.structure = structure
-        self.anchor = anchor
-        self.order = order
-        self._dual = self._build_dual()
-
-    def _build_dual(self) -> PoissonJet:
-        n, r, order = self.base_dim, self.rank, self.order
-        total = n + r
-        dual_order = order + 1
-        grid = [[Jet.zero(total, dual_order) for _ in range(total)] for _ in range(total)]
-        for i in range(r):
-            for j in range(i + 1, r):
-                jet = _fiber_sum(self.structure[i][j], n, r, dual_order)
+        n, total = base_dim, base_dim + rank
+        grid = [[Jet.zero(total, order + 1)] * total for _ in range(total)]
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                jet = _fiber_sum(structure[i][j], n, rank, order + 1)
                 grid[n + i][n + j] = jet
                 grid[n + j][n + i] = -jet
             for l in range(n):
-                jet = _promote(self.anchor[i][l], n, r, dual_order)
+                jet = _promote(anchor[i][l], n, rank, order + 1)
                 grid[n + i][l] = jet
                 grid[l][n + i] = -jet
-        # the constructor reruns antisymmetry and runs truncated Jacobi
-        return PoissonJet(grid, dual_order)
+        self.base_dim, self.rank, self.order = base_dim, rank, order
+        # the dual's constructor reruns antisymmetry and runs truncated Jacobi
+        self._dual, self._views = PoissonJet(grid, order + 1), (structure, anchor)
+
+    @classmethod
+    def _from_dual(cls, dual: PoissonJet, base_dim: int) -> "AlgebroidJet":
+        """The jet of a fiberwise linear dual of order >= 2, with no check."""
+        jet = cls.__new__(cls)
+        jet.base_dim, jet.rank, jet.order = base_dim, dual.nvars - base_dim, dual.order - 1
+        jet._dual, jet._views = dual, None
+        return jet
+
+    def _view(self, index: int) -> tuple:
+        if self._views is None:
+            self._views = _read_views(self._dual, self.base_dim)
+        return self._views[index]
+
+    @property
+    def structure(self) -> tuple:
+        return self._view(0)
+
+    @property
+    def anchor(self) -> tuple:
+        return self._view(1)
+
+    def linear_data(self) -> tuple:
+        """(fiber algebra, anchor matrices) at the origin: the Lie algebra of
+        the structure constants c^k_ij(0), and action[i][l][k], the x^k
+        coefficient of anchor[i][l]."""
+        return _linear_data(self._dual, self.base_dim)
 
     def fiber_algebra(self) -> LieAlgebra:
         """Lie algebra of the structure constants at the origin."""
-        zero = (0,) * self.base_dim
-        c = [
-            [[self.structure[i][j][k].coefficient(zero) for k in range(self.rank)]
-             for j in range(self.rank)]
-            for i in range(self.rank)
-        ]
-        return LieAlgebra(c)
+        return self.linear_data()[0]
 
     def is_linear(self) -> bool:
         """Constant structure functions and linear anchors."""
-        return all(
-            jet.highest_degree() in (None, 0)
-            for block in self.structure for row in block for jet in row
-        ) and all(
-            jet.highest_degree() in (None, 1)
-            for row in self.anchor for jet in row
-        )
+        return self._dual.is_linear()
 
     def linear_part(self) -> "LinearAlgebroid":
         if not self.is_linear():
             raise ValueError("jet carries nonlinear terms")
-        zero = (0,) * self.base_dim
-        unit = lambda k: tuple(1 if t == k else 0 for t in range(self.base_dim))
-        mats = [
-            [[self.anchor[i][l].coefficient(unit(k)) for k in range(self.base_dim)]
-             for l in range(self.base_dim)]
-            for i in range(self.rank)
-        ]
-        return LinearAlgebroid(self.fiber_algebra(), mats)
+        return LinearAlgebroid(*self.linear_data())
 
     def truncate(self, order: int) -> "AlgebroidJet":
+        """The jet at another order: lowering it keeps the Jacobi identity
+        the dual was checked for, raising it checks the identity again."""
         if order == self.order:
             return self
-        return AlgebroidJet(
-            self.base_dim,
-            self.rank,
-            [[[jet.truncate(order) for jet in row] for row in block]
-             for block in self.structure],
-            [[jet.truncate(order + 1) for jet in row] for row in self.anchor],
-            order,
-        )
+        if order < 1:
+            raise ValueError("need base_dim, rank >= 0 and order >= 1")
+        dual = self._dual.truncate(order + 1)
+        if order > self.order:
+            dual = PoissonJet(dual.entries, order + 1)
+        return AlgebroidJet._from_dual(dual, self.base_dim)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebroidJet):
             return NotImplemented
-        return (
-            self.base_dim == other.base_dim
-            and self.rank == other.rank
-            and self.order == other.order
-            and self.structure == other.structure
-            and self.anchor == other.anchor
-        )
+        return ((self.base_dim, self.order) == (other.base_dim, other.order)
+                and self._dual == other._dual)
 
     def __repr__(self):
         return (
@@ -262,30 +284,13 @@ def fiberwise_linearity_check(pi: PoissonJet, base_dim: int) -> bool:
 
 
 def poisson_to_algebroid(pi: PoissonJet, base_dim: int) -> AlgebroidJet:
-    """Read structure functions and anchor components back off a fiberwise
-    linear bivector; inverse of algebroid_to_poisson on its image."""
+    """The algebroid jet of a fiberwise linear bivector, which becomes its
+    state as it is; inverse of algebroid_to_poisson on its image."""
     if not fiberwise_linearity_check(pi, base_dim):
         raise ValueError("bivector is not fiberwise linear for this splitting")
-    if pi.order < 1:
+    if pi.order < 2:
         raise ValueError("bivector order too small to carry an algebroid jet")
-    n = base_dim
-    rank = pi.nvars - n
-    order = pi.order - 1
-    structure = [
-        [[Jet.zero(n, order) for _ in range(rank)] for _ in range(rank)]
-        for _ in range(rank)
-    ]
-    anchor = [[Jet.zero(n, order + 1) for _ in range(n)] for _ in range(rank)]
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            for k in range(rank):
-                # the entry is fiber-linear: its e_k coefficient is d/de_k
-                jet = _base_part(pi.entries[n + i][n + j].diff(n + k), n, order)
-                structure[i][j][k] = jet
-                structure[j][i][k] = -jet
-        for l in range(n):
-            anchor[i][l] = _base_part(pi.entries[n + i][l], n, order + 1)
-    return AlgebroidJet(n, rank, structure, anchor, order)
+    return AlgebroidJet._from_dual(pi, base_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -555,21 +560,10 @@ def linearize_algebroid(A: AlgebroidJet, scheduler: str = "doubling",
     obstruction, trace = _run_scheduler(problem, scheduler, order + 1, radius)
     if obstruction is not None:
         return obstruction, trace
-    constants = problem.state.linear_constants()
-    n, r = A.base_dim, A.rank
-    # the fiber block of the validated dual's isotropy, a subalgebra
-    fiber = LieAlgebra._trusted([
-        [[constants[n + i][n + j][n + k] for k in range(r)] for j in range(r)]
-        for i in range(r)
-    ])
-    mats = [
-        [[constants[n + i][l][k] for k in range(n)] for l in range(n)]
-        for i in range(r)
-    ]
     # from_dual rejects any change that broke the grading
     return (
-        AlgebroidChange.from_dual(problem.change(), n),
-        LinearAlgebroid(fiber, mats),
+        AlgebroidChange.from_dual(problem.change(), A.base_dim),
+        LinearAlgebroid(*_linear_data(problem.state, A.base_dim)),
         trace,
     )
 

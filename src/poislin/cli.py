@@ -629,6 +629,7 @@ def run_algebroid(spec: ProblemSpec, args) -> tuple[dict, int]:
 
 def _load_levi(spec: ProblemSpec, args):
     rows = spec.levi
+    algebra = _isotropy_of(spec)
     path = getattr(args, "levi_factor", None)
     if path is not None:
         try:
@@ -641,12 +642,10 @@ def _load_levi(spec: ProblemSpec, args):
                         f"column {exc.colno}: {exc.msg}")
         except ValueError as exc:   # as in parse_problem
             raise _fail(f"levi factor file: {exc}")
-        rows = _parse_levi({"levi_factor": block},
-                           _isotropy_of(spec).dim)
+        rows = _parse_levi({"levi_factor": block}, algebra.dim)
     if rows is None:
         raise _fail("the levi command needs a levi_factor block or "
                     "--levi-factor FILE")
-    algebra = _isotropy_of(spec)
     try:
         return verify_levi_split(algebra, list(rows[0]), list(rows[1]))
     except LeviSplitError as exc:
@@ -667,13 +666,7 @@ def _polynomial_rep(spec: ProblemSpec) -> tuple[LieAlgebra, int, list]:
     if spec.kind == "action":
         mats = spec.payload.linear_matrices()
     else:
-        mats = [
-            [[comp.coefficient(tuple(1 if t == k else 0
-                                     for t in range(spec.payload.base_dim)))
-              for k in range(spec.payload.base_dim)]
-             for comp in fld]
-            for fld in spec.payload.anchor
-        ]
+        mats = spec.payload.linear_data()[1]
     n = len(mats[0]) if mats else 0
     rep = [[[mat[u][l] for u in range(n)] for l in range(n)] for mat in mats]
     return algebra, n, rep

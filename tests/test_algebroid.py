@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     so3_bivector,
     solvable2_algebra,
 )
+from poislin import polyalg
 from poislin.algebroid import (
     AlgebroidChange,
     AlgebroidJet,
@@ -85,6 +87,88 @@ def test_duality_round_trip_on_random_graded_transports():
         pi = algebroid_to_poisson(moved)
         assert fiberwise_linearity_check(pi, 3)
         assert poisson_to_algebroid(pi, 3) == moved
+
+
+def _truncated_entries(grid, order):
+    return tuple(tuple(jet.truncate(order) for jet in row) for row in grid)
+
+
+@pytest.mark.parametrize("seed", ["so3", "gl2", "quadratic"])
+def test_views_rebuild_the_jet_and_truncate_entrywise(seed):
+    """The structure and anchor views of a transported jet, read off its
+    dual, rebuild the same jet through the checked constructor; the views
+    of a constructed jet are its inputs, also when read back off its dual;
+    and truncation cuts structure functions at k and anchors at k+1."""
+    A, base_dim, rank = {
+        "so3": (so3_action_algebroid(4), 3, 3),
+        "gl2": (gl2_matrix_algebroid(4)[0], 2, 4),
+        "quadratic": (abelian_quadratic_algebroid(4), 1, 2),
+    }[seed]
+    rng = random.Random(707)
+    for _ in range(3):
+        moved = apply_algebroid_change(A, random_graded_change(rng, base_dim, rank, 5))
+        structure, anchor = moved.structure, moved.anchor
+        rebuilt = AlgebroidJet(base_dim, rank, [list(block) for block in structure],
+                               [list(row) for row in anchor], moved.order)
+        assert rebuilt == moved
+        assert (rebuilt.structure, rebuilt.anchor) == (structure, anchor)
+        read = poisson_to_algebroid(algebroid_to_poisson(rebuilt), base_dim)
+        assert (read.structure, read.anchor) == (structure, anchor)
+        for k in range(1, moved.order):
+            cut_structure = tuple(_truncated_entries(block, k) for block in structure)
+            cut_anchor = _truncated_entries(anchor, k + 1)
+            cut = moved.truncate(k)
+            assert (cut.structure, cut.anchor) == (cut_structure, cut_anchor)
+            assert cut == AlgebroidJet(base_dim, rank, cut_structure, cut_anchor, k)
+
+
+def test_dual_conversions_and_truncation_run_no_second_jacobi_check(monkeypatch):
+    """poisson_to_algebroid and truncate wrap a dual already checked, so they
+    call no jacobiator; the views of the wrapped jet are read off the dual's
+    integer numerators, counted with a profile hook on Fraction.__new__."""
+    rng = random.Random(13)
+    A, _ = gl2_matrix_algebroid(3)
+    pi = algebroid_to_poisson(apply_algebroid_change(A, random_graded_change(rng, 2, 4, 4)))
+    calls = [0]
+    jacobiator = polyalg.jacobiator
+
+    def counted(pi):
+        calls[0] += 1
+        return jacobiator(pi)
+
+    monkeypatch.setattr(polyalg, "jacobiator", counted)
+    moved = poisson_to_algebroid(pi, 2)
+    assert moved.truncate(2).order == 2 and moved.truncate(1).order == 1
+    assert calls[0] == 0
+    code = Fraction.__new__.__code__
+    built = [0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            built[0] += 1
+
+    sys.setprofile(count)
+    try:
+        views = poisson_to_algebroid(pi, 2)
+        views.structure, views.anchor
+    finally:
+        sys.setprofile(None)
+    assert built[0] == 0
+    assert algebroid_to_poisson(AlgebroidJet(2, 4, views.structure, views.anchor, 3)) == pi
+
+
+def test_raising_the_order_checks_the_jacobi_identity_again():
+    # {e1,e2} = x e1 and {e1,x} = x^2 fail Jacobi only in degree 3, past the
+    # order-2 dual of an order-1 jet
+    structure = [[[Jet.zero(1, 1)] * 2 for _ in range(2)] for _ in range(2)]
+    structure[0][1][0] = Jet.variable(0, 1, 1)
+    structure[1][0][0] = -structure[0][1][0]
+    A = AlgebroidJet(1, 2, structure, [[Jet(1, 2, {(2,): 1})], [Jet.zero(1, 2)]], 1)
+    with pytest.raises(ValueError, match="Jacobi"):
+        A.truncate(2)
+    with pytest.raises(ValueError, match="order >= 1"):
+        A.truncate(0)
+    assert so3_action_algebroid(3).truncate(4) == so3_action_algebroid(4)
 
 
 def test_transport_keeps_anchor_terms_one_degree_deeper():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -394,6 +395,23 @@ def test_levi_command_with_factor_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["levi", path])
     assert code == 1
     assert "levi_factor" in err
+
+
+def test_a_levi_factor_file_reads_the_isotropy_once(tmp_path, monkeypatch):
+    spec = problem_from_dict(corpus.get("so3-coadjoint-algebroid").problem(3))
+    factor = tmp_path / "split.json"
+    factor.write_text(json.dumps({"s": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "r": []}))
+    calls = []
+    isotropy_of = cli._isotropy_of
+
+    def counted(spec):
+        calls.append(spec.kind)
+        return isotropy_of(spec)
+
+    monkeypatch.setattr(cli, "_isotropy_of", counted)
+    split = cli._load_levi(spec, argparse.Namespace(levi_factor=str(factor)))
+    assert len(split.s_basis) == 3 and not split.r_basis
+    assert calls == ["algebroid"]
 
 
 def test_levi_command_rejects_bad_factor(tmp_path, capsys):

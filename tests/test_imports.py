@@ -1,12 +1,14 @@
-"""Every name a poislin module imports is used in that module, and only
-polyalg knows how a jet is stored.
+"""Every name a poislin module imports is used in that module, only polyalg
+knows how a jet is stored, and only algebroid how an algebroid jet is.
 
 Deleting code tends to strand the imports it needed; this test reads each
 module's syntax tree with the standard `ast` module and names the strays.
 The package `__init__` re-exports by design and is left out.  The same
 trees show every read of a jet's private attributes outside polyalg: an
 attribute access by one of `Jet`'s leading-underscore names, or by a name
-the jet state had before it was made one.
+the jet state had before it was made one.  Likewise no module but algebroid
+reads `AlgebroidJet`'s private names: its dual, its view cache and its
+trusted constructor.
 """
 
 import ast
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from poislin.algebroid import AlgebroidJet
 from poislin.polyalg import Jet
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "poislin"
@@ -49,9 +52,9 @@ JET_PRIVATE = {name for name in vars(Jet) if name.startswith("_") and not name.e
 JET_PRIVATE |= {"_c", "_fast", "_fast_form", "_raw"}
 
 
-def jet_internals(source: str) -> list[str]:
+def jet_internals(source: str, private=JET_PRIVATE) -> list[str]:
     found = sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
-                   if isinstance(node, ast.Attribute) and node.attr in JET_PRIVATE)
+                   if isinstance(node, ast.Attribute) and node.attr in private)
     return [f"line {line}: .{attr}" for line, attr in found]
 
 
@@ -65,3 +68,20 @@ def test_the_check_sees_jet_internals():
                          ids=lambda p: p.name)
 def test_only_polyalg_reads_jet_internals(path):
     assert jet_internals(path.read_text()) == []
+
+
+ALGEBROID_PRIVATE = {name for name in vars(AlgebroidJet)
+                     if name.startswith("_") and not name.endswith("__")}
+
+
+def test_the_check_sees_algebroid_jet_internals():
+    assert {"_dual", "_views", "_from_dual"} <= ALGEBROID_PRIVATE
+    source = "A.structure\nAlgebroidJet._from_dual(pi, 3)\nA._views = None\npi = A._dual\n"
+    assert jet_internals(source, ALGEBROID_PRIVATE) == [
+        "line 2: ._from_dual", "line 3: ._views", "line 4: ._dual"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "algebroid.py"],
+                         ids=lambda p: p.name)
+def test_only_algebroid_reads_algebroid_jet_internals(path):
+    assert jet_internals(path.read_text(), ALGEBROID_PRIVATE) == []

@@ -37,6 +37,7 @@ from .cohomology import (
     induced_polynomial_module,
 )
 from .liealg import LeviSplit, LieAlgebra
+from .linalg import rationals
 from .normalform import (
     ActionJet,
     _LeviProblem,
@@ -537,10 +538,10 @@ class _GradedProblem(_PoissonProblem):
         blocks = [(self.state.entries[a][b], cx.slot_basis((a, b))[1])
                   for a, b in cx.layout(2)[0]]
         targets = [(a, cx.slot_basis((a,))[0]) for a in range(self.state.nvars)]
-        yield _SubSolve(cx, 2, _remainder_vector(blocks, degree), targets)
+        yield _SubSolve(cx, 2, *_remainder_vector(blocks, degree), targets)
 
     def obstruction(self, sub, functional) -> ObstructionClass:
-        return _embed_obstruction(sub.complex, sub.vector, functional)
+        return _embed_obstruction(sub.complex, sub.vector, rationals(functional))
 
 
 def linearize_algebroid(A: AlgebroidJet, scheduler: str = "doubling",

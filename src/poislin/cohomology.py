@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .linalg import IntegerRows, LinearSolver, Vector, dot, rank
+from .linalg import IntegerRows, LinearSolver, Vector, dot, numerators, rationals, rank
 from .liealg import ExactTable, LieAlgebra
 from .polyalg import monomials
 
@@ -432,11 +432,11 @@ def solve_coboundary(target: Cochain):
         raise InputNotCocycle("right-hand side is not closed")
     module = target.module
     solver = module.coboundary_solver(target.degree)
-    x = solver.solve(target.vector)
-    if x is not None:
-        return Cochain(module, target.degree - 1, x)
-    lam = solver.null_functional(target.vector)
-    return ObstructionClass(target, lam, cohomology_dimension(module, target.degree))
+    y, scale, violated = solver.solve_numerators(*numerators(target.vector))
+    if violated is None:
+        return Cochain(module, target.degree - 1, rationals(y, scale))
+    return ObstructionClass(target, rationals(violated),
+                            cohomology_dimension(module, target.degree))
 
 
 def cohomology_dimension(cx: CochainComplex, r: int) -> int:

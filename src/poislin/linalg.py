@@ -10,12 +10,19 @@ denominator.  The coboundary matrices of the cohomology solvers are built in
 the last form, a few percent nonzero and split into many small blocks; they
 are eliminated as they are, with no rational entry built and no zero cell
 scanned.  Rational rows are scaled to integers once, row by row, on the way
-in.  The one elimination, `_eliminate`,
-is an integer forward pass that never touches a row above its pivot, so it
-never leaves a block.  `rank` runs it on M; `LinearSolver` runs it on
-[M | I] and back-substitutes through the echelon rows on integers, for every
-solve and for its RREF, transform and kernel views.  There is no
-determinant: invertibility and nondegeneracy are read as `rank(M, n) == n`.
+in.  The one elimination, `_eliminate`, is an integer forward pass that
+never touches a row above its pivot, so it never leaves a block.  `rank`
+runs it on M; `LinearSolver` runs it on [M | I] once.
+
+A right-hand side is solved on integers too: `solve_numerators` takes b as
+numerators over one denominator and, in one pass over its nonzeros, applies
+L and pairs b with the left-null rows; back substitution through the
+echelon rows gives the solution as integers over one scale, returned with
+the first null row b violates.  The rational `solve`, `solve_partial`,
+`null_functional` and `is_consistent` and the RREF, transform and kernel
+views are read off the same integers, with `numerators` and `rationals`
+converting at that edge.  There is no determinant: invertibility and
+nondegeneracy are read as `rank(M, n) == n`.
 """
 
 from __future__ import annotations
@@ -50,6 +57,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def identity_matrix(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def numerators(b: Vector) -> tuple[list[int], int]:
+    """b as integer numerators over the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in b if x))
+    return [x.numerator * (den // x.denominator) if x else 0 for x in b], den
+
+
+def rationals(nums: list[int], den: int = 1) -> Vector:
+    """The rational vector nums / den."""
+    return [Fraction(x, den) if x else ZERO for x in nums]
 
 
 class IntegerRows(Sequence):
@@ -182,11 +200,11 @@ class LinearSolver:
     `_eliminate` runs once on [M | I], scaled to integer rows whose identity
     tail sits at keys ncols + i.  Of the echelon rows [U | L] it leaves
     (U = L*M) the solver keeps, per pivot, the value and the other entries
-    of U and L, and the left-null rows below the rank.  A solve checks b
-    against the null rows, applies L and back-substitutes through U; the
-    kernel, RREF and transform views back-substitute a column of U or of L.
-    Free variables are zero in every returned solution (the deterministic
-    minimal primitive used throughout the package).
+    of U, and per row of M its columns of L and of the left-null rows below
+    the rank.  `solve_numerators` is the one solve; the rational solves and
+    the kernel, RREF and transform views read its integers.  Free variables
+    are zero in every returned solution (the deterministic minimal primitive
+    used throughout the package).
     """
 
     def __init__(self, rows, ncols: int | None = None):
@@ -214,21 +232,49 @@ class LinearSolver:
                 if j >= m:
                     self._l_columns[j - m].append((k, x))
         # Left-null rows: the L part of each row below the rank, made
-        # primitive with its first nonzero entry positive.
-        self._null_rows: list[dict] = []
-        for pos in range(self.rank, n):
+        # primitive with its first nonzero entry positive, stored by column
+        # as (null row, entry) pairs.
+        self._null_columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for k, pos in enumerate(range(self.rank, n)):
             row = work[order[pos]]
             if any(j < m for j in row):
                 raise AssertionError("elimination left a nonzero row below the rank")
             g = gcd(*row.values())
             if row and row[min(row)] < 0:
                 g = -g
-            self._null_rows.append({j - m: x // g for j, x in row.items()})
+            for j, x in row.items():
+                self._null_columns[j - m].append((k, x // g))
 
-    def _back_substitute(self, rhs: list[int], den: int = 1) -> Vector:
-        """x with U x = rhs / den and zero on the free columns, filled from
-        the last pivot up as integers y over one scale, which grows only by
-        the part of each pivot that does not divide its numerator."""
+    def solve_numerators(self, nums: list[int], den: int = 1
+                         ) -> tuple[list[int], int, list[int] | None]:
+        """M x = b for b = nums / den on integers: (y, scale, violated).
+
+        One pass over b's nonzeros gives L b and b's pairing with every
+        left-null row.  x = y / scale is L b back-substituted through U, the
+        solution when b is consistent; `violated` is then None, and else the
+        first null row, dense, that b does not annihilate."""
+        if len(nums) != self.nrows:
+            raise ValueError("right-hand side has wrong length")
+        rhs = [0] * self.rank
+        pairings = [0] * (self.nrows - self.rank)
+        for v, l_column, null_column in zip(nums, self._l_columns, self._null_columns):
+            if v:
+                for k, e in l_column:
+                    rhs[k] += e * v
+                for k, e in null_column:
+                    pairings[k] += e * v
+        y, scale = self._back_substitute(rhs)
+        violated = next((k for k, x in enumerate(pairings) if x), None)
+        return y, scale * den, None if violated is None else self._null_row(violated)
+
+    def _null_row(self, k: int) -> list[int]:
+        """Left-null row k, dense, read off the null columns."""
+        return [next((x for j, x in column if j == k), 0) for column in self._null_columns]
+
+    def _back_substitute(self, rhs: list[int]) -> tuple[list[int], int]:
+        """(y, scale) with U (y / scale) = rhs and y zero on the free columns,
+        filled from the last pivot up; the scale grows only by the part of
+        each pivot that does not divide its numerator."""
         y = [0] * self.ncols
         scale = 1
         for (p, later, _), col, c in zip(reversed(self._pivots), reversed(self.pivot_cols),
@@ -240,8 +286,7 @@ class LinearSolver:
                     scale *= p // g
                     y = [v * (p // g) for v in y]
                 y[col] = t // g
-        scale *= den
-        return [Fraction(v, scale) if v else ZERO for v in y]
+        return y, scale
 
     def kernel_basis(self) -> Matrix:
         """One kernel vector per free column f: 1 at f, and on the pivot
@@ -249,7 +294,8 @@ class LinearSolver:
         basis = []
         for f in range(self.ncols):
             if f not in self.pivot_cols:
-                basis.append(self._back_substitute([-free.get(f, 0) for *_, free in self._pivots]))
+                rhs = [-free.get(f, 0) for *_, free in self._pivots]
+                basis.append(rationals(*self._back_substitute(rhs)))
                 basis[-1][f] = ONE
         return basis
 
@@ -265,62 +311,35 @@ class LinearSolver:
     def transform_rows(self) -> Matrix:
         """The rows of the transform E that belong to the pivots, one column
         per column of L: their product with M is rref_rows."""
-        n = self.nrows
-        columns = [self._pivot_solution([int(i == j) for i in range(n)], 1) for j in range(n)]
+        columns = [self.solve_partial(unit) for unit in identity_matrix(self.nrows)]
         return [[x[col] for x in columns] for col in self.pivot_cols]
 
     @property
     def null_rows(self) -> Matrix:
         """A basis of the left null space of M: the L parts below the rank."""
-        n = self.nrows
-        return [[Fraction(row.get(i, 0)) for i in range(n)] for row in self._null_rows]
+        return [rationals(self._null_row(k)) for k in range(self.nrows - self.rank)]
 
     @property
     def kernel_dimension(self) -> int:
         return self.ncols - self.rank
 
-    def _scaled(self, b: Vector) -> tuple[list[int], int]:
-        """b as integer numerators over one common denominator."""
-        if len(b) != self.nrows:
-            raise ValueError("right-hand side has wrong length")
-        den = lcm(*(x.denominator for x in b if x))
-        return [x.numerator * (den // x.denominator) if x else 0 for x in b], den
-
-    def _consistent(self, ints: list[int]) -> bool:
-        return not any(sum(x * ints[i] for i, x in row.items()) for row in self._null_rows)
-
     def is_consistent(self, b: Vector) -> bool:
-        return self._consistent(self._scaled(b)[0])
+        return self.solve_numerators(*numerators(b))[2] is None
 
     def solve(self, b: Vector) -> Vector | None:
         """Solve M x = b; None when inconsistent.  Free variables are zero."""
-        ints, den = self._scaled(b)
-        if not self._consistent(ints):
-            return None
-        return self._pivot_solution(ints, den)
+        y, scale, violated = self.solve_numerators(*numerators(b))
+        return None if violated is not None else rationals(y, scale)
 
     def solve_partial(self, b: Vector) -> Vector:
         """Best deterministic partial solution: x from the pivot rows, with
         M x = b exactly when the system is consistent."""
-        return self._pivot_solution(*self._scaled(b))
+        return rationals(*self.solve_numerators(*numerators(b))[:2])
 
     def null_functional(self, b: Vector) -> Vector | None:
         """A row functional vanishing on the column span of M but not on b."""
-        ints, _ = self._scaled(b)
-        for row in self._null_rows:
-            if sum(x * ints[i] for i, x in row.items()):
-                return [Fraction(row.get(i, 0)) for i in range(self.nrows)]
-        return None
-
-    def _pivot_solution(self, ints: list[int], den: int) -> Vector:
-        """The solution for b = ints / den with the free variables zero: L
-        applied to ints column by column, then back substitution."""
-        rhs = [0] * self.rank
-        for i, v in enumerate(ints):
-            if v:
-                for k, e in self._l_columns[i]:
-                    rhs[k] += e * v
-        return self._back_substitute(rhs, den)
+        violated = self.solve_numerators(*numerators(b))[2]
+        return None if violated is None else rationals(violated)
 
 
 def _pivot_columns(rows, ncols: int | None) -> list[int]:
@@ -337,69 +356,30 @@ def rank(rows, ncols: int | None = None) -> int:
 
 def symmetric_signature(mat: Matrix) -> tuple[int, int, int]:
     """Signature (positive, negative, zero) of a symmetric rational matrix,
-    via exact congruence diagonalization."""
-    n = len(mat)
+    via exact congruence diagonalization: each step counts a nonzero
+    diagonal pivot and passes to its Schur complement.  When the diagonal
+    vanishes, adding row and column j to row and column i turns a nonzero
+    entry a_ij into the pivot 2 a_ij."""
     a = [[Fraction(x) for x in row] for row in mat]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
-    pos = neg = zero = 0
-    k = 0
-    while k < n:
-        if a[k][k] == 0:
-            swap = -1
-            for j in range(k + 1, n):
-                if a[j][j] != 0:
-                    swap = j
-                    break
-            if swap >= 0:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = -1
-                for j in range(k + 1, n):
-                    if a[k][j] != 0:
-                        off = j
-                        break
-                if off < 0:
-                    # Row and column k vanish on the remaining block.
-                    empty = all(
-                        a[i][j] == 0
-                        for i in range(k, n)
-                        for j in range(k, n)
-                    )
-                    if empty:
-                        zero += n - k
-                        break
-                    zero += 1
-                    # Move the zero row/column to the end.
-                    a.append(a.pop(k))
-                    for row in a:
-                        row.append(row.pop(k))
-                    n -= 1
-                    continue
-                # a[k][k] = 0 but a[k][off] != 0: add row/col off into k.
-                for j in range(len(a[k])):
-                    a[k][j] += a[off][j]
-                for row in a:
-                    row[k] += row[off]
+    n = len(a)
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    pos = neg = 0
+    while a:
+        k = next((k for k in range(len(a)) if a[k][k]), None)
+        if k is None:
+            k, j = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x),
+                        (None, None))
+            if k is None:
+                break
+            for row in a:
+                row[k] += row[j]
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
         p = a[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(k + 1, n):
-            q = a[r][k]
-            if q:
-                factor = q / p
-                for j in range(len(a[r])):
-                    a[r][j] -= factor * a[k][j]
-                for row in a:
-                    row[r] -= factor * row[k]
-        k += 1
-    return pos, neg, zero
+        pos, neg = pos + (p > 0), neg + (p < 0)
+        a = [[x - a[r][k] * a[k][c] / p for c, x in enumerate(row) if c != k]
+             for r, row in enumerate(a) if r != k]
+    return pos, neg, n - pos - neg
 
 
 def row_space_solver(vectors: Matrix, ambient_dim: int) -> LinearSolver:

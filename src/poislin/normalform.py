@@ -44,6 +44,7 @@ from .liealg import (
     isotropy_from_linear_part,
     verify_levi_split,
 )
+from .linalg import rationals
 from .polyalg import (
     CoordChange,
     Jet,
@@ -207,20 +208,28 @@ def _tail_stats(jets, radius) -> tuple[int | None, float]:
 
 class _SubSolve(NamedTuple):
     """One cochain equation d(sigma) = R met while clearing a degree: R is
-    `vector` in C^r of `complex`, and `targets` pairs each block of C^{r-1},
-    in order, with the coordinate its solution block corrects and the
-    monomials that block's entries multiply."""
+    `numerators` over `den` in C^r of `complex`, and `targets` pairs each
+    block of C^{r-1}, in order, with the coordinate its solution block
+    corrects and the monomials that block's entries multiply."""
 
     complex: object
     cochain_degree: int
-    vector: list
+    numerators: list
+    den: int
     targets: list
 
+    @property
+    def vector(self) -> list:
+        """R as rationals, for remainder cochains and certificates."""
+        return rationals(self.numerators, self.den)
 
-def _remainder_vector(blocks, degree: int) -> list:
-    """Degree-d coefficients of each (jet, monomial index) block, concatenated.
-    Nonlinear terms below degree d must already be cleared."""
-    vec = []
+
+def _remainder_vector(blocks, degree: int) -> tuple[list[int], int]:
+    """Degree-d coefficients of each (jet, monomial index) block, concatenated,
+    as integer numerators over the lcm of the jets' denominators.  Nonlinear
+    terms below degree d must already be cleared."""
+    den = math.lcm(*(jet.den for jet, _ in blocks))
+    nums = []
     for jet, index in blocks:
         low = jet.lowest_degree(2)
         if low is not None and low < degree:
@@ -228,14 +237,15 @@ def _remainder_vector(blocks, degree: int) -> list:
             raise PreconditionNotNormalized(
                 f"degree-{low} term {mono} left below degree {degree}"
             )
-        block = [ZERO] * len(index)
+        block = [0] * len(index)
+        up = den // jet.den
         for mono, n in jet.degree_numerators(degree).items():
             pos = index.get(mono)
             if pos is None:
                 raise SolverFailure("remainder leaves the module's monomial span")
-            block[pos] = Fraction(n, jet.den)
-        vec.extend(block)
-    return vec
+            block[pos] = n * up
+        nums.extend(block)
+    return nums, den
 
 
 def _entry_solve(pi: PoissonJet, module, r: int, entries, basis, targets,
@@ -245,20 +255,18 @@ def _entry_solve(pi: PoissonJet, module, r: int, entries, basis, targets,
     correct the `targets` coordinates on the same basis."""
     index = {mono: i for i, mono in enumerate(basis)}
     blocks = [(pi.entries[p][q], index) for p, q in entries]
-    return _SubSolve(module, r, _remainder_vector(blocks, degree),
+    return _SubSolve(module, r, *_remainder_vector(blocks, degree),
                      [(t, basis) for t in targets])
 
 
-def _correction(solution, targets, nvars: int, order: int) -> CoordChange:
-    """x^t -> x^t - sigma^t, each sigma^t read off its block of the solution,
-    as integer numerators over the lcm of the solution's denominators;
-    targets are distinct and sigma has degree >= 2, so no check is needed."""
-    den = math.lcm(*(c.denominator for c in solution if c))
+def _correction(nums, den: int, targets, nvars: int, order: int) -> CoordChange:
+    """x^t -> x^t - sigma^t, each sigma^t read off its block of the solution
+    nums / den as integer numerators over den; targets are distinct and
+    sigma has degree >= 2, so no check is needed."""
     comps = [Jet.variable(t, nvars, order) for t in range(nvars)]
     pos = 0
     for t, basis in targets:
-        sigma = [(mono, -c.numerator * (den // c.denominator))
-                 for mono, c in zip(basis, solution[pos:pos + len(basis)]) if c]
+        sigma = [(mono, -n) for mono, n in zip(basis, nums[pos:pos + len(basis)]) if n]
         sigma.append((tuple(int(s == t) for s in range(nvars)), den))
         comps[t] = Jet.from_numerators(nvars, order, den, sigma)
         pos += len(basis)
@@ -270,19 +278,19 @@ def _clear_degree(problem, degree: int):
     one left; returns (whether any remainder was nonzero, obstruction)."""
     treated = False
     for sub in problem.solves(degree):
-        if not any(sub.vector):
+        if not any(sub.numerators):
             continue
         treated = True
         solver = sub.complex.coboundary_solver(sub.cochain_degree)
-        solution = solver.solve(sub.vector)
+        # on an obstruction nums / den is the partial solution, still applied
+        nums, den, violated = solver.solve_numerators(sub.numerators, sub.den)
         obstruction = None
-        if solution is None:
+        if violated is not None:
             # the adapter decides: a certificate, or SolverFailure
-            obstruction = problem.obstruction(sub, solver.null_functional(sub.vector))
-            solution = solver.solve_partial(sub.vector)
-        if any(solution):
+            obstruction = problem.obstruction(sub, violated)
+        if any(nums):
             nvars, order = problem.state.nvars, problem.state.order
-            problem.apply(_correction(solution, sub.targets, nvars, order))
+            problem.apply(_correction(nums, den, sub.targets, nvars, order))
         if obstruction is not None:
             return True, obstruction
     return treated, None
@@ -366,10 +374,11 @@ class _Problem:
         return change
 
     def obstruction(self, sub: _SubSolve, functional) -> ObstructionClass:
+        """The certificate of a failed sub-solve; `functional` is the
+        violated left-null row, as integers."""
         module, r = sub.complex, sub.cochain_degree
-        return ObstructionClass(
-            Cochain(module, r, sub.vector), functional, cohomology_dimension(module, r)
-        )
+        return ObstructionClass(Cochain(module, r, sub.vector), rationals(functional),
+                                cohomology_dimension(module, r))
 
     def finish(self) -> None:
         if not self.state.is_linear():
@@ -632,7 +641,7 @@ class _ActionProblem(_Problem):
         module = _twisted_field_module(action.algebra, base, self.twists, key)
         index = {mono: i for i, mono in enumerate(base.labels)}
         blocks = [(comp, index) for fld in action.fields for comp in fld]
-        yield _SubSolve(module, 1, _remainder_vector(blocks, degree),
+        yield _SubSolve(module, 1, *_remainder_vector(blocks, degree),
                         [(a, base.labels) for a in range(n)])
 
     def apply(self, change: CoordChange) -> None:

@@ -52,7 +52,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
 
-from .linalg import LinearSolver, rank
+from .linalg import IntegerRows, LinearSolver, rank
 
 Monomial = tuple[int, ...]
 
@@ -684,15 +684,20 @@ def _inverse_form(phi: CoordChange) -> tuple[int, list]:
     # the linear part is image.args' degree-1 numerators over image.denom
     linear = [[arg.get(1, {}).get(unit, 0) for unit in units] for arg in image.args]
     inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = 1
     if linear != [[image.denom * e for e in row] for row in inv]:
-        solver = LinearSolver(linear)
-        cols = [solver.solve(unit) for unit in inv]
-        if None in cols:
+        # A^-1 = denom * linear^-1, column j read as y_j / s_j, over the least
+        # common denominator q once the content is divided out
+        rows = IntegerRows([{j: x for j, x in enumerate(row) if x} for row in linear], 1)
+        solver = LinearSolver(rows, n)
+        if solver.rank < n:
             raise ValueError("linear part is not invertible")
-        inv = [[image.denom * col[i] for col in cols] for i in range(n)]
-    q = lcm(*(c.denominator for row in inv for c in row))
-    start = [{1: {unit: c.numerator * (q // c.denominator)
-                  for unit, c in zip(units, row) if c}} for row in inv]
+        cols = [solver.solve_numerators(unit)[:2] for unit in inv]
+        q = lcm(*(s for _, s in cols))
+        inv = [[image.denom * y[i] * (q // s) for y, s in cols] for i in range(n)]
+        g = gcd(q, *(c for row in inv for c in row))
+        q, inv = q // g, [[c // g for c in row] for row in inv]
+    start = [{1: {unit: c for unit, c in zip(units, row) if c}} for row in inv]
     shifted = []
     for first in start:
         den, form = image.combine((q, first), order)

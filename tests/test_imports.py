@@ -8,7 +8,8 @@ trees show every read of a jet's private attributes outside polyalg: an
 attribute access by one of `Jet`'s leading-underscore names, or by a name
 the jet state had before it was made one.  Likewise no module but algebroid
 reads `AlgebroidJet`'s private names: its dual, its view cache and its
-trusted constructor.
+trusted constructor.  And the engines' per-degree steps solve on integers:
+normalform and algebroid call no rational `LinearSolver` solve.
 """
 
 import ast
@@ -85,3 +86,24 @@ def test_the_check_sees_algebroid_jet_internals():
                          ids=lambda p: p.name)
 def test_only_algebroid_reads_algebroid_jet_internals(path):
     assert jet_internals(path.read_text(), ALGEBROID_PRIVATE) == []
+
+
+RATIONAL_SOLVES = {"solve", "solve_partial", "null_functional", "is_consistent"}
+
+
+def rational_solves(source: str) -> list[str]:
+    found = sorted((node.lineno, node.func.attr) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in RATIONAL_SOLVES)
+    return [f"line {line}: .{attr}()" for line, attr in found]
+
+
+def test_the_check_sees_a_rational_solve():
+    source = ("x = solver.solve(b)\ny = solver.solve_numerators(nums, den)\n"
+              "lam = cx.coboundary_solver(2).null_functional(b)\nsolve(b)\n")
+    assert rational_solves(source) == ["line 1: .solve()", "line 3: .null_functional()"]
+
+
+@pytest.mark.parametrize("name", ["normalform.py", "algebroid.py"])
+def test_the_engines_call_no_rational_solve(name):
+    assert rational_solves((SRC / name).read_text()) == []

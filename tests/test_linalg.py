@@ -13,6 +13,7 @@ from poislin.cohomology import coadjoint_rep, induced_polynomial_module
 from poislin.linalg import (
     IntegerRows,
     LinearSolver,
+    dot,
     extend_to_basis,
     identity_matrix,
     mat_mul,
@@ -199,6 +200,22 @@ def test_symmetric_signature_matches_charpoly_oracle():
     for mat, signature in cases:
         sym = [[Fraction(x) for x in row] for row in mat]
         assert symmetric_signature(sym) == signature == _descartes_signature(sym)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_symmetric_signature_of_zero_diagonal_matrices(base):
+    """Every pivot of a zero-diagonal matrix starts off the diagonal; half
+    the cases also zero a row and column, so an all-zero block is left."""
+    n = len(base)
+    sym = [[base[i][j] + base[j][i] if i != j else Fraction(0) for j in range(n)]
+           for i in range(n)]
+    if n > 1 and base[0][0] > 0:
+        sym = [[Fraction(0) if 0 in (i, j) else x for j, x in enumerate(row)]
+               for i, row in enumerate(sym)]
+    assert symmetric_signature(sym) == _descartes_signature(sym)
 
 
 def test_symmetric_signature_rejects_asymmetric():
@@ -495,3 +512,67 @@ def test_coboundary_solver_stores_less_transform_than_gauss_jordan():
     solver = module.coboundary_solver(2)
     assert solver.rank == 183
     assert sum(map(len, solver._l_columns)) < 3150
+
+
+# ---------------------------------------------------------------------------
+# the integer entry point against the rational wrappers
+
+
+def _check_integer_solve(solver, rows, b):
+    """solve_numerators on b, over the lcm of its denominators and over three
+    times that, against the rational wrappers and the rows of M themselves."""
+    den = math.lcm(*(x.denominator for x in b))
+    for k in (1, 3):
+        y, scale, violated = solver.solve_numerators([int(x * den * k) for x in b], den * k)
+        assert all(type(v) is int for v in y) and type(scale) is int and scale > 0
+        x = [Fraction(v, scale) for v in y]
+        assert x == solver.solve_partial(b)
+        assert all(x[j] == 0 for j in range(solver.ncols) if j not in solver.pivot_cols)
+        if violated is None:
+            assert solver.is_consistent(b) and solver.null_functional(b) is None
+            assert solver.solve(b) == x
+            assert [sum((e * x[j] for j, e in row.items()), Fraction(0)) for row in rows] == b
+        else:
+            assert not solver.is_consistent(b) and solver.solve(b) is None
+            lam = [Fraction(v) for v in violated]
+            assert lam == solver.null_functional(b)
+            assert lam == next(row for row in solver.null_rows if dot(row, b))
+            assert not any(sum((lam[i] * row[j] for i, row in enumerate(rows) if j in row),
+                               Fraction(0)) for j in range(solver.ncols))
+
+
+@st.composite
+def _right_hand_sides(draw, rows, ncols):
+    """b = M v, the same plus a random vector, and zero: the first and last
+    are consistent, the middle one mostly not; entries reach denominator 3."""
+    v = [draw(_entries) for _ in range(ncols)]
+    image = [sum((x * v[j] for j, x in row.items()), Fraction(0)) for row in rows]
+    noise = [draw(_entries) for _ in rows]
+    return [image, [x + y for x, y in zip(image, noise)], [Fraction(0)] * len(rows)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_integer_solves_match_the_rational_wrappers(data):
+    """Dense rows, {column: value} rows and IntegerRows give one solver each,
+    and every right-hand side reads the same through both entry points."""
+    mat, ncols = data.draw(_rational_matrices())
+    rows = _dict_rows(mat)
+    den = math.lcm(*(x.denominator for row in mat for x in row))
+    numerators = IntegerRows([{j: int(x * den) for j, x in row.items()} for row in rows], den)
+    for b in data.draw(_right_hand_sides(rows, ncols)):
+        for given_rows in (mat, rows, numerators):
+            _check_integer_solve(LinearSolver(given_rows, ncols), rows, b)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_integer_solves_match_on_a_cached_coboundary_solver(data):
+    """The so(3) coadjoint d^1 at module degrees 1-3, solved through the
+    module's cached solver as the engines solve it."""
+    algebra = so3_algebra()
+    degree = data.draw(st.integers(1, 3))
+    module = induced_polynomial_module(algebra, algebra.dim, coadjoint_rep(algebra), degree)
+    rows = list(module.differential_matrix(1))
+    for b in data.draw(_right_hand_sides(rows, module.cochain_dim(1))):
+        _check_integer_solve(module.coboundary_solver(2), rows, b)

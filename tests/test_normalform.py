@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -277,13 +278,19 @@ def test_remainder_vector_matches_the_per_term_fraction_reading():
             assert type(raised.value) is type(exc)
             outcomes.append(type(exc))
         else:
-            assert _remainder_vector(blocks, degree) == expected
+            nums, den = _remainder_vector(blocks, degree)
+            assert all(type(x) is int for x in nums)
+            assert den == math.lcm(*(jet.den for jet, _ in blocks))
+            assert [F(x, den) for x in nums] == expected
             outcomes.append(None if any(expected) else "zero")
     assert set(outcomes) == {None, "zero", PreconditionNotNormalized, SolverFailure}
     assert max(dens) > 1
 
 
 def test_correction_matches_the_fraction_construction():
+    """_correction on the solution as integer numerators, over the lcm of
+    its denominators or a multiple of it, against Jet.variable(t) - Jet(sigma)
+    built from the Fractions."""
     rng = random.Random(1402)
     pool = (0, 0, 0, 2, -1, F(1, 2), F(-3, 4), F(5, 3), F(7, 6))
     for _ in range(150):
@@ -297,7 +304,53 @@ def test_correction_matches_the_fraction_construction():
             sigma = {mono: c for mono, c in zip(mons, solution[pos:pos + len(mons)]) if c}
             expected[t] = Jet.variable(t, n, order) - Jet(n, order, sigma)
             pos += len(mons)
-        assert _correction(solution, targets, n, order).components == tuple(expected)
+        den = math.lcm(*(c.denominator for c in solution)) * rng.choice((1, 1, 2, 3))
+        nums = [int(c * den) for c in solution]
+        assert _correction(nums, den, targets, n, order).components == tuple(expected)
+
+
+def _fractions_built(run):
+    """(run's result, the names of the functions on the stack at each
+    Fraction.__new__ call run makes), counted with a profile hook."""
+    code = Fraction.__new__.__code__
+    stacks = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            names = set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            stacks.append(names)
+
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, stacks
+
+
+def test_a_warm_normalization_step_builds_no_fraction():
+    """Each degree's step reads its remainder as integer numerators, solves
+    on integers and builds its correction from them: on warm caches, so(3)
+    and sl(2) runs at order 6 build Fractions for the trace alone, and an
+    obstructed run builds them inside the step only for its certificate."""
+    rng = random.Random(1604)
+    resonant = PoissonJet.from_brackets(3, 4, {    # obstructed at degree 3
+        (0, 1): [((0, 1, 0), 1)],
+        (0, 2): [((0, 0, 1), 3), ((0, 3, 0), 1)],
+    })
+    cases = [pushforward(base, random_near_identity_change(rng, 3, 6))
+             for base in (so3_bivector(6), sl2_bivector(6)) for _ in range(2)]
+    for pi in cases + [resonant]:
+        for scheduler in ("degree", "doubling"):
+            linearize_poisson(pi, scheduler)    # fills the module and solver caches
+            outcome, stacks = _fractions_built(lambda: linearize_poisson(pi, scheduler))
+            step = [names for names in stacks if "_clear_degree" in names]
+            assert any("hermitian_norm" in names for names in stacks)
+            assert all("obstruction" in names for names in step)
+            assert bool(step) == isinstance(outcome[0], ObstructionClass) == (pi is resonant)
 
 
 def _per_block_trace(problem, scheduler, order, radius):

@@ -23,9 +23,11 @@ is its own complex and keeps every index; a rule that keeps fewer cuts out
 a subcomplex, such as the fiber-degree graded piece the algebroid engine
 solves in, whose matrices come from the kept rows and columns alone.
 Cohomology dimensions need only ranks, which `linalg.rank` reads off the
-same forward pass a solver runs, without its identity tail.  Primitive
-selection is the deterministic rule from `linalg` (lowest-index pivots,
-free variables zero), so outputs reproduce bit for bit.
+solver's forward pass without its identity tail, taking in each pivot
+column the sparsest row to limit fill (the pivot columns, and so the
+ranks, do not depend on that row).  Primitive selection is the solver's
+deterministic rule (lowest-index pivots, earliest row, free variables
+zero), so outputs reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -303,7 +305,7 @@ class Cochain:
     def __init__(self, module: GModule, degree: int, vector):
         if degree < 0:
             raise ValueError("cochain degree must be non-negative")
-        vector = [Fraction(x) for x in vector]
+        vector = [x if type(x) is Fraction else Fraction(x) for x in vector]
         if len(vector) != module.cochain_dim(degree):
             raise ValueError(
                 f"flat vector length {len(vector)} does not match C^{degree}"

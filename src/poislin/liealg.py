@@ -18,7 +18,6 @@ from .linalg import (
     Matrix,
     Vector,
     extend_to_basis,
-    mat_mul,
     rank,
     row_space_solver,
     symmetric_signature,
@@ -183,14 +182,15 @@ def isotropy_from_linear_part(pi) -> LieAlgebra:
 
 
 def killing_form(L: LieAlgebra) -> Matrix:
+    """K(a, b) = tr(ad_a ad_b): the sum of ad_a[i][k] ad_b[k][i] over the
+    nonzero entries of ad_a, with no matrix product built."""
     ads = [L.ad(L.basis_vector(i)) for i in range(L.dim)]
     out = [[ZERO] * L.dim for _ in range(L.dim)]
     for a in range(L.dim):
-        for b in range(a, L.dim):
-            prod = mat_mul(ads[a], ads[b])
-            tr = sum((prod[i][i] for i in range(L.dim)), ZERO)
-            out[a][b] = tr
-            out[b][a] = tr
+        nonzero = [(i, k, x) for i, row in enumerate(ads[a]) for k, x in enumerate(row) if x]
+        for b, ad_b in enumerate(ads[a:], a):
+            out[a][b] = out[b][a] = sum((x * ad_b[k][i] for i, k, x in nonzero if ad_b[k][i]),
+                                        ZERO)
     return out
 
 

@@ -1,8 +1,10 @@
 """Exact rational linear algebra shared by the structure and cohomology solvers.
 
 Everything here is deterministic: elimination picks the lowest-index pivot
-column first and, within a column, the earliest remaining row.  Solutions set
-all free variables to zero, so repeated runs are bit-for-bit identical.
+column first and, within a column, the earliest remaining row for a solver
+and the sparsest one for a rank.  Either row rule gives the same pivot
+columns.  Solutions set all free variables to zero, so repeated runs are
+bit-for-bit identical.
 
 A matrix comes as dense rows, as {column: value} rows of its nonzero
 entries, or as `IntegerRows`: {column: int} numerator rows over one
@@ -12,7 +14,9 @@ are eliminated as they are, with no rational entry built and no zero cell
 scanned.  Rational rows are scaled to integers once, row by row, on the way
 in.  The one elimination, `_eliminate`, is an integer forward pass that
 never touches a row above its pivot, so it never leaves a block.  `rank`
-runs it on M; `LinearSolver` runs it on [M | I] once.
+runs it on M with the least-fill row rule; `LinearSolver` runs it on
+[M | I] once with the positional one, whose row positions its null rows,
+and so every obstruction certificate, are read off.
 
 A right-hand side is solved on integers too: `solve_numerators` takes b as
 numerators over one denominator and, in one pass over its nonzeros, applies
@@ -124,18 +128,23 @@ def _integer_rows(rows, ncols: int | None) -> tuple[list[tuple[dict, int]], int]
     return out, ncols
 
 
-def _eliminate(work: list[dict], ncols: int) -> tuple[list[int], list[int]]:
+def _eliminate(work: list[dict], ncols: int, sparsest: bool = False
+               ) -> tuple[list[int], list[int]]:
     """Integer forward elimination of the {column: int} rows `work` in place;
     returns (position -> row, pivot columns).
 
-    The pivot rule is the dense one: the lowest column with a nonzero entry
-    at or below the next pivot position, and in it the row at the lowest
-    position, swapped into place.  Each later row with an entry in the pivot
-    column becomes row*p - prow*q over all its entries, keys at or past ncols
-    included, and is divided by the gcd of its entries.  A placed pivot row
-    is never touched again, so the pivot columns are the first maximal
-    independent set of columns and the rows below the rank are the same as
-    a Gauss-Jordan pass would leave.
+    The pivot column is the lowest one with a nonzero entry at or below the
+    next pivot position.  In it the positional rule takes the row at the
+    lowest position; with `sparsest` the row with the fewest current
+    entries, ties to the lowest position (Markowitz's row rule, which
+    limits fill).  The row is swapped into place.  Each later row with an
+    entry in the pivot column becomes row*p - prow*q over all its entries,
+    keys at or past ncols included, and is divided by the gcd of its
+    entries.  A placed pivot row is never touched again, so under either
+    rule a column gets a pivot exactly when it lies outside the span of the
+    columns before it: the pivot columns are the first maximal independent
+    set of columns.  Under the positional rule the rows below the rank are
+    also the ones a Gauss-Jordan pass would leave.
     """
     n = len(work)
     by_col: list[set] = [set() for _ in range(ncols)]
@@ -145,26 +154,24 @@ def _eliminate(work: list[dict], ncols: int) -> tuple[list[int], list[int]]:
                 by_col[j].add(i)
     order = list(range(n))      # position -> row
     where = list(range(n))      # row -> position
+    choice = (lambda r: len(work[r]) * n + where[r]) if sparsest else where.__getitem__
     pivots: list[int] = []
     pivot_row = 0
     for col in range(ncols):
         if pivot_row == n:
             break
         live = by_col[col]
-        found = n
-        for r in live:
-            pos = where[r]
-            if pivot_row <= pos < found:
-                found = pos
-        if found == n:
+        remaining = [r for r in live if where[r] >= pivot_row]
+        if not remaining:
             continue
-        rid, other = order[found], order[pivot_row]
+        rid = min(remaining, key=choice)
+        found, other = where[rid], order[pivot_row]
         order[pivot_row], order[found] = rid, other
         where[rid], where[other] = pivot_row, found
         prow = work[rid]
         p = prow[col]
-        for r in list(live):
-            if where[r] <= pivot_row:
+        for r in remaining:
+            if r == rid:
                 continue
             row = work[r]
             q = row[col]
@@ -344,9 +351,9 @@ class LinearSolver:
 
 def _pivot_columns(rows, ncols: int | None) -> list[int]:
     """The pivot columns of a matrix given as `LinearSolver` takes it, by the
-    same pass with no identity tail."""
+    same pass with no identity tail and the least-fill row rule."""
     rows, ncols = _integer_rows(rows, ncols)
-    return _eliminate([ints for ints, _ in rows], ncols)[1]
+    return _eliminate([ints for ints, _ in rows], ncols, sparsest=True)[1]
 
 
 def rank(rows, ncols: int | None = None) -> int:

@@ -21,7 +21,8 @@ from poislin.cohomology import (
 )
 from poislin.liealg import ExactTable, LieAlgebra
 from poislin.linalg import LinearSolver
-from poislin.polyalg import monomials
+from poislin.normalform import linearize_poisson
+from poislin.polyalg import PoissonJet, monomials
 
 from helpers import (
     dense,
@@ -155,6 +156,20 @@ def test_obstruction_certificate_for_trivial_action():
     assert out.h_dim == 1
     lam = out.functional
     assert sum(a * b for a, b in zip(lam, target.vector)) != 0
+
+
+def test_a_certificates_cochain_keeps_its_fraction_entries():
+    """Rebuilding the cocycle of the {x, y} = x^2 certificate gives the
+    cochain the Fraction(x) conversion gave, holding the same entry
+    objects; int entries are still converted."""
+    cert, _trace = linearize_poisson(PoissonJet.from_brackets(2, 4, {(0, 1): [((2, 0), 1)]}))
+    module, degree, vector = cert.cocycle.module, cert.cocycle.degree, cert.cocycle.vector
+    rebuilt = Cochain(module, degree, vector)
+    assert rebuilt.vector == [Fraction(x) for x in vector]
+    assert all(a is b for a, b in zip(rebuilt.vector, vector))
+    assert cert.verify()
+    ints = Cochain(module, degree, [int(x) for x in vector]).vector
+    assert {type(x) for x in ints} == {Fraction}
 
 
 def test_cohomology_dimensions_spot_values():
@@ -327,6 +342,17 @@ def test_known_cohomology_at_high_module_degree(name, degree, h1):
     L = {"so3": so3_algebra, "sl2": sl2_algebra, "gl2": gl2_algebra}[name]()
     module = induced_polynomial_module(L, L.dim, coadjoint_rep(L), degree)
     assert cohomology_dimension(module, 1) == h1
+    assert cohomology_dimension(module, 2) == 0
+
+
+def test_known_cohomology_of_gl2_in_a_rational_basis_at_degree_4():
+    """Cohomology does not depend on the basis: gl(2) in the rational basis
+    of seed 5 has the standard basis's H^1 = floor(4/2) + 1 = 3 and H^2 = 0
+    at module degree 4, with module denominator above 1."""
+    L = rebased_algebra(gl2_algebra(), random_rational_basis(random.Random(5), 4))
+    module = induced_polynomial_module(L, L.dim, coadjoint_rep(L), 4)
+    assert module.differential_matrix(1).den > 1
+    assert cohomology_dimension(module, 1) == 3
     assert cohomology_dimension(module, 2) == 0
 
 

@@ -22,7 +22,7 @@ from poislin.liealg import (
     subalgebra_constants,
     verify_levi_split,
 )
-from poislin.linalg import rank, row_space_solver
+from poislin.linalg import mat_mul, rank, row_space_solver
 from poislin.polyalg import pushforward
 
 from helpers import (
@@ -30,6 +30,8 @@ from helpers import (
     gl2_algebra,
     random_invertible_matrix,
     random_near_identity_change,
+    random_rational_basis,
+    rebased_algebra,
     sl2_algebra,
     sl2_nonabelian_radical_algebra,
     so3_algebra,
@@ -120,6 +122,19 @@ def test_killing_form_against_brute_oracle():
         assert killing_form(L) == brute_killing(L.constants)
         twisted = LieAlgebra(change_basis_constants(L, random_invertible_matrix(rng, L.dim)))
         assert killing_form(twisted) == brute_killing(twisted.constants)
+
+
+def test_killing_form_equals_the_trace_of_the_ad_product():
+    """Each entry is tr(ad_a ad_b) as the dense matrix product gives it, on
+    so(3), sl(2), gl(2) and gl(2) in a seeded rational basis."""
+    gl2 = gl2_algebra()
+    rebased = rebased_algebra(gl2, random_rational_basis(random.Random(5), gl2.dim))
+    for L in (so3_algebra(), sl2_algebra(), gl2, rebased):
+        ads = [L.ad(L.basis_vector(i)) for i in range(L.dim)]
+        reference = [[sum((row[i] for i, row in enumerate(mat_mul(a, b))), Fraction(0))
+                      for b in ads] for a in ads]
+        assert killing_form(L) == reference
+    assert any(x.denominator > 1 for row in killing_form(rebased) for x in row)
 
 
 def test_killing_form_ad_invariance():

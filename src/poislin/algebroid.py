@@ -173,20 +173,10 @@ class AlgebroidJet:
             for l in range(base_dim):
                 if anchor[i][l].constant_term:
                     raise ValueError("anchor must vanish at the origin")
-        n, total = base_dim, base_dim + rank
-        grid = [[Jet.zero(total, order + 1)] * total for _ in range(total)]
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                jet = _fiber_sum(structure[i][j], n, rank, order + 1)
-                grid[n + i][n + j] = jet
-                grid[n + j][n + i] = -jet
-            for l in range(n):
-                jet = _promote(anchor[i][l], n, rank, order + 1)
-                grid[n + i][l] = jet
-                grid[l][n + i] = -jet
         self.base_dim, self.rank, self.order = base_dim, rank, order
         # the dual's constructor reruns antisymmetry and runs truncated Jacobi
-        self._dual, self._views = PoissonJet(grid, order + 1), (structure, anchor)
+        dual = trusted_dual(base_dim, rank, structure, anchor, order)
+        self._dual, self._views = PoissonJet(dual.entries, order + 1), (structure, anchor)
 
     @classmethod
     def _from_dual(cls, dual: PoissonJet, base_dim: int) -> "AlgebroidJet":
@@ -251,6 +241,24 @@ class AlgebroidJet:
             f"<AlgebroidJet rank {self.rank} over R^{self.base_dim} | "
             f"order {self.order}>"
         )
+
+
+def trusted_dual(base_dim: int, rank: int, structure, anchor, order: int) -> PoissonJet:
+    """The dual bivector AlgebroidJet builds from the same data, with no
+    check: for data whose Jacobi identity is already certified, or is
+    verified afterwards by a morphism equation."""
+    n, total = base_dim, base_dim + rank
+    grid = [[Jet.zero(total, order + 1)] * total for _ in range(total)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            jet = _fiber_sum(structure[i][j], n, rank, order + 1)
+            grid[n + i][n + j] = jet
+            grid[n + j][n + i] = -jet
+        for l in range(n):
+            jet = _promote(anchor[i][l], n, rank, order + 1)
+            grid[n + i][l] = jet
+            grid[l][n + i] = -jet
+    return PoissonJet._trusted(grid, total, order + 1)
 
 
 def algebroid_to_poisson(A: AlgebroidJet) -> PoissonJet:
@@ -419,12 +427,22 @@ class LinearAlgebroid:
         return len(self.action[0]) if self.action else 0
 
     def to_algebroid(self, order: int) -> AlgebroidJet:
-        return action_algebroid(self.algebra, self.action, self.base_dim, order)
+        """The jet of the model, unchecked: over a Lie algebra, the anchor
+        check made on construction is the jet's Jacobi identity."""
+        data = _constant_data(self.algebra, self.action, self.base_dim, order)
+        return AlgebroidJet._from_dual(trusted_dual(self.base_dim, self.rank, *data, order),
+                                       self.base_dim)
 
 
 def action_algebroid(algebra: LieAlgebra, matrices, base_dim: int,
                      order: int) -> AlgebroidJet:
     """Algebroid with constant structure functions and linear anchors."""
+    return AlgebroidJet(base_dim, algebra.dim,
+                        *_constant_data(algebra, matrices, base_dim, order), order)
+
+
+def _constant_data(algebra: LieAlgebra, matrices, base_dim: int, order: int) -> tuple:
+    """(structure, anchor) of constant structure functions and linear anchors."""
     rank = algebra.dim
     structure = [
         [[Jet(base_dim, order, {(0,) * base_dim: algebra.constants[i][j][k]})
@@ -432,14 +450,7 @@ def action_algebroid(algebra: LieAlgebra, matrices, base_dim: int,
          for j in range(rank)]
         for i in range(rank)
     ]
-    unit = lambda k: tuple(1 if t == k else 0 for t in range(base_dim))
-    anchor = [
-        [Jet(base_dim, order + 1,
-             {unit(k): matrices[i][l][k] for k in range(base_dim)})
-         for l in range(base_dim)]
-        for i in range(rank)
-    ]
-    return AlgebroidJet(base_dim, rank, structure, anchor, order)
+    return structure, [[Jet.linear(row, order + 1) for row in mat] for mat in matrices]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .algebroid import (
     algebroid_to_poisson,
     levi_algebroid,
     linearize_algebroid,
+    trusted_dual,
 )
 from .cohomology import (
     ObstructionClass,
@@ -64,6 +65,7 @@ from .normalform import (
 )
 from .polyalg import (
     CoordChange,
+    JacobiError,
     Jet,
     ParseError,
     PoissonJet,
@@ -191,7 +193,7 @@ def _spec_common(data) -> tuple[str, Fraction]:
     return scheduler, radius
 
 
-def _sparse_constants(data, dim: int, what: str = "'constants'") -> LieAlgebra:
+def _sparse_constants(data, dim: int, build, what: str = "'constants'") -> LieAlgebra:
     entries = data.get("constants", [])
     if not isinstance(entries, list):
         raise _fail(f"{what} must be a list of [i, j, k, value] items")
@@ -207,21 +209,32 @@ def _sparse_constants(data, dim: int, what: str = "'constants'") -> LieAlgebra:
             i, j, c = j, i, -c
         sparse.append((i, j, k, c))
     try:
-        return LieAlgebra.from_sparse(dim, sparse)
+        return build(dim, sparse)
     except ValueError as exc:
         raise _fail(f"{what}: {exc}")
 
 
-def problem_from_dict(data) -> ProblemSpec:
-    if not isinstance(data, dict):
-        raise _fail("problem file must hold a JSON object")
-    kind = data.get("kind")
-    if kind not in ("poisson", "action", "algebroid"):
-        raise _fail(f"'kind' must be poisson, action, or algebroid, got {kind!r}")
-    names = _names_list(data, "variables")
-    order = _parse_order(data)
-    scheduler, radius = _spec_common(data)
+# A problem file's structures are built by the checked constructors, the
+# one check each gets; a report's read-back of its normal form by the
+# trusted ones, as the morphism equation verifies it instead.
+_CHECKED = {"poisson": PoissonJet.from_brackets, "constants": LieAlgebra.from_sparse,
+            "action": ActionJet, "algebroid": AlgebroidJet}
+_TRUSTED = {"poisson": PoissonJet._trusted_brackets, "constants": LieAlgebra._trusted_sparse,
+            "action": lambda algebra, fields, order:
+                ActionJet._trusted(algebra, fields, len(fields[0]), order),
+            "algebroid": trusted_dual}
 
+
+def _invalid(what: str, exc: ValueError, names) -> InputError:
+    """A constructor's error as an input error, a Jacobi failure worded in
+    the problem's names."""
+    detail = exc.in_names(names) if isinstance(exc, JacobiError) else exc
+    return _fail(f"invalid {what}: {detail}")
+
+
+def _payload(data, kind: str, names, order: int, build) -> tuple:
+    """(payload, generator or frame names) from the kind's fields, built by
+    the constructors in `build`."""
     if kind == "poisson":
         brackets = data.get("brackets", {})
         if not isinstance(brackets, dict):
@@ -234,16 +247,13 @@ def problem_from_dict(data) -> ProblemSpec:
             jet = _poly(text, names, order, f"brackets[{key!r}]")
             table[(i, j)] = jet if sign > 0 else -jet
         try:
-            payload = PoissonJet.from_brackets(len(names), order, table)
+            return build["poisson"](len(names), order, table), ()
         except ValueError as exc:
-            raise _fail(f"invalid bivector: {exc}")
-        return ProblemSpec(kind, names, order, payload,
-                           scheduler=scheduler, radius=radius,
-                           levi=_parse_levi(data, len(names)))
+            raise _invalid("bivector", exc, names)
 
     if kind == "action":
         generators = _names_list(data, "generators")
-        algebra = _sparse_constants(data, len(generators))
+        algebra = _sparse_constants(data, len(generators), build["constants"])
         fields_block = data.get("fields")
         if not isinstance(fields_block, dict) or set(fields_block) != set(generators):
             raise _fail("'fields' must map every generator to its components")
@@ -257,12 +267,9 @@ def problem_from_dict(data) -> ProblemSpec:
                 for a, text in enumerate(comps)
             ])
         try:
-            payload = ActionJet(algebra, fields, order)
+            return build["action"](algebra, fields, order), generators
         except ValueError as exc:
             raise _fail(f"invalid action: {exc}")
-        return ProblemSpec(kind, names, order, payload, generators=generators,
-                           scheduler=scheduler, radius=radius,
-                           levi=_parse_levi(data, len(generators)))
 
     frame = _names_list(data, "frame")
     rank, base_dim = len(frame), len(names)
@@ -301,12 +308,24 @@ def problem_from_dict(data) -> ProblemSpec:
             for a, text in enumerate(comps)
         ])
     try:
-        payload = AlgebroidJet(base_dim, rank, structure, anchor, order)
+        return build["algebroid"](base_dim, rank, structure, anchor, order), frame
     except ValueError as exc:
-        raise _fail(f"invalid algebroid: {exc}")
-    return ProblemSpec(kind, names, order, payload, generators=frame,
+        raise _invalid("algebroid", exc, names + frame)
+
+
+def problem_from_dict(data) -> ProblemSpec:
+    if not isinstance(data, dict):
+        raise _fail("problem file must hold a JSON object")
+    kind = data.get("kind")
+    if kind not in ("poisson", "action", "algebroid"):
+        raise _fail(f"'kind' must be poisson, action, or algebroid, got {kind!r}")
+    names = _names_list(data, "variables")
+    order = _parse_order(data)
+    scheduler, radius = _spec_common(data)
+    payload, generators = _payload(data, kind, names, order, _CHECKED)
+    return ProblemSpec(kind, names, order, payload, generators=generators,
                        scheduler=scheduler, radius=radius,
-                       levi=_parse_levi(data, rank))
+                       levi=_parse_levi(data, len(generators or names)))
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -523,11 +542,12 @@ def run_analyze(spec: ProblemSpec, args) -> tuple[dict, int]:
 
 def _read_back(spec, order, change_text, nf_dict):
     """(change, normal form) parsed back from a report, the normal form the
-    way a problem file is and an algebroid change as its dual; None when
-    either does not parse into a valid object."""
+    way a problem file is but with the trusted constructors, and for an
+    algebroid both as duals; None when either does not parse."""
     names = spec.names
     try:
-        nf = problem_from_dict({**nf_dict, "kind": spec.kind, "order": order}).payload
+        nf = _payload(nf_dict, spec.kind, _names_list(nf_dict, "variables"), order,
+                      _TRUSTED)[0]
         if spec.kind != "algebroid":
             return CoordChange([parse_polynomial(change_text[name], names, order)
                                 for name in names]), nf
@@ -552,11 +572,8 @@ def _verify_action(spec, order, change_text, nf_dict) -> bool:
 
 def _verify_algebroid(spec, order, change_text, nf_dict) -> bool:
     read = _read_back(spec, order, change_text, nf_dict)
-    if read is None:
-        return False
-    change, nf = read
-    return is_poisson_map(algebroid_to_poisson(spec.payload.truncate(order)),
-                          change, algebroid_to_poisson(nf))
+    return read is not None and is_poisson_map(
+        algebroid_to_poisson(spec.payload.truncate(order)), *read)
 
 
 def _engine_output(spec: ProblemSpec, order: int, split):

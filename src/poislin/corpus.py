@@ -11,14 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .polyalg import (
-    CoordChange,
-    Jet,
-    PoissonJet,
-    format_polynomial,
-    pushforward,
-)
-
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -76,30 +68,14 @@ def _gs_action_problem(order: int) -> dict:
 
 
 def _gl2_levi_problem(order: int) -> dict:
-    # sl(2) dual bracket plus a central coordinate w, perturbed by the base
-    # change z -> z + w^2; the Levi run must restore the constants on the
-    # simple rows while the center-center block rides along
-    names = ["x", "y", "z", "w"]
-    unit = lambda k: tuple(1 if t == k else 0 for t in range(4))
-    linear = PoissonJet.from_brackets(4, order, {
-        (0, 1): Jet(4, order, {unit(2): -1}),
-        (1, 2): Jet(4, order, {unit(0): 1}),
-        (0, 2): Jet(4, order, {unit(1): -1}),
-    })
-    comps = [Jet.variable(t, 4, order) for t in range(4)]
-    comps[2] = comps[2] + Jet(4, order, {(0, 0, 0, 2): 1})
-    moved = pushforward(linear, CoordChange(comps))
-    brackets = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            entry = moved.entry(i, j)
-            if not entry.is_zero():
-                brackets[f"{names[i]},{names[j]}"] = format_polynomial(entry, names)
+    # sl(2) dual bracket plus a central w, pushed forward by z -> z + w^2,
+    # which adds w^2 to {x, y} from order 2 on; the Levi run must restore the
+    # constants on the simple rows while the center-center block rides along
     return {
         "kind": "poisson",
-        "variables": names,
+        "variables": ["x", "y", "z", "w"],
         "order": order,
-        "brackets": brackets,
+        "brackets": {"x,y": "-z + w^2" if order >= 2 else "-z", "x,z": "-y", "y,z": "x"},
         "levi_factor": {
             "s": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]],
             "r": [["0", "0", "0", "1"]],

@@ -102,9 +102,10 @@ class LieAlgebra:
     @classmethod
     def _trusted(cls, constants) -> "LieAlgebra":
         """Skip the shape, antisymmetry and Jacobi checks; for constants read
-        off a jet that already passed them.  A PoissonJet checks the Jacobi
-        identity through its order, which covers its linear part, and
-        transport keeps it."""
+        off a jet that already passed them, induced by a validated algebra on
+        a bracket-closed subspace, or compared afterwards with a validated
+        algebra.  A PoissonJet checks the Jacobi identity through its order,
+        which covers its linear part, and transport keeps it."""
         algebra = cls.__new__(cls)
         algebra.constants = ExactTable(constants)
         algebra.dim = len(algebra.constants)
@@ -118,6 +119,12 @@ class LieAlgebra:
     def from_sparse(cls, dim: int, entries) -> "LieAlgebra":
         """Build from (i, j, k, value) items; the (j, i, k) mirror is implied.
         Listing both orientations of a pair is rejected as a duplicate."""
+        return cls(cls._trusted_sparse(dim, entries).constants)
+
+    @classmethod
+    def _trusted_sparse(cls, dim: int, entries) -> "LieAlgebra":
+        """from_sparse with no Jacobi check, for constants verified
+        afterwards; the table is antisymmetric by construction."""
         table = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         seen = set()
         for i, j, k, value in entries:
@@ -131,7 +138,7 @@ class LieAlgebra:
             seen.add((i, j, k))
             table[i][j][k] = c
             table[j][i][k] = -c
-        return cls(table)
+        return cls._trusted(table)
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
         out = zero_vector(self.dim)
@@ -359,7 +366,8 @@ def verify_levi_split(L: LieAlgebra, s_basis, r_basis) -> LeviSplit:
         s_constants = subalgebra_constants(L, s_basis)
     except ValueError as exc:
         raise LeviSplitError("SNotSubalgebra", str(exc)) from exc
-    if rank(killing_form(LieAlgebra(s_constants)), len(s_basis)) != len(s_basis):
+    # a subalgebra of L: subalgebra_constants checked that s closes
+    if rank(killing_form(LieAlgebra._trusted(s_constants)), len(s_basis)) != len(s_basis):
         raise LeviSplitError("SNotSemisimple", "induced Killing form is degenerate")
     if r_basis:
         r_solver = row_space_solver(r_basis, n)

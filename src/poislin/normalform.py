@@ -489,28 +489,12 @@ class ActionJet:
     @classmethod
     def linear(cls, algebra: LieAlgebra, matrices, order: int) -> "ActionJet":
         """Action whose field for generator i has components (A_i x)^a."""
-        nvars = len(matrices[0])
-        fields = []
-        for mat in matrices:
-            comps = []
-            for a in range(nvars):
-                terms = {}
-                for b in range(nvars):
-                    c = Fraction(mat[a][b])
-                    if c:
-                        terms[tuple(1 if t == b else 0 for t in range(nvars))] = c
-                comps.append(Jet(nvars, order, terms))
-            fields.append(comps)
-        return cls(algebra, fields, order)
+        return cls(algebra, [[Jet.linear(row, order) for row in mat] for mat in matrices],
+                   order)
 
     def linear_matrices(self):
         """A_i with field_i^a = (A_i x)^a + higher order."""
-        n = self.nvars
-        units = [tuple(1 if t == b else 0 for t in range(n)) for b in range(n)]
-        return [
-            [[fld[a].coefficient(units[b]) for b in range(n)] for a in range(n)]
-            for fld in self.fields
-        ]
+        return [[comp.linear_coefficients() for comp in fld] for fld in self.fields]
 
     def is_linear(self) -> bool:
         return all(
@@ -680,29 +664,17 @@ class LeviNormalForm:
     order: int
 
     def to_bivector(self) -> PoissonJet:
-        """Reassemble the normal form as a validated bivector in the adapted
-        coordinates."""
-        ns = len(self.s_constants)
-        nr = len(self.split.r_basis)
-        n = ns + nr
-        unit = lambda k: tuple(1 if t == k else 0 for t in range(n))
-        brackets = {}
-        for a in range(ns):
-            for b in range(a + 1, ns):
-                terms = {unit(k): self.s_constants[a][b][k]
-                         for k in range(ns) if self.s_constants[a][b][k]}
-                if terms:
-                    brackets[(a, b)] = Jet(n, self.order, terms)
-        for a in range(ns):
-            for beta in range(nr):
-                terms = {unit(ns + gamma): self.r_constants[a][beta][gamma]
-                         for gamma in range(nr) if self.r_constants[a][beta][gamma]}
-                if terms:
-                    brackets[(a, ns + beta)] = Jet(n, self.order, terms)
-        for (alpha, beta), jet in self.residual.items():
-            if not jet.is_zero():
-                brackets[(ns + alpha, ns + beta)] = jet
-        return PoissonJet.from_brackets(n, self.order, brackets)
+        """Reassemble the normal form as a bivector in the adapted
+        coordinates, unchecked: it is the engine's transported state, whose
+        Jacobi identity the input's carries, split into blocks."""
+        ns, nr = len(self.s_constants), len(self.split.r_basis)
+        brackets = {(a, b): Jet.linear(list(self.s_constants[a][b]) + [0] * nr, self.order)
+                    for a in range(ns) for b in range(a + 1, ns)}
+        brackets.update({(a, ns + beta): Jet.linear([0] * ns + list(row), self.order)
+                         for a in range(ns) for beta, row in enumerate(self.r_constants[a])})
+        brackets.update({(ns + alpha, ns + beta): jet
+                         for (alpha, beta), jet in self.residual.items()})
+        return PoissonJet._trusted_brackets(ns + nr, self.order, brackets)
 
 
 def _require_certified_split(isotropy: LieAlgebra, split: LeviSplit,
@@ -736,7 +708,8 @@ class _LeviProblem(_PoissonProblem):
         c = self.algebra.constants
         self.s = list(s)
         self.base_dim = base_dim
-        self.s_algebra = LieAlgebra([[[c[a][b][k] for k in s] for b in s] for a in s])
+        # s spans a subalgebra of the validated isotropy, certified by the split
+        self.s_algebra = LieAlgebra._trusted([[[c[a][b][k] for k in s] for b in s] for a in s])
         self.s_rep = ExactTable(
             [[[c[a][j][k] for j in range(n)] for k in range(n)] for a in s]
         )

@@ -165,6 +165,13 @@ class Jet:
         return cls._from_state(nvars, order, 1, {1: {key: 1}} if order >= 1 else {})
 
     @classmethod
+    def linear(cls, coeffs, order: int) -> "Jet":
+        """The linear form sum_k coeffs[k] x^k in len(coeffs) variables."""
+        n = len(coeffs)
+        return cls(n, order, {tuple(int(t == k) for t in range(n)): c
+                              for k, c in enumerate(coeffs)})
+
+    @classmethod
     def from_numerators(cls, nvars: int, order: int, den: int, numerators) -> "Jet":
         """The jet of (monomial, integer numerator) pairs, distinct monomials
         of `nvars` exponents, over a positive `den`, built with no check and
@@ -233,6 +240,14 @@ class Jet:
             return _ZERO    # a negative exponent can pack like a real monomial
         part = self._num.get(sum(mono), {})
         return Fraction(part.get(_pack(mono, self.order + 1), 0), self.den)
+
+    def linear_coefficients(self) -> list:
+        """c with degree-one part sum_k c[k] x^k, as Jet.linear takes it."""
+        part, n = self._num.get(1), self.nvars
+        if not part:
+            return [_ZERO] * n
+        return [Fraction(part[u], self.den) if u in part else _ZERO
+                for u in [(self.order + 1) ** (n - 1 - k) for k in range(n)]]
 
     def is_zero(self) -> bool:
         return not self._num
@@ -601,27 +616,10 @@ class CoordChange:
 
     @classmethod
     def linear(cls, matrix, order: int) -> "CoordChange":
-        nvars = len(matrix)
-        comps = []
-        for row in matrix:
-            terms = {}
-            for j, value in enumerate(row):
-                c = _as_scalar(value)
-                if c:
-                    mono = tuple(1 if k == j else 0 for k in range(nvars))
-                    terms[mono] = c
-            comps.append(Jet(nvars, order, terms))
-        return cls(comps)
+        return cls([Jet.linear(row, order) for row in matrix])
 
     def linear_matrix(self):
-        mat = []
-        for comp in self.components:
-            row = []
-            for j in range(self.nvars):
-                mono = tuple(1 if k == j else 0 for k in range(self.nvars))
-                row.append(comp.coefficient(mono))
-            mat.append(row)
-        return mat
+        return [comp.linear_coefficients() for comp in self.components]
 
     def is_identity(self) -> bool:
         return all(
@@ -769,10 +767,7 @@ class PoissonJet:
         self.entries = entries
         bad = [(t, jet) for t, jet in jacobiator(self).items() if not jet.is_zero()]
         if bad:
-            triple, jet = bad[0]
-            raise ValueError(
-                f"Jacobi identity fails through order {order} at {triple}: {jet!r}"
-            )
+            raise JacobiError(*bad[0])
 
     @classmethod
     def _trusted(cls, entries, nvars: int, order: int) -> "PoissonJet":
@@ -785,6 +780,13 @@ class PoissonJet:
     @classmethod
     def from_brackets(cls, nvars: int, order: int, brackets: dict) -> "PoissonJet":
         """Build from upper-triangle data {(i, j): jet-or-terms} with i < j."""
+        return cls(cls._trusted_brackets(nvars, order, brackets).entries, order)
+
+    @classmethod
+    def _trusted_brackets(cls, nvars: int, order: int, brackets: dict) -> "PoissonJet":
+        """from_brackets with no check of the origin or the Jacobi identity,
+        for brackets already certified or verified afterwards by a morphism
+        equation; the grid is antisymmetric by construction."""
         grid = [[Jet.zero(nvars, order) for _ in range(nvars)] for _ in range(nvars)]
         for (i, j), value in brackets.items():
             if not 0 <= i < j < nvars:
@@ -792,17 +794,14 @@ class PoissonJet:
             jet = value if isinstance(value, Jet) else Jet.from_terms(nvars, order, value)
             grid[i][j] = jet.truncate(order)
             grid[j][i] = -grid[i][j]
-        return cls(grid, order)
+        return cls._trusted(grid, nvars, order)
 
     def entry(self, i: int, j: int) -> Jet:
         return self.entries[i][j]
 
     def linear_constants(self):
         """c[i][j][k] with {x^i, x^j} = sum_k c[i][j][k] x^k + higher order."""
-        units = [(self.order + 1) ** (self.nvars - 1 - k) for k in range(self.nvars)]
-        parts = [[(jet._num.get(1, {}), jet.den) for jet in row] for row in self.entries]
-        return [[[Fraction(part[u], den) if u in part else _ZERO for u in units]
-                 for part, den in row] for row in parts]
+        return [[jet.linear_coefficients() for jet in row] for row in self.entries]
 
     def linear_part(self) -> "PoissonJet":
         grid = [[jet.homogeneous_part(1) for jet in row] for row in self.entries]
@@ -832,6 +831,21 @@ class PoissonJet:
                         f"{{{names[i]},{names[j]}}}={format_polynomial(self.entries[i][j], names)}"
                     )
         return f"<PoissonJet {'; '.join(parts) or '0'} | order {self.order}>"
+
+
+class JacobiError(ValueError):
+    """A bivector fails the Jacobi identity through its order, first on the
+    variables `triple`, whose jacobiator is `jet`."""
+
+    def __init__(self, triple: tuple, jet: Jet):
+        self.triple, self.jet = triple, jet
+        super().__init__(self.in_names(default_names(jet.nvars)))
+
+    def in_names(self, names) -> str:
+        """The failure worded in the given variable names."""
+        at = ", ".join(names[t] for t in self.triple)
+        return (f"Jacobi identity fails through order {self.jet.order} at ({at}): "
+                f"{format_polynomial(self.jet, names)}")
 
 
 def poisson_bracket(f: Jet, g: Jet, pi: PoissonJet) -> Jet:

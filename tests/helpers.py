@@ -15,6 +15,20 @@ def dense(rows, ncols):
     return [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
 
 
+def record_calls(monkeypatch, owner, name, record=lambda *args: args):
+    """Wrap owner.name for the test: each call first appends record(*args)
+    to the returned list, then runs the original."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(record(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 def random_jet(rng, nvars, order, max_terms=6, lowest=0, coeff_pool=(-2, -1, 1, 2)):
     """Sparse random jet with small integer coefficients."""
     pool = []

@@ -9,6 +9,7 @@ from helpers import (
     dense,
     gl2_matrix_algebroid,
     random_graded_change,
+    record_calls,
     so3_action_algebroid,
     so3_algebra,
     so3_bivector,
@@ -129,17 +130,10 @@ def test_dual_conversions_and_truncation_run_no_second_jacobi_check(monkeypatch)
     rng = random.Random(13)
     A, _ = gl2_matrix_algebroid(3)
     pi = algebroid_to_poisson(apply_algebroid_change(A, random_graded_change(rng, 2, 4, 4)))
-    calls = [0]
-    jacobiator = polyalg.jacobiator
-
-    def counted(pi):
-        calls[0] += 1
-        return jacobiator(pi)
-
-    monkeypatch.setattr(polyalg, "jacobiator", counted)
+    calls = record_calls(monkeypatch, polyalg, "jacobiator")
     moved = poisson_to_algebroid(pi, 2)
     assert moved.truncate(2).order == 2 and moved.truncate(1).order == 1
-    assert calls[0] == 0
+    assert calls == []
     code = Fraction.__new__.__code__
     built = [0]
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_near_identity_change, so3_bivector
-from poislin import cli, corpus, normalform, polyalg
+from helpers import random_near_identity_change, record_calls, so3_bivector
+from poislin import clear_caches, cli, corpus, normalform, polyalg
 from poislin.cli import (
     InputError,
     ProblemSpec,
@@ -24,7 +24,9 @@ from poislin.cli import (
     problem_from_dict,
     symmetric_signature,
 )
-from poislin.polyalg import Jet, PoissonJet, format_polynomial, pushforward
+from poislin.cohomology import GModule
+from poislin.liealg import LieAlgebra
+from poislin.polyalg import CoordChange, Jet, PoissonJet, format_polynomial, pushforward
 
 F = Fraction
 
@@ -176,6 +178,20 @@ def test_check_reports_input_errors_with_exit_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "Jacobi" in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "poisson", "variables": ["a", "b", "c"],
+      "brackets": {"a,b": "c + a^2", "b,c": "a", "c,a": "b"}},
+     "invalid bivector: Jacobi identity fails through order 6 at (a, b, c): 2*a*b"),
+    # [s, t] = u s with anchor u^2 on s: the anchor breaks the bracket
+    ({"kind": "algebroid", "variables": ["u"], "frame": ["s", "t"], "order": 2,
+      "structure": [["s", "t", "s", "u"]], "anchor": {"s": ["u^2"]}},
+     "invalid algebroid: Jacobi identity fails through order 3 at (u, s, t): -u^3"),
+], ids=["poisson", "algebroid"])
+def test_a_jacobi_failure_is_named_in_the_files_names(tmp_path, capsys, data, message):
+    code, out, err = run_cli(capsys, ["check", write_problem(tmp_path, data)])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("bracket", [
@@ -370,6 +386,35 @@ def test_a_normal_form_failing_jacobi_reports_unverified(tmp_path, capsys,
     assert report["verified"] is False
 
 
+# (command, problem, verifier, path to one normal form text, broken text):
+# the edit breaks the morphism property of the action and the Jacobi
+# identity of the algebroid
+BROKEN_NORMAL_FORMS = [
+    ("linearize", corpus.get("guillemin-sternberg-action").problem(4),
+     "_verify_action", ("fields", "X", 0), "x^2"),
+    ("algebroid", corpus.get("so3-coadjoint-algebroid").problem(3),
+     "_verify_algebroid", ("structure", 0, 3), "1 + x"),
+]
+
+
+@pytest.mark.parametrize("command, data, verifier, where, text", BROKEN_NORMAL_FORMS,
+                         ids=["action", "algebroid"])
+def test_a_normal_form_failing_its_structure_check_reports_unverified(
+        tmp_path, capsys, command, data, verifier, where, text):
+    """The read-back builds the normal form unchecked; one the checked
+    constructor refuses still fails the morphism equation."""
+    spec, result = engine_report(tmp_path, capsys, command, data)
+    normal_form = copy.deepcopy(result["normal_form"])
+    holder = normal_form
+    for key in where[:-1]:
+        holder = holder[key]
+    holder[where[-1]] = text
+    with pytest.raises(InputError, match="invalid"):
+        problem_from_dict({**normal_form, "kind": spec.kind, "order": spec.order})
+    verify = getattr(cli, verifier)
+    assert verify(spec, spec.order, result["change"], normal_form) is False
+
+
 def test_levi_command_with_embedded_factor(tmp_path, capsys):
     path = write_problem(tmp_path, corpus.get("gl2-levi").problem(5))
     code, out, _ = run_cli(capsys, ["levi", path])
@@ -401,14 +446,7 @@ def test_a_levi_factor_file_reads_the_isotropy_once(tmp_path, monkeypatch):
     spec = problem_from_dict(corpus.get("so3-coadjoint-algebroid").problem(3))
     factor = tmp_path / "split.json"
     factor.write_text(json.dumps({"s": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "r": []}))
-    calls = []
-    isotropy_of = cli._isotropy_of
-
-    def counted(spec):
-        calls.append(spec.kind)
-        return isotropy_of(spec)
-
-    monkeypatch.setattr(cli, "_isotropy_of", counted)
+    calls = record_calls(monkeypatch, cli, "_isotropy_of", lambda spec: spec.kind)
     split = cli._load_levi(spec, argparse.Namespace(levi_factor=str(factor)))
     assert len(split.s_basis) == 3 and not split.r_basis
     assert calls == ["algebroid"]
@@ -609,6 +647,66 @@ def test_corpus_flat_entry_is_linear_with_identity_change(capsys):
             "x,y": "-z", "x,z": "-y", "y,z": "x"}
         assert report["trace"]["steps"] == []
         assert "blind to flat terms" in report["corpus_entry"]["notes"]
+
+
+def test_the_gl2_levi_entry_writes_out_its_pushed_forward_bracket():
+    """The entry's text is the sl(2) dual bracket plus a central w moved by
+    z -> z + w^2, as pushforward and format_polynomial write it."""
+    names = ["x", "y", "z", "w"]
+    for order in range(1, 11):
+        linear = PoissonJet.from_brackets(4, order, {
+            (0, 1): [((0, 0, 1, 0), -1)], (1, 2): [((1, 0, 0, 0), 1)],
+            (0, 2): [((0, 1, 0, 0), -1)]})
+        comps = [Jet.variable(t, 4, order) for t in range(4)]
+        comps[2] = comps[2] + Jet(4, order, {(0, 0, 0, 2): 1})
+        moved = pushforward(linear, CoordChange(comps))
+        brackets = {f"{names[i]},{names[j]}": format_polynomial(moved.entry(i, j), names)
+                    for i in range(4) for j in range(i + 1, 4)
+                    if not moved.entry(i, j).is_zero()}
+        expected = {
+            "kind": "poisson", "variables": names, "order": order, "brackets": brackets,
+            "levi_factor": {
+                "s": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]],
+                "r": [["0", "0", "0", "1"]],
+            },
+        }
+        assert json.dumps(corpus.get("gl2-levi").problem(order)) == json.dumps(expected)
+
+
+# the structural checks counted per corpus entry; an entry pins only the
+# counts it names
+CHECKS = {
+    "jacobiator": (polyalg, "jacobiator"),
+    "LieAlgebra": (LieAlgebra, "__init__"),
+    "ActionJet": (normalform.ActionJet, "__init__"),
+    "representation": (GModule, "_check_representation"),
+}
+CHECK_COUNTS = {
+    "so3-linear": {"jacobiator": 1},
+    "sl2-linear": {"jacobiator": 1},
+    "weinstein-sl2-flat": {"jacobiator": 1},
+    "abelian-x2": {"jacobiator": 1, "representation": 1},
+    "gl2-levi": {"jacobiator": 1, "LieAlgebra": 0, "representation": 1},
+    "guillemin-sternberg-action": {"LieAlgebra": 1, "ActionJet": 1},
+    # the ActionJet check is LinearAlgebroid's, on the engine's linear model
+    "so3-coadjoint-algebroid": {"jacobiator": 1, "ActionJet": 1},
+}
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_each_input_structure_is_checked_once(tmp_path, capsys, monkeypatch, name):
+    """Counted from the parse of the problem file on, with the caches
+    cleared: the input is checked where it is parsed, and the engine outputs
+    and the report's read-back, certified by the checks already made and by
+    the morphism equation, are built unchecked."""
+    entry = corpus.get(name)
+    path = write_problem(tmp_path, entry.problem())
+    clear_caches()
+    calls = {key: record_calls(monkeypatch, *CHECKS[key]) for key in CHECK_COUNTS[name]}
+    code, out, _ = run_cli(capsys, [entry.command, path])
+    assert code == (2 if entry.expected == "obstruction" else 0)
+    assert json.loads(out)["verified"] is True
+    assert {key: len(made) for key, made in calls.items()} == CHECK_COUNTS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,17 @@ def test_substitute_requires_origin_fixed():
         f.substitute([g])
 
 
+def test_linear_forms_build_and_read_back_the_degree_one_coefficients():
+    rng = random.Random(29)
+    for nvars, order in [(1, 0), (2, 1), (3, 4), (4, 3)]:
+        units = [tuple(int(t == k) for t in range(nvars)) for k in range(nvars)]
+        for _ in range(10):
+            jet = random_jet(rng, nvars, order, coeff_pool=(-3, Fraction(1, 2), 2))
+            coeffs = jet.linear_coefficients()
+            assert coeffs == [jet.coefficient(u) for u in units]
+            assert Jet.linear(coeffs, order) == jet.homogeneous_part(1)
+
+
 def test_homogeneous_part_and_degrees():
     jet = Jet(2, 4, {(1, 0): 2, (1, 1): 3, (0, 4): -1})
     assert jet.lowest_degree() == 1

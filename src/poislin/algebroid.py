@@ -588,8 +588,9 @@ def levi_algebroid(A: AlgebroidJet, split: LeviSplit, order: int | None = None,
                    radius=ONE):
     """Normalize the semisimple part of an algebroid jet.
 
-    split must certify a Levi decomposition of the fiber algebra at the
-    origin.  In the adapted frame (s-sections first) the returned jet has
+    split must be a LeviSplit of the fiber algebra at the origin, which it
+    certified when it was made; another algebra's raises SplitNotCertified.
+    In the adapted frame (s-sections first) the returned jet has
     constant s-s and s-r structure functions and exactly linear anchors on
     the s-sections through the truncation; the rest of the data rides along
     untouched.  Returns (AlgebroidChange, AlgebroidJet, IterationTrace).

@@ -45,13 +45,13 @@ from .cohomology import (
     squares_to_zero,
 )
 from .liealg import (
+    LeviSplit,
     LeviSplitError,
     LieAlgebra,
     SolverFailure,
     isotropy_from_linear_part,
     killing_form,
     radical,
-    verify_levi_split,
 )
 from .linalg import symmetric_signature
 from .normalform import (
@@ -543,11 +543,14 @@ def run_analyze(spec: ProblemSpec, args) -> tuple[dict, int]:
 def _read_back(spec, order, change_text, nf_dict):
     """(change, normal form) parsed back from a report, the normal form the
     way a problem file is but with the trusted constructors, and for an
-    algebroid both as duals; None when either does not parse."""
+    algebroid both as duals; None when either does not parse or the normal
+    form has another number of variables than the input."""
     names = spec.names
     try:
-        nf = _payload(nf_dict, spec.kind, _names_list(nf_dict, "variables"), order,
-                      _TRUSTED)[0]
+        nf_names = _names_list(nf_dict, "variables")
+        if len(nf_names) != len(names):
+            return None
+        nf = _payload(nf_dict, spec.kind, nf_names, order, _TRUSTED)[0]
         if spec.kind != "algebroid":
             return CoordChange([parse_polynomial(change_text[name], names, order)
                                 for name in names]), nf
@@ -664,7 +667,8 @@ def _load_levi(spec: ProblemSpec, args):
         raise _fail("the levi command needs a levi_factor block or "
                     "--levi-factor FILE")
     try:
-        return verify_levi_split(algebra, list(rows[0]), list(rows[1]))
+        # the one certification of the split
+        return LeviSplit(algebra, rows[0], rows[1])
     except LeviSplitError as exc:
         raise _fail(f"levi factor rejected ({exc.violation}): {exc}")
 
@@ -732,7 +736,7 @@ _COMMANDS = {
 
 def _run_corpus_entry(entry, args) -> tuple[dict, int]:
     order = getattr(args, "max_degree", None)
-    spec = problem_from_dict(entry.problem(order))
+    spec = _apply_overrides(problem_from_dict(entry.problem(order)), args)
     runner = _COMMANDS[entry.command]
     # max_degree already chose the build order; the run uses it all
     sub_args = argparse.Namespace(**{**vars(args), "max_degree": None})
@@ -890,14 +894,15 @@ def _emit(report: dict, args) -> None:
 # entry point
 
 
-def _add_common_flags(parser) -> None:
-    parser.add_argument("--scheduler", choices=("degree", "doubling"),
-                        default=None,
-                        help="override the problem's scheduler")
-    parser.add_argument("--max-degree", type=int, default=None,
-                        help="run only up to this degree")
-    parser.add_argument("--radius", default=None,
-                        help="diagnostic radius, a rational p or p/q")
+def _add_common_flags(parser, run_flags: bool = True) -> None:
+    if run_flags:
+        parser.add_argument("--scheduler", choices=("degree", "doubling"),
+                            default=None,
+                            help="override the problem's scheduler")
+        parser.add_argument("--max-degree", type=int, default=None,
+                            help="run only up to this degree")
+        parser.add_argument("--radius", default=None,
+                            help="diagnostic radius, a rational p or p/q")
     parser.add_argument("--out", default=None, help="write the report here")
     parser.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -930,7 +935,7 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus_sub = corpus_parser.add_subparsers(dest="corpus_command",
                                               required=True)
     list_parser = corpus_sub.add_parser("list", help="list the entries")
-    _add_common_flags(list_parser)
+    _add_common_flags(list_parser, run_flags=False)
     run_parser = corpus_sub.add_parser("run", help="run one entry or --all")
     run_parser.add_argument("name", nargs="?", default=None)
     run_parser.add_argument("--all", action="store_true")
@@ -963,10 +968,7 @@ def main(argv=None) -> int:
                 raise _fail(f"cannot read problem file: {exc}")
             spec = _apply_overrides(parse_problem(text), args)
             report, code = _COMMANDS[args.command](spec, args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (SolverFailure, LeviSplitError) as exc:
+    except (InputError, SolverFailure) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     _emit(report, args)

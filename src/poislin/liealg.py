@@ -103,9 +103,9 @@ class LieAlgebra:
     def _trusted(cls, constants) -> "LieAlgebra":
         """Skip the shape, antisymmetry and Jacobi checks; for constants read
         off a jet that already passed them, induced by a validated algebra on
-        a bracket-closed subspace, or compared afterwards with a validated
-        algebra.  A PoissonJet checks the Jacobi identity through its order,
-        which covers its linear part, and transport keeps it."""
+        a bracket-closed subspace or on its quotient by an ideal, or compared
+        afterwards with one.  A PoissonJet checks the Jacobi identity through
+        its order, which covers its linear part, and transport keeps it."""
         algebra = cls.__new__(cls)
         algebra.constants = ExactTable(constants)
         algebra.dim = len(algebra.constants)
@@ -325,7 +325,7 @@ def _quotient_by_ideal(L: LieAlgebra, ideal: Matrix) -> _Quotient:
                 raise SolverFailure("ideal plus complement does not span")
             table[a][b] = list(coords[k:])
             table[b][a] = [-x for x in coords[k:]]
-    return _Quotient(LieAlgebra(table), comp, solver, k, L.dim)
+    return _Quotient(LieAlgebra._trusted(table), comp, solver, k, L.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -341,57 +341,51 @@ class LeviSplitError(ValueError):
         self.violation = violation
 
 
-@dataclass
+@dataclass(frozen=True)
 class LeviSplit:
     """Certified decomposition: s a semisimple subalgebra, r an invariant
-    complement.  Construct through verify_levi_split or levi_lift."""
+    complement, their bases held as Fraction tuples.  The constructor runs
+    the four checks (direct sum, s a subalgebra, s semisimple, r invariant)
+    and raises LeviSplitError naming the first that fails, so a LeviSplit
+    is its own certificate and no consumer checks it again."""
 
     algebra: LieAlgebra
     s_basis: tuple
     r_basis: tuple
 
+    def __post_init__(self):
+        for name in ("s_basis", "r_basis"):
+            object.__setattr__(self, name, tuple(tuple(Fraction(x) for x in v)
+                                                 for v in getattr(self, name)))
+        L, n, s_basis, r_basis = self.algebra, self.algebra.dim, self.s_basis, self.r_basis
+        if any(len(v) != n for v in s_basis + r_basis):
+            raise LeviSplitError("NotDirectSum", "basis vector of wrong length")
+        if len(s_basis) + len(r_basis) != n or rank(s_basis + r_basis, n) != n:
+            raise LeviSplitError("NotDirectSum", "s and r do not span the algebra as a direct sum")
+        try:
+            s_constants = subalgebra_constants(L, s_basis)
+        except ValueError as exc:
+            raise LeviSplitError("SNotSubalgebra", str(exc)) from exc
+        # a subalgebra of L: subalgebra_constants checked that s closes
+        if rank(killing_form(LieAlgebra._trusted(s_constants)), len(s_basis)) != len(s_basis):
+            raise LeviSplitError("SNotSemisimple", "induced Killing form is degenerate")
+        if r_basis:
+            r_solver = row_space_solver(r_basis, n)
+            if any(r_solver.solve(L.bracket(e, v)) is None for e in L.basis() for v in r_basis):
+                raise LeviSplitError("RNotInvariant", "[L, r] is not contained in r")
+
 
 def verify_levi_split(L: LieAlgebra, s_basis, r_basis) -> LeviSplit:
-    """Check the four split invariants and return the certified pair."""
-    s_basis = [[Fraction(x) for x in v] for v in s_basis]
-    r_basis = [[Fraction(x) for x in v] for v in r_basis]
-    n = L.dim
-    if any(len(v) != n for v in s_basis + r_basis):
-        raise LeviSplitError("NotDirectSum", "basis vector of wrong length")
-    if len(s_basis) + len(r_basis) != n or rank(s_basis + r_basis, n) != n:
-        raise LeviSplitError(
-            "NotDirectSum", "s and r do not span the algebra as a direct sum"
-        )
-    try:
-        s_constants = subalgebra_constants(L, s_basis)
-    except ValueError as exc:
-        raise LeviSplitError("SNotSubalgebra", str(exc)) from exc
-    # a subalgebra of L: subalgebra_constants checked that s closes
-    if rank(killing_form(LieAlgebra._trusted(s_constants)), len(s_basis)) != len(s_basis):
-        raise LeviSplitError("SNotSemisimple", "induced Killing form is degenerate")
-    if r_basis:
-        r_solver = row_space_solver(r_basis, n)
-        for i in range(n):
-            for v in r_basis:
-                if r_solver.solve(L.bracket(L.basis_vector(i), v)) is None:
-                    raise LeviSplitError(
-                        "RNotInvariant", "[L, r] is not contained in r"
-                    )
-    return LeviSplit(
-        L,
-        tuple(tuple(v) for v in s_basis),
-        tuple(tuple(v) for v in r_basis),
-    )
+    """The certified pair, or LeviSplitError; the same as LeviSplit(...)."""
+    return LeviSplit(L, s_basis, r_basis)
 
 
 def levi_lift(L: LieAlgebra) -> LeviSplit:
     """Compute a certified Levi pair: the radical plus a semisimple complement
-    lifted through the derived series by solving 2-coboundary equations."""
+    lifted through the derived series by solving 2-coboundary equations.
+    The algebras on the way are built unchecked: the split certifies all."""
     rad = radical(L)
-    if len(rad) == L.dim:
-        return verify_levi_split(L, [], rad)
-    s_basis = _levi_complement(L, rad)
-    return verify_levi_split(L, s_basis, rad)
+    return LeviSplit(L, _levi_complement(L, rad) if len(rad) < L.dim else [], rad)
 
 
 def _levi_complement(L: LieAlgebra, rad: list[Vector]) -> list[Vector]:
@@ -404,7 +398,7 @@ def _levi_complement(L: LieAlgebra, rad: list[Vector]) -> list[Vector]:
     quot = _quotient_by_ideal(L, last)
     s_bar = _levi_complement(quot.algebra, radical(quot.algebra))
     h_basis = [quot.lift(v) for v in s_bar] + [list(v) for v in last]
-    sub = LieAlgebra(subalgebra_constants(L, h_basis))
+    sub = LieAlgebra._trusted(subalgebra_constants(L, h_basis))
     inner = _levi_abelian_radical(sub, radical(sub))
     out = []
     for v in inner:

@@ -519,11 +519,11 @@ def test_levi_algebroid_rejects_uncertified_splits():
     wrong = levi_lift(so3_algebra())
     with pytest.raises(SplitNotCertified, match="different algebra"):
         levi_algebroid(A, wrong)
-    from poislin.liealg import LeviSplit
+    from poislin.liealg import LeviSplit, LeviSplitError
 
-    swapped = LeviSplit(gl2, split.r_basis, split.s_basis)
-    with pytest.raises(SplitNotCertified):
-        levi_algebroid(A, swapped)
+    with pytest.raises(LeviSplitError) as err:
+        LeviSplit(gl2, split.r_basis, split.s_basis)
+    assert err.value.violation == "SNotSemisimple"
 
 
 def test_levi_algebroid_solvable_residual_rides_along():

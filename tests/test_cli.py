@@ -25,7 +25,7 @@ from poislin.cli import (
     symmetric_signature,
 )
 from poislin.cohomology import GModule
-from poislin.liealg import LieAlgebra
+from poislin.liealg import LeviSplit, LieAlgebra
 from poislin.polyalg import CoordChange, Jet, PoissonJet, format_polynomial, pushforward
 
 F = Fraction
@@ -415,6 +415,34 @@ def test_a_normal_form_failing_its_structure_check_reports_unverified(
     assert verify(spec, spec.order, result["change"], normal_form) is False
 
 
+# (command, problem, verifier, per-variable lists in the normal form)
+RESIZED_NORMAL_FORMS = [
+    ("linearize", SO3_PROBLEM, "_verify_poisson", ()),
+    ("linearize", corpus.get("guillemin-sternberg-action").problem(4),
+     "_verify_action", ("fields",)),
+    ("algebroid", corpus.get("so3-coadjoint-algebroid").problem(3),
+     "_verify_algebroid", ("anchor",)),
+]
+
+
+@pytest.mark.parametrize("grow", [False, True], ids=["fewer", "more"])
+@pytest.mark.parametrize("command, data, verifier, per_variable", RESIZED_NORMAL_FORMS,
+                         ids=["poisson", "action", "algebroid"])
+def test_a_normal_form_in_another_number_of_variables_reports_unverified(
+        tmp_path, capsys, command, data, verifier, per_variable, grow):
+    """One variable name dropped, or one added with a zero component in
+    every per-variable list, so the grown form still parses."""
+    spec, result = engine_report(tmp_path, capsys, command, data)
+    normal_form = copy.deepcopy(result["normal_form"])
+    names = normal_form["variables"]
+    normal_form["variables"] = names + ["w"] if grow else names[:-1]
+    for key in per_variable:
+        for comps in normal_form[key].values():
+            comps[:] = comps + ["0"] if grow else comps[:-1]
+    verify = getattr(cli, verifier)
+    assert verify(spec, spec.order, result["change"], normal_form) is False
+
+
 def test_levi_command_with_embedded_factor(tmp_path, capsys):
     path = write_problem(tmp_path, corpus.get("gl2-levi").problem(5))
     code, out, _ = run_cli(capsys, ["levi", path])
@@ -635,6 +663,30 @@ def test_corpus_run_all(capsys):
         assert sub["verified"] is True
 
 
+def test_corpus_run_applies_the_scheduler_and_radius_flags(capsys):
+    for argv in (["so3-linear"], ["--all"]):
+        code, out, _ = run_cli(capsys, ["corpus", "run", *argv,
+                                        "--scheduler", "degree", "--radius", "1/2"])
+        assert code == 0
+        report = json.loads(out)
+        for sub in report.get("reports", [report]):
+            assert sub["input"]["radius"] == "1/2"
+            if sub["corpus_entry"]["name"] == "so3-linear":
+                assert sub["input"]["scheduler"] == "degree"
+                assert sub["trace"]["scheduler"] == "degree"
+                assert sub["trace"]["radius"] == "1/2"
+
+
+def test_corpus_list_takes_only_output_flags(capsys):
+    for flag in (["--scheduler", "degree"], ["--max-degree", "3"], ["--radius", "1/2"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(["corpus", "list", *flag])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, ["corpus", "list", "--format", "text"])
+    assert code == 0 and "abelian-x2" in out
+
+
 def test_corpus_flat_entry_is_linear_with_identity_change(capsys):
     for order in (3, 7):
         code, out, _ = run_cli(capsys, ["corpus", "run", "weinstein-sl2-flat",
@@ -680,13 +732,14 @@ CHECKS = {
     "LieAlgebra": (LieAlgebra, "__init__"),
     "ActionJet": (normalform.ActionJet, "__init__"),
     "representation": (GModule, "_check_representation"),
+    "LeviSplit": (LeviSplit, "__post_init__"),
 }
 CHECK_COUNTS = {
     "so3-linear": {"jacobiator": 1},
     "sl2-linear": {"jacobiator": 1},
     "weinstein-sl2-flat": {"jacobiator": 1},
     "abelian-x2": {"jacobiator": 1, "representation": 1},
-    "gl2-levi": {"jacobiator": 1, "LieAlgebra": 0, "representation": 1},
+    "gl2-levi": {"jacobiator": 1, "LieAlgebra": 0, "representation": 1, "LeviSplit": 1},
     "guillemin-sternberg-action": {"LieAlgebra": 1, "ActionJet": 1},
     # the ActionJet check is LinearAlgebroid's, on the engine's linear model
     "so3-coadjoint-algebroid": {"jacobiator": 1, "ActionJet": 1},

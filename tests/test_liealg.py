@@ -1,5 +1,6 @@
 """Lie algebra structure theory: Killing form, radical, Levi pairs."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from helpers import (
     random_near_identity_change,
     random_rational_basis,
     rebased_algebra,
+    record_calls,
     sl2_algebra,
     sl2_nonabelian_radical_algebra,
     so3_algebra,
@@ -293,6 +295,29 @@ def test_levi_lift_twisted_bases():
             split = levi_lift(L)
             verify_levi_split(L, split.s_basis, split.r_basis)
             assert len(split.r_basis) == len(radical(L))
+
+
+@pytest.mark.parametrize("build", [gl2_algebra, sl2_nonabelian_radical_algebra])
+def test_levi_lift_validates_no_intermediate_algebra(monkeypatch, build):
+    """The quotients and subalgebras of the lift are built unchecked, and
+    the split it returns certifies itself once."""
+    L = build()
+    algebras = record_calls(monkeypatch, LieAlgebra, "__init__")
+    certified = record_calls(monkeypatch, LeviSplit, "__post_init__")
+    split = levi_lift(L)
+    assert (len(algebras), len(certified)) == (0, 1)
+    assert len(split.s_basis) == 3
+
+
+def test_a_levi_split_holds_fraction_tuples_and_stays_certified():
+    gl2 = gl2_algebra()
+    split = LeviSplit(gl2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], [["0", 0, 0, 1]])
+    assert split == verify_levi_split(gl2, split.s_basis, split.r_basis)
+    for basis in (split.s_basis, split.r_basis):
+        assert type(basis) is tuple
+        assert all(type(v) is tuple and all(type(x) is Fraction for x in v) for v in basis)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        split.r_basis = split.s_basis
 
 
 def test_levi_lift_nonabelian_radical_goes_through_series():

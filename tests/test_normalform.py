@@ -21,6 +21,7 @@ from poislin import CoordChange, Jet, PoissonJet, compose_change, normalform, pu
 from poislin.cohomology import ObstructionClass, is_cocycle, solve_coboundary
 from poislin.liealg import (
     LeviSplit,
+    LeviSplitError,
     LieAlgebra,
     SolverFailure,
     isotropy_from_linear_part,
@@ -745,10 +746,11 @@ def test_levi_rejects_uncertified_splits():
     base, pert = perturbed_linear(gl2, 4, rng)
     iso = isotropy_from_linear_part(pert)
     good = levi_lift(iso)
-    # swapped factors: the radical is not a complement of itself
-    bad = LeviSplit(iso, good.r_basis, good.s_basis)
-    with pytest.raises(SplitNotCertified):
-        levi_decompose(pert, bad)
+    # swapped factors: the split refuses itself when it is made, as the
+    # radical is not semisimple
+    with pytest.raises(LeviSplitError) as err:
+        LeviSplit(iso, good.r_basis, good.s_basis)
+    assert err.value.violation == "SNotSemisimple"
     # split taken from a different algebra
     other = levi_lift(so3_algebra())
     with pytest.raises(SplitNotCertified):

@@ -676,6 +676,8 @@ def _load_levi(spec: ProblemSpec, args):
 def run_levi(spec: ProblemSpec, args) -> tuple[dict, int]:
     if spec.kind == "action":
         raise _fail("the levi command handles poisson and algebroid problems")
+    if getattr(args, "scheduler", None) == "doubling":
+        raise _fail("levi runs the degree scheduler; --scheduler doubling does not apply")
     split = _load_levi(spec, args)
     return _normal_form_report("levi", spec, _effective_order(spec, args), split)
 

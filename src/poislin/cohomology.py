@@ -22,10 +22,11 @@ eliminated coboundary solvers and the ranks of every degree.  A `GModule`
 is its own complex and keeps every index; a rule that keeps fewer cuts out
 a subcomplex, such as the fiber-degree graded piece the algebroid engine
 solves in, whose matrices come from the kept rows and columns alone.
-Cohomology dimensions need only ranks, which `linalg.rank` reads off the
-solver's forward pass without its identity tail, taking in each pivot
-column the sparsest row to limit fill (the pivot columns, and so the
-ranks, do not depend on that row).  Primitive selection is the solver's
+Cohomology dimensions need only ranks.  rank d_r is one least-fill pass on
+d_r^T with clearing: im d_{r-1} projects isomorphically onto some
+coordinates P_{r-1} of C^r, the others span a complement that d_r kills,
+so the rows in P_{r-1} are dropped, and the pivot columns left are P_r.
+This holds only on a complex.  Primitive selection is the solver's
 deterministic rule (lowest-index pivots, earliest row, free variables
 zero), so outputs reproduce bit for bit.
 """
@@ -38,7 +39,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .linalg import IntegerRows, LinearSolver, Vector, dot, numerators, rationals, rank
+from .linalg import (IntegerRows, LinearSolver, Vector, _integer_rows, _pivot_columns, dot,
+                     numerators, rationals)
 from .liealg import ExactTable, LieAlgebra
 from .polyalg import monomials
 
@@ -103,17 +105,29 @@ class CochainComplex:
 
     def differential_rank(self, r: int) -> int:
         """rank of d_r: C^r -> C^{r+1}, read off a coboundary solver already
-        eliminated, or else computed once by `linalg.rank`, which runs the
-        solver's forward pass without the identity tail."""
+        eliminated, or else computed once with clearing: the least-fill
+        pass runs on d_r^T without the rows in P_{r-1} (cached, or the pivot
+        rows of a solver of d_{r-1}), and its pivot columns are cached as
+        P_r, whose size is the rank."""
         if self.cochain_dim(r) == 0 or self.cochain_dim(r + 1) == 0:
             return 0
         solver = self._solvers.get(r + 1)
         if solver is not None:
             return solver.rank
-        cached = self._ranks.get(r)
-        if cached is None:
-            cached = self._ranks[r] = rank(self.differential_matrix(r), self.cochain_dim(r))
-        return cached
+        pivots = self._ranks.get(r)
+        if pivots is None:
+            below = self._solvers.get(r)
+            cleared = set(below.pivot_rows if below is not None else self._ranks.get(r - 1, ()))
+            rows, ncols = _integer_rows(self.differential_matrix(r), self.cochain_dim(r))
+            # a scale per row of d_r scales a column of d_r^T: same pivot columns
+            transposed = [{} for _ in range(ncols)]
+            for i, (ints, _) in enumerate(rows):
+                for j, x in ints.items():
+                    transposed[j][i] = x
+            kept = [row for j, row in enumerate(transposed) if j not in cleared]
+            pivots = self._ranks[r] = _pivot_columns(IntegerRows(kept, 1),
+                                                     self.cochain_dim(r + 1))
+        return len(pivots)
 
 
 class GModule(CochainComplex):
@@ -443,12 +457,13 @@ def solve_coboundary(target: Cochain):
 
 def cohomology_dimension(cx: CochainComplex, r: int) -> int:
     """dim H^r = dim ker(d_r) - rank(d_{r-1}), by exact rank computation on
-    the ranks the complex caches, so H^r and H^{r+1} share the rank of d_r."""
+    the ranks the complex caches, so H^r and H^{r+1} share the rank of d_r
+    and its coordinates P_r.  rank d_{r-1} is asked for first, so that its
+    P_{r-1} clears the elimination of d_r."""
     if r < 0:
         raise ValueError("negative cohomology degree")
-    kernel_dim = cx.cochain_dim(r) - cx.differential_rank(r)
     image_dim = cx.differential_rank(r - 1) if r >= 1 else 0
-    return kernel_dim - image_dim
+    return cx.cochain_dim(r) - cx.differential_rank(r) - image_dim
 
 
 def squares_to_zero(cx: CochainComplex, r: int) -> bool:

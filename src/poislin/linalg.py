@@ -16,7 +16,9 @@ in.  The one elimination, `_eliminate`, is an integer forward pass that
 never touches a row above its pivot, so it never leaves a block.  `rank`
 runs it on M with the least-fill row rule; `LinearSolver` runs it on
 [M | I] once with the positional one, whose row positions its null rows,
-and so every obstruction certificate, are read off.
+and so every obstruction certificate, are read off.  Its first `rank`
+positions hold independent rows of M, kept as `pivot_rows`: coordinates
+onto which the column span of M projects isomorphically.
 
 A right-hand side is solved on integers too: `solve_numerators` takes b as
 numerators over one denominator and, in one pass over its nonzeros, applies
@@ -225,6 +227,7 @@ class LinearSolver:
         order, pivots = _eliminate(work, m)
         self.rank = len(pivots)
         self.pivot_cols = pivots
+        self.pivot_rows = order[:self.rank]
         # Per pivot: (value, {later pivot column: entry of U}, {free column:
         # entry of U}); per row i of M, L's column i as (pivot, entry) pairs.
         self._pivots: list[tuple[int, dict, dict]] = []

@@ -493,6 +493,27 @@ def test_levi_command_rejects_bad_factor(tmp_path, capsys):
     assert "levi factor rejected" in err
 
 
+def test_levi_refuses_an_explicit_doubling_scheduler(tmp_path, capsys):
+    """Both Levi engines run the degree scheduler, so an explicit
+    --scheduler doubling ends in exit 1, run directly or through the
+    corpus; --scheduler degree and no flag run as before and differ only in
+    the scheduler the report echoes from its input."""
+    path = write_problem(tmp_path, corpus.get("gl2-levi").problem(4))
+    for argv in (["levi", path], ["corpus", "run", "gl2-levi", "--max-degree", "4"]):
+        code, out, err = run_cli(capsys, [*argv, "--scheduler", "doubling"])
+        assert (code, out) == (1, "")
+        assert "levi runs the degree scheduler" in err and "Traceback" not in err
+        reports = []
+        for flag in ([], ["--scheduler", "degree"]):
+            code, out, _ = run_cli(capsys, [*argv, *flag])
+            assert code == 0
+            report = json.loads(out)
+            assert report["verified"] is True and report["trace"]["scheduler"] == "levi"
+            del report["timing_seconds"], report["input"]["scheduler"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+
 LONG_INTEGER = "7" * 5000     # past the interpreter's 4300-digit conversion limit
 
 

@@ -667,6 +667,40 @@ def perturbed_linear(L, order, rng, max_extra=2):
     return base, pushforward(base, psi)
 
 
+def test_the_twisted_field_modules_are_complexes(monkeypatch):
+    """`_twisted_field_module` builds its modules through GModule._trusted,
+    with no representation check, and cleared ranks hold only on a
+    complex: the differentials of every module that linearize_action
+    builds for a moved so(3) coadjoint action, and levi_decompose for a
+    perturbed gl(2) and sl(2) semidirect R^2, square to zero at r = 1, 2."""
+    from poislin import clear_caches
+    from poislin.cohomology import squares_to_zero
+
+    built = {}
+    original = normalform._twisted_field_module
+
+    def recorded(*args):
+        module = original(*args)
+        built[id(module)] = module
+        return module
+
+    monkeypatch.setattr(normalform, "_twisted_field_module", recorded)
+    clear_caches()
+    rng = random.Random(23)
+    moved = conjugate_action(coadjoint_action(so3_algebra(), 6),
+                             random_near_identity_change(rng, 3, 6))
+    linearize_action(ActionJet(moved.algebra, moved.fields, moved.order))
+    counts = [len(built)]
+    for L in (gl2_algebra(), sl2_semidirect_algebra()):
+        _, pert = perturbed_linear(L, 5, rng, max_extra=1)
+        levi_decompose(pert, levi_lift(isotropy_from_linear_part(pert)))
+        counts.append(len(built))
+    clear_caches()
+    assert 0 < counts[0] < counts[1] < counts[2]
+    for module in built.values():
+        assert module.dim and squares_to_zero(module, 1) and squares_to_zero(module, 2)
+
+
 def test_levi_decompose_on_a_central_extension():
     rng = random.Random(61)
     gl2 = gl2_algebra()
@@ -827,7 +861,7 @@ def test_warm_obstructed_run_reuses_the_eliminated_d1_solver(monkeypatch):
             super().__init__(rows, ncols)
 
     monkeypatch.setattr(cohomology, "LinearSolver", RecordingSolver)
-    monkeypatch.setattr(cohomology, "rank", lambda rows, ncols: eliminated.append(rows))
+    monkeypatch.setattr(cohomology, "_pivot_columns", lambda rows, ncols: eliminated.append(rows))
     warm, _ = linearize_poisson(pi)
     assert warm == cold
     assert eliminated == []

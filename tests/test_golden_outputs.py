@@ -25,6 +25,8 @@ from helpers import (
     random_invertible_matrix,
     random_jet,
     random_near_identity_change,
+    random_rational_basis,
+    rebased_algebra,
     sl2_bivector,
     so3_action_algebroid,
     so3_algebra,
@@ -37,8 +39,15 @@ from poislin.algebroid import (
     linearize_algebroid,
 )
 from poislin import polyalg
-from poislin.cohomology import ObstructionClass
+from poislin.cohomology import (
+    Cochain,
+    ObstructionClass,
+    coadjoint_rep,
+    induced_polynomial_module,
+    solve_coboundary,
+)
 from poislin.liealg import LieAlgebra, isotropy_from_linear_part, levi_lift
+from poislin.linalg import LinearSolver
 from poislin.normalform import (
     ActionJet,
     IterationTrace,
@@ -260,3 +269,90 @@ TRANSPORT_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(TRANSPORT_GOLDEN))
 def test_transport_outputs_match_reference_hashes(name):
     assert digest(run_transport_case(name)) == TRANSPORT_GOLDEN[name]
+
+
+def rational_move(rng, nvars, order):
+    """A seeded rational linear change, then a near-identity change."""
+    return CoordChange.linear(random_rational_basis(rng, nvars), order).then(
+        random_near_identity_change(rng, nvars, order, max_extra=3))
+
+
+def x2_action(order):
+    """abelian(2) on R^2 by x^2 d/dx and y^2 d/dy: no linear part, so the
+    quadratic fields are an obstruction."""
+    zero = Jet.zero(2, order)
+    return ActionJet(LieAlgebra.abelian(2), [[Jet(2, order, {(2, 0): 1}), zero],
+                                             [zero, Jet(2, order, {(0, 2): 1})]], order)
+
+
+def run_obstructed_case(name):
+    """One obstructed run in a rational basis: the resonant family at k
+    (order k + 1), {x, y} = x^2 or the x^2 action, moved by `rational_move`."""
+    kind, scheduler, seed = name.split("/")
+    rng = random.Random(int(seed))
+    if kind.startswith("resonant"):
+        k = int(kind[len("resonant"):])
+        moved = pushforward(resonant_bivector(k, k + 1), rational_move(rng, 3, k + 1))
+        return linearize_poisson(moved, scheduler)
+    if kind == "x2-poisson":
+        x2 = PoissonJet.from_brackets(2, 4, {(0, 1): [((2, 0), 1)]})
+        return linearize_poisson(pushforward(x2, rational_move(rng, 2, 4)), scheduler)
+    assert kind == "x2-action"
+    return linearize_action(conjugate_action(x2_action(4), rational_move(rng, 2, 4)), scheduler)
+
+
+# Certificates, partial removals and traces of obstructed runs depend on the
+# solver's row order (its left-null rows), so these pin that order through
+# the engines; hashed before the solver's row rule moved.
+OBSTRUCTED_GOLDEN = {
+    "resonant2/degree/0": "3ed7054e3f1ebfa50e1979d39e946c7cf7c11c95fc3517c80243699592138794",
+    "resonant2/degree/1": "33f022db7375068f3af37d80d69bbfcc7ba2a2025a2c009a9342e63882704a42",
+    "resonant2/degree/2": "02a89da0fd0fad7e71dab604ce365010b38cbe620ada93b2dfb028ca858a9cd7",
+    "resonant2/doubling/0": "cc2cd4e331700a411125b3845f8254c6159bab483718d87a2fa232ee83903ca5",
+    "resonant2/doubling/1": "f6f91cbf7d33bf4e711eb22544c67304e37b72c855ce34c3f4be25954e3d9ff3",
+    "resonant2/doubling/2": "3e499e4cb19b078bfc8ed6e925d5f5a22f7f2c15b2f4e5e7f1cc678aaae3592a",
+    "resonant3/degree/0": "92012534dcdb3f0d26d875afdfd0a1413a55633c2610b57dfca7d5e81bca7741",
+    "resonant3/degree/1": "8c6bab339593d07d866f6b3fc1c8a767e3998701b2007d4e16e03e9d34a33b20",
+    "resonant3/degree/2": "5e4a222dd58e39a6bbe3c90941e783a628ea996ecd0c8f8da410f22bde6feedd",
+    "resonant3/doubling/0": "16778267a70890e28bf3d0b738b058b4101b4f23cde5d4a3bc0723014265aefb",
+    "resonant3/doubling/1": "fef416dd0258095fb1a12c3b76d17faa858d5c1c29f2177176728427aeb7f820",
+    "resonant3/doubling/2": "aed5bf26e84b956d4b837105b5234158ec49af621273523948e5a1959eb8865f",
+    "resonant4/degree/0": "f40235da183caffa62f9080e90f3cb15e5a761124e1253e15ee433746473fabf",
+    "resonant4/degree/1": "c0f01a197d41c338977b1399c6c0601648b33c929e32ce84d479333e83203f50",
+    "resonant4/degree/2": "de6a7716d16de99196e52687ad2ace4a27680837228257e16f9b3b1a0f03b396",
+    "resonant4/doubling/0": "9f2912d17332b2490452bcfae5e4139121e37d363e0244ff7abc73348530a84e",
+    "resonant4/doubling/1": "20c8df0dc44b778f53b4e56ab23bb127e72826da566aee81010d5dddcad434cf",
+    "resonant4/doubling/2": "c8e6099ae40713df4f244326e59855d273f8518b05e298133ffde95cf0202301",
+    "x2-action/degree/0": "07aef98adb818163e6930c08a7f4f2869593da231633bb82926ca0abb6d4da18",
+    "x2-action/degree/1": "42eddd07df7d4b62eed9551f0df46cc7c92403839a2932dec4a5231d270d5bb0",
+    "x2-action/doubling/0": "ac99b58a9bd6c46e44e04d0d235095a9b3349f8342265a77e227e108bad2ffc9",
+    "x2-action/doubling/1": "c9c5f5b9ea3f3218963e3c687cb616f52d71100581ade24bad238002bdad3b79",
+    "x2-poisson/degree/0": "57ea26f49014a7c6430f1cd2c56c0d1c567dd431b35473f25aa9b15373c460af",
+    "x2-poisson/degree/1": "04981c8ce6e596eb199a794ff3d15f3156146faf99feac883017353c8eec6d6a",
+    "x2-poisson/doubling/0": "818e46208fcaced301302fe313b21cab4239914a7731a577edf31ae29eea1095",
+    "x2-poisson/doubling/1": "9e7d68076e11cabf2ee08cf7712e4111a6d772eebd844f4d060c7925bfa79050",
+}
+SOLVE_COBOUNDARY_GOLDEN = "b93adfc1ca0e0e90128a67cf0cd434c54f60b5d519f05431e44e5cd0a4f61f4d"
+
+
+@pytest.mark.parametrize("name", sorted(OBSTRUCTED_GOLDEN))
+def test_obstructed_rational_basis_outputs_match_reference_hashes(name):
+    outcome = run_obstructed_case(name)
+    assert isinstance(outcome[0], ObstructionClass)
+    assert digest(outcome) == OBSTRUCTED_GOLDEN[name]
+
+
+def test_solve_coboundary_of_a_non_exact_cocycle_matches_reference_hash():
+    """A seeded cocycle of C^1 on gl(2)'s degree-2 coadjoint module in the
+    seed-5 rational basis, a sum of kernel vectors of d_1, is not exact: its
+    certificate is the first left-null row of d_0 it violates."""
+    rng = random.Random(5)
+    L = rebased_algebra(gl2_algebra(), random_rational_basis(rng, 4))
+    module = induced_polynomial_module(L, 4, coadjoint_rep(L), 2)
+    kernel = LinearSolver(module.differential_matrix(1), module.cochain_dim(1)).kernel_basis()
+    weights = [rng.choice((-2, -1, 1, 2)) for _ in kernel]
+    cocycle = [sum(w * v[i] for w, v in zip(weights, kernel))
+               for i in range(module.cochain_dim(1))]
+    outcome = solve_coboundary(Cochain(module, 1, cocycle))
+    assert isinstance(outcome, ObstructionClass) and outcome.h_dim == 2
+    assert digest(outcome) == SOLVE_COBOUNDARY_GOLDEN

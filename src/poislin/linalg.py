@@ -1,10 +1,10 @@
 """Exact rational linear algebra shared by the structure and cohomology solvers.
 
 Everything here is deterministic: elimination picks the lowest-index pivot
-column first and, within a column, the earliest remaining row for a solver
-and the sparsest one for a rank.  Either row rule gives the same pivot
-columns.  Solutions set all free variables to zero, so repeated runs are
-bit-for-bit identical.
+column first and, within a column, the sparsest remaining row (Markowitz's
+row rule, which limits fill) or, for certificates, the earliest one.  Either
+row rule gives the same pivot columns.  Solutions set all free variables to
+zero, so repeated runs are bit-for-bit identical.
 
 A matrix comes as dense rows, as {column: value} rows of its nonzero
 entries, or as `IntegerRows`: {column: int} numerator rows over one
@@ -14,11 +14,14 @@ are eliminated as they are, with no rational entry built and no zero cell
 scanned.  Rational rows are scaled to integers once, row by row, on the way
 in.  The one elimination, `_eliminate`, is an integer forward pass that
 never touches a row above its pivot, so it never leaves a block.  `rank`
-runs it on M with the least-fill row rule; `LinearSolver` runs it on
-[M | I] once with the positional one, whose row positions its null rows,
-and so every obstruction certificate, are read off.  Its first `rank`
-positions hold independent rows of M, kept as `pivot_rows`: coordinates
-onto which the column span of M projects isomorphically.
+runs it on M with the least-fill row rule, and `LinearSolver` on [M | I]
+with the same rule; its first `rank` positions hold independent rows of M,
+kept as `pivot_rows`: coordinates onto which the column span of M projects
+isomorphically.  A consistent right-hand side has the same solution under
+either rule, and any left-null basis decides consistency; the null row an
+inconsistent one violates (the obstruction certificate), its partial
+solution and the null and transform rows depend on the row order and are
+read off the same pass under the positional rule, run once on first need.
 
 A right-hand side is solved on integers too: `solve_numerators` takes b as
 numerators over one denominator and, in one pass over its nonzeros, applies
@@ -145,8 +148,10 @@ def _eliminate(work: list[dict], ncols: int, sparsest: bool = False
     entries.  A placed pivot row is never touched again, so under either
     rule a column gets a pivot exactly when it lies outside the span of the
     columns before it: the pivot columns are the first maximal independent
-    set of columns.  Under the positional rule the rows below the rank are
-    also the ones a Gauss-Jordan pass would leave.
+    set of columns.  Either way the rows placed at the first rank positions
+    are independent rows of the input, each one itself plus rows placed
+    before it.  Under the positional rule the rows below the rank are also
+    the ones a Gauss-Jordan pass would leave.
     """
     n = len(work)
     by_col: list[set] = [set() for _ in range(ncols)]
@@ -206,25 +211,34 @@ def _eliminate(work: list[dict], ncols: int, sparsest: bool = False
 class LinearSolver:
     """Forward elimination of a matrix, reusable for many right-hand sides.
 
-    `_eliminate` runs once on [M | I], scaled to integer rows whose identity
-    tail sits at keys ncols + i.  Of the echelon rows [U | L] it leaves
-    (U = L*M) the solver keeps, per pivot, the value and the other entries
-    of U, and per row of M its columns of L and of the left-null rows below
-    the rank.  `solve_numerators` is the one solve; the rational solves and
-    the kernel, RREF and transform views read its integers.  Free variables
-    are zero in every returned solution (the deterministic minimal primitive
-    used throughout the package).
+    `_eliminate` runs once on [M | I] under the least-fill row rule, scaled
+    to integer rows whose identity tail sits at keys ncols + i.  Of the
+    echelon rows [U | L] it leaves (U = L*M) the solver keeps, per pivot,
+    the value and the other entries of U, and per row of M its columns of L
+    and of the left-null rows below the rank; the rows of M it placed at the
+    pivots are `pivot_rows`.  `solve_numerators` is the one solve; the
+    rational solves and the kernel and RREF views read its integers.  A
+    right-hand side that violates a null row, and the null and transform
+    views, go to `_positional`, the positional elimination of the same rows,
+    built at most once.  Free variables are zero in every returned solution
+    (the deterministic minimal primitive used throughout the package).
     """
 
     def __init__(self, rows, ncols: int | None = None):
-        rows, self.ncols = _integer_rows(rows, ncols)
+        # kept to rebuild from: _integer_rows copies the rows and never changes them
+        self._given, self._positional_solver = (rows, ncols), None
+        self._build(sparsest=True)
+
+    def _build(self, sparsest: bool) -> None:
+        rows, self.ncols = _integer_rows(*self._given)
+        self._sparsest = sparsest
         self.nrows = n = len(rows)
         m = self.ncols
         work = []
         for i, (ints, scale) in enumerate(rows):
             ints[m + i] = scale
             work.append(ints)
-        order, pivots = _eliminate(work, m)
+        order, pivots = _eliminate(work, m, sparsest)
         self.rank = len(pivots)
         self.pivot_cols = pivots
         self.pivot_rows = order[:self.rank]
@@ -255,14 +269,27 @@ class LinearSolver:
             for j, x in row.items():
                 self._null_columns[j - m].append((k, x // g))
 
+    def _positional(self) -> LinearSolver:
+        """The same matrix eliminated under the positional row rule, built on
+        first use and kept: the row order that left-null rows, certificates
+        and partial solutions of inconsistent systems are read off."""
+        if not self._sparsest:
+            return self
+        if self._positional_solver is None:
+            solver = self._positional_solver = object.__new__(LinearSolver)
+            solver._given = self._given
+            solver._build(sparsest=False)
+        return self._positional_solver
+
     def solve_numerators(self, nums: list[int], den: int = 1
                          ) -> tuple[list[int], int, list[int] | None]:
         """M x = b for b = nums / den on integers: (y, scale, violated).
 
         One pass over b's nonzeros gives L b and b's pairing with every
         left-null row.  x = y / scale is L b back-substituted through U, the
-        solution when b is consistent; `violated` is then None, and else the
-        first null row, dense, that b does not annihilate."""
+        solution when b is consistent; `violated` is then None.  Else all
+        three come from the positional elimination: its partial solution and
+        its first null row, dense, that b does not annihilate."""
         if len(nums) != self.nrows:
             raise ValueError("right-hand side has wrong length")
         rhs = [0] * self.rank
@@ -273,8 +300,10 @@ class LinearSolver:
                     rhs[k] += e * v
                 for k, e in null_column:
                     pairings[k] += e * v
-        y, scale = self._back_substitute(rhs)
         violated = next((k for k, x in enumerate(pairings) if x), None)
+        if violated is not None and self._sparsest:
+            return self._positional().solve_numerators(nums, den)
+        y, scale = self._back_substitute(rhs)
         return y, scale * den, None if violated is None else self._null_row(violated)
 
     def _null_row(self, k: int) -> list[int]:
@@ -321,13 +350,13 @@ class LinearSolver:
     def transform_rows(self) -> Matrix:
         """The rows of the transform E that belong to the pivots, one column
         per column of L: their product with M is rref_rows."""
-        columns = [self.solve_partial(unit) for unit in identity_matrix(self.nrows)]
+        columns = [self._positional().solve_partial(unit) for unit in identity_matrix(self.nrows)]
         return [[x[col] for x in columns] for col in self.pivot_cols]
 
     @property
     def null_rows(self) -> Matrix:
         """A basis of the left null space of M: the L parts below the rank."""
-        return [rationals(self._null_row(k)) for k in range(self.nrows - self.rank)]
+        return [rationals(self._positional()._null_row(k)) for k in range(self.nrows - self.rank)]
 
     @property
     def kernel_dimension(self) -> int:

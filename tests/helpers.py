@@ -29,6 +29,22 @@ def record_calls(monkeypatch, owner, name, record=lambda *args: args):
     return calls
 
 
+def record_row_rules(monkeypatch):
+    """Record the row rule of each `linalg._eliminate` call for the test:
+    True for least fill, False for the positional rule."""
+    from poislin import linalg
+
+    rules = []
+    original = linalg._eliminate
+
+    def recorded(work, ncols, sparsest=False):
+        rules.append(sparsest)
+        return original(work, ncols, sparsest)
+
+    monkeypatch.setattr(linalg, "_eliminate", recorded)
+    return rules
+
+
 def random_jet(rng, nvars, order, max_terms=6, lowest=0, coeff_pool=(-2, -1, 1, 2)):
     """Sparse random jet with small integer coefficients."""
     pool = []

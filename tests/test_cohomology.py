@@ -383,6 +383,33 @@ def test_a_six_variable_coadjoint_module_holds_only_its_nonzero_rows():
     assert held < 3 * 2 ** 20
 
 
+@pytest.mark.parametrize("name, rational, degree", [
+    *((name, False, degree) for name in ("so3", "sl2", "gl2", "aff1") for degree in range(2, 7)),
+    ("gl2", True, 2), ("gl2", True, 3),
+])
+def test_the_euler_characteristic_of_the_coadjoint_complex_is_zero(name, rational, degree):
+    """sum_r (-1)^r dim H^r(g, S^d g) = sum_r (-1)^r C(n, r) dim S^d g = 0,
+    in the standard basis and in the seed-5 rational basis.  Each H^r also
+    comes from a complex of its own, where rank d_{r-1} is eliminated in
+    full and rank d_r with clearing, so the sum checks cleared ranks
+    against full ones; and no H^r is negative."""
+    import poislin
+
+    L = {"so3": so3_algebra, "sl2": sl2_algebra, "gl2": gl2_algebra,
+         "aff1": solvable2_algebra}[name]()
+    if rational:
+        L = rebased_algebra(L, random_rational_basis(random.Random(5), L.dim))
+    module = lambda: induced_polynomial_module(L, L.dim, coadjoint_rep(L), degree)
+    shared = [cohomology_dimension(module(), r) for r in range(L.dim + 1)]
+    alone = []
+    for r in range(L.dim + 1):
+        poislin.clear_caches()
+        alone.append(cohomology_dimension(module(), r))
+    poislin.clear_caches()
+    assert shared == alone and min(shared) >= 0
+    assert sum((-1) ** r * h for r, h in enumerate(shared)) == 0
+
+
 # ---------------------------------------------------------------------------
 # rational bases: numerators over a denominator from module to rank
 

@@ -30,6 +30,7 @@ from helpers import (
     gl2_algebra,
     random_rational_basis,
     rebased_algebra,
+    record_row_rules,
     sl2_algebra,
     so3_algebra,
     solvable2_algebra,
@@ -452,6 +453,64 @@ def test_least_fill_rank_has_the_solvers_pivot_columns(case):
         assert _pivot_columns(rows, ncols) == solver.pivot_cols
         assert rank(rows, ncols) == solver.rank
     assert extend_to_basis(mat, ncols) == [j for j in range(ncols) if j not in solver.pivot_cols]
+
+
+def _sympy_free_zero_solution(mat, ncols, b):
+    """sympy's Gauss-Jordan solution of M x = b with its parameters, the
+    free variables, set to zero."""
+    if not mat:
+        return [Fraction(0)] * ncols
+    solution, params = sympy.Matrix(mat).gauss_jordan_solve(sympy.Matrix(b))
+    solution = solution.subs({p: 0 for p in params})
+    return [Fraction(int(x.p), int(x.q)) for x in solution]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_least_fill_solver_solves_as_sympy_and_places_independent_rows(data):
+    """The solver eliminates under the least-fill row rule.  On dense, dict
+    and IntegerRows input with zero and repeated rows, M x0 solves to
+    sympy's solution with the free variables zero, the pivot columns are the
+    rank pass's, and the rows in `pivot_rows` have full rank, which clearing
+    in `differential_rank` relies on."""
+    mat, ncols = data.draw(_matrices_with_zero_and_repeated_rows())
+    b = mat_vec(mat, [data.draw(_entries) for _ in range(ncols)])
+    expected = _sympy_free_zero_solution(mat, ncols, b)
+    for rows in (mat, _dict_rows(mat), _integer_form(mat)):
+        solver = LinearSolver(rows, ncols)
+        assert solver.solve(b) == expected
+        assert solver.pivot_cols == _pivot_columns(rows, ncols)
+        kept = [rows[i] for i in solver.pivot_rows]
+        assert len(kept) == solver.rank == rank(kept, ncols)
+
+
+def test_the_positional_elimination_is_built_once_and_only_on_demand(monkeypatch):
+    """Consistent solves and the kernel and RREF views eliminate nothing
+    after the least-fill build; the first inconsistent right-hand side
+    builds the positional elimination, and later inconsistent ones,
+    null_rows and transform_rows reuse it.  On a fresh solver a read of
+    null_rows or transform_rows builds it, once."""
+    rules = record_row_rules(monkeypatch)
+    F = Fraction
+    mat = [[F(1), F(2), F(0)], [F(2), F(4), F(1)], [F(0), F(0), F(3)], [F(1), F(2), F(1)]]
+    solver = LinearSolver(mat, 3)
+    assert rules == [True]
+    consistent = mat_vec(mat, [F(1), F(-2), F(1, 3)])
+    assert solver.solve(consistent) is not None and solver.is_consistent(consistent)
+    assert solver.null_functional(consistent) is None
+    assert mat_vec(mat, solver.solve_partial(consistent)) == consistent
+    solver.kernel_basis(), solver.rref_rows
+    assert rules == [True]
+    assert solver.null_functional([F(1), F(0), F(0), F(0)]) is not None
+    assert rules == [True, False]
+    assert solver.solve([F(0), F(1), F(0), F(2)]) is None
+    solver.solve_partial([F(0), F(0), F(0), F(1)]), solver.null_rows, solver.transform_rows
+    assert rules == [True, False]
+    for view in ("null_rows", "transform_rows"):
+        del rules[:]
+        fresh = LinearSolver(mat, 3)
+        getattr(fresh, view), fresh.null_rows, fresh.transform_rows
+        assert rules == [True, False]
 
 
 REBASED = {"so3": so3_algebra, "sl2": sl2_algebra, "gl2": gl2_algebra,

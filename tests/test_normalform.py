@@ -867,6 +867,30 @@ def test_warm_obstructed_run_reuses_the_eliminated_d1_solver(monkeypatch):
     assert eliminated == []
 
 
+@pytest.mark.parametrize("kind, positional", [("so3", 0), ("resonant", 1)])
+def test_a_cold_run_builds_the_positional_elimination_only_for_its_obstruction(
+        monkeypatch, kind, positional):
+    """Every solver is eliminated under the least-fill rule; a run that
+    clears every degree builds no positional elimination, and an obstructed
+    run builds one, for the solve that is inconsistent."""
+    import poislin
+    from helpers import record_row_rules
+
+    if kind == "so3":
+        pi = pushforward(so3_bivector(6), random_near_identity_change(random.Random(4), 3, 6))
+    else:
+        pi = PoissonJet.from_brackets(3, 4, {
+            (0, 1): [((0, 1, 0), 1)],
+            (0, 2): [((0, 0, 1), 3), ((0, 3, 0), 1)],
+        })
+    poislin.clear_caches()
+    rules = record_row_rules(monkeypatch)
+    outcome = linearize_poisson(pi)[0]
+    poislin.clear_caches()
+    assert isinstance(outcome, ObstructionClass) == bool(positional)
+    assert rules.count(False) == positional and rules.count(True) > 0
+
+
 def test_tail_stats_read_the_nonlinear_parts_off_integer_forms():
     """The lowest degree and norm of each jet's part of degree >= 2, with
     linear coefficients whose denominators the tail does not share, agree

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cohomology import (
     Cochain,
     CochainComplex,
-    LRUCache,
     ObstructionClass,
     coadjoint_rep,
     cohomology_dimension,
@@ -456,9 +456,6 @@ def _constant_data(algebra: LieAlgebra, matrices, base_dim: int, order: int) -> 
 # ---------------------------------------------------------------------------
 # graded cochain complex of the dual isotropy
 
-_GRADED_CACHE = LRUCache()
-
-
 class _DualGradedComplex(CochainComplex):
     """Fiber-degree graded piece of the Chevalley-Eilenberg complex of the
     dual isotropy algebra with values in degree-d polynomials.
@@ -500,13 +497,8 @@ class _DualGradedComplex(CochainComplex):
         return cohomology_dimension(self, r)
 
 
-def _graded_complex(iso: LieAlgebra, base_dim: int, degree: int) -> _DualGradedComplex:
-    key = (iso.constants, base_dim, degree)
-    hit = _GRADED_CACHE.get(key)
-    if hit is None:
-        hit = _DualGradedComplex(iso, base_dim, degree)
-        _GRADED_CACHE[key] = hit
-    return hit
+# graded complexes, cached by (iso, base_dim, degree) like their modules
+_graded_complex = lru_cache(maxsize=64)(_DualGradedComplex)
 
 
 # ---------------------------------------------------------------------------

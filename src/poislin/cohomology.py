@@ -29,13 +29,20 @@ so the rows in P_{r-1} are dropped, and the pivot columns left are P_r.
 This holds only on a complex.  Primitive selection is the solver's
 deterministic rule (lowest-index pivots, earliest row, free variables
 zero), so outputs reproduce bit for bit.
+
+The polynomial modules the engines solve in come from two builders,
+`induced_polynomial_module` and `twisted_field_module`, each a
+`functools.lru_cache` of 64 entries keyed by its own arguments: a
+LieAlgebra hashes by its constants and a table by its ExactTable text, so
+equal inputs built apart share one module, with its differentials, solvers
+and ranks.  `poislin.clear_caches()` empties them.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -477,87 +484,43 @@ def squares_to_zero(cx: CochainComplex, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# induced polynomial modules
+# polynomial modules, cached by their arguments
 
 
-class LRUCache:
-    """Map of at most CAPACITY entries that evicts the least recently used.
-
-    Holds the modules and complexes a long-lived process builds, each with
-    its differentials and eliminated solvers.  A batch normalizing jets of a
-    few linear parts touches a few dozen of them.
-    """
-
-    CAPACITY = 64
-
-    def __init__(self):
-        self._entries: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def __setitem__(self, key, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.CAPACITY:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-_INDUCED_CACHE = LRUCache()
-
-
-def induced_polynomial_module(
-    L: LieAlgebra,
-    nvars: int,
-    rep,
-    degree: int,
-    monomial_filter=None,
-    filter_key=None,
-) -> GModule:
+def induced_polynomial_module(L: LieAlgebra, nvars: int, rep, degree: int,
+                              fiber=None) -> GModule:
     """Module of homogeneous degree-d polynomials in `nvars` variables under
     the derivation extension of a linear action.
 
     `rep` gives operator matrices on the coordinate functions:
-    X_i . x^u = sum_l rep[i][l][u] x^l.  With a `monomial_filter` the basis is
-    restricted to the monomials accepted; the restriction must be closed under
-    every generator or ValueError is raised.  Results are cached per structural
-    key (pass `filter_key` to make filtered modules cacheable); a caller that
-    queries many degrees passes `rep` as an ExactTable, hashed once.  The cached
-    unfiltered degree-1 module is the validated copy of `rep`: the
-    representation property at degree 1 gives it for every extension, so
-    other degrees only look that module up.
+    X_i . x^u = sum_l rep[i][l][u] x^l.  With `fiber=(f, w)` the basis is
+    cut to the monomials of fiber degree w, their degree in the variables
+    from x^f on; the cut must be closed under every generator or ValueError
+    is raised.  Modules are cached by these arguments, at most 64, the least
+    recently used evicted first; a caller that queries many degrees passes
+    `rep` as an ExactTable, hashed once.  The cached uncut degree-1 module
+    is the validated copy of `rep`: the representation property at degree 1
+    gives it for every extension, so other degrees only look that module up.
     """
     if not isinstance(rep, ExactTable):
         rep = ExactTable(rep)
-    return _induced_module(L, nvars, rep, degree, monomial_filter, filter_key)
+    return _induced_module(L, nvars, rep, degree, fiber)
 
 
-def _induced_module(L, nvars, rep, degree, monomial_filter, filter_key) -> GModule:
-    cache_key = None
-    if monomial_filter is None or filter_key is not None:
-        cache_key = (L.constants, nvars, rep, degree,
-                     filter_key if monomial_filter is not None else None)
-        hit = _INDUCED_CACHE.get(cache_key)
-        if hit is not None:
-            return hit
+@lru_cache(maxsize=64)
+def _induced_module(L, nvars, rep, degree, fiber) -> GModule:
     if len(rep) != L.dim:
         raise ValueError("need one linear action matrix per generator")
     for mat in rep:
         if len(mat) != nvars or any(len(row) != nvars for row in mat):
             raise ValueError("linear action matrices must be nvars x nvars")
-    validate = degree == 1 and monomial_filter is None
+    validate = degree == 1 and fiber is None
     if not validate:
-        _induced_module(L, nvars, rep, 1, None, None)
-    basis = [m for m in monomials(nvars, degree) if monomial_filter is None or monomial_filter(m)]
+        _induced_module(L, nvars, rep, 1, None)
+    basis = monomials(nvars, degree)
+    if fiber is not None:
+        first, weight = fiber
+        basis = [m for m in basis if sum(m[first:]) == weight]
     index = {m: i for i, m in enumerate(basis)}
     d = len(basis)
     den = lcm(*(c.denominator for mat in rep for row in mat for c in row if c))
@@ -579,9 +542,7 @@ def _induced_module(L, nvars, rep, degree, monomial_filter, filter_key) -> GModu
                     target[l] += 1
                     row = index.get(tuple(target))
                     if row is None:
-                        raise ValueError(
-                            "monomial filter does not cut out a submodule"
-                        )
+                        raise ValueError("the fiber cut is not a submodule")
                     column[row] = column.get(row, 0) + e * c
             for row, x in column.items():
                 if x:
@@ -590,9 +551,41 @@ def _induced_module(L, nvars, rep, degree, monomial_filter, filter_key) -> GModu
     module = GModule._trusted(L, nonzeros, den, basis)
     if validate:
         module._check_representation()
-    if cache_key is not None:
-        _INDUCED_CACHE[cache_key] = module
     return module
+
+
+@lru_cache(maxsize=64)
+def twisted_field_module(base: GModule, twists: ExactTable) -> GModule:
+    """Module of tuples over `base` twisted by matrices T_i:
+    (X_i . u)^a = base action on u^a minus sum_b T_i[a][b] u^b, cached by
+    its arguments like the induced modules.
+
+    Its numerators share one denominator, the lcm of the base's and the
+    twists' denominators.  The rep property follows from
+    T_j T_i - T_i T_j = sum_l c_ij^l T_l, which holds for linear parts of an
+    action and for the r-block constants of a certified Levi split."""
+    d = base.dim
+    copies = len(twists[0]) if twists else 0
+    den = lcm(base.den, *(t.denominator for tw in twists for row in tw for t in row if t))
+    up = den // base.den
+    rows = []
+    for vrows, tw in zip(base._nonzero_rows, twists):
+        mat = []
+        for a in range(copies):
+            moves = [(b * d, -t.numerator * (den // t.denominator))
+                     for b, t in enumerate(tw[a]) if t]
+            for l in range(d):
+                entries = {a * d + u: x * up for u, x in vrows[l]}
+                for shift, t in moves:
+                    y = entries.get(shift + l, 0) + t
+                    if y:
+                        entries[shift + l] = y
+                    else:
+                        del entries[shift + l]
+                mat.append(sorted(entries.items()))
+        rows.append(mat)
+    labels = [(a, mono) for a in range(copies) for mono in base.labels]
+    return GModule._trusted(base.algebra, rows, den, labels)
 
 
 def coadjoint_rep(L: LieAlgebra):

@@ -179,6 +179,9 @@ class LieAlgebra:
             return NotImplemented
         return self.constants == other.constants
 
+    def __hash__(self):
+        return hash(self.constants)
+
     def __repr__(self):
         return f"<LieAlgebra dim={self.dim}>"
 

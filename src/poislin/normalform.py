@@ -28,12 +28,11 @@ from typing import NamedTuple
 
 from .cohomology import (
     Cochain,
-    GModule,
-    LRUCache,
     ObstructionClass,
     coadjoint_rep,
     cohomology_dimension,
     induced_polynomial_module,
+    twisted_field_module,
 )
 from .liealg import (
     ExactTable,
@@ -551,46 +550,6 @@ def is_action_map(action: ActionJet, phi: CoordChange, target: ActionJet) -> boo
     )
 
 
-_TWISTED_MODULE_CACHE = LRUCache()
-
-
-def _twisted_field_module(algebra: LieAlgebra, base: GModule, twists, key) -> GModule:
-    """Module of tuples over `base` twisted by matrices T_i:
-    (X_i . u)^a = base action on u^a minus sum_b T_i[a][b] u^b.
-
-    Its numerators share one denominator, the lcm of the base's and the
-    twists' denominators.  The rep property follows from
-    T_j T_i - T_i T_j = sum_l c_ij^l T_l, which holds for linear parts of an
-    action and for the r-block constants of a certified Levi split."""
-    cached = _TWISTED_MODULE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    d = base.dim
-    copies = len(twists[0]) if twists else 0
-    den = math.lcm(base.den, *(t.denominator for tw in twists for row in tw for t in row if t))
-    up = den // base.den
-    rows = []
-    for vrows, tw in zip(base._nonzero_rows, twists):
-        mat = []
-        for a in range(copies):
-            moves = [(b * d, -t.numerator * (den // t.denominator))
-                     for b, t in enumerate(tw[a]) if t]
-            for l in range(d):
-                entries = {a * d + u: x * up for u, x in vrows[l]}
-                for shift, t in moves:
-                    y = entries.get(shift + l, 0) + t
-                    if y:
-                        entries[shift + l] = y
-                    else:
-                        del entries[shift + l]
-                mat.append(sorted(entries.items()))
-        rows.append(mat)
-    labels = [(a, mono) for a in range(copies) for mono in base.labels]
-    module = GModule._trusted(algebra, rows, den, labels)
-    _TWISTED_MODULE_CACHE[key] = module
-    return module
-
-
 def action_remainder(action: ActionJet, degree: int) -> Cochain:
     """Degree-d part of the fields, as a 1-cochain valued in degree-d vector
     fields carrying the commutator-with-the-linear-part action."""
@@ -619,8 +578,7 @@ class _ActionProblem(_Problem):
         action = self.state
         n = action.nvars
         base = induced_polynomial_module(action.algebra, n, self.operator, degree)
-        key = ("fields", action.algebra.constants, self.twists, n, degree)
-        module = _twisted_field_module(action.algebra, base, self.twists, key)
+        module = twisted_field_module(base, self.twists)
         index = {mono: i for i, mono in enumerate(base.labels)}
         blocks = [(comp, index) for fld in action.fields for comp in fld]
         yield _SubSolve(module, 1, *_remainder_vector(blocks, degree),
@@ -718,15 +676,9 @@ class _LeviProblem(_PoissonProblem):
         ]
 
     def _values(self, degree: int, weight):
-        if self.base_dim is None:
-            return induced_polynomial_module(self.s_algebra, self.state.nvars,
-                                             self.s_rep, degree)
-        base = self.base_dim
-        return induced_polynomial_module(
-            self.s_algebra, self.state.nvars, self.s_rep, degree,
-            monomial_filter=lambda m: sum(m[base:]) == weight,
-            filter_key=("fiber-degree", weight, base),
-        )
+        fiber = None if self.base_dim is None else (self.base_dim, weight)
+        return induced_polynomial_module(self.s_algebra, self.state.nvars,
+                                         self.s_rep, degree, fiber)
 
     def solves(self, degree: int):
         values = self._values(degree, 1)
@@ -734,9 +686,7 @@ class _LeviProblem(_PoissonProblem):
                            values.labels, self.s, degree)
         for span, weight, twists in self.spans:
             values = self._values(degree, weight)
-            key = ("levi", self.s_algebra.constants, self.s_rep, self.state.nvars,
-                   degree, twists, weight, self.base_dim)
-            module = _twisted_field_module(self.s_algebra, values, twists, key)
+            module = twisted_field_module(values, twists)
             yield _entry_solve(self.state, module, 1,
                                [(a, j) for a in self.s for j in span],
                                values.labels, span, degree)

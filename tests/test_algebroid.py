@@ -7,8 +7,10 @@ import pytest
 
 from helpers import (
     dense,
+    gl2_algebra,
     gl2_matrix_algebroid,
     random_graded_change,
+    random_near_identity_change,
     record_calls,
     so3_action_algebroid,
     so3_algebra,
@@ -545,3 +547,44 @@ def test_levi_algebroid_solvable_residual_rides_along():
     change, nf, trace = levi_algebroid(moved, split)
     assert nf == moved
     assert trace.steps == []
+
+
+def test_clear_caches_empties_every_cached_builder():
+    """Every cached builder in the package, filled by an action
+    linearization, levi_algebroid and linearize_algebroid, is empty after
+    poislin.clear_caches().  The builders key on algebras by value: equal
+    algebras built apart hash alike, and so does a frozen LeviSplit."""
+    import importlib
+    import pkgutil
+
+    import poislin
+    from poislin.cli import problem_from_dict
+    from poislin.corpus import get
+    from poislin.liealg import LeviSplit
+    from poislin.normalform import conjugate_action, linearize_action
+
+    modules = [importlib.import_module(f"poislin.{info.name}")
+               for info in pkgutil.iter_modules(poislin.__path__) if info.name != "__main__"]
+    builders = list({id(value): value for module in modules for value in vars(module).values()
+                     if hasattr(value, "cache_clear")}.values())
+    assert sorted(b.__wrapped__.__name__ for b in builders) == [
+        "_DualGradedComplex", "_induced_module", "twisted_field_module"]
+
+    poislin.clear_caches()
+    rng = random.Random(5)
+    action = problem_from_dict(get("guillemin-sternberg-action").problem(4)).payload
+    assert len(linearize_action(conjugate_action(
+        action, random_near_identity_change(rng, 3, 4)))) == 3
+    moved = apply_algebroid_change(so3_action_algebroid(4), random_graded_change(rng, 3, 3, 5))
+    levi_algebroid(moved, levi_lift(so3_algebra()))
+    linearize_algebroid(moved)
+    assert all(b.cache_info().currsize for b in builders)
+    poislin.clear_caches()
+    assert [b.cache_info().currsize for b in builders] == [0, 0, 0]
+
+    L = so3_algebra()
+    again = LieAlgebra([[list(row) for row in plane] for plane in L.constants])
+    assert again is not L and again == L and hash(again) == hash(L)
+    split = levi_lift(gl2_algebra())
+    twin = LeviSplit(LieAlgebra(gl2_algebra().constants), split.s_basis, split.r_basis)
+    assert twin == split and hash(twin) == hash(split)

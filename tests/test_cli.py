@@ -13,8 +13,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_near_identity_change, record_calls, so3_bivector
+from helpers import (
+    random_graded_change,
+    random_near_identity_change,
+    record_calls,
+    so3_action_algebroid,
+    so3_bivector,
+)
 from poislin import clear_caches, cli, corpus, normalform, polyalg
+from poislin.algebroid import apply_algebroid_change
 from poislin.cli import (
     InputError,
     ProblemSpec,
@@ -470,6 +477,31 @@ def test_levi_command_with_factor_file(tmp_path, capsys):
     assert "levi_factor" in err
 
 
+def test_levi_command_on_a_moved_algebroid(tmp_path, capsys):
+    """levi on an algebroid problem runs levi_algebroid, whose solves cut
+    the polynomial modules to one fiber degree: the so(3) action algebroid
+    moved by a near-identity base and frame change, with s all three
+    sections and r empty, comes back verified as the unmoved algebroid."""
+    rng = random.Random(7)
+    moved = apply_algebroid_change(so3_action_algebroid(4), random_graded_change(rng, 3, 3, 5))
+    sections = tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3))
+    spec = ProblemSpec("algebroid", ("x", "y", "z"), 4, moved, ("e1", "e2", "e3"),
+                       levi=(sections, ()))
+    path = tmp_path / "moved.json"
+    path.write_text(print_problem(spec))
+    code, out, _ = run_cli(capsys, ["levi", str(path)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["verified"] is True
+    result = report["result"]
+    assert (result["status"], result["semisimple_block"], result["residual_block"]) == (
+        "normal-form", 3, 0)
+    assert result["change"]["frame"] != [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    linear = corpus.get("so3-coadjoint-algebroid").problem()
+    assert sorted(result["normal_form"]["structure"]) == sorted(linear["structure"])
+    assert result["normal_form"]["anchor"] == linear["anchor"]
+
+
 def test_a_levi_factor_file_reads_the_isotropy_once(tmp_path, monkeypatch):
     spec = problem_from_dict(corpus.get("so3-coadjoint-algebroid").problem(3))
     factor = tmp_path / "split.json"
@@ -566,6 +598,23 @@ def test_cohomology_command(tmp_path, capsys):
     assert "module-degree" in err
 
 
+def test_cohomology_command_on_an_action(tmp_path, capsys):
+    """The guillemin-sternberg action is the standard representation of
+    sl(2) = so(2,1) on R^3: by Whitehead's lemma H^1 vanishes on every
+    polynomial module, and H^0 counts the invariants, one power of the
+    quadratic form in each even degree."""
+    path = write_problem(tmp_path, corpus.get("guillemin-sternberg-action").problem())
+    for module_degree in (1, 2, 3, 4):
+        for degree, h_dim in ((0, int(module_degree % 2 == 0)), (1, 0)):
+            code, out, _ = run_cli(capsys, ["cohomology", path, "--degree", str(degree),
+                                            "--module-degree", str(module_degree)])
+            assert code == 0
+            report = json.loads(out)
+            assert report["input"]["kind"] == "action"
+            assert report["result"]["h_dim"] == h_dim
+            assert report["verified"] is True
+
+
 def test_cohomology_report_carries_the_ranks_it_verified(tmp_path, capsys):
     """h_dim = dim C^r - rank d_r - rank d_{r-1}, and `verified` is the
     check d_r . d_{r-1} = 0 on the rows those ranks came from."""
@@ -644,6 +693,83 @@ def test_out_flag_and_text_format(tmp_path, capsys):
     text = target.read_text()
     assert "poislin analyze" in text
     assert "semisimple True" in text
+
+
+def text_and_json(capsys, argv):
+    """Exit code, text report lines and JSON report of one command."""
+    code, out, _ = run_cli(capsys, [*argv, "--format", "text"])
+    json_code, json_out, _ = run_cli(capsys, argv)
+    assert code == json_code
+    return code, out.splitlines(), json.loads(json_out)
+
+
+def assert_in_order(lines, expected):
+    """Each expected line occurs in `lines`, in the given order."""
+    rest = iter(lines)
+    for line in expected:
+        assert line in rest, line
+
+
+IDENTITY_XYZ = ["  change:", "    x -> x", "    y -> y", "    z -> z"]
+TEXT_REPORTS = {
+    "poisson": ("linearize", perturbed_so3_problem(4), 0, [
+        "poislin linearize", "input: poisson in x, y, z (order 4)", "result: linearized",
+        "  change:", "  normal form brackets:", "    {x,y} = z", "    {x,z} = -y",
+        "    {y,z} = x", "trace: scheduler doubling, target order 4", "verified: True"]),
+    "action": ("linearize", corpus.get("guillemin-sternberg-action").problem(3), 0, [
+        "poislin linearize", "input: action in x, y, z (order 3)", "result: linearized",
+        *IDENTITY_XYZ, "  normal form fields:", "    X: [0, z, y]", "    Y: [z, 0, x]",
+        "    Z: [-y, x, 0]", "trace: scheduler doubling, target order 3", "verified: True"]),
+    "algebroid": ("algebroid", corpus.get("so3-coadjoint-algebroid").problem(3), 0, [
+        "poislin algebroid", "input: algebroid in x, y, z (order 3)", "result: linearized",
+        "  base change:", *IDENTITY_XYZ[1:], "  frame change rows:", "    [1, 0, 0]",
+        "    [0, 1, 0]", "    [0, 0, 1]", "  normal form structure:", "    [e1,e2] -> e3: 1",
+        "    [e1,e3] -> e2: -1", "    [e2,e3] -> e1: 1", "  normal form anchors:",
+        "    e1: [0, z, -y]", "    e2: [-z, 0, x]", "    e3: [y, -x, 0]",
+        "trace: scheduler doubling, target order 4", "verified: True"]),
+    "obstructed": ("linearize", corpus.get("abelian-x2").problem(3), 2, [
+        "poislin linearize", "input: poisson in x, y (order 3)", "result: obstructed",
+        "trace: scheduler doubling, target order 3", "verified: True"]),
+    "cohomology": ("cohomology", corpus.get("guillemin-sternberg-action").problem(3), 0, [
+        "poislin cohomology", "input: action in x, y, z (order 3)", "result: dimensions",
+        "  H^1 dimension: 0 (module degree 2)", "verified: True"]),
+}
+
+
+@pytest.mark.parametrize("case", TEXT_REPORTS)
+def test_text_reports_render_every_section(tmp_path, capsys, case):
+    """--format text writes the lines of the JSON report it renders: the
+    change and normal form, the obstruction, the cohomology dimension, one
+    line per trace step, the verification and the timing last."""
+    command, data, exit_code, expected = TEXT_REPORTS[case]
+    argv = [command, write_problem(tmp_path, data)]
+    if command == "cohomology":
+        argv += ["--degree", "1", "--module-degree", "2"]
+    code, lines, report = text_and_json(capsys, argv)
+    assert code == exit_code
+    result = report["result"]
+    assert_in_order(lines, expected)
+    change = result.get("change", {})
+    assert all(f"    {name} -> {text}" in lines for name, text in change.get("base", change).items())
+    obstruction = result.get("obstruction")
+    if obstruction:
+        assert (f"  obstruction in degree 2, cohomology dimension {obstruction['h_dim']}, "
+                "verified True") in lines
+    steps = report.get("trace", {}).get("steps", [])
+    blocks = [line for line in lines if line.startswith("  block ")]
+    assert len(blocks) == len(steps)
+    assert [line.endswith(" OBSTRUCTED") for line in blocks] == [s["obstructed"] for s in steps]
+    assert lines[-1].startswith("timing: ") and lines[-1].endswith("s")
+
+
+def test_corpus_run_all_renders_one_line_per_entry(capsys):
+    code, lines, report = text_and_json(capsys, ["corpus", "run", "--all", "--max-degree", "3"])
+    assert code == 0
+    assert lines[0] == "poislin corpus-run-all"
+    assert lines[1:] == [
+        f"{sub['corpus_entry']['name']}: {sub['result']['status']} "
+        f"(exit {sub['exit_code']}, verified True)" for sub in report["reports"]]
+    assert [line.split(":")[0] for line in lines[1:]] == corpus.names()
 
 
 # ---------------------------------------------------------------------------

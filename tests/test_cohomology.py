@@ -10,7 +10,6 @@ from poislin.cohomology import (
     Cochain,
     GModule,
     InputNotCocycle,
-    LRUCache,
     ObstructionClass,
     ce_differential,
     coadjoint_rep,
@@ -233,8 +232,7 @@ def test_bad_rep_is_rejected_at_every_degree():
         with pytest.raises(ValueError, match="representation property"):
             induced_polynomial_module(L, 3, rep, degree)
     with pytest.raises(ValueError, match="representation property"):
-        induced_polynomial_module(L, 3, rep, 2, monomial_filter=lambda m: True,
-                                  filter_key="all")
+        induced_polynomial_module(L, 3, rep, 2, fiber=(0, 2))
 
 
 def test_representation_is_checked_once_for_all_degrees(monkeypatch):
@@ -253,15 +251,15 @@ def test_representation_is_checked_once_for_all_degrees(monkeypatch):
 
 
 def test_monomial_filter_submodule():
-    """A filter selecting a non-invariant set of monomials is rejected; an
-    invariant one restricts the module."""
+    """A fiber cut selecting a non-invariant set of monomials is rejected;
+    an invariant one restricts the module."""
     L = so3_algebra()
     rep = coadjoint_rep(L)
     with pytest.raises(ValueError, match="submodule"):
-        induced_polynomial_module(L, 3, rep, 2, monomial_filter=lambda m: m[0] >= 1)
+        induced_polynomial_module(L, 3, rep, 2, fiber=(1, 1))
     ab = LieAlgebra.abelian(1)
     zero_rep = [[[0]]]
-    module = induced_polynomial_module(ab, 1, zero_rep, 4, monomial_filter=lambda m: True)
+    module = induced_polynomial_module(ab, 1, zero_rep, 4, fiber=(0, 4))
     assert module.dim == len(monomials(1, 4))
 
 
@@ -273,19 +271,32 @@ def test_induced_module_caching():
 
 
 def test_module_cache_evicts_the_least_recently_used_entry():
-    cache = LRUCache()
-    for key in range(LRUCache.CAPACITY):
-        cache[key] = str(key)
-    assert cache.get(0) == "0"          # 0 is now the most recently used
-    cache[LRUCache.CAPACITY] = "new"
-    assert len(cache) == LRUCache.CAPACITY
-    assert cache.get(1) is None         # the least recently used went
-    assert cache.get(0) == "0"
-    for key in range(3 * LRUCache.CAPACITY):
-        cache[("more", key)] = key
-    assert len(cache) == LRUCache.CAPACITY
-    cache.clear()
-    assert len(cache) == 0
+    """The module cache holds at most 64 modules and evicts the least
+    recently used: of two modules built before 62 others, the one looked
+    up again outlives a further build and the other does not.  Every
+    degree looks up the validated degree-1 module, so that one stays."""
+    import poislin
+    from poislin.cohomology import _induced_module
+
+    poislin.clear_caches()
+    L = LieAlgebra.abelian(1)
+    rep = [[[0]]]
+    capacity = _induced_module.cache_info().maxsize
+    assert capacity == 64
+    first, second = (induced_polynomial_module(L, 1, rep, d) for d in (2, 3))
+    for d in range(4, capacity + 1):
+        induced_polynomial_module(L, 1, rep, d)
+    assert _induced_module.cache_info().currsize == capacity   # degrees 1 .. 64
+    assert induced_polynomial_module(L, 1, rep, 2) is first     # now the most recent
+    induced_polynomial_module(L, 1, rep, capacity + 1)
+    assert _induced_module.cache_info().currsize == capacity
+    assert induced_polynomial_module(L, 1, rep, 2) is first
+    assert induced_polynomial_module(L, 1, rep, 3) is not second
+    for d in range(capacity + 2, 3 * capacity):
+        induced_polynomial_module(L, 1, rep, d)
+    assert _induced_module.cache_info().currsize == capacity
+    poislin.clear_caches()
+    assert _induced_module.cache_info().currsize == 0
 
 
 def test_exact_tables_compare_by_value_and_hash_once():

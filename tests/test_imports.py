@@ -8,7 +8,9 @@ trees show every read of a jet's private attributes outside polyalg: an
 attribute access by one of `Jet`'s leading-underscore names, or by a name
 the jet state had before it was made one.  Likewise no module but algebroid
 reads `AlgebroidJet`'s private names: its dual, its view cache and its
-trusted constructor.  And the engines' per-degree steps solve on integers:
+trusted constructor, and no module but cohomology reads `GModule`'s: its
+nonzero rows, its trusted constructor and its representation check.  And
+the engines' per-degree steps solve on integers:
 normalform and algebroid call no rational `LinearSolver` solve.
 """
 
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from poislin.algebroid import AlgebroidJet
+from poislin.cohomology import GModule
 from poislin.polyalg import Jet
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "poislin"
@@ -86,6 +89,38 @@ def test_the_check_sees_algebroid_jet_internals():
                          ids=lambda p: p.name)
 def test_only_algebroid_reads_algebroid_jet_internals(path):
     assert jet_internals(path.read_text(), ALGEBROID_PRIVATE) == []
+
+
+GMODULE_PRIVATE = {name for name in vars(GModule)
+                   if name.startswith("_") and not name.endswith("__")}
+
+
+def gmodule_internals(source: str) -> list[str]:
+    """Reads of GModule's private names.  LieAlgebra, the jets and ActionJet
+    have a `_trusted` of their own, so that name counts only read off
+    `GModule` itself."""
+    def of_gmodule(node):
+        return node.attr != "_trusted" or (isinstance(node.value, ast.Name)
+                                           and node.value.id == "GModule")
+
+    found = sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in GMODULE_PRIVATE
+                   and of_gmodule(node))
+    return [f"line {line}: .{attr}" for line, attr in found]
+
+
+def test_the_check_sees_gmodule_internals():
+    assert {"_nonzero_rows", "_trusted", "_install", "_check_representation"} <= GMODULE_PRIVATE
+    source = ("module.dim\nLieAlgebra._trusted(c)\nGModule._trusted(L, rows, 1, labels)\n"
+              "rows = base._nonzero_rows\nmodule._check_representation()\n")
+    assert gmodule_internals(source) == [
+        "line 3: ._trusted", "line 4: ._nonzero_rows", "line 5: ._check_representation"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cohomology.py"],
+                         ids=lambda p: p.name)
+def test_only_cohomology_reads_gmodule_internals(path):
+    assert gmodule_internals(path.read_text()) == []
 
 
 RATIONAL_SOLVES = {"solve", "solve_partial", "null_functional", "is_consistent"}

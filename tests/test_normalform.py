@@ -668,7 +668,7 @@ def perturbed_linear(L, order, rng, max_extra=2):
 
 
 def test_the_twisted_field_modules_are_complexes(monkeypatch):
-    """`_twisted_field_module` builds its modules through GModule._trusted,
+    """`twisted_field_module` builds its modules through GModule._trusted,
     with no representation check, and cleared ranks hold only on a
     complex: the differentials of every module that linearize_action
     builds for a moved so(3) coadjoint action, and levi_decompose for a
@@ -677,14 +677,14 @@ def test_the_twisted_field_modules_are_complexes(monkeypatch):
     from poislin.cohomology import squares_to_zero
 
     built = {}
-    original = normalform._twisted_field_module
+    original = normalform.twisted_field_module
 
     def recorded(*args):
         module = original(*args)
         built[id(module)] = module
         return module
 
-    monkeypatch.setattr(normalform, "_twisted_field_module", recorded)
+    monkeypatch.setattr(normalform, "twisted_field_module", recorded)
     clear_caches()
     rng = random.Random(23)
     moved = conjugate_action(coadjoint_action(so3_algebra(), 6),
@@ -916,13 +916,15 @@ def test_twisted_field_module_numerators_share_the_base_and_twist_denominators()
     """(X . u)^a = base action on u^a - sum_b T[a][b] u^b, read off the
     module's integer numerators over the lcm of the base's denominator (1
     here) and the twists' (6), against the dense Fraction formula."""
-    from poislin.cohomology import induced_polynomial_module
-    from poislin.normalform import _twisted_field_module
+    from poislin.cohomology import induced_polynomial_module, twisted_field_module
+    from poislin.liealg import ExactTable
 
     L = LieAlgebra.abelian(1)
     base = induced_polynomial_module(L, 2, [[[1, 0], [0, 2]]], 2)
     twist = [[F(1, 2), F(1, 3)], [F(0), F(-1, 2)]]
-    module = _twisted_field_module(L, base, [twist], ("test", "twisted-denominators"))
+    module = twisted_field_module(base, ExactTable([twist]))
+    assert module.algebra is base.algebra
+    assert twisted_field_module(base, ExactTable([twist])) is module
     (plain,) = base.matrices
     d = base.dim
     expected = [[(plain[l][u] if a == b else F(0)) - (twist[a][b] if l == u else F(0))

@@ -46,12 +46,12 @@ from .polyalg import (
     CoordChange,
     Jet,
     PoissonJet,
-    _Powers,
-    _inverse_form,
     compose_change,
+    compose_jets,
     derivative_along,
     monomials,
     pushforward,
+    solve_composed,
 )
 
 ZERO = Fraction(0)
@@ -518,13 +518,13 @@ def _field_commutator(v, w):
 
 
 def conjugate_action(action: ActionJet, change: CoordChange) -> ActionJet:
-    """Transport every field through the coordinate change (Jacobian times
-    field, composed with the inverse change)."""
+    """Transport every field through the coordinate change: the unique Y_a
+    with Y_a o change = D(change) X_a, no inverse taken."""
     if change.nvars != action.nvars:
         raise ValueError("coordinate change has the wrong variable count")
-    powers = _Powers(change.nvars, change.order, change.order + 1, *_inverse_form(change))
-    new_fields = [[powers.substitute(comp) for comp in fld]
-                  for fld in _jacobian_fields(action, change)]
+    fields = _jacobian_fields(action, change)
+    solved = iter(solve_composed([comp for fld in fields for comp in fld], change))
+    new_fields = [[next(solved) for _ in fld] for fld in fields]
     return ActionJet._trusted(action.algebra, new_fields, action.nvars, action.order)
 
 
@@ -542,12 +542,8 @@ def is_action_map(action: ActionJet, phi: CoordChange, target: ActionJet) -> boo
     taken."""
     if target.algebra != action.algebra:
         return False
-    powers = _Powers.of(phi.components)
-    return all(
-        comp == powers.substitute(image)
-        for fld, images in zip(_jacobian_fields(action, phi), target.fields)
-        for comp, image in zip(fld, images)
-    )
+    images = compose_jets([image for fld in target.fields for image in fld], phi)
+    return [comp for fld in _jacobian_fields(action, phi) for comp in fld] == images
 
 
 def action_remainder(action: ActionJet, degree: int) -> Cochain:

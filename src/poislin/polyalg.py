@@ -10,22 +10,23 @@ exponents as digits in base N+1, so multiplying two monomials is adding
 their keys, and within a degree a larger key is an earlier monomial in
 graded-lex order.  The state is canonical (no zero numerator, no empty
 bucket, `den` coprime to the numerators), so equal jets have equal states.
-Sums, products, brackets, field derivatives X(f), substitution and inversion
+Sums, products, brackets, field derivatives X(f), substitution and transport
 read states as they are and hand theirs to the one normalizer,
 `_canonical`.  A key depends on the order, so a change of order goes through
 `_rebase`, the one place a key changes base.  `fractions.Fraction` appears
 only at the edges: the constructors, which reject floats, `terms()`,
 `coefficient()` and the text form.
 
-Every jet substituted into the same argument tuple (the entries of a
-pushforward, the components of a composition, the tails of an inversion
-round, the fields of a conjugation) shares one power table of those
-arguments, built by the transport that needs it and dropped with it.  For
-arguments x plus a tail of lowest degree l, such as every correction and its
-inverse, args^m of degree above N - l + 1 is x^m through degree N.
-`_inverse_form` runs psi <- A^-1 (y - T(psi)) on packed forms, each round
-only through the degree it makes exact, and pushforward and conjugation
-build their power table from its result: floor((N-1)/(l-1)) rounds.
+Every jet substituted into the same argument tuple (the components of a
+composition, the images a morphism check composes with phi) shares one power
+table of those arguments, built by the transport that needs it and dropped
+with it.  For arguments x plus a tail of lowest degree l, such as every
+correction, args^m of degree above N - l + 1 is x^m through degree N.
+Transport takes no inverse: the pushforward, the conjugated action and the
+inverse itself are each the unique F with F o phi = B, and `_Powers.solve`
+finds F degree by degree on phi's own power table, F_d = B_d minus the
+degree-d part of sum_{e<d} F_e o phi.  A linear part other than the identity
+is divided out first, through the table of A^-1.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -38,7 +39,7 @@ Conventions fixed here and relied on everywhere downstream:
 * The bracket attached to a bivector is {f,g} = sum_ij Pi^ij d_i f d_j g, so
   Pi^ij = {x^i, x^j}, and pushing a bivector through `phi` gives the bracket
   of the new coordinate functions expressed in the new coordinates:
-  pushforward(Pi, phi)^ij = {phi^i, phi^j} composed with invert_change(phi).
+  pushforward(Pi, phi)^ij is the unique F with F o phi = {phi^i, phi^j}.
   Under the composition convention above, pushforward(Pi, compose(phi, psi))
   equals pushforward(pushforward(Pi, phi), psi).
 * The anchor of a one-form is sharp(alpha)^j = sum_i Pi^ij alpha_i, i.e.
@@ -557,17 +558,52 @@ class _Powers:
                         acc[k] = get(k, 0) + s * v
         return denom * base ** top, out
 
+    def solve(self, form, order: int) -> Jet:
+        """The unique F with F(args) = form, a packed form over its
+        denominator, through degree `order` <= self.order, for arguments
+        whose linear part is the identity: F_d = form_d less the degree-d
+        part of sum_{e<d} F_e(args), degree by degree.  Each degree of F and
+        of what remains is kept over its own denominator with its content
+        divided out; a degree above `keep` reaches no higher degree, so its
+        powers are never built."""
+        denom, buckets = form
+        base, table = self.denom, self.table
+        rest = {deg: (denom, {deg: dict(items)}) for deg, items in buckets.items() if deg <= order}
+        parts = []
+        for d in range(order + 1):
+            den, part = _canonical(*rest.pop(d, (1, {})))
+            parts.append((den, part))
+            if not part or d > self.keep:
+                continue
+            # bring every degree F_d(args) - F_d reaches, d + l - 1 and up
+            # for a tail of lowest degree l, over a multiple of den * D^d,
+            # the denominator of F_d(args), then subtract F_d(args) from it
+            over, scales = den * base ** d, {}
+            for e in range(d + self.order - self.keep, order + 1):
+                had, acc = rest.get(e, (over, {e: {}}))
+                common = lcm(had, over)
+                rest[e] = (common, acc if common == had else {
+                    e: {k: v * (common // had) for k, v in acc[e].items()}})
+                scales[e] = common // over
+            for key, c in part[d].items():
+                for e, terms in (table.get(key) or self.power(key, d)).items():
+                    if d < e <= order:
+                        acc = rest[e][1][e]
+                        get, s = acc.get, c * scales[e]
+                        for k, v in terms.items():
+                            acc[k] = get(k, 0) - s * v
+        common = lcm(*(den for den, _ in parts))
+        return Jet._from_state(self.nvars, order, common, _rebase(
+            {d: {k: v * (common // den) for k, v in items.items()}
+             for den, part in parts for d, items in part.items()}, self.nvars, self.radix, order))
+
     def substitute(self, jet: Jet) -> Jet:
         """jet(args), truncated at the lower of the two orders."""
         if jet.nvars != len(self.args):
             raise ValueError("substitute needs one jet per variable")
+        order = min(jet.order, self.order)
         num = _rebase(jet._num, jet.nvars, jet.order + 1, self.radix - 1)
-        return self.substitute_form((jet.den, num), min(jet.order, self.order))
-
-    def substitute_form(self, form, order: int) -> Jet:
-        """A packed function of the arguments, composed with them through
-        degree `order` <= self.order, as a jet."""
-        denom, packed = self.combine(form, order)
+        denom, packed = self.combine((jet.den, num), order)
         return Jet._from_state(self.nvars, order, denom,
                                _rebase(packed, self.nvars, self.radix, order))
 
@@ -631,8 +667,7 @@ class CoordChange:
         """This change first, `other` applied to its output."""
         if other.nvars != self.nvars:
             raise ValueError("coordinate changes act on different spaces")
-        powers = _Powers.of(self.components)
-        return CoordChange._trusted([powers.substitute(comp) for comp in other.components])
+        return CoordChange._trusted(compose_jets(other.components, self))
 
     def truncate(self, order: int) -> "CoordChange":
         return CoordChange([c.truncate(order) for c in self.components])
@@ -655,82 +690,51 @@ def compose_change(first: CoordChange, second: CoordChange) -> CoordChange:
     return first.then(second)
 
 
-def _inversion_rounds(order: int, lowest: int | None) -> int:
-    """Rounds of psi <- A^-1 (y - T(psi)) that make psi exact through `order`
-    when the tail T starts at degree `lowest` >= 2: the linear start A^-1 y
-    is exact through lowest - 1 and each round adds lowest - 1 degrees."""
-    if lowest is None or lowest > order:
-        return 0
-    return (order - 1) // (lowest - 1)
+def invert_change(phi: CoordChange) -> CoordChange:
+    """Compositional inverse, exact through the truncation: the unique psi
+    with psi o phi = x."""
+    return CoordChange._trusted(solve_composed(
+        [Jet.variable(i, phi.nvars, phi.order) for i in range(phi.nvars)], phi))
 
 
-def _inverse_form(phi: CoordChange) -> tuple[int, list]:
-    """(D, packed components in base order+1 over D) of phi's compositional
-    inverse, exact through the truncation.
+def compose_jets(jets, phi: CoordChange) -> list[Jet]:
+    """jet o phi for every jet, through one power table of phi."""
+    powers = _Powers.of(phi.components)
+    return [powers.substitute(jet) for jet in jets]
 
-    With A the linear part and T the tail of phi, the inverse is the fixed
-    point of psi = A^-1 y - S(psi), S = A^-1 T.  Both start as packed
-    integer forms: A^-1 y over one denominator q, and S as A^-1 y composed
-    with phi, less its linear part y.  Round r is exact only through degree
-    (r+2)(l-1), l the tail's lowest degree, so it is computed truncated
-    there, and the n components of S share one power table of psi per
-    round."""
-    n, order = phi.nvars, phi.order
-    radix = order + 1
+
+def solve_composed(jets, phi: CoordChange) -> list[Jet]:
+    """The unique F with F o phi = jet for every jet, through the lower of
+    the two orders, with no inverse of phi taken.
+
+    A linear part A other than the identity is divided out first, through
+    the power table of A^-1 y: F o phi = B exactly when F o phi~ = B o A^-1,
+    phi~ = phi o A^-1, whose linear part is the identity.  Every F is then
+    solved on one power table, that of phi~."""
+    jets, n, order, radix = list(jets), phi.nvars, phi.order, phi.order + 1
+    if any(jet.nvars != n for jet in jets):
+        raise ValueError("jet and coordinate change have different variable counts")
+    forms = [(jet.den, _packed(jet, order)) for jet in jets]
     units = [radix ** (n - 1 - j) for j in range(n)]
-    image = _Powers(n, order, radix, *_common(phi.components, order))
-    # the linear part is image.args' degree-1 numerators over image.denom
-    linear = [[arg.get(1, {}).get(unit, 0) for unit in units] for arg in image.args]
+    denom, args = _common(phi.components, order)
+    linear = [[arg.get(1, {}).get(unit, 0) for unit in units] for arg in args]
     inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    q = 1
-    if linear != [[image.denom * e for e in row] for row in inv]:
+    if linear != [[denom * e for e in row] for row in inv]:
         # A^-1 = denom * linear^-1, column j read as y_j / s_j, over the least
         # common denominator q once the content is divided out
-        rows = IntegerRows([{j: x for j, x in enumerate(row) if x} for row in linear], 1)
-        solver = LinearSolver(rows, n)
-        if solver.rank < n:
-            raise ValueError("linear part is not invertible")
+        solver = LinearSolver(IntegerRows([{j: x for j, x in enumerate(row) if x}
+                                           for row in linear], 1), n)
         cols = [solver.solve_numerators(unit)[:2] for unit in inv]
         q = lcm(*(s for _, s in cols))
-        inv = [[image.denom * y[i] * (q // s) for y, s in cols] for i in range(n)]
+        inv = [[denom * y[i] * (q // s) for y, s in cols] for i in range(n)]
         g = gcd(q, *(c for row in inv for c in row))
-        q, inv = q // g, [[c // g for c in row] for row in inv]
-    start = [{1: {unit: c for unit, c in zip(units, row) if c}} for row in inv]
-    shifted = []
-    for first in start:
-        den, form = image.combine((q, first), order)
-        form.pop(1, None)
-        shifted.append((den, form))
-    lowest = min((deg for _, form in shifted for deg, items in form.items()
-                  if any(items.values())), default=None)
-    denom, psi = q, start
-    for r in range(_inversion_rounds(order, lowest)):
-        target = min(order, (r + 2) * (lowest - 1))
-        powers = _Powers(n, target, radix, denom, psi)
-        fed = [powers.combine(s, target) for s in shifted]
-        common = lcm(q, *(den for den, _ in fed))
-        psi = []
-        # psi_i = start_i - S_i(psi); S_i(psi) has no linear part
-        for (den, form), first in zip(fed, start):
-            scale = common // den
-            comp = {deg: {k: -v * scale for k, v in items.items()}
-                    for deg, items in form.items()}
-            comp[1] = {k: v * (common // q) for k, v in first[1].items()}
-            psi.append(comp)
-        # divide out the common content so the numerators stay small
-        g = gcd(common, *(v for comp in psi for items in comp.values()
-                          for v in items.values()))
-        denom = common // g
-        psi = [{deg: {k: v // g for k, v in items.items() if v}
-                for deg, items in comp.items()} for comp in psi]
-    return denom, psi
-
-
-def invert_change(phi: CoordChange) -> CoordChange:
-    """Compositional inverse, exact through the truncation."""
-    denom, psi = _inverse_form(phi)
-    return CoordChange._trusted([Jet._from_state(phi.nvars, phi.order, denom, comp)
-                                 for comp in psi])
+        undo = _Powers(n, order, radix, q // g, [
+            {1: {unit: c // g for unit, c in zip(units, row) if c}} for row in inv])
+        forms = [undo.combine(form, order) for form in forms]
+        denom, args = _common([Jet._from_state(n, order, *undo.combine((denom, arg), order))
+                               for arg in args], order)
+    powers = _Powers(n, order, radix, denom, args)
+    return [powers.solve(form, min(jet.order, order)) for jet, form in zip(jets, forms)]
 
 
 # ---------------------------------------------------------------------------
@@ -902,10 +906,10 @@ def pushforward(pi: PoissonJet, phi: CoordChange) -> PoissonJet:
     pi = pi.truncate(order) if pi.order != order else pi
     phi = phi.truncate(order) if phi.order != order else phi
     n = pi.nvars
-    powers = _Powers(n, order, order + 1, *_inverse_form(phi))
+    brackets = _brackets(pi, phi.components, order)
     grid = [[Jet.zero(n, order) for _ in range(n)] for _ in range(n)]
-    for (i, j), (denom, form) in _brackets(pi, phi.components, order).items():
-        new = powers.substitute_form((denom, form), order)
+    for (i, j), new in zip(brackets, solve_composed(
+            [Jet._from_state(n, order, *form) for form in brackets.values()], phi)):
         grid[i][j] = new
         grid[j][i] = -new
     return PoissonJet._trusted(grid, n, order)

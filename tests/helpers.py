@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from poislin.liealg import LieAlgebra
 from poislin.linalg import LinearSolver
+from poislin.normalform import ActionJet
 from poislin.polyalg import CoordChange, Jet, PoissonJet, monomials
 
 
@@ -57,14 +58,46 @@ def random_jet(rng, nvars, order, max_terms=6, lowest=0, coeff_pool=(-2, -1, 1, 
     return Jet(nvars, order, terms)
 
 
-def random_near_identity_change(rng, nvars, order, max_extra=2):
-    """Identity plus a few sparse higher-degree terms; always invertible."""
+def random_near_identity_change(rng, nvars, order, max_extra=2, lowest=2):
+    """Identity plus a few sparse terms of degree `lowest` or more; always
+    invertible."""
     comps = []
     for i in range(nvars):
         comp = Jet.variable(i, nvars, order)
-        extra = random_jet(rng, nvars, order, max_terms=max_extra, lowest=2)
+        extra = random_jet(rng, nvars, order, max_terms=max_extra, lowest=lowest)
         comps.append(comp + extra)
     return CoordChange(comps)
+
+
+def unit(k, n):
+    """The exponent tuple of x^k among n variables."""
+    return tuple(1 if t == k else 0 for t in range(n))
+
+
+def linear_bivector(L, order):
+    n = L.dim
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms = {unit(k, n): L.constants[i][j][k]
+                     for k in range(n) if L.constants[i][j][k]}
+            if terms:
+                brackets[(i, j)] = Jet(n, order, terms)
+    return PoissonJet.from_brackets(n, order, brackets)
+
+
+def coadjoint_action(L, order):
+    """Fields with components {x^i, x^a} of the linear bivector."""
+    n = L.dim
+    fields = []
+    for i in range(n):
+        comps = []
+        for a in range(n):
+            terms = {unit(k, n): L.constants[i][a][k]
+                     for k in range(n) if L.constants[i][a][k]}
+            comps.append(Jet(n, order, terms))
+        fields.append(comps)
+    return ActionJet(L, fields, order)
 
 
 def random_linear_change(rng, nvars, order):

@@ -9,7 +9,9 @@ attribute access by one of `Jet`'s leading-underscore names, or by a name
 the jet state had before it was made one.  Likewise no module but algebroid
 reads `AlgebroidJet`'s private names: its dual, its view cache and its
 trusted constructor, and no module but cohomology reads `GModule`'s: its
-nonzero rows, its trusted constructor and its representation check.  And
+nonzero rows, its trusted constructor and its representation check.  No
+module but polyalg names its power table `_Powers`: the others transport
+through `pushforward`, `compose_jets` and `solve_composed`.  And
 the engines' per-degree steps solve on integers:
 normalform and algebroid call no rational `LinearSolver` solve.
 """
@@ -72,6 +74,28 @@ def test_the_check_sees_jet_internals():
                          ids=lambda p: p.name)
 def test_only_polyalg_reads_jet_internals(path):
     assert jet_internals(path.read_text()) == []
+
+
+def transport_internals(source: str) -> list[str]:
+    """Every line of a source that names polyalg's power table `_Powers`:
+    in an import, as a bare name or as an attribute."""
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    found = sorted({node.lineno for node in ast.walk(ast.parse(source))
+                    if getattr(node, field.get(type(node), ""), None) == "_Powers"})
+    return [f"line {line}: _Powers" for line in found]
+
+
+def test_the_check_sees_transport_internals():
+    source = ("from .polyalg import (\n    Jet,\n    _Powers,\n)\n"
+              "t = polyalg._Powers.of(args)\npowers = _Powers(n, 3, 4, 1, args)\n")
+    assert transport_internals(source) == ["line 3: _Powers", "line 5: _Powers",
+                                           "line 6: _Powers"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "polyalg.py"],
+                         ids=lambda p: p.name)
+def test_only_polyalg_names_its_power_table(path):
+    assert transport_internals(path.read_text()) == []
 
 
 ALGEBROID_PRIVATE = {name for name in vars(AlgebroidJet)

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    coadjoint_action,
     dense,
     gl2_algebra,
+    linear_bivector,
     random_jet,
     random_near_identity_change,
     random_linear_change,
@@ -16,6 +18,7 @@ from helpers import (
     sl2_bivector,
     so3_algebra,
     so3_bivector,
+    unit,
 )
 from poislin import CoordChange, Jet, PoissonJet, compose_change, normalform, pushforward
 from poislin.cohomology import ObstructionClass, is_cocycle, solve_coboundary
@@ -65,36 +68,6 @@ from oracles import (
 )
 
 F = Fraction
-
-
-def unit(k, n):
-    return tuple(1 if t == k else 0 for t in range(n))
-
-
-def linear_bivector(L, order):
-    n = L.dim
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms = {unit(k, n): L.constants[i][j][k]
-                     for k in range(n) if L.constants[i][j][k]}
-            if terms:
-                brackets[(i, j)] = Jet(n, order, terms)
-    return PoissonJet.from_brackets(n, order, brackets)
-
-
-def coadjoint_action(L, order):
-    """Fields with components {x^i, x^a} of the linear bivector."""
-    n = L.dim
-    fields = []
-    for i in range(n):
-        comps = []
-        for a in range(n):
-            terms = {unit(k, n): L.constants[i][a][k]
-                     for k in range(n) if L.constants[i][a][k]}
-            comps.append(Jet(n, order, terms))
-        fields.append(comps)
-    return ActionJet(L, fields, order)
 
 
 def sl2_semidirect_algebra():

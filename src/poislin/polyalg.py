@@ -28,6 +28,16 @@ finds F degree by degree on phi's own power table, F_d = B_d minus the
 degree-d part of sum_{e<d} F_e o phi.  A linear part other than the identity
 is divided out first, through the table of A^-1.
 
+A late correction needs no bracket and no table.  For phi = x + t with t of
+lowest degree l, and pi = pi_1 + terms of degree L and up, the pushforward is
+the first-order image pi - L_t pi_1 through order N whenever
+M = min(2l - 1, L + l - 1) > N.  It is exact: B = {phi^i, phi^j} differs
+from pi plus its pi_1 d t terms only in degree M and above, and so does
+F o phi - F from t . grad pi_1, since F less pi_1 starts at degree
+min(L, l); so F below degree M is pi - L_t pi_1.  The engines meet this on
+every correction of degree at least (N + 2) / 2 once the degrees below it
+are cleared (then L = l and M = 2l - 1), and on the identity change.
+
 Conventions fixed here and relied on everywhere downstream:
 
 * Monomials are exponent tuples.  Iteration, serialization, and printing use
@@ -308,8 +318,11 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet._from_state(self.nvars, self.order, self.den, {
-            deg: {k: -v for k, v in items.items()} for deg, items in self._num.items()})
+        # negating a canonical state leaves it canonical
+        jet = Jet.__new__(Jet)
+        jet.nvars, jet.order, jet.den = self.nvars, self.order, self.den
+        jet._num = {deg: {k: -v for k, v in items.items()} for deg, items in self._num.items()}
+        return jet
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -_as_scalar(other))
@@ -885,6 +898,54 @@ def _brackets(pi: PoissonJet, funcs, order: int) -> dict:
     return out
 
 
+def _first_order_pushforward(pi: PoissonJet, phi: CoordChange, order: int) -> dict | None:
+    """pushforward(pi, phi)^ij for i < j, pi and phi both at `order`, when
+    it is the first-order image pi - L_t pi_1 (see the module docstring),
+    else None.  That needs phi = x + t with t of lowest degree l, and
+    M = min(2l - 1, L + l - 1) > order for pi's nonlinear part of lowest
+    degree L (none: order + 1).  Then
+    (pi - L_t pi_1)^ij = pi^ij + X_i(t_j) - X_j(t_i) - sum_k c^ij_k t_k, with
+    X_i = (pi_1^ib)_b and pi_1^ij = sum_k c^ij_k x^k, all over one
+    denominator."""
+    n, radix = pi.nvars, order + 1
+    units = [radix ** (n - 1 - k) for k in range(n)]
+    comps = phi.components
+    if any(comp._num.get(1) != {unit: comp.den} for comp, unit in zip(comps, units)):
+        return None
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tail = min((d for comp in comps for d in comp._num if d > 1), default=radix)
+    nonlinear = min((d for i, j in pairs for d in pi.entries[i][j]._num if d > 1), default=radix)
+    if min(2 * tail - 1, nonlinear + tail - 1) <= order:
+        return None
+    pden, entries = _common([pi.entries[i][j] for i, j in pairs], order)
+    tden, packed = _common(comps, order)
+    tails = [[(d, items) for d, items in t.items() if d > 1] for t in packed]
+    # X_i as (weight of x_b, key of x_k, c) for each term c x^k d_b
+    fields = [[] for _ in range(n)]
+    for (i, j), entry in zip(pairs, entries):
+        for key, c in entry.get(1, {}).items():
+            fields[i].append((units[j], key, c))
+            fields[j].append((units[i], key, -c))
+    out = {}
+    for (i, j), entry in zip(pairs, entries):
+        acc = {d: {k: v * tden for k, v in items.items()} for d, items in entry.items()}
+        for field, t, sign in ((fields[i], tails[j], 1), (fields[j], tails[i], -1)):
+            for d, items in t:
+                bucket = acc.setdefault(d, {})
+                for weight, key, c in field:
+                    shift, c = key - weight, sign * c
+                    for k, v in items.items():
+                        if e := k // weight % radix:
+                            bucket[k + shift] = bucket.get(k + shift, 0) + c * e * v
+        for key, c in entry.get(1, {}).items():
+            for d, items in tails[units.index(key)]:
+                bucket = acc.setdefault(d, {})
+                for k, v in items.items():
+                    bucket[k] = bucket.get(k, 0) - c * v
+        out[i, j] = Jet._from_state(n, order, pden * tden, acc)
+    return out
+
+
 def jacobiator(pi: PoissonJet) -> dict[tuple[int, int, int], Jet]:
     """J^{ijk} = X_i(Pi^jk) + X_j(Pi^ki) + X_k(Pi^ij) for i < j < k, where
     X_i = (Pi^il)_l is the Hamiltonian field of x^i; identically zero through
@@ -899,17 +960,23 @@ def jacobiator(pi: PoissonJet) -> dict[tuple[int, int, int], Jet]:
 
 
 def pushforward(pi: PoissonJet, phi: CoordChange) -> PoissonJet:
-    """The bivector in the coordinates cut out by phi; Jacobi is preserved."""
+    """The bivector in the coordinates cut out by phi; Jacobi is preserved.
+    A first-order image (see the module docstring) is read off pi and the
+    tail of phi; any other is solved on phi's power table."""
     if phi.nvars != pi.nvars:
         raise ValueError("coordinate change and bivector have different variable counts")
     order = min(pi.order, phi.order)
     pi = pi.truncate(order) if pi.order != order else pi
     phi = phi.truncate(order) if phi.order != order else phi
     n = pi.nvars
-    brackets = _brackets(pi, phi.components, order)
-    grid = [[Jet.zero(n, order) for _ in range(n)] for _ in range(n)]
-    for (i, j), new in zip(brackets, solve_composed(
-            [Jet._from_state(n, order, *form) for form in brackets.values()], phi)):
+    upper = _first_order_pushforward(pi, phi, order)
+    if upper is None:
+        brackets = _brackets(pi, phi.components, order)
+        upper = dict(zip(brackets, solve_composed(
+            [Jet._from_state(n, order, *form) for form in brackets.values()], phi)))
+    zero = Jet.zero(n, order)
+    grid = [[zero] * n for _ in range(n)]
+    for (i, j), new in upper.items():
         grid[i][j] = new
         grid[j][i] = -new
     return PoissonJet._trusted(grid, n, order)

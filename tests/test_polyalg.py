@@ -34,7 +34,7 @@ from poislin.polyalg import (
     sharp,
 )
 from poislin.normalform import conjugate_action, is_action_map
-from poislin.polyalg import _Powers
+from poislin.polyalg import _Powers, _first_order_pushforward
 
 from helpers import (
     coadjoint_action,
@@ -328,7 +328,10 @@ def test_transport_builds_one_power_table_for_an_identity_linear_part(monkeypatc
     phi's own power table: with the identity linear part each builds that
     one table (pushforward and conjugation through a compositional inverse
     built 7 for a degree-2 tail at order 6), and a linear part A other than
-    the identity adds one table, that of A^-1."""
+    the identity adds one table, that of A^-1.  A pushforward whose image is
+    first order, M = min(2l - 1, L + l - 1) > N, builds none: the linear pi
+    has L = N + 1, so at order 6 a tail from degree l = 6 has M = 11, while
+    l = 2 and 3 give M = 3 and 5."""
     rng = random.Random(156)
     order = 6
     pi, action = so3_bivector(order), coadjoint_action(so3_algebra(), order)
@@ -336,12 +339,13 @@ def test_transport_builds_one_power_table_for_an_identity_linear_part(monkeypatc
     for linear, tables in ((False, 1), (True, 2)):
         for lowest in (2, 3, order):
             phi = _tail_change(rng, 3, order, [lowest], linear=linear)
-            for transport in (lambda: pushforward(pi, phi),
-                              lambda: conjugate_action(action, phi),
-                              lambda: invert_change(phi)):
+            first_order = not linear and lowest == order
+            for transport, count in ((lambda: pushforward(pi, phi), 0 if first_order else tables),
+                                     (lambda: conjugate_action(action, phi), tables),
+                                     (lambda: invert_change(phi), tables)):
                 built.clear()
                 transport()
-                assert len(built) == tables
+                assert len(built) == count
 
 
 def test_invert_round_trip_for_every_lowest_tail_degree():
@@ -384,6 +388,46 @@ def test_transport_solves_the_morphism_equation(data):
         assert is_poisson_map(pi, phi, pushforward(pi, phi))
         assert is_action_map(action, phi, conjugate_action(action, phi))
         assert compose_change(phi, invert_change(phi)).is_identity()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_first_order_pushforward_on_both_sides_of_its_boundary(data):
+    """A pushforward by phi = x + t, t of lowest degree l, of a pi whose
+    nonlinear part starts at degree L is the first-order image pi - L_t pi_1
+    exactly when M = min(2l - 1, L + l - 1) > N, and is solved otherwise.
+    (l, L) are drawn with M - N in {-1, 0, 1}, L < l included, for a linear
+    pi or one with no linear part, moved by a tail from degree L; each image
+    satisfies the morphism equation, and the composition law holds across
+    the step by phi and a generic step."""
+    nvars = data.draw(st.integers(2, 4), label="nvars")
+    order = data.draw(st.integers(3, 7), label="order")
+    linear = data.draw(st.booleans(), label="linear")
+    l, L = data.draw(st.sampled_from([
+        (l, L) for l in range(2, order + 1) for L in range(2, order + 1 + linear)
+        if min(2 * l - 1, L + l - 1) - order in (-1, 0, 1)]), label="l, L")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if linear:
+        algebra = {2: solvable2_algebra, 3: rng.choice((so3_algebra, sl2_algebra)),
+                   4: gl2_algebra}[nvars]()
+        pi = linear_bivector(algebra, order)
+    else:
+        mono = rng.choice(monomials(nvars, L))
+        f = Jet(nvars, order, {mono: rng.choice((3, 5))}) + random_jet(rng, nvars, order,
+                                                                      lowest=L)
+        pi = PoissonJet.from_brackets(nvars, order, {(0, 1): f})
+    if L <= order:
+        pi = pushforward(pi, _tail_change(rng, nvars, order, range(L, order + 1)))
+    phi = _tail_change(rng, nvars, order, range(l, order + 1))
+    L = min((jet.lowest_degree(2) or order + 1 for row in pi.entries for jet in row),
+            default=order + 1)
+    first_order = min(2 * l - 1, L + l - 1) > order
+    assert (_first_order_pushforward(pi, phi, order) is not None) == first_order
+    assert is_poisson_map(pi, phi, pushforward(pi, phi))
+    generic = compose_change(random_near_identity_change(rng, nvars, order),
+                             CoordChange.linear(random_rational_basis(rng, nvars), order))
+    assert (pushforward(pushforward(pi, phi), generic)
+            == pushforward(pi, compose_change(phi, generic)))
 
 
 def test_invert_linear_only_and_tail_above_the_order():

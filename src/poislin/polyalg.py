@@ -19,24 +19,43 @@ only at the edges: the constructors, which reject floats, `terms()`,
 
 Every jet substituted into the same argument tuple (the components of a
 composition, the images a morphism check composes with phi) shares one power
-table of those arguments, built by the transport that needs it and dropped
-with it.  For arguments x plus a tail of lowest degree l, such as every
-correction, args^m of degree above N - l + 1 is x^m through degree N.
-Transport takes no inverse: the pushforward, the conjugated action and the
-inverse itself are each the unique F with F o phi = B, and `_Powers.solve`
-finds F degree by degree on phi's own power table, F_d = B_d minus the
-degree-d part of sum_{e<d} F_e o phi.  A linear part other than the identity
-is divided out first, through the table of A^-1.
+table of those arguments.  For arguments x plus a tail of lowest degree l,
+such as every correction, args^m of degree above N - l + 1 is x^m through
+degree N; `_tail_degree` is the one reader of l, and of whether the linear
+part is exactly the identity.  Transport takes no inverse: the pushforward,
+the conjugated action and the inverse itself are each the unique F with
+F o phi = B, and `_Powers.solve` finds F degree by degree on phi's own power
+table, F_d = B_d minus the degree-d part of sum_{e<d} F_e o phi.  A linear
+part A other than the identity is divided out first, through the table of
+A^-1; those two tables are dropped with the transport.  A change whose
+linear part is the identity keeps its table instead: the first
+`compose_jets` or `solve_composed` that needs it builds it, every later one
+reuses it, and it is dropped with the change.
 
-A late correction needs no bracket and no table.  For phi = x + t with t of
-lowest degree l, and pi = pi_1 + terms of degree L and up, the pushforward is
-the first-order image pi - L_t pi_1 through order N whenever
-M = min(2l - 1, L + l - 1) > N.  It is exact: B = {phi^i, phi^j} differs
-from pi plus its pi_1 d t terms only in degree M and above, and so does
-F o phi - F from t . grad pi_1, since F less pi_1 starts at degree
-min(L, l); so F below degree M is pi - L_t pi_1.  The engines meet this on
-every correction of degree at least (N + 2) / 2 once the degrees below it
-are cleared (then L = l and M = 2l - 1), and on the identity change.
+A late correction needs no table at all.  Let phi = x + t with t of lowest
+degree l, and let a jet G be G_0 + G_1 + terms of degree L and up.
+
+* Composition: G o phi = G + G_1(t) through order N whenever L + l - 1 > N,
+  since G o phi - G - G_1(t) is G_{>=L} o phi - G_{>=L}, which starts at
+  degree L + l - 1.
+* Solve: the unique F with F o phi = B is B - B_1(t) whenever
+  min(2l - 1, L + l - 1) > N for B's L, since (B - B_1(t)) o phi - B is
+  (B_{>=L} o phi - B_{>=L}) - (B_1(t) o phi - B_1(t)), which starts at that
+  degree.  The conjugated action (B = D phi . X) and the inverse (B = x)
+  take it through `solve_composed`.
+* Pushforward: pi's image is the first-order pi - L_t pi_1 whenever
+  M = min(2l - 1, L + l - 1) > N for pi's L.  B = {phi^i, phi^j} differs
+  from pi plus its pi_1 d t terms only in degree M and above, and so does
+  F o phi - F from t . grad pi_1, since F less pi_1 starts at degree
+  min(L, l); so F below degree M is pi - L_t pi_1.
+
+The engines meet these on every correction of degree at least (N + 2) / 2
+once the degrees below it are cleared (then L = l and M = 2l - 1), and on
+the identity change.  Such a correction also composes first order with
+every later one, of tail degree l' >= l, as l + l' - 1 >= 2l - 1 > N.  So
+an engine run whose corrections have the identity linear part builds one
+table per correction whose transport is not first order, and composing the
+corrections builds no other.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -486,6 +505,37 @@ def derivative_along(field, f: Jet) -> Jet:
     return Jet._from_state(f.nvars, order, xden * f.den, acc)
 
 
+def _tail_degree(args, nvars: int, radix: int) -> int | None:
+    """l for arguments x + t with t of lowest degree l (none: radix, one
+    more than the order), each argument a (denominator, packed numerators
+    keyed in base radix) pair in `nvars` variables; None unless there is
+    one argument per variable and each one's linear part is exactly its x_i."""
+    if len(args) != nvars or any(num.get(1) != {radix ** (nvars - 1 - i): den}
+                                 for i, (den, num) in enumerate(args)):
+        return None
+    return min((deg for _, num in args for deg in num if deg > 1), default=radix)
+
+
+def _tails(phi: CoordChange, order: int) -> tuple[int, dict]:
+    """(D, {key of x_k: the parts of degree 2 and up of phi^k through
+    `order`, as (degree, numerators) pairs over D keyed in base order+1})."""
+    n, radix = phi.nvars, order + 1
+    tden, packed = _common(phi.components, order)
+    return tden, {radix ** (n - 1 - k): [(d, items) for d, items in t.items() if d > 1]
+                  for k, t in enumerate(packed)}
+
+
+def _add_linear_of_tail(acc: dict, linear: dict, tails: dict, sign: int) -> None:
+    """Add sign * sum_k c_k t_k into the packed form `acc`, for a linear part
+    {key of x_k: c_k} and the tails t_k of `_tails`."""
+    for key, c in linear.items():
+        c *= sign
+        for d, items in tails[key]:
+            bucket = acc.setdefault(d, {})
+            for k, v in items.items():
+                bucket[k] = bucket.get(k, 0) + c * v
+
+
 class _Powers:
     """The powers args^m of one tuple of origin-preserving jets, shared by
     every jet substituted into that tuple.
@@ -505,15 +555,10 @@ class _Powers:
         self.denom = denom
         self.args = args
         self.table = {0: {0: {0: 1}}}
-        # args = x + a tail of lowest degree l (none: l = order + 1): powers
-        # of degree above keep = order - l + 1 are their leading monomial
-        self.keep = order
-        if len(args) == nvars and all(
-            arg.get(1) == {radix ** (nvars - 1 - i): denom} for i, arg in enumerate(args)
-        ):
-            lowest = min((deg for arg in args for deg, items in arg.items() if deg > 1 and items),
-                         default=order + 1)
-            self.keep = order - lowest + 1
+        # args = x + a tail of lowest degree l: powers of degree above
+        # keep = order - l + 1 are their leading monomial
+        lowest = _tail_degree([(denom, arg) for arg in args], nvars, radix)
+        self.keep = order if lowest is None else order - lowest + 1
 
     @classmethod
     def of(cls, jets) -> "_Powers":
@@ -627,9 +672,11 @@ class _Powers:
 
 class CoordChange:
     """Origin-preserving polynomial coordinate change with invertible linear
-    part; component i is the i-th new coordinate as a jet in the old ones."""
+    part; component i is the i-th new coordinate as a jet in the old ones.
+    A change whose linear part is the identity keeps its power table once a
+    transport has built it."""
 
-    __slots__ = ("nvars", "order", "components")
+    __slots__ = ("nvars", "order", "components", "_powers")
 
     def __init__(self, components):
         components = tuple(components)
@@ -645,6 +692,7 @@ class CoordChange:
         self.nvars = nvars
         self.order = order
         self.components = components
+        self._powers = None
         if rank(self.linear_matrix(), nvars) != nvars:
             raise ValueError("linear part is not invertible")
 
@@ -657,6 +705,7 @@ class CoordChange:
         change.components = tuple(components)
         change.nvars = len(change.components)
         change.order = change.components[0].order
+        change._powers = None
         return change
 
     @classmethod
@@ -710,42 +759,84 @@ def invert_change(phi: CoordChange) -> CoordChange:
         [Jet.variable(i, phi.nvars, phi.order) for i in range(phi.nvars)], phi))
 
 
+def _change_tail(jets, phi: CoordChange) -> int | None:
+    """`_tail_degree` of phi's components, once the jets are checked to live
+    on phi's variables."""
+    if any(jet.nvars != phi.nvars for jet in jets):
+        raise ValueError("jet and coordinate change have different variable counts")
+    return _tail_degree([(c.den, c._num) for c in phi.components], phi.nvars, phi.order + 1)
+
+
+def _near_identity(jets, phi: CoordChange, lowest: int, solve: bool) -> list[Jet]:
+    """jet o phi for every jet, or with `solve` the F with F o phi = jet, at
+    the lower of the two orders N, for phi = x + t with t of lowest degree
+    `lowest`.  A jet J whose nonlinear part starts at degree L (none: N + 1)
+    moves to J + J_1(t), or solves to J - J_1(t), read off packed forms when
+    that is exact (see the module docstring): L + l - 1 > N, and for a solve
+    2l - 1 > N as well.  Any other jet goes through phi's power table, built
+    by the first transport that needs it and kept on phi."""
+    out, tails = [], {}
+    for jet in jets:
+        order = min(jet.order, phi.order)
+        reach = (jet.lowest_degree(2) or order + 1) + lowest - 1
+        if (min(reach, 2 * lowest - 1) if solve else reach) > order:
+            if order not in tails:
+                tails[order] = _tails(phi, order)
+            tden, tail = tails[order]
+            num = _packed(jet, order)
+            acc = {d: {k: v * tden for k, v in items.items()} for d, items in num.items()}
+            _add_linear_of_tail(acc, num.get(1, {}), tail, -1 if solve else 1)
+            out.append(Jet._from_state(jet.nvars, order, jet.den * tden, acc))
+            continue
+        if phi._powers is None:
+            phi._powers = _Powers.of(phi.components)
+        out.append(phi._powers.solve((jet.den, _packed(jet, phi.order)), order) if solve
+                   else phi._powers.substitute(jet))
+    return out
+
+
 def compose_jets(jets, phi: CoordChange) -> list[Jet]:
-    """jet o phi for every jet, through one power table of phi."""
+    """jet o phi for every jet, at the lower of the two orders: first order
+    where that is exact (`_near_identity`), else through one power table of
+    phi."""
+    jets = list(jets)
+    lowest = _change_tail(jets, phi)
+    if lowest is not None:
+        return _near_identity(jets, phi, lowest, False)
     powers = _Powers.of(phi.components)
     return [powers.substitute(jet) for jet in jets]
 
 
 def solve_composed(jets, phi: CoordChange) -> list[Jet]:
     """The unique F with F o phi = jet for every jet, through the lower of
-    the two orders, with no inverse of phi taken.
+    the two orders, with no inverse of phi taken: first order where that is
+    exact (`_near_identity`), else on phi's power table.
 
     A linear part A other than the identity is divided out first, through
     the power table of A^-1 y: F o phi = B exactly when F o phi~ = B o A^-1,
     phi~ = phi o A^-1, whose linear part is the identity.  Every F is then
-    solved on one power table, that of phi~."""
-    jets, n, order, radix = list(jets), phi.nvars, phi.order, phi.order + 1
-    if any(jet.nvars != n for jet in jets):
-        raise ValueError("jet and coordinate change have different variable counts")
-    forms = [(jet.den, _packed(jet, order)) for jet in jets]
+    solved on one power table, that of phi~; neither table is kept."""
+    jets = list(jets)
+    lowest = _change_tail(jets, phi)
+    if lowest is not None:
+        return _near_identity(jets, phi, lowest, True)
+    n, order, radix = phi.nvars, phi.order, phi.order + 1
     units = [radix ** (n - 1 - j) for j in range(n)]
     denom, args = _common(phi.components, order)
     linear = [[arg.get(1, {}).get(unit, 0) for unit in units] for arg in args]
-    inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    if linear != [[denom * e for e in row] for row in inv]:
-        # A^-1 = denom * linear^-1, column j read as y_j / s_j, over the least
-        # common denominator q once the content is divided out
-        solver = LinearSolver(IntegerRows([{j: x for j, x in enumerate(row) if x}
-                                           for row in linear], 1), n)
-        cols = [solver.solve_numerators(unit)[:2] for unit in inv]
-        q = lcm(*(s for _, s in cols))
-        inv = [[denom * y[i] * (q // s) for y, s in cols] for i in range(n)]
-        g = gcd(q, *(c for row in inv for c in row))
-        undo = _Powers(n, order, radix, q // g, [
-            {1: {unit: c // g for unit, c in zip(units, row) if c}} for row in inv])
-        forms = [undo.combine(form, order) for form in forms]
-        denom, args = _common([Jet._from_state(n, order, *undo.combine((denom, arg), order))
-                               for arg in args], order)
+    # A^-1 = denom * linear^-1, column j read as y_j / s_j, over the least
+    # common denominator q once the content is divided out
+    solver = LinearSolver(IntegerRows([{j: x for j, x in enumerate(row) if x}
+                                       for row in linear], 1), n)
+    cols = [solver.solve_numerators([int(i == j) for j in range(n)])[:2] for i in range(n)]
+    q = lcm(*(s for _, s in cols))
+    inv = [[denom * y[i] * (q // s) for y, s in cols] for i in range(n)]
+    g = gcd(q, *(c for row in inv for c in row))
+    undo = _Powers(n, order, radix, q // g, [
+        {1: {unit: c // g for unit, c in zip(units, row) if c}} for row in inv])
+    forms = [undo.combine((jet.den, _packed(jet, order)), order) for jet in jets]
+    denom, args = _common([Jet._from_state(n, order, *undo.combine((denom, arg), order))
+                           for arg in args], order)
     powers = _Powers(n, order, radix, denom, args)
     return [powers.solve(form, min(jet.order, order)) for jet, form in zip(jets, forms)]
 
@@ -804,13 +895,14 @@ class PoissonJet:
         """from_brackets with no check of the origin or the Jacobi identity,
         for brackets already certified or verified afterwards by a morphism
         equation; the grid is antisymmetric by construction."""
-        grid = [[Jet.zero(nvars, order) for _ in range(nvars)] for _ in range(nvars)]
+        zero = Jet.zero(nvars, order)
+        grid = [[zero] * nvars for _ in range(nvars)]
         for (i, j), value in brackets.items():
             if not 0 <= i < j < nvars:
                 raise ValueError("bracket keys must satisfy 0 <= i < j < nvars")
             jet = value if isinstance(value, Jet) else Jet.from_terms(nvars, order, value)
-            grid[i][j] = jet.truncate(order)
-            grid[j][i] = -grid[i][j]
+            grid[i][j] = jet = jet.truncate(order) if jet.order != order else jet
+            grid[j][i] = -jet
         return cls._trusted(grid, nvars, order)
 
     def entry(self, i: int, j: int) -> Jet:
@@ -908,18 +1000,16 @@ def _first_order_pushforward(pi: PoissonJet, phi: CoordChange, order: int) -> di
     X_i = (pi_1^ib)_b and pi_1^ij = sum_k c^ij_k x^k, all over one
     denominator."""
     n, radix = pi.nvars, order + 1
-    units = [radix ** (n - 1 - k) for k in range(n)]
-    comps = phi.components
-    if any(comp._num.get(1) != {unit: comp.den} for comp, unit in zip(comps, units)):
+    tail = _tail_degree([(c.den, c._num) for c in phi.components], n, radix)
+    if tail is None:
         return None
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    tail = min((d for comp in comps for d in comp._num if d > 1), default=radix)
     nonlinear = min((d for i, j in pairs for d in pi.entries[i][j]._num if d > 1), default=radix)
     if min(2 * tail - 1, nonlinear + tail - 1) <= order:
         return None
+    units = [radix ** (n - 1 - k) for k in range(n)]
     pden, entries = _common([pi.entries[i][j] for i, j in pairs], order)
-    tden, packed = _common(comps, order)
-    tails = [[(d, items) for d, items in t.items() if d > 1] for t in packed]
+    tden, tails = _tails(phi, order)
     # X_i as (weight of x_b, key of x_k, c) for each term c x^k d_b
     fields = [[] for _ in range(n)]
     for (i, j), entry in zip(pairs, entries):
@@ -929,7 +1019,7 @@ def _first_order_pushforward(pi: PoissonJet, phi: CoordChange, order: int) -> di
     out = {}
     for (i, j), entry in zip(pairs, entries):
         acc = {d: {k: v * tden for k, v in items.items()} for d, items in entry.items()}
-        for field, t, sign in ((fields[i], tails[j], 1), (fields[j], tails[i], -1)):
+        for field, t, sign in ((fields[i], tails[units[j]], 1), (fields[j], tails[units[i]], -1)):
             for d, items in t:
                 bucket = acc.setdefault(d, {})
                 for weight, key, c in field:
@@ -937,11 +1027,7 @@ def _first_order_pushforward(pi: PoissonJet, phi: CoordChange, order: int) -> di
                     for k, v in items.items():
                         if e := k // weight % radix:
                             bucket[k + shift] = bucket.get(k + shift, 0) + c * e * v
-        for key, c in entry.get(1, {}).items():
-            for d, items in tails[units.index(key)]:
-                bucket = acc.setdefault(d, {})
-                for k, v in items.items():
-                    bucket[k] = bucket.get(k, 0) - c * v
+        _add_linear_of_tail(acc, entry.get(1, {}), tails, -1)
         out[i, j] = Jet._from_state(n, order, pden * tden, acc)
     return out
 
@@ -988,11 +1074,10 @@ def is_poisson_map(pi: PoissonJet, phi: CoordChange, target: PoissonJet) -> bool
     pushforward(pi, phi) == target, with no inverse taken."""
     n = pi.nvars
     order = min(pi.order, phi.order)
-    powers = _Powers.of(phi.components)
-    return all(
-        Jet._from_state(n, order, denom, form) == powers.substitute(target.entries[i][j])
-        for (i, j), (denom, form) in _brackets(pi, phi.components, order).items()
-    )
+    brackets = _brackets(pi, phi.components, order)
+    images = compose_jets([target.entries[i][j] for i, j in brackets], phi)
+    return all(Jet._from_state(n, order, *form) == image
+               for form, image in zip(brackets.values(), images))
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,21 @@ def test_verifiers_take_no_inverse(tmp_path, capsys, monkeypatch, command, data,
 
 @pytest.mark.parametrize("command, data, verifier, where", REPORTED,
                          ids=[f"{c}-{v}" for c, _, v, _ in REPORTED])
+def test_verifiers_build_no_power_table_for_an_identity_linear_change(
+        tmp_path, capsys, monkeypatch, command, data, verifier, where):
+    """Each reported change has the identity linear part and a linear
+    normal form, so is_poisson_map and is_action_map compose the normal
+    form with the change first order, through compose_jets: no power table
+    is built."""
+    spec, result = engine_report(tmp_path, capsys, command, data)
+    built = record_calls(monkeypatch, polyalg._Powers, "__init__")
+    verify = getattr(cli, verifier)
+    assert verify(spec, spec.order, result["change"], result["normal_form"]) is True
+    assert built == []
+
+
+@pytest.mark.parametrize("command, data, verifier, where", REPORTED,
+                         ids=[f"{c}-{v}" for c, _, v, _ in REPORTED])
 def test_timing_covers_verification(tmp_path, capsys, monkeypatch, command, data,
                                     verifier, where):
     """timing_seconds stops after the verifier: one that sleeps 50 ms shows

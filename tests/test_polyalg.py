@@ -19,6 +19,7 @@ from poislin.polyalg import (
     PoissonJet,
     PolyOneForm,
     compose_change,
+    compose_jets,
     differential,
     format_polynomial,
     grlex_key,
@@ -32,8 +33,17 @@ from poislin.polyalg import (
     poisson_bracket,
     pushforward,
     sharp,
+    solve_composed,
 )
-from poislin.normalform import conjugate_action, is_action_map
+from poislin.algebroid import AlgebroidChange, apply_algebroid_change, linearize_algebroid
+from poislin.liealg import isotropy_from_linear_part, verify_levi_split
+from poislin.normalform import (
+    conjugate_action,
+    is_action_map,
+    levi_decompose,
+    linearize_action,
+    linearize_poisson,
+)
 from poislin.polyalg import _Powers, _first_order_pushforward
 
 from helpers import (
@@ -48,8 +58,10 @@ from helpers import (
     sl2_algebra,
     sl2_bivector,
     so3_algebra,
+    so3_action_algebroid,
     so3_bivector,
     solvable2_algebra,
+    unit,
 )
 from oracles import (
     bracket_expr,
@@ -325,27 +337,85 @@ def _tail_change(rng, nvars, order, degrees, linear=False):
 
 def test_transport_builds_one_power_table_for_an_identity_linear_part(monkeypatch):
     """pushforward, conjugate_action and invert_change solve F o phi = B on
-    phi's own power table: with the identity linear part each builds that
-    one table (pushforward and conjugation through a compositional inverse
-    built 7 for a degree-2 tail at order 6), and a linear part A other than
-    the identity adds one table, that of A^-1.  A pushforward whose image is
-    first order, M = min(2l - 1, L + l - 1) > N, builds none: the linear pi
-    has L = N + 1, so at order 6 a tail from degree l = 6 has M = 11, while
-    l = 2 and 3 give M = 3 and 5."""
+    phi's own power table, and a change whose linear part is the identity
+    keeps that table: the three transports and compositions by phi build
+    it once between them.  Where every transport by phi = x + t, t of lowest
+    degree l, is first order they build none: at order 6 the linear so(3)
+    pi has L = N + 1, B = D(phi) X has L = l and B = x none, so l = 4 and
+    6 give min(2l - 1, L + l - 1) = 7 and 11, above the order, and l = 2
+    and 3 give 3 and 5.  A linear part A other than the identity keeps no
+    table: each transport builds that of A^-1 and that of phi o A^-1, and a
+    composition by phi builds phi's."""
     rng = random.Random(156)
     order = 6
     pi, action = so3_bivector(order), coadjoint_action(so3_algebra(), order)
     built = record_calls(monkeypatch, _Powers, "__init__")
-    for linear, tables in ((False, 1), (True, 2)):
-        for lowest in (2, 3, order):
-            phi = _tail_change(rng, 3, order, [lowest], linear=linear)
-            first_order = not linear and lowest == order
-            for transport, count in ((lambda: pushforward(pi, phi), 0 if first_order else tables),
-                                     (lambda: conjugate_action(action, phi), tables),
-                                     (lambda: invert_change(phi), tables)):
-                built.clear()
-                transport()
-                assert len(built) == count
+    for lowest, tables, composed in ((2, 1, 1), (3, 1, 1), (4, 0, 1), (order, 0, 0)):
+        phi = _tail_change(rng, 3, order, [lowest])
+        built.clear()
+        pushforward(pi, phi)
+        conjugate_action(action, phi)
+        invert_change(phi)
+        assert len(built) == tables
+        # chi starts at degree L = 2, so chi o phi is first order for l = 6 alone
+        compose_change(phi, _tail_change(rng, 3, order, [2], linear=True))
+        invert_change(phi)
+        assert len(built) == composed
+    for lowest in (2, 3, order):
+        phi = _tail_change(rng, 3, order, [lowest], linear=True)
+        for transport, count in ((lambda: pushforward(pi, phi), 2),
+                                 (lambda: conjugate_action(action, phi), 2),
+                                 (lambda: invert_change(phi), 2),
+                                 (lambda: compose_change(phi, phi), 1)):
+            built.clear()
+            transport()
+            assert len(built) == count
+
+
+def _cyclic_change(rng, nvars, order):
+    """x_i -> x_i + a x_{i+1}^2 + b x_i x_{i+1} x_{i+2}, indices mod n."""
+    comps = []
+    for i in range(nvars):
+        j, k = (i + 1) % nvars, (i + 2) % nvars
+        comps.append(Jet(nvars, order, {
+            unit(i, nvars): 1,
+            tuple(2 * (t == j) for t in range(nvars)): Fraction(rng.choice((-3, -1, 2)), 2),
+            tuple((t == i) + (t == j) + (t == k) for t in range(nvars)): rng.choice((-2, 1, 3)),
+        }))
+    return CoordChange(comps)
+
+
+def test_engine_runs_build_a_power_table_only_for_corrections_not_first_order(monkeypatch):
+    """A correction whose transport is first order composes first order with
+    every later one, so `change()` builds no table, and one that is not
+    builds its table once, for its transport and its compositions.  Counted
+    on moved so(3) and sl(2) duals at order 6 under both schedulers, a moved
+    so(3) coadjoint action at order 4, a moved gl(2) dual split at order 4
+    and a moved so(3) action algebroid at order 3 (each built 6, 5, 8 and 3
+    tables when compositions and solves all went through a table)."""
+    rng = random.Random(157)
+    runs = []
+    for algebra in (so3_algebra(), sl2_algebra()):
+        moved = pushforward(linear_bivector(algebra, 6), _cyclic_change(rng, 3, 6))
+        runs += [(lambda m=moved, s=scheduler: linearize_poisson(m, s), 2)
+                 for scheduler in ("doubling", "degree")]
+    moved = conjugate_action(coadjoint_action(so3_algebra(), 4), _cyclic_change(rng, 3, 4))
+    runs.append((lambda: linearize_action(moved), 1))
+    gl2 = pushforward(linear_bivector(gl2_algebra(), 4), _cyclic_change(rng, 4, 4))
+    eye = [[Fraction(int(t == s)) for s in range(4)] for t in range(4)]
+    split = verify_levi_split(isotropy_from_linear_part(gl2), eye[:3], eye[3:])
+    runs.append((lambda: levi_decompose(gl2, split), 2))
+    base = _cyclic_change(rng, 3, 4)
+    frame = [[Jet.one(3, 4) if i == j else Jet.zero(3, 4) for j in range(3)] for i in range(3)]
+    for i in range(3):
+        frame[i][(i + 2) % 3] = Jet(3, 4, {unit((i + 1) % 3, 3): Fraction(rng.choice((-1, 2)))})
+    algebroid = apply_algebroid_change(so3_action_algebroid(3), AlgebroidChange(base, frame))
+    runs.append((lambda: linearize_algebroid(algebroid), 1))
+    built = record_calls(monkeypatch, _Powers, "__init__")
+    for run, tables in runs:
+        built.clear()
+        assert len(run()) == 3
+        assert len(built) == tables
 
 
 def test_invert_round_trip_for_every_lowest_tail_degree():
@@ -428,6 +498,47 @@ def test_first_order_pushforward_on_both_sides_of_its_boundary(data):
                              CoordChange.linear(random_rational_basis(rng, nvars), order))
     assert (pushforward(pushforward(pi, phi), generic)
             == pushforward(pi, compose_change(phi, generic)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_first_order_composition_and_solve_on_both_sides_of_their_boundaries(data):
+    """For phi = x + t, t of lowest degree l, and a jet J whose nonlinear
+    part starts at degree L, compose_jets reads J o phi = J + J_1(t) off
+    J and t exactly when L + l - 1 > N, and solve_composed the F with
+    F o phi = J as J - J_1(t) exactly when min(2l - 1, L + l - 1) > N,
+    building no power table; otherwise each fills phi's table.  (l, L) are
+    drawn with that bound less N in {-1, 0, 1}, for jets with a constant
+    term and a linear part, one order below phi's or at it; each result
+    equals the one a power table of phi gives."""
+    nvars = data.draw(st.integers(2, 4), label="nvars")
+    order = data.draw(st.integers(3, 7), label="order")
+    solve = data.draw(st.booleans(), label="solve")
+    top = data.draw(st.sampled_from([order - 1, order]), label="jet order")
+
+    def bound(l, L):
+        return min(2 * l - 1, L + l - 1) if solve else L + l - 1
+
+    l, L = data.draw(st.sampled_from([
+        (l, L) for l in range(2, order + 1) for L in range(2, top + 2)
+        if bound(l, L) - top in (-1, 0, 1)]), label="l, L")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    phi = _tail_change(rng, nvars, order, range(l, order + 1))
+    jet = Jet(nvars, top, {(0,) * nvars: rng.choice((0, 1, Fraction(-2, 3)))})
+    jet = jet + Jet.linear([rng.choice((0, 0, 1, -2, Fraction(1, 2))) for _ in range(nvars)], top)
+    if L <= top:
+        jet = jet + Jet(nvars, top, {rng.choice(monomials(nvars, L)): rng.choice((3, 5))})
+        jet = jet + random_jet(rng, nvars, top, lowest=L)
+    powers = _Powers.of(phi.components)
+    fresh = CoordChange._trusted(phi.components)
+    if solve:
+        (out,) = solve_composed([jet], fresh)
+        assert out == powers.solve((jet.den, jet.truncate(order)._num), top)
+        assert powers.substitute(out) == jet
+    else:
+        (out,) = compose_jets([jet], fresh)
+        assert out == powers.substitute(jet)
+    assert (fresh._powers is None) == (bound(l, L) > top)
 
 
 def test_invert_linear_only_and_tail_above_the_order():

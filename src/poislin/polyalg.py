@@ -26,11 +26,9 @@ part is exactly the identity.  Transport takes no inverse: the pushforward,
 the conjugated action and the inverse itself are each the unique F with
 F o phi = B, and `_Powers.solve` finds F degree by degree on phi's own power
 table, F_d = B_d minus the degree-d part of sum_{e<d} F_e o phi.  A linear
-part A other than the identity is divided out first, through the table of
-A^-1; those two tables are dropped with the transport.  A change whose
-linear part is the identity keeps its table instead: the first
-`compose_jets` or `solve_composed` that needs it builds it, every later one
-reuses it, and it is dropped with the change.
+part A other than the identity is composed away first, as
+F o phi~ = B o A^-1 for phi~ = phi o A^-1.  A change whose linear part is
+the identity keeps its table: the first transport that needs it builds it.
 
 A late correction needs no table at all.  Let phi = x + t with t of lowest
 degree l, and let a jet G be G_0 + G_1 + terms of degree L and up.
@@ -82,7 +80,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
 
-from .linalg import IntegerRows, LinearSolver, rank
+from .linalg import LinearSolver, rank
 
 Monomial = tuple[int, ...]
 
@@ -396,7 +394,7 @@ class Jet:
             raise ValueError("substitute needs one jet per variable")
         if not args:
             return self
-        return _Powers.of(args).substitute(self)
+        return _Powers(args).substitute(self)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +494,8 @@ def derivative_along(field, f: Jet) -> Jet:
     """X(f) = sum_b X^b d_b f for the vector field X with components
     `field`, truncated at the lowest order among f and the components; every
     product is summed into one packed form."""
+    if len(field) != f.nvars or any(x.nvars != f.nvars for x in field):
+        raise ValueError("vector field and function live on different variable sets")
     order = min(f.order, *(x.order for x in field))
     xden, packed = _common(field, order)
     acc: dict[int, dict[int, int]] = {}
@@ -540,37 +540,28 @@ class _Powers:
     """The powers args^m of one tuple of origin-preserving jets, shared by
     every jet substituted into that tuple.
 
-    All arguments are packed over one denominator D, the lcm of theirs, so
-    args^m is table[m] / D^|m|; a power is built once, from the power one
-    degree lower, the first time a substituted jet needs it.  A
-    substitution accumulates c_m D^(top-|m|) table[m] over the jet's integer
-    numerators c_m."""
+    All arguments are packed over one denominator D, the lcm of theirs, at
+    the lowest of their orders, so args^m is table[m] / D^|m|; a power is
+    built once, from the power one degree lower, the first time a
+    substituted jet needs it."""
 
-    __slots__ = ("nvars", "order", "radix", "denom", "args", "table", "keep")
+    __slots__ = ("nvars", "order", "denom", "args", "table", "keep")
 
-    def __init__(self, nvars: int, order: int, radix: int, denom: int, args):
-        self.nvars = nvars
-        self.order = order
-        self.radix = radix
-        self.denom = denom
-        self.args = args
-        self.table = {0: {0: {0: 1}}}
-        # args = x + a tail of lowest degree l: powers of degree above
-        # keep = order - l + 1 are their leading monomial
-        lowest = _tail_degree([(denom, arg) for arg in args], nvars, radix)
-        self.keep = order if lowest is None else order - lowest + 1
-
-    @classmethod
-    def of(cls, jets) -> "_Powers":
+    def __init__(self, jets):
         jets = list(jets)
-        nvars = jets[0].nvars
+        self.nvars = jets[0].nvars
         for a in jets:
-            if a.nvars != nvars:
+            if a.nvars != self.nvars:
                 raise ValueError("substitution jets live on different variable sets")
             if 0 in a._num:
                 raise ValueError("substitution jets must vanish at the origin")
-        order = min(a.order for a in jets)
-        return cls(nvars, order, order + 1, *_common(jets, order))
+        self.order = order = min(a.order for a in jets)
+        self.denom, self.args = _common(jets, order)
+        self.table = {0: {0: {0: 1}}}
+        # args = x + a tail of lowest degree l: powers of degree above
+        # keep = order - l + 1 are their leading monomial
+        lowest = _tail_degree([(self.denom, arg) for arg in self.args], self.nvars, order + 1)
+        self.keep = order if lowest is None else order - lowest + 1
 
     def power(self, key: int, degree: int) -> dict:
         """The packed numerators of args^m, m the monomial of the given
@@ -581,40 +572,13 @@ class _Powers:
             if degree > self.keep:
                 form = {degree: {key: self.denom ** degree}}
             else:
-                radix, i, weight = self.radix, len(self.args) - 1, 1
+                radix, i, weight = self.order + 1, len(self.args) - 1, 1
                 while key // weight % radix == 0:
                     weight *= radix
                     i -= 1
                 form = _product(self.power(key - weight, degree - 1), self.args[i], self.order)
             self.table[key] = form
         return form
-
-    def combine(self, form, order: int) -> tuple[int, dict]:
-        """(denominator, packed numerators) of a packed function of the
-        arguments, composed with them through degree `order` <= self.order."""
-        denom, buckets = form
-        degrees = [deg for deg, items in buckets.items() if deg <= order and items]
-        if not degrees:
-            return 1, {}
-        top = max(degrees)
-        base = self.denom
-        table = self.table
-        out: dict[int, dict[int, int]] = {}
-        for deg in degrees:
-            scale = base ** (top - deg)
-            for key, c in buckets[deg].items():
-                s = c * scale
-                power = table.get(key) or self.power(key, deg)
-                for d, items in power.items():
-                    if d > order:
-                        continue
-                    acc = out.get(d)
-                    if acc is None:
-                        acc = out[d] = {}
-                    get = acc.get
-                    for k, v in items.items():
-                        acc[k] = get(k, 0) + s * v
-        return denom * base ** top, out
 
     def solve(self, form, order: int) -> Jet:
         """The unique F with F(args) = form, a packed form over its
@@ -652,18 +616,36 @@ class _Powers:
                             acc[k] = get(k, 0) - s * v
         common = lcm(*(den for den, _ in parts))
         return Jet._from_state(self.nvars, order, common, _rebase(
-            {d: {k: v * (common // den) for k, v in items.items()}
-             for den, part in parts for d, items in part.items()}, self.nvars, self.radix, order))
+            {d: {k: v * (common // den) for k, v in items.items()} for den, part in parts
+             for d, items in part.items()}, self.nvars, self.order + 1, order))
 
     def substitute(self, jet: Jet) -> Jet:
-        """jet(args), truncated at the lower of the two orders."""
+        """jet(args), truncated at the lower of the two orders N: the sum of
+        c_m D^(top-|m|) table[m] over the jet's integer numerators c_m
+        through degree N, over the jet's denominator times D^top."""
         if jet.nvars != len(self.args):
             raise ValueError("substitute needs one jet per variable")
         order = min(jet.order, self.order)
-        num = _rebase(jet._num, jet.nvars, jet.order + 1, self.radix - 1)
-        denom, packed = self.combine((jet.den, num), order)
-        return Jet._from_state(self.nvars, order, denom,
-                               _rebase(packed, self.nvars, self.radix, order))
+        num = _rebase(jet._num, jet.nvars, jet.order + 1, self.order)
+        degrees = [deg for deg in num if deg <= order]
+        top = max(degrees, default=0)
+        base, table = self.denom, self.table
+        out: dict[int, dict[int, int]] = {}
+        for deg in degrees:
+            scale = base ** (top - deg)
+            for key, c in num[deg].items():
+                s = c * scale
+                for d, items in (table.get(key) or self.power(key, deg)).items():
+                    if d > order:
+                        continue
+                    acc = out.get(d)
+                    if acc is None:
+                        acc = out[d] = {}
+                    get = acc.get
+                    for k, v in items.items():
+                        acc[k] = get(k, 0) + s * v
+        return Jet._from_state(self.nvars, order, jet.den * base ** top,
+                               _rebase(out, self.nvars, self.order + 1, order))
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +771,7 @@ def _near_identity(jets, phi: CoordChange, lowest: int, solve: bool) -> list[Jet
             out.append(Jet._from_state(jet.nvars, order, jet.den * tden, acc))
             continue
         if phi._powers is None:
-            phi._powers = _Powers.of(phi.components)
+            phi._powers = _Powers(phi.components)
         out.append(phi._powers.solve((jet.den, _packed(jet, phi.order)), order) if solve
                    else phi._powers.substitute(jet))
     return out
@@ -803,42 +785,28 @@ def compose_jets(jets, phi: CoordChange) -> list[Jet]:
     lowest = _change_tail(jets, phi)
     if lowest is not None:
         return _near_identity(jets, phi, lowest, False)
-    powers = _Powers.of(phi.components)
+    powers = _Powers(phi.components)
     return [powers.substitute(jet) for jet in jets]
 
 
 def solve_composed(jets, phi: CoordChange) -> list[Jet]:
     """The unique F with F o phi = jet for every jet, through the lower of
     the two orders, with no inverse of phi taken: first order where that is
-    exact (`_near_identity`), else on phi's power table.
-
-    A linear part A other than the identity is divided out first, through
-    the power table of A^-1 y: F o phi = B exactly when F o phi~ = B o A^-1,
-    phi~ = phi o A^-1, whose linear part is the identity.  Every F is then
-    solved on one power table, that of phi~; neither table is kept."""
+    exact, else on phi's power table (`_near_identity`).  A linear part A
+    other than the identity is composed away first: F o phi = B exactly
+    when F o phi~ = B o A^-1 for phi~ = phi o A^-1, whose linear part is the
+    identity, and one `compose_jets` by A^-1 gives phi~ and every B o A^-1."""
     jets = list(jets)
     lowest = _change_tail(jets, phi)
-    if lowest is not None:
-        return _near_identity(jets, phi, lowest, True)
-    n, order, radix = phi.nvars, phi.order, phi.order + 1
-    units = [radix ** (n - 1 - j) for j in range(n)]
-    denom, args = _common(phi.components, order)
-    linear = [[arg.get(1, {}).get(unit, 0) for unit in units] for arg in args]
-    # A^-1 = denom * linear^-1, column j read as y_j / s_j, over the least
-    # common denominator q once the content is divided out
-    solver = LinearSolver(IntegerRows([{j: x for j, x in enumerate(row) if x}
-                                       for row in linear], 1), n)
-    cols = [solver.solve_numerators([int(i == j) for j in range(n)])[:2] for i in range(n)]
-    q = lcm(*(s for _, s in cols))
-    inv = [[denom * y[i] * (q // s) for y, s in cols] for i in range(n)]
-    g = gcd(q, *(c for row in inv for c in row))
-    undo = _Powers(n, order, radix, q // g, [
-        {1: {unit: c // g for unit, c in zip(units, row) if c}} for row in inv])
-    forms = [undo.combine((jet.den, _packed(jet, order)), order) for jet in jets]
-    denom, args = _common([Jet._from_state(n, order, *undo.combine((denom, arg), order))
-                           for arg in args], order)
-    powers = _Powers(n, order, radix, denom, args)
-    return [powers.solve(form, min(jet.order, order)) for jet, form in zip(jets, forms)]
+    if lowest is None:
+        n = phi.nvars
+        solver = LinearSolver(phi.linear_matrix(), n)
+        columns = [solver.solve([int(i == j) for i in range(n)]) for j in range(n)]
+        undo = CoordChange._trusted([Jet.linear(row, phi.order) for row in zip(*columns)])
+        moved = compose_jets(list(phi.components) + jets, undo)
+        phi, jets = CoordChange._trusted(moved[:n]), moved[n:]
+        lowest = _change_tail(jets, phi)
+    return _near_identity(jets, phi, lowest, True)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,6 +1041,8 @@ def is_poisson_map(pi: PoissonJet, phi: CoordChange, target: PoissonJet) -> bool
     for every pair, all three at one truncation order.  Equivalent to
     pushforward(pi, phi) == target, with no inverse taken."""
     n = pi.nvars
+    if phi.nvars != n or target.nvars != n:
+        raise ValueError("coordinate change and bivectors have different variable counts")
     order = min(pi.order, phi.order)
     brackets = _brackets(pi, phi.components, order)
     images = compose_jets([target.entries[i][j] for i, j in brackets], phi)

@@ -11,9 +11,10 @@ reads `AlgebroidJet`'s private names: its dual, its view cache and its
 trusted constructor, and no module but cohomology reads `GModule`'s: its
 nonzero rows, its trusted constructor and its representation check.  No
 module but polyalg names its power table `_Powers`, its first-order
-pushforward `_first_order_pushforward` or its reader of the first-order
-regime `_tail_degree`: the others transport through
-`pushforward`, `compose_jets` and `solve_composed`.  And
+pushforward `_first_order_pushforward`, its readers of the first-order
+regime `_tail_degree` and `_change_tail`, or its first-order transport
+`_near_identity`: the others transport through `pushforward`,
+`compose_jets` and `solve_composed`.  And
 the engines' per-degree steps solve on integers:
 normalform and algebroid call no rational `LinearSolver` solve.
 """
@@ -78,13 +79,15 @@ def test_only_polyalg_reads_jet_internals(path):
     assert jet_internals(path.read_text()) == []
 
 
-TRANSPORT_PRIVATE = {"_Powers", "_first_order_pushforward", "_tail_degree"}
+TRANSPORT_PRIVATE = {"_Powers", "_first_order_pushforward", "_tail_degree", "_change_tail",
+                     "_near_identity"}
 
 
 def transport_internals(source: str) -> list[str]:
     """Every line of a source that names polyalg's power table `_Powers`,
-    its `_first_order_pushforward` or its reader of the first-order regime
-    `_tail_degree`: in an import, as a bare name or as an attribute."""
+    its `_first_order_pushforward`, its readers of the first-order regime
+    `_tail_degree` and `_change_tail`, or its `_near_identity`: in an
+    import, as a bare name or as an attribute."""
     field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
     found = sorted({(node.lineno, name) for node in ast.walk(ast.parse(source))
                     if (name := getattr(node, field.get(type(node), ""), None))
@@ -94,14 +97,18 @@ def transport_internals(source: str) -> list[str]:
 
 def test_the_check_sees_transport_internals():
     source = ("from .polyalg import (\n    Jet,\n    _Powers,\n)\n"
-              "t = polyalg._Powers.of(args)\npowers = _Powers(n, 3, 4, 1, args)\n"
+              "t = polyalg._Powers(args)\npowers = _Powers(phi.components)\n"
               "from .polyalg import _first_order_pushforward as first\n"
               "upper = polyalg._first_order_pushforward(pi, phi, 4)\n"
-              "from .polyalg import _tail_degree\nl = polyalg._tail_degree(args, 3, 5)\n")
+              "from .polyalg import _tail_degree\nl = polyalg._tail_degree(args, 3, 5)\n"
+              "from .polyalg import _change_tail, _near_identity\n"
+              "out = polyalg._near_identity(jets, phi, polyalg._change_tail(jets, phi), True)\n")
     assert transport_internals(source) == [
         "line 3: _Powers", "line 5: _Powers", "line 6: _Powers",
         "line 7: _first_order_pushforward", "line 8: _first_order_pushforward",
-        "line 9: _tail_degree", "line 10: _tail_degree"]
+        "line 9: _tail_degree", "line 10: _tail_degree",
+        "line 11: _change_tail", "line 11: _near_identity",
+        "line 12: _change_tail", "line 12: _near_identity"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "polyalg.py"],

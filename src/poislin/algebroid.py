@@ -37,7 +37,7 @@ from .cohomology import (
     induced_polynomial_module,
 )
 from .liealg import LeviSplit, LieAlgebra
-from .linalg import rationals
+from .linalg import exact_scalar, rationals
 from .normalform import (
     ActionJet,
     _LeviProblem,
@@ -405,7 +405,7 @@ class LinearAlgebroid:
 
     def __post_init__(self):
         self.action = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in mat)
+            tuple(tuple(exact_scalar(x) for x in row) for row in mat)
             for mat in self.action
         )
         if len(self.action) != self.algebra.dim:
@@ -527,14 +527,12 @@ def _embed_obstruction(cx: _DualGradedComplex, vec, lam) -> ObstructionClass:
 
 
 class _GradedProblem(_PoissonProblem):
-    """Adapter for an algebroid dual: the 2-cochain sub-solve runs in the
-    fiber-degree graded complex, so every correction keeps the grading."""
+    """The bracket adapter on an algebroid dual, made with `base_dim`: the
+    2-cochain sub-solve runs in the fiber-degree graded complex, so every
+    correction keeps the grading, and the run returns the algebroid change
+    and linear model."""
 
     unfinished = "dual bivector not linear after all degrees were cleared"
-
-    def __init__(self, dual: PoissonJet, base_dim: int):
-        super().__init__(dual)
-        self.base_dim = base_dim
 
     def solves(self, degree: int):
         cx = _graded_complex(self.algebra, self.base_dim, degree)
@@ -545,6 +543,12 @@ class _GradedProblem(_PoissonProblem):
 
     def obstruction(self, sub, functional) -> ObstructionClass:
         return _embed_obstruction(sub.complex, sub.vector, rationals(functional))
+
+    def finish(self) -> tuple:
+        change, dual = super().finish()
+        # from_dual rejects any change that broke the grading
+        return (AlgebroidChange.from_dual(change, self.base_dim),
+                LinearAlgebroid(*_linear_data(dual, self.base_dim)))
 
 
 def linearize_algebroid(A: AlgebroidJet, scheduler: str = "doubling",
@@ -560,16 +564,8 @@ def linearize_algebroid(A: AlgebroidJet, scheduler: str = "doubling",
     isotropy and its h_dim counts the grading-compatible classes.
     """
     order, A = _target(A, order, "jet's")
-    problem = _GradedProblem(algebroid_to_poisson(A), A.base_dim)
-    obstruction, trace = _run_scheduler(problem, scheduler, order + 1, radius)
-    if obstruction is not None:
-        return obstruction, trace
-    # from_dual rejects any change that broke the grading
-    return (
-        AlgebroidChange.from_dual(problem.change(), A.base_dim),
-        LinearAlgebroid(*_linear_data(problem.state, A.base_dim)),
-        trace,
-    )
+    problem = _GradedProblem(algebroid_to_poisson(A), base_dim=A.base_dim)
+    return _run_scheduler(problem, scheduler, order + 1, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +597,5 @@ def levi_algebroid(A: AlgebroidJet, split: LeviSplit, order: int | None = None,
         pushforward(algebroid_to_poisson(A), adapt), adapt, range(n, n + ns),
         [(range(n + ns, total), 1), (range(n), 0)], base_dim=n,
     )
-    _, trace = _run_scheduler(problem, "degree", dual_order, radius)
-    return (
-        AlgebroidChange.from_dual(problem.change(), n),
-        poisson_to_algebroid(problem.state, n),
-        trace,
-    )
+    change, dual, trace = _run_scheduler(problem, "degree", dual_order, radius)
+    return AlgebroidChange.from_dual(change, n), poisson_to_algebroid(dual, n), trace

@@ -42,6 +42,7 @@ from .cohomology import (
     coadjoint_rep,
     cohomology_dimension,
     induced_polynomial_module,
+    linear_field_rep,
     squares_to_zero,
 )
 from .liealg import (
@@ -690,9 +691,7 @@ def _polynomial_rep(spec: ProblemSpec) -> tuple[LieAlgebra, int, list]:
         mats = spec.payload.linear_matrices()
     else:
         mats = spec.payload.linear_data()[1]
-    n = len(mats[0]) if mats else 0
-    rep = [[[mat[u][l] for u in range(n)] for l in range(n)] for mat in mats]
-    return algebra, n, rep
+    return algebra, len(mats[0]) if mats else 0, linear_field_rep(mats)
 
 
 def run_cohomology(spec: ProblemSpec, args) -> tuple[dict, int]:

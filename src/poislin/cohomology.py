@@ -47,7 +47,7 @@ from itertools import combinations
 from math import lcm
 
 from .linalg import (IntegerRows, LinearSolver, Vector, _integer_rows, _pivot_columns, dot,
-                     numerators, rationals)
+                     exact_scalar, numerators, rationals)
 from .liealg import ExactTable, LieAlgebra
 from .polyalg import monomials
 
@@ -156,7 +156,7 @@ class GModule(CochainComplex):
         for mat in matrices:
             if len(mat) != dim or any(len(row) != dim for row in mat):
                 raise ValueError("representation matrices must be square, equal size")
-        mats = [[[Fraction(x) for x in row] for row in mat] for mat in matrices]
+        mats = [[[exact_scalar(x) for x in row] for row in mat] for mat in matrices]
         den = lcm(*(x.denominator for mat in mats for row in mat for x in row))
         rows = [[[(u, x.numerator * (den // x.denominator)) for u, x in enumerate(row) if x]
                  for row in mat] for mat in mats]
@@ -326,7 +326,7 @@ class Cochain:
     def __init__(self, module: GModule, degree: int, vector):
         if degree < 0:
             raise ValueError("cochain degree must be non-negative")
-        vector = [x if type(x) is Fraction else Fraction(x) for x in vector]
+        vector = [x if type(x) is Fraction else exact_scalar(x) for x in vector]
         if len(vector) != module.cochain_dim(degree):
             raise ValueError(
                 f"flat vector length {len(vector)} does not match C^{degree}"
@@ -354,7 +354,7 @@ class Cochain:
                 raise ValueError("component block has wrong module dimension")
             base = index[subset] * d
             for l, x in enumerate(block):
-                vec[base + l] = Fraction(x)
+                vec[base + l] = exact_scalar(x)
         return cls(module, degree, vec)
 
     def component(self, subset) -> Vector:
@@ -384,7 +384,7 @@ class Cochain:
         return Cochain(self.module, self.degree, [-a for a in self.vector])
 
     def __mul__(self, scalar):
-        c = Fraction(scalar)
+        c = exact_scalar(scalar)
         return Cochain(self.module, self.degree, [a * c for a in self.vector])
 
     __rmul__ = __mul__
@@ -596,3 +596,10 @@ def coadjoint_rep(L: LieAlgebra):
         [[L.constants[i][j][k] for j in range(n)] for k in range(n)]
         for i in range(n)
     ]
+
+
+def linear_field_rep(matrices):
+    """Operator matrices a linear action x -> A_i x induces on the
+    coordinate functions: X_i . x^u = (A_i x)^u, the transpose of A_i in
+    the layout `induced_polynomial_module` reads."""
+    return [[list(col) for col in zip(*mat)] for mat in matrices]

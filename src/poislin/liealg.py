@@ -17,6 +17,7 @@ from .linalg import (
     LinearSolver,
     Matrix,
     Vector,
+    exact_scalar,
     extend_to_basis,
     rank,
     row_space_solver,
@@ -41,7 +42,7 @@ class ExactTable(tuple):
     ExactTables, never a plain tuple, so equal tables hash alike."""
 
     def __new__(cls, table):
-        planes = (tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+        planes = (tuple(tuple(x if type(x) is Fraction else exact_scalar(x) for x in row)
                         for row in plane) for plane in table)
         return super().__new__(cls, planes)
 
@@ -128,7 +129,7 @@ class LieAlgebra:
         table = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         seen = set()
         for i, j, k, value in entries:
-            c = Fraction(value)
+            c = exact_scalar(value)
             if i == j:
                 if c:
                     raise ValueError(f"[e_{i}, e_{i}] must vanish")
@@ -358,7 +359,7 @@ class LeviSplit:
 
     def __post_init__(self):
         for name in ("s_basis", "r_basis"):
-            object.__setattr__(self, name, tuple(tuple(Fraction(x) for x in v)
+            object.__setattr__(self, name, tuple(tuple(exact_scalar(x) for x in v)
                                                  for v in getattr(self, name)))
         L, n, s_basis, r_basis = self.algebra, self.algebra.dim, self.s_basis, self.r_basis
         if any(len(v) != n for v in s_basis + r_basis):

@@ -47,6 +47,16 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def exact_scalar(value) -> Fraction:
+    """An outside scalar as a Fraction; a binary float is refused, since its
+    exact value is rarely the number that was meant."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise TypeError("float coefficients are not allowed; use Fraction")
+    return Fraction(value)
+
+
 def zero_vector(n: int) -> Vector:
     return [ZERO] * n
 
@@ -126,7 +136,7 @@ def _integer_rows(rows, ncols: int | None) -> tuple[list[tuple[dict, int]], int]
             if len(row) != ncols:
                 raise ValueError("ragged matrix")
             items = enumerate(row)
-        entries = {j: x if type(x) is Fraction else Fraction(x) for j, x in items if x}
+        entries = {j: x if type(x) is Fraction else exact_scalar(x) for j, x in items if x}
         scale = lcm(*(x.denominator for x in entries.values()))
         out.append(({j: x.numerator if scale == 1 else x.numerator * (scale // x.denominator)
                      for j, x in entries.items()}, scale))
@@ -399,7 +409,7 @@ def symmetric_signature(mat: Matrix) -> tuple[int, int, int]:
     diagonal pivot and passes to its Schur complement.  When the diagonal
     vanishes, adding row and column j to row and column i turns a nonzero
     entry a_ij into the pivot 2 a_ij."""
-    a = [[Fraction(x) for x in row] for row in mat]
+    a = [[exact_scalar(x) for x in row] for row in mat]
     n = len(a)
     if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix is not symmetric")

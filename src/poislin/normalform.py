@@ -1,21 +1,22 @@
 """Normalization engines.
 
-One driver, `_run_scheduler`, runs every engine: Poisson brackets, actions,
-algebroid duals and both Levi normal forms.  Each engine is a problem adapter
-that lists, for a homogeneous degree d, its sub-solves in order: a cochain
-complex and degree r, the degree-d remainder read off the current state as a
-vector in C^r, and the coordinates a primitive corrects.  The driver solves
-d(sigma) = R exactly and applies x -> x - sigma; the adapter decides whether
-a failed solve yields an obstruction certificate or, on a semisimple factor,
-a SolverFailure.  The two schedulers differ only in how degrees are grouped:
-`degree` treats one homogeneous degree per step, `doubling` treats the block
-[2^nu, 2^(nu+1)) per step, clearing its degrees lowest-first so the
-quadratic interaction of corrections (which can reach degree 2^(nu+1)-1)
-never re-enters a cleared block.  The adapter keeps the corrections in
-order and composes them once, right to left, when the engine returns the
-change; truncated composition is associative, so that change is exactly the
-left-to-right product.  All decisions are exact; the Hermitian norms carried
-on traces are binary64 diagnostics only.
+One driver, `_run_scheduler`, runs every engine and returns its result.
+Each engine is a problem adapter that lists, for a homogeneous degree d, its
+sub-solves in order: a cochain complex and degree r, the degree-d remainder
+read off the current state as a vector in C^r, and the coordinates a
+primitive corrects.  One bracket adapter serves Poisson brackets, algebroid
+duals and both Levi normal forms: Poisson linearization is its Levi run
+with s = g.  The driver solves d(sigma) = R exactly and applies
+x -> x - sigma; the adapter decides whether a failed solve yields an
+obstruction certificate or, on a semisimple factor, a SolverFailure.  The
+two schedulers differ only in how degrees are grouped: `degree` treats one
+homogeneous degree per step, `doubling` treats the block [2^nu, 2^(nu+1))
+per step, clearing its degrees lowest-first so the quadratic interaction of
+corrections (which can reach degree 2^(nu+1)-1) never re-enters a cleared
+block.  The adapter keeps the corrections in order and composes them once,
+right to left, when the run ends; truncated composition is associative, so
+that change is exactly the left-to-right product.  All decisions are exact;
+the Hermitian norms carried on traces are binary64 diagnostics only.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .cohomology import (
     coadjoint_rep,
     cohomology_dimension,
     induced_polynomial_module,
+    linear_field_rep,
     twisted_field_module,
 )
 from .liealg import (
@@ -41,7 +43,7 @@ from .liealg import (
     SolverFailure,
     isotropy_from_linear_part,
 )
-from .linalg import rationals
+from .linalg import exact_scalar, rationals
 from .polyalg import (
     CoordChange,
     Jet,
@@ -75,7 +77,7 @@ class SplitNotCertified(ValueError):
 def hermitian_weights(nvars: int, degree: int, radius=ONE) -> list[Fraction]:
     """Squared norm of each graded-lex monomial of the given degree:
     alpha! n! / (|alpha|+n)! * r^(2|alpha|)."""
-    radius = Fraction(radius)
+    radius = exact_scalar(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
     scale = Fraction(math.factorial(nvars), math.factorial(degree + nvars))
@@ -93,7 +95,7 @@ def hermitian_inner(f: Jet, g: Jet, radius=ONE, min_degree: int = 0) -> Fraction
     """Exact inner product in which distinct monomials are orthogonal and
     x^alpha has squared length alpha! n!/(|alpha|+n)! r^(2|alpha|), taken
     over the parts of degree >= min_degree."""
-    radius = Fraction(radius)
+    radius = exact_scalar(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
     if f.nvars != g.nvars:
@@ -245,14 +247,12 @@ def _remainder_vector(blocks, degree: int) -> tuple[list[int], int]:
     return nums, den
 
 
-def _entry_solve(pi: PoissonJet, module, r: int, entries, basis, targets,
-                 degree: int) -> _SubSolve:
-    """Sub-solve on bivector entries: the degree-d parts of `entries` fill
-    C^r block by block on the monomial `basis`, and the solution's blocks
-    correct the `targets` coordinates on the same basis."""
+def _entry_solve(module, r: int, jets, basis, targets, degree: int) -> _SubSolve:
+    """Sub-solve on whole state jets: their degree-d parts fill C^r block by
+    block on the monomial `basis`, and the solution's blocks correct the
+    `targets` coordinates on the same basis."""
     index = {mono: i for i, mono in enumerate(basis)}
-    blocks = [(pi.entries[p][q], index) for p, q in entries]
-    return _SubSolve(module, r, *_remainder_vector(blocks, degree),
+    return _SubSolve(module, r, *_remainder_vector([(jet, index) for jet in jets], degree),
                      [(t, basis) for t in targets])
 
 
@@ -294,12 +294,14 @@ def _clear_degree(problem, degree: int):
 
 
 def _run_scheduler(problem, scheduler: str, order: int, radius):
-    """Clear degrees 2..order block by block; (obstruction or None, trace).
+    """Clear degrees 2..order block by block; returns (obstruction, trace),
+    or (change, normal form, trace) from the adapter's `finish`.
 
     Partial removal still happens at an obstructed degree before the run
     stops.  A run that clears every degree ends with the adapter's own
     linearity check."""
-    trace = IterationTrace(problem.label or scheduler, Fraction(radius), order)
+    radius = exact_scalar(radius)
+    trace = IterationTrace(problem.label or scheduler, radius, order)
     # a block that treats no degree leaves the state as it was, so the stats
     # are computed once per state and carried forward
     stats = _tail_stats(problem.state_jets(), radius)
@@ -323,8 +325,7 @@ def _run_scheduler(problem, scheduler: str, order: int, radius):
             ))
         if obstruction is not None:
             return obstruction, trace
-    problem.finish()
-    return None, trace
+    return (*problem.finish(), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +356,9 @@ class _Problem:
     `solves(degree)`, `apply(change)` and `state_jets()`, the jets whose
     parts of degree >= 2 the trace measures.  `apply` appends each
     correction to `corrections` as it transports the state.  By default a
-    failed solve yields a certificate, and a finished run that is not linear
-    raises SolverFailure with the subclass's `unfinished` message."""
+    failed solve yields a certificate.  `finish` returns (change, state),
+    or raises SolverFailure with the subclass's `unfinished` message when a
+    state jet is not linear."""
 
     label = None
 
@@ -377,36 +379,73 @@ class _Problem:
         return ObstructionClass(Cochain(module, r, sub.vector), rationals(functional),
                                 cohomology_dimension(module, r))
 
-    def finish(self) -> None:
-        if not self.state.is_linear():
+    def finish(self) -> tuple:
+        if any(jet.highest_degree() not in (None, 1) for jet in self.state_jets()):
             raise SolverFailure(self.unfinished)
+        return self.change(), self.state
 
 
 class _PoissonProblem(_Problem):
-    """Adapter for a bivector: one 2-cochain sub-solve per degree over the
-    isotropy algebra."""
+    """The one bracket adapter.  Each degree runs a 2-cochain sub-solve on
+    the s-s entries over the subalgebra s spans (every coordinate by
+    default), then, per (span, weight) in `spans`, a 1-cochain sub-solve on
+    the entries pairing s with the span, valued in copies of the polynomials
+    twisted by the action of s on the span.  With `base_dim` set, values are
+    cut to the monomials of the stated fiber degree (variables from base_dim
+    on; s-s values have fiber degree one)."""
 
     unfinished = "bracket not linear after all degrees were cleared"
 
-    def __init__(self, pi: PoissonJet, first: CoordChange | None = None):
+    def __init__(self, pi: PoissonJet, first: CoordChange | None = None, s=None,
+                 spans=(), base_dim=None):
+        n = pi.nvars
         self.state = pi
         self.corrections = [] if first is None else [first]
-        self.algebra = isotropy_from_linear_part(pi)
-        self.rep = ExactTable(coadjoint_rep(self.algebra))
-        self.entries = list(combinations(range(pi.nvars), 2))
+        self.algebra = self.s_algebra = isotropy_from_linear_part(pi)
+        self.s = list(range(n) if s is None else s)
+        self.base_dim = base_dim
+        c = self.algebra.constants
+        if self.s != list(range(n)):
+            # s spans a subalgebra of the validated isotropy, certified by the split
+            self.s_algebra = LieAlgebra._trusted(
+                [[[c[a][b][k] for k in self.s] for b in self.s] for a in self.s])
+        rep = coadjoint_rep(self.algebra)
+        self.s_rep = ExactTable([rep[a] for a in self.s])
+        self.spans = [
+            (list(span), weight,
+             ExactTable([[[c[a][j][k] for k in span] for j in span] for a in self.s]))
+            for span, weight in spans if len(span)
+        ]
+        self.entries = list(combinations(self.s, 2)) + [
+            (a, j) for span, _, _ in self.spans for a in self.s for j in span
+        ]
+
+    def _values(self, degree: int, weight):
+        fiber = None if self.base_dim is None else (self.base_dim, weight)
+        return induced_polynomial_module(self.s_algebra, self.state.nvars,
+                                         self.s_rep, degree, fiber)
+
+    def _jets(self, pairs) -> list:
+        """The current state's entries at `pairs`: read when a sub-solve is
+        built, after the ones before it were applied."""
+        return [self.state.entries[p][q] for p, q in pairs]
 
     def solves(self, degree: int):
-        n = self.state.nvars
-        module = induced_polynomial_module(self.algebra, n, self.rep, degree)
-        yield _entry_solve(self.state, module, 2, self.entries, module.labels,
-                           range(n), degree)
+        values = self._values(degree, 1)
+        yield _entry_solve(values, 2, self._jets(combinations(self.s, 2)),
+                           values.labels, self.s, degree)
+        for span, weight, twists in self.spans:
+            values = self._values(degree, weight)
+            yield _entry_solve(twisted_field_module(values, twists), 1,
+                               self._jets((a, j) for a in self.s for j in span),
+                               values.labels, span, degree)
 
     def apply(self, change: CoordChange) -> None:
         self.corrections.append(change)
         self.state = pushforward(self.state, change)
 
     def state_jets(self):
-        return [self.state.entries[p][q] for p, q in self.entries]
+        return self._jets(self.entries)
 
 
 def linearize_poisson(pi: PoissonJet, scheduler: str = "doubling",
@@ -420,11 +459,7 @@ def linearize_poisson(pi: PoissonJet, scheduler: str = "doubling",
     the obstructed degree before the engine stops.
     """
     order, pi = _target(pi, order, "bivector's")
-    problem = _PoissonProblem(pi)
-    obstruction, trace = _run_scheduler(problem, scheduler, order, radius)
-    if obstruction is not None:
-        return obstruction, trace
-    return problem.change(), problem.state, trace
+    return _run_scheduler(_PoissonProblem(pi), scheduler, order, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -565,20 +600,14 @@ class _ActionProblem(_Problem):
         self.state = action
         self.corrections = []
         # corrections keep the linear part, so its modules are keyed once
-        n = action.nvars
         self.twists = ExactTable(action.linear_matrices())
-        self.operator = ExactTable([[[m[b][a] for b in range(n)] for a in range(n)]
-                                    for m in self.twists])
+        self.operator = ExactTable(linear_field_rep(self.twists))
 
     def solves(self, degree: int):
-        action = self.state
-        n = action.nvars
-        base = induced_polynomial_module(action.algebra, n, self.operator, degree)
-        module = twisted_field_module(base, self.twists)
-        index = {mono: i for i, mono in enumerate(base.labels)}
-        blocks = [(comp, index) for fld in action.fields for comp in fld]
-        yield _SubSolve(module, 1, *_remainder_vector(blocks, degree),
-                        [(a, base.labels) for a in range(n)])
+        n = self.state.nvars
+        base = induced_polynomial_module(self.state.algebra, n, self.operator, degree)
+        yield _entry_solve(twisted_field_module(base, self.twists), 1, self.state_jets(),
+                           base.labels, range(n), degree)
 
     def apply(self, change: CoordChange) -> None:
         self.corrections.append(change)
@@ -593,11 +622,7 @@ def linearize_action(action: ActionJet, scheduler: str = "doubling",
     """Linearize a polynomial action; same contract as linearize_poisson with
     1-cochains in place of 2-cochains."""
     order, action = _target(action, order, "action's")
-    problem = _ActionProblem(action)
-    obstruction, trace = _run_scheduler(problem, scheduler, order, radius)
-    if obstruction is not None:
-        return obstruction, trace
-    return problem.change(), problem.state, trace
+    return _run_scheduler(_ActionProblem(action), scheduler, order, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -637,64 +662,17 @@ def _require_certified_split(isotropy: LieAlgebra, split: LeviSplit,
 
 
 class _LeviProblem(_PoissonProblem):
-    """Adapter for a Levi normal form in adapted coordinates.
-
-    `s` lists the coordinates of the semisimple factor.  Each degree runs a
-    2-cochain sub-solve on the s-s entries, then, per (span, weight) in
-    `spans`, a 1-cochain sub-solve on the entries pairing s with the span,
-    valued in copies of the polynomials twisted by the action of s on the
-    span.  With `base_dim` set, polynomial values are cut to the monomials
-    of the stated fiber degree (variables from base_dim on; s-s values have
-    fiber degree one).  Every solve succeeds on a semisimple factor, so a
-    failed one raises SolverFailure.
-    """
+    """The bracket adapter in coordinates adapted to a Levi split: s is the
+    semisimple factor, where every solve succeeds, so a failed one raises
+    SolverFailure."""
 
     label = "levi"
-
-    def __init__(self, pi: PoissonJet, adapt: CoordChange, s, spans, base_dim=None):
-        super().__init__(pi, adapt)
-        n = pi.nvars
-        c = self.algebra.constants
-        self.s = list(s)
-        self.base_dim = base_dim
-        # s spans a subalgebra of the validated isotropy, certified by the split
-        self.s_algebra = LieAlgebra._trusted([[[c[a][b][k] for k in s] for b in s] for a in s])
-        self.s_rep = ExactTable(
-            [[[c[a][j][k] for j in range(n)] for k in range(n)] for a in s]
-        )
-        self.spans = [
-            (list(span), weight,
-             ExactTable([[[c[a][j][k] for k in span] for j in span] for a in s]))
-            for span, weight in spans if len(span)
-        ]
-        self.entries = list(combinations(self.s, 2)) + [
-            (a, j) for span, _, _ in self.spans for a in self.s for j in span
-        ]
-
-    def _values(self, degree: int, weight):
-        fiber = None if self.base_dim is None else (self.base_dim, weight)
-        return induced_polynomial_module(self.s_algebra, self.state.nvars,
-                                         self.s_rep, degree, fiber)
-
-    def solves(self, degree: int):
-        values = self._values(degree, 1)
-        yield _entry_solve(self.state, values, 2, combinations(self.s, 2),
-                           values.labels, self.s, degree)
-        for span, weight, twists in self.spans:
-            values = self._values(degree, weight)
-            module = twisted_field_module(values, twists)
-            yield _entry_solve(self.state, module, 1,
-                               [(a, j) for a in self.s for j in span],
-                               values.labels, span, degree)
+    unfinished = "normalized blocks not exactly linear after the loop"
 
     def obstruction(self, sub: _SubSolve, functional):
         raise SolverFailure(
             f"{sub.cochain_degree}-cochain solve failed on a semisimple factor"
         )
-
-    def finish(self) -> None:
-        if any(jet.highest_degree() not in (None, 1) for jet in self.state_jets()):
-            raise SolverFailure("normalized blocks not exactly linear after the loop")
 
 
 def levi_decompose(pi: PoissonJet, split: LeviSplit, order: int | None = None,
@@ -717,7 +695,7 @@ def levi_decompose(pi: PoissonJet, split: LeviSplit, order: int | None = None,
     )
     problem = _LeviProblem(pushforward(pi, adapt), adapt, range(ns),
                            [(range(ns, n), None)])
-    _, trace = _run_scheduler(problem, "degree", order, radius)
+    change, state, trace = _run_scheduler(problem, "degree", order, radius)
 
     c = problem.algebra.constants
     s_constants = [[[c[a][b][k] for k in range(ns)] for b in range(ns)]
@@ -725,9 +703,8 @@ def levi_decompose(pi: PoissonJet, split: LeviSplit, order: int | None = None,
     r_constants = [[[c[a][ns + beta][ns + gamma] for gamma in range(nr)]
                     for beta in range(nr)] for a in range(ns)]
     residual = {
-        (alpha, beta): problem.state.entries[ns + alpha][ns + beta]
+        (alpha, beta): state.entries[ns + alpha][ns + beta]
         for alpha in range(nr) for beta in range(alpha + 1, nr)
-        if not problem.state.entries[ns + alpha][ns + beta].is_zero()
+        if not state.entries[ns + alpha][ns + beta].is_zero()
     }
-    form = LeviNormalForm(s_constants, r_constants, residual, split, order)
-    return problem.change(), form, trace
+    return change, LeviNormalForm(s_constants, r_constants, residual, split, order), trace

@@ -80,7 +80,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
 
-from .linalg import LinearSolver, rank
+from .linalg import LinearSolver, exact_scalar, rank
 
 Monomial = tuple[int, ...]
 
@@ -109,14 +109,6 @@ def monomials(nvars: int, degree: int) -> list[Monomial]:
 
     rec([], degree, nvars)
     return out
-
-
-def _as_scalar(value) -> Fraction:
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not allowed; use Fraction")
-    return Fraction(value)
 
 
 def _canonical(den: int, num: dict) -> tuple[int, dict]:
@@ -153,7 +145,7 @@ class Jet:
                 mono = tuple(mono)
                 if len(mono) != nvars or any(e < 0 or not isinstance(e, int) for e in mono):
                     raise ValueError(f"bad exponent tuple {mono!r} for {nvars} variables")
-                c = _as_scalar(value)
+                c = exact_scalar(value)
                 if c and sum(mono) <= order:
                     clean[mono] = c
         den = lcm(*(c.denominator for c in clean.values()))
@@ -215,7 +207,7 @@ class Jet:
         acc: dict[Monomial, Fraction] = {}
         for mono, value in terms:
             mono = tuple(mono)
-            acc[mono] = acc.get(mono, _ZERO) + _as_scalar(value)
+            acc[mono] = acc.get(mono, _ZERO) + exact_scalar(value)
         return cls(nvars, order, acc)
 
     # -- inspection --------------------------------------------------------
@@ -342,14 +334,14 @@ class Jet:
         return jet
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -_as_scalar(other))
+        return self + (-other if isinstance(other, Jet) else -exact_scalar(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            c = _as_scalar(other)
+            c = exact_scalar(other)
             return Jet._from_state(self.nvars, self.order, self.den * c.denominator, {
                 deg: {k: v * c.numerator for k, v in items.items()}
                 for deg, items in self._num.items()})
@@ -360,7 +352,7 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        c = _as_scalar(other)
+        c = exact_scalar(other)
         if not c:
             raise ZeroDivisionError("division of a jet by zero")
         return self * (1 / c)
@@ -1028,12 +1020,7 @@ def pushforward(pi: PoissonJet, phi: CoordChange) -> PoissonJet:
         brackets = _brackets(pi, phi.components, order)
         upper = dict(zip(brackets, solve_composed(
             [Jet._from_state(n, order, *form) for form in brackets.values()], phi)))
-    zero = Jet.zero(n, order)
-    grid = [[zero] * n for _ in range(n)]
-    for (i, j), new in upper.items():
-        grid[i][j] = new
-        grid[j][i] = -new
-    return PoissonJet._trusted(grid, n, order)
+    return PoissonJet._trusted_brackets(n, order, upper)
 
 
 def is_poisson_map(pi: PoissonJet, phi: CoordChange, target: PoissonJet) -> bool:

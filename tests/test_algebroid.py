@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -221,6 +222,28 @@ def test_constructor_validation_errors():
                      [[Jet.zero(3, 3)] * 3 for _ in range(3)], 3)
     with pytest.raises(ValueError, match="rank"):
         AlgebroidJet(3, 2, ok.structure, ok.anchor, 3)
+
+
+_C, _B = Jet.zero(1, 3), Jet.zero(1, 4)
+_SHAPE = "need base_dim, rank >= 0 and order >= 1"
+_ANCHOR = "anchor must give base_dim components per section"
+_ENTRY = "structure entries must be base-variable jets at the stated order"
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1, 0, [], [], 1), _SHAPE),
+    ((0, -1, [], [], 1), _SHAPE),
+    ((1, 1, [[[_C]]], [[_B]], 0), _SHAPE),
+    ((1, 1, [[[_C, _C]]], [[_B]], 3), "structure functions must form a rank^3 grid"),
+    ((1, 1, [[[_C]]], [[]], 3), _ANCHOR),
+    ((1, 1, [[[_C]]], [[_B], [_B]], 3), _ANCHOR),
+    ((1, 1, [[[Jet.zero(1, 4)]]], [[_B]], 3), _ENTRY),
+    ((1, 1, [[[Jet.zero(2, 3)]]], [[_B]], 3), _ENTRY),
+    ((1, 1, [[[0]]], [[_B]], 3), _ENTRY),
+])
+def test_algebroid_jet_rejects_malformed_data(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AlgebroidJet(*args)
 
 
 def test_fiberwise_linearity_check_cases():

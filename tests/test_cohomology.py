@@ -1,6 +1,7 @@
 """Cochain complex construction, the coboundary solver, and diagnostics."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,25 @@ def test_gmodule_validates_representation_property():
     bad = [good[0], good[1], [[0] * 3 for _ in range(3)]]
     with pytest.raises(ValueError, match="representation property"):
         GModule(L, bad)
+
+
+@pytest.mark.parametrize("dim, matrices, labels, message", [
+    (1, [], None, "need one matrix per algebra generator"),
+    (1, [[[1], [0]]], None, "representation matrices must be square, equal size"),
+    (2, [[[1]], [[1, 0], [0, 1]]], None, "representation matrices must be square, equal size"),
+    (1, [[[1]]], ["a", "b"], "need one label per module basis vector"),
+])
+def test_gmodule_rejects_malformed_input(dim, matrices, labels, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GModule(LieAlgebra.abelian(dim), matrices, labels)
+
+
+def test_cochain_rejects_a_negative_degree_and_a_wrong_length():
+    module = GModule(LieAlgebra.abelian(1), [[[1]]])
+    with pytest.raises(ValueError, match="cochain degree must be non-negative"):
+        Cochain(module, -1, [])
+    with pytest.raises(ValueError, match=re.escape("flat vector length 2 does not match C^1")):
+        Cochain(module, 1, [1, 2])
 
 
 def test_differential_squares_to_zero():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,16 @@ def test_structure_constant_validation():
     # [e0,e1]=e0, [e0,e2]=e1 fails Jacobi on (0,1,2)
     with pytest.raises(ValueError, match="Jacobi"):
         LieAlgebra.from_sparse(3, [(0, 1, 0, 1), (0, 2, 1, 1)])
+
+
+@pytest.mark.parametrize("constants", [
+    [[[0, 0]]],
+    [[[0], [0]], [[0], [0]]],
+    [[[0, 0], [0]], [[0, 0], [0, 0]]],
+])
+def test_structure_constants_must_form_a_cube(constants):
+    with pytest.raises(ValueError, match=re.escape("structure constants must form an n*n*n array")):
+        LieAlgebra(constants)
 
 
 def _first_failing_ordered_triple(c):

@@ -9,7 +9,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from poislin.cohomology import coadjoint_rep, induced_polynomial_module
+from poislin.algebroid import LinearAlgebroid
+from poislin.cohomology import Cochain, GModule, coadjoint_rep, induced_polynomial_module
+from poislin.liealg import ExactTable, LeviSplit, LieAlgebra
 from poislin.linalg import (
     IntegerRows,
     LinearSolver,
@@ -17,6 +19,7 @@ from poislin.linalg import (
     _integer_rows,
     _pivot_columns,
     dot,
+    exact_scalar,
     extend_to_basis,
     identity_matrix,
     mat_mul,
@@ -25,6 +28,8 @@ from poislin.linalg import (
     row_space_solver,
     symmetric_signature,
 )
+from poislin.normalform import hermitian_inner, hermitian_weights, linearize_poisson
+from poislin.polyalg import Jet
 
 from helpers import (
     gl2_algebra,
@@ -33,12 +38,47 @@ from helpers import (
     record_row_rules,
     sl2_algebra,
     so3_algebra,
+    so3_bivector,
     solvable2_algebra,
 )
 
 
 def random_matrix(rng, nrows, ncols, pool=(-3, -2, -1, 0, 0, 1, 2, 3)):
     return [[Fraction(rng.choice(pool)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _line_module():
+    return GModule(LieAlgebra.abelian(1), [[[1]]])
+
+
+# every site that turns an outside scalar into a Fraction
+FLOAT_SITES = {
+    "exact_scalar": lambda: exact_scalar(0.1),
+    "ExactTable": lambda: ExactTable([[[0.5]]]),
+    "LieAlgebra": lambda: LieAlgebra([[[0.0]]]),
+    "_trusted_sparse": lambda: LieAlgebra._trusted_sparse(2, [(0, 1, 1, 0.5)]),
+    "LeviSplit": lambda: LeviSplit(LieAlgebra.abelian(1), [], [[1.0]]),
+    "_integer_rows dense": lambda: LinearSolver([[0.1, 1]], 2),
+    "_integer_rows sparse": lambda: rank([{0: 0.5}], 1),
+    "symmetric_signature": lambda: symmetric_signature([[0.5]]),
+    "GModule": lambda: GModule(LieAlgebra.abelian(1), [[[0.5]]]),
+    "Cochain": lambda: Cochain(_line_module(), 0, [0.5]),
+    "Cochain.from_components": lambda: Cochain.from_components(_line_module(), 0, {(): [0.5]}),
+    "Cochain.__mul__": lambda: Cochain.zero(_line_module(), 0) * 0.5,
+    "Cochain.__rmul__": lambda: 0.5 * Cochain.zero(_line_module(), 0),
+    "LinearAlgebroid": lambda: LinearAlgebroid(LieAlgebra.abelian(1), [[[0.5]]]),
+    "hermitian_weights": lambda: hermitian_weights(2, 2, 0.3),
+    "hermitian_inner": lambda: hermitian_inner(Jet.variable(0, 1, 2), Jet.variable(0, 1, 2), 0.3),
+    "_run_scheduler": lambda: linearize_poisson(so3_bivector(3), radius=0.3),
+}
+
+
+@pytest.mark.parametrize("build", FLOAT_SITES.values(), ids=FLOAT_SITES.keys())
+def test_exact_constructors_refuse_binary_floats(build):
+    """A binary float's exact value is rarely the number meant (0.1 would be
+    3602879701896397/36028797018963968), so every exact site refuses one."""
+    with pytest.raises(TypeError, match="float coefficients are not allowed"):
+        build()
 
 
 def test_rank_matches_sympy():

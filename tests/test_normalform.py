@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -551,6 +552,20 @@ def test_action_jet_rejects_origin_moving_fields():
         ActionJet(L, [[Jet(1, 3, {(0,): F(1)})]], 3)
 
 
+@pytest.mark.parametrize("dim, fields, message", [
+    (1, [], "need one vector field per generator"),
+    (0, [], "empty action"),
+    (1, [[]], "empty action"),
+    (2, [[Jet.variable(0, 1, 3)], [Jet.variable(0, 2, 3)] * 2],
+     "vector fields must share the variable count"),
+    (1, [[Jet.variable(0, 1, 4)]], "components must be jets in the same variables and order"),
+    (1, [[1]], "components must be jets in the same variables and order"),
+])
+def test_action_jet_rejects_malformed_fields(dim, fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ActionJet(LieAlgebra.abelian(dim), fields, 3)
+
+
 def test_action_linear_matrices_round_trip():
     L = sl2_algebra()
     act = coadjoint_action(L, 4)
@@ -762,6 +777,25 @@ def test_levi_rejects_uncertified_splits():
     other = levi_lift(so3_algebra())
     with pytest.raises(SplitNotCertified):
         levi_decompose(pert, other)
+
+
+@pytest.mark.parametrize("bivector", [so3_bivector, sl2_bivector])
+def test_levi_with_s_equal_to_g_is_the_degree_scheduler_poisson_engine(bivector):
+    """A Levi decomposition with r = 0 is a linearization (Wade 1997; Zung
+    2003).  That both engines return the same change, normal form and trace
+    is a design identity, not a theorem: both run the one bracket adapter
+    with s every coordinate, under the degree scheduler."""
+    base = bivector(5)
+    split = LeviSplit(isotropy_from_linear_part(base), [unit(k, 3) for k in range(3)], [])
+    for seed in range(6):
+        pi = pushforward(base, random_near_identity_change(random.Random(seed), 3, 5))
+        phi, state, trace = linearize_poisson(pi, "degree")
+        levi_phi, form, levi_trace = levi_decompose(pi, split)
+        assert trace.steps
+        assert levi_phi == phi
+        assert form.to_bivector() == state
+        assert levi_trace.scheduler == "levi"
+        assert dataclasses.replace(levi_trace, scheduler="degree") == trace
 
 
 def test_levi_on_a_pure_semisimple_structure_linearizes():

@@ -3,6 +3,7 @@ checked against sympy-based reference computations."""
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -733,6 +734,38 @@ def test_poisson_validation_rejects_jacobi_failure():
             (1, 2): [((1, 0, 0), 1)],
             (0, 2): [((0, 1, 0), -1)],
         })
+
+
+_Z = Jet.zero(2, 3)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[_Z, _Z], [_Z]], "bivector matrix must be square"),
+    ([], "cannot infer the order of an empty bivector"),
+    ([[_Z, _Z], [_Z, Jet.zero(2, 4)]], "entries must be jets in the same variables and order"),
+    ([[_Z, 0], [0, _Z]], "entries must be jets in the same variables and order"),
+    ([[_Z, Jet.one(2, 3)], [-Jet.one(2, 3), _Z]], "bivector must vanish at the origin"),
+])
+def test_poisson_jet_rejects_malformed_grids(entries, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PoissonJet(entries)
+
+
+@pytest.mark.parametrize("components, message", [
+    ([], "empty coordinate change"),
+    ([Jet.variable(0, 2, 3), Jet.variable(1, 2, 4)],
+     "components must be jets in the same variables and order"),
+    ([Jet.variable(0, 1, 3)] * 2, "components must be jets in the same variables and order"),
+])
+def test_coord_change_rejects_malformed_components(components, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CoordChange(components)
+
+
+@pytest.mark.parametrize("key", [(1, 0), (0, 0), (0, 2), (-1, 1)])
+def test_trusted_brackets_need_increasing_keys_in_range(key):
+    with pytest.raises(ValueError, match=re.escape("bracket keys must satisfy 0 <= i < j < nvars")):
+        PoissonJet._trusted_brackets(2, 3, {key: _Z})
 
 
 def test_jacobiator_nonzero_case_frozen():

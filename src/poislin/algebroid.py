@@ -52,6 +52,7 @@ from .polyalg import (
     CoordChange,
     Jet,
     PoissonJet,
+    packed_basis,
     pushforward,
 )
 
@@ -473,25 +474,25 @@ class _DualGradedComplex(CochainComplex):
         self.base_dim = base_dim
         self._by_edeg: dict = {}
 
-    def _slot(self, subset) -> tuple:
+    def slot_basis(self, subset, order=None) -> tuple:
+        """(kept monomials, their module indices) on a subset, in module
+        order; with an `order`, those monomials' `polyalg.packed_basis` at
+        it.  Built once per fiber degree and order."""
         edeg = sum(1 for a in subset if a >= self.base_dim) - (len(subset) - 1)
-        cached = self._by_edeg.get(edeg)
+        cached = self._by_edeg.get((edeg, order))
         if cached is None:
-            labels = self.module.labels
-            kept = [i for i, m in enumerate(labels)
-                    if _fiber_degree(m, self.base_dim) == edeg]
-            basis = [labels[i] for i in kept]
-            cached = (kept, basis, {m: pos for pos, m in enumerate(basis)})
-            self._by_edeg[edeg] = cached
+            if order is not None:
+                cached = packed_basis(self.slot_basis(subset)[0], order)
+            else:
+                labels = self.module.labels
+                kept = [i for i, m in enumerate(labels) if _fiber_degree(m, self.base_dim) == edeg]
+                cached = ([labels[i] for i in kept], kept)
+            self._by_edeg[edeg, order] = cached
         return cached
 
     def slots(self, subset) -> list:
         """Module indices kept on a subset, in module order."""
-        return self._slot(subset)[0]
-
-    def slot_basis(self, subset) -> tuple:
-        """(kept monomials, monomial -> position) on a subset."""
-        return self._slot(subset)[1:]
+        return self.slot_basis(subset)[1]
 
     def h_dim(self, r: int) -> int:
         return cohomology_dimension(self, r)
@@ -535,10 +536,10 @@ class _GradedProblem(_PoissonProblem):
     unfinished = "dual bivector not linear after all degrees were cleared"
 
     def solves(self, degree: int):
-        cx = _graded_complex(self.algebra, self.base_dim, degree)
-        blocks = [(self.state.entries[a][b], cx.slot_basis((a, b))[1])
+        cx, order = _graded_complex(self.algebra, self.base_dim, degree), self.state.order
+        blocks = [(self.state.entries[a][b], cx.slot_basis((a, b), order)[1])
                   for a, b in cx.layout(2)[0]]
-        targets = [(a, cx.slot_basis((a,))[0]) for a in range(self.state.nvars)]
+        targets = [(a, cx.slot_basis((a,), order)[0]) for a in range(self.state.nvars)]
         yield _SubSolve(cx, 2, *_remainder_vector(blocks, degree), targets)
 
     def obstruction(self, sub, functional) -> ObstructionClass:

@@ -49,7 +49,7 @@ from math import lcm
 from .linalg import (IntegerRows, LinearSolver, Vector, _integer_rows, _pivot_columns, dot,
                      exact_scalar, numerators, rationals)
 from .liealg import ExactTable, LieAlgebra
-from .polyalg import monomials
+from .polyalg import monomials, packed_basis
 
 ZERO = Fraction(0)
 
@@ -147,7 +147,7 @@ class GModule(CochainComplex):
     each call.  A module is its own cochain complex, keeping every index on
     every subset, so C^r is subset-major with module index minor."""
 
-    __slots__ = ("algebra", "labels", "dim", "den", "_nonzero_rows")
+    __slots__ = ("algebra", "labels", "dim", "den", "_nonzero_rows", "_packed")
 
     def __init__(self, algebra: LieAlgebra, matrices, labels=None):
         if len(matrices) != algebra.dim:
@@ -172,7 +172,16 @@ class GModule(CochainComplex):
         self.den = den
         self.labels = labels
         self.dim = len(labels)
+        self._packed = {}
         super().__init__()
+
+    def packed_labels(self, order: int) -> tuple[list[int], dict[int, int]]:
+        """`polyalg.packed_basis` of monomial labels at `order`, built once
+        per order."""
+        cached = self._packed.get(order)
+        if cached is None:
+            cached = self._packed[order] = packed_basis(self.labels, order)
+        return cached
 
     def _check_representation(self) -> None:
         """[X_i, X_j] = sum_k c_ij^k X_k on every pair, row by row over the

@@ -79,7 +79,9 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def numerators(b: Vector) -> tuple[list[int], int]:
-    """b as integer numerators over the lcm of its denominators."""
+    """b, each entry read by `exact_scalar`, as integer numerators over the
+    lcm of its denominators."""
+    b = [exact_scalar(x) for x in b]
     den = lcm(*(x.denominator for x in b if x))
     return [x.numerator * (den // x.denominator) if x else 0 for x in b], den
 

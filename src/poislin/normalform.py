@@ -56,7 +56,6 @@ from .polyalg import (
     solve_composed,
 )
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -80,33 +79,39 @@ def hermitian_weights(nvars: int, degree: int, radius=ONE) -> list[Fraction]:
     radius = exact_scalar(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    scale = Fraction(math.factorial(nvars), math.factorial(degree + nvars))
-    rpow = radius ** (2 * degree)
-    out = []
-    for mono in monomials(nvars, degree):
-        fact = 1
-        for e in mono:
-            fact *= math.factorial(e)
-        out.append(fact * scale * rpow)
-    return out
+    scale = radius ** (2 * degree) * Fraction(math.factorial(nvars),
+                                              math.factorial(degree + nvars))
+    return [math.prod(map(math.factorial, mono)) * scale for mono in monomials(nvars, degree)]
 
 
 def hermitian_inner(f: Jet, g: Jet, radius=ONE, min_degree: int = 0) -> Fraction:
     """Exact inner product in which distinct monomials are orthogonal and
     x^alpha has squared length alpha! n!/(|alpha|+n)! r^(2|alpha|), taken
     over the parts of degree >= min_degree."""
+    return Fraction(*_inner_ratio(f, g, radius, min_degree))
+
+
+def hermitian_norm(f: Jet, radius=ONE, min_degree: int = 0) -> float:
+    """sqrt(hermitian_inner(f, f)), no Fraction built: int / int rounds
+    correctly, so the quotient is float() of the exact product."""
+    num, den = _inner_ratio(f, f, radius, min_degree)
+    return math.sqrt(num / den)
+
+
+def _inner_ratio(f: Jet, g: Jet, radius, min_degree: int) -> tuple[int, int]:
+    """hermitian_inner as (numerator, positive denominator), unreduced."""
     radius = exact_scalar(radius)
-    if radius <= 0:
+    if radius.numerator <= 0:
         raise ValueError("radius must be positive")
     if f.nvars != g.nvars:
         raise ValueError("jets live on different variable sets")
     # per degree d, S_d = sum of a*b*alpha! over the integer numerators; the
     # inner product is sum_d S_d n! r^(2d) / (d+n)! over both denominators,
-    # put over one common denominator and turned into a Fraction once
+    # put over one common denominator
     fact = math.factorial
     sums = f.weighted_sums(g, min_degree)
     if not sums:
-        return ZERO
+        return 0, 1
     n = f.nvars
     p, q = radius.numerator, radius.denominator
     top = max(sums)
@@ -114,11 +119,7 @@ def hermitian_inner(f: Jet, g: Jet, radius=ONE, min_degree: int = 0) -> Fraction
         acc * p ** (2 * d) * q ** (2 * (top - d)) * (fact(top + n) // fact(d + n))
         for d, acc in sums.items()
     )
-    return Fraction(num * fact(n), fact(top + n) * q ** (2 * top) * f.den * g.den)
-
-
-def hermitian_norm(f: Jet, radius=ONE, min_degree: int = 0) -> float:
-    return math.sqrt(float(hermitian_inner(f, f, radius, min_degree)))
+    return num * fact(n), fact(top + n) * q ** (2 * top) * f.den * g.den
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,7 @@ class _SubSolve(NamedTuple):
     """One cochain equation d(sigma) = R met while clearing a degree: R is
     `numerators` over `den` in C^r of `complex`, and `targets` pairs each
     block of C^{r-1}, in order, with the coordinate its solution block
-    corrects and the monomials that block's entries multiply."""
+    corrects and the keys, packed in the state's base, of its monomials."""
 
     complex: object
     cochain_degree: int
@@ -224,9 +225,9 @@ class _SubSolve(NamedTuple):
 
 
 def _remainder_vector(blocks, degree: int) -> tuple[list[int], int]:
-    """Degree-d coefficients of each (jet, monomial index) block, concatenated,
-    as integer numerators over the lcm of the jets' denominators.  Nonlinear
-    terms below degree d must already be cleared."""
+    """Degree-d coefficients of each (jet, {key in its base: position})
+    block, concatenated, as integer numerators over the lcm of the jets'
+    denominators.  Nonlinear terms below degree d must already be cleared."""
     den = math.lcm(*(jet.den for jet, _ in blocks))
     nums = []
     for jet, index in blocks:
@@ -238,8 +239,8 @@ def _remainder_vector(blocks, degree: int) -> tuple[list[int], int]:
             )
         block = [0] * len(index)
         up = den // jet.den
-        for mono, n in jet.degree_numerators(degree).items():
-            pos = index.get(mono)
+        for key, n in jet.packed_numerators(degree).items():
+            pos = index.get(key)
             if pos is None:
                 raise SolverFailure("remainder leaves the module's monomial span")
             block[pos] = n * up
@@ -249,25 +250,25 @@ def _remainder_vector(blocks, degree: int) -> tuple[list[int], int]:
 
 def _entry_solve(module, r: int, jets, basis, targets, degree: int) -> _SubSolve:
     """Sub-solve on whole state jets: their degree-d parts fill C^r block by
-    block on the monomial `basis`, and the solution's blocks correct the
-    `targets` coordinates on the same basis."""
-    index = {mono: i for i, mono in enumerate(basis)}
+    block on the `basis` (keys, {key: position}) packed in their base, and
+    the solution's blocks correct the `targets` coordinates on it."""
+    keys, index = basis
     return _SubSolve(module, r, *_remainder_vector([(jet, index) for jet in jets], degree),
-                     [(t, basis) for t in targets])
+                     [(t, keys) for t in targets])
 
 
-def _correction(nums, den: int, targets, nvars: int, order: int) -> CoordChange:
+def _correction(nums, den: int, targets, degree: int, nvars: int, order: int) -> CoordChange:
     """x^t -> x^t - sigma^t, each sigma^t read off its block of the solution
-    nums / den as integer numerators over den; targets are distinct and
-    sigma has degree >= 2, so no check is needed."""
-    comps = [Jet.variable(t, nvars, order) for t in range(nvars)]
-    pos = 0
-    for t, basis in targets:
-        sigma = [(mono, -n) for mono, n in zip(basis, nums[pos:pos + len(basis)]) if n]
-        sigma.append((tuple(int(s == t) for s in range(nvars)), den))
-        comps[t] = Jet.from_numerators(nvars, order, den, sigma)
-        pos += len(basis)
-    return CoordChange._trusted(comps)
+    nums / den on the packed keys of degree-d monomials in base order+1;
+    targets are distinct and d >= 2, so no check is needed."""
+    comps, pos = {}, 0
+    for t, keys in targets:
+        sigma = {key: -n for key, n in zip(keys, nums[pos:pos + len(keys)]) if n}
+        comps[t] = Jet.from_packed(nvars, order, den, {
+            degree: sigma, 1: {(order + 1) ** (nvars - 1 - t): den}})
+        pos += len(keys)
+    return CoordChange._trusted([comps[t] if t in comps else Jet.variable(t, nvars, order)
+                                 for t in range(nvars)])
 
 
 def _clear_degree(problem, degree: int):
@@ -287,7 +288,7 @@ def _clear_degree(problem, degree: int):
             obstruction = problem.obstruction(sub, violated)
         if any(nums):
             nvars, order = problem.state.nvars, problem.state.order
-            problem.apply(_correction(nums, den, sub.targets, nvars, order))
+            problem.apply(_correction(nums, den, sub.targets, degree, nvars, order))
         if obstruction is not None:
             return True, obstruction
     return treated, None
@@ -431,14 +432,15 @@ class _PoissonProblem(_Problem):
         return [self.state.entries[p][q] for p, q in pairs]
 
     def solves(self, degree: int):
+        order = self.state.order
         values = self._values(degree, 1)
         yield _entry_solve(values, 2, self._jets(combinations(self.s, 2)),
-                           values.labels, self.s, degree)
+                           values.packed_labels(order), self.s, degree)
         for span, weight, twists in self.spans:
             values = self._values(degree, weight)
             yield _entry_solve(twisted_field_module(values, twists), 1,
                                self._jets((a, j) for a in self.s for j in span),
-                               values.labels, span, degree)
+                               values.packed_labels(order), span, degree)
 
     def apply(self, change: CoordChange) -> None:
         self.corrections.append(change)
@@ -607,7 +609,7 @@ class _ActionProblem(_Problem):
         n = self.state.nvars
         base = induced_polynomial_module(self.state.algebra, n, self.operator, degree)
         yield _entry_solve(twisted_field_module(base, self.twists), 1, self.state_jets(),
-                           base.labels, range(n), degree)
+                           base.packed_labels(self.state.order), range(n), degree)
 
     def apply(self, change: CoordChange) -> None:
         self.corrections.append(change)

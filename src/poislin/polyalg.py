@@ -77,8 +77,9 @@ Conventions fixed here and relied on everywhere downstream:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .linalg import LinearSolver, exact_scalar, rank
 
@@ -203,6 +204,13 @@ class Jet:
         return cls._from_state(nvars, order, den, num)
 
     @classmethod
+    def from_packed(cls, nvars: int, order: int, den: int, num: dict) -> "Jet":
+        """The jet of fresh packed numerators {degree: {key: numerator}}, keys
+        in base order+1 and degrees at most `order`, over a positive `den`,
+        taken as its state with no check and no Fraction."""
+        return cls._from_state(nvars, order, den, num)
+
+    @classmethod
     def from_terms(cls, nvars: int, order: int, terms) -> "Jet":
         acc: dict[Monomial, Fraction] = {}
         for mono, value in terms:
@@ -221,32 +229,22 @@ class Jet:
             items = self._num[deg]
             yield from [(_unpack(k, radix, n), items[k]) for k in sorted(items, reverse=True)]
 
-    def degree_numerators(self, degree: int) -> dict[Monomial, int]:
-        """{monomial: integer numerator} of the degree-d part, unsorted; each
-        coefficient is its numerator over `den`."""
-        radix, n = self.order + 1, self.nvars
-        return {_unpack(k, radix, n): v for k, v in self._num.get(degree, {}).items()}
+    def packed_numerators(self, degree: int) -> dict[int, int]:
+        """The jet's own {key in base order+1: numerator over `den`} bucket
+        of the degree-d part, as `packed_basis` keys it; never write it."""
+        return self._num.get(degree, {})
 
     def weighted_sums(self, other: "Jet", start: int = 0) -> dict[int, int]:
         """{d: sum of a*b*alpha!} per degree d >= start, over the monomials
         x^alpha on which self and other carry the numerators a and b; each
-        alpha! is read off the digits of a packed key."""
-        radix = self.order + 1
-        fact = [factorial(e) for e in range(radix)]
+        alpha! is read off the table of `_factorials`."""
+        fact = _factorials(self.nvars, self.order)
         theirs = _rebase(other._num, other.nvars, other.order + 1, self.order)
         sums = {}
         for deg, items in self._num.items():
-            match = theirs.get(deg, {}) if deg >= start else {}
-            acc = 0
-            for key, a in items.items():
-                if b := match.get(key):
-                    w = a * b
-                    while key:
-                        key, e = divmod(key, radix)
-                        w *= fact[e]
-                    acc += w
-            if acc:
-                sums[deg] = acc
+            if deg >= start and (match := theirs.get(deg)):
+                if acc := sum(a * match[k] * fact[k] for k, a in items.items() if k in match):
+                    sums[deg] = acc
         return sums
 
     def terms(self):
@@ -414,6 +412,21 @@ def _unpack(key: int, radix: int, nvars: int) -> Monomial:
         exps[i] = key % radix
         key //= radix
     return tuple(exps)
+
+
+def packed_basis(basis, order: int) -> tuple[list[int], dict[int, int]]:
+    """(each distinct monomial's key in base order+1, {key: position})."""
+    keys = [_pack(mono, order + 1) for mono in basis]
+    return keys, {key: i for i, key in enumerate(keys)}
+
+
+@lru_cache(maxsize=64)
+def _factorials(nvars: int, order: int) -> dict[int, int]:
+    """{packed key in base order+1: alpha!} over the monomials x^alpha in
+    `nvars` variables of degree at most `order`; shared, never written."""
+    fact = [factorial(e) for e in range(order + 1)]
+    return {_pack(mono, order + 1): prod(fact[e] for e in mono)
+            for d in range(order + 1) for mono in monomials(nvars, d)}
 
 
 def _rebase(num: dict, nvars: int, radix: int, order: int) -> dict:
@@ -1161,7 +1174,7 @@ def default_names(nvars: int) -> list[str]:
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
+    q = exact_scalar(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

@@ -575,7 +575,8 @@ def test_levi_algebroid_solvable_residual_rides_along():
 def test_clear_caches_empties_every_cached_builder():
     """Every cached builder in the package, filled by an action
     linearization, levi_algebroid and linearize_algebroid, is empty after
-    poislin.clear_caches().  The builders key on algebras by value: equal
+    poislin.clear_caches(): the modules, the graded complexes and the alpha!
+    tables of the trace norms.  The builders key on algebras by value: equal
     algebras built apart hash alike, and so does a frozen LeviSplit."""
     import importlib
     import pkgutil
@@ -591,7 +592,7 @@ def test_clear_caches_empties_every_cached_builder():
     builders = list({id(value): value for module in modules for value in vars(module).values()
                      if hasattr(value, "cache_clear")}.values())
     assert sorted(b.__wrapped__.__name__ for b in builders) == [
-        "_DualGradedComplex", "_induced_module", "twisted_field_module"]
+        "_DualGradedComplex", "_factorials", "_induced_module", "twisted_field_module"]
 
     poislin.clear_caches()
     rng = random.Random(5)
@@ -603,7 +604,7 @@ def test_clear_caches_empties_every_cached_builder():
     linearize_algebroid(moved)
     assert all(b.cache_info().currsize for b in builders)
     poislin.clear_caches()
-    assert [b.cache_info().currsize for b in builders] == [0, 0, 0]
+    assert [b.cache_info().currsize for b in builders] == [0, 0, 0, 0]
 
     L = so3_algebra()
     again = LieAlgebra([[list(row) for row in plane] for plane in L.constants])

@@ -29,7 +29,7 @@ from poislin.linalg import (
     symmetric_signature,
 )
 from poislin.normalform import hermitian_inner, hermitian_weights, linearize_poisson
-from poislin.polyalg import Jet
+from poislin.polyalg import Jet, format_rational
 
 from helpers import (
     gl2_algebra,
@@ -70,6 +70,11 @@ FLOAT_SITES = {
     "hermitian_weights": lambda: hermitian_weights(2, 2, 0.3),
     "hermitian_inner": lambda: hermitian_inner(Jet.variable(0, 1, 2), Jet.variable(0, 1, 2), 0.3),
     "_run_scheduler": lambda: linearize_poisson(so3_bivector(3), radius=0.3),
+    "LinearSolver.solve": lambda: LinearSolver([[1, 0], [0, 1]], 2).solve([0.5, 1]),
+    "LinearSolver.solve_partial": lambda: LinearSolver([[1, 0]], 2).solve_partial([0.5]),
+    "LinearSolver.null_functional": lambda: LinearSolver([[1], [0]], 1).null_functional([1, 0.5]),
+    "LinearSolver.is_consistent": lambda: LinearSolver([[1], [0]], 1).is_consistent([0.5, 0]),
+    "format_rational": lambda: format_rational(0.1),
 }
 
 

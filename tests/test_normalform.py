@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     coadjoint_action,
@@ -58,7 +59,7 @@ from poislin.normalform import (
     linearize_poisson,
     poisson_remainder,
 )
-from poislin.polyalg import monomials
+from poislin.polyalg import monomials, packed_basis
 from oracles import (
     field_commutator_expr,
     field_derivative_expr,
@@ -100,6 +101,53 @@ def test_hermitian_coordinate_norm_matches_closed_form():
             assert hermitian_inner(f, f, r) == r**2 / (n + 1)
             expected = math.sqrt(float(r**2 / (n + 1)))
             assert math.isclose(hermitian_norm(f, r), expected, rel_tol=1e-12)
+
+
+@st.composite
+def _wide_jets(draw, n, order):
+    """Jets with up to 8 terms whose coefficients are ratios of integers of
+    300 to 400 bits, so the numerators over the common denominator run to
+    several hundred bits."""
+    monos = [m for d in range(order + 1) for m in monomials(n, d)]
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=8, unique=True))
+    top = st.integers(-2**400, 2**400)
+    bottom = st.integers(2**300, 2**400)
+    return Jet(n, order, {m: F(draw(top), draw(bottom)) for m in chosen})
+
+
+def _digit_sums(f, g, start):
+    """weighted_sums by its definition: alpha! off each monomial's exponents
+    over the terms the jets share, with the degrees above g's order absent."""
+    theirs = dict(g.numerators())
+    sums = {}
+    for mono, a in f.numerators():
+        if sum(mono) >= start and mono in theirs:
+            weight = math.prod(math.factorial(e) for e in mono)
+            sums[sum(mono)] = sums.get(sum(mono), 0) + a * theirs[mono] * weight
+    return {d: v for d, v in sums.items() if v}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hermitian_norm_is_the_float_of_the_exact_inner_product(data):
+    """hermitian_norm, an int / int quotient, is the float of the exact
+    Fraction hermitian_inner returns, by repr, for radii other than 1,
+    min_degree above 0, numerators of hundreds of bits and n = 2..6; and
+    weighted_sums, read off the alpha! table, matches the digit reading with
+    the other jet at a lower and at a higher order."""
+    n = data.draw(st.integers(2, 6))
+    order = data.draw(st.integers(2, 5 if n < 5 else 4))
+    f = data.draw(_wide_jets(n, order))
+    radius = F(data.draw(st.integers(1, 2**32)), data.draw(st.integers(1, 2**32)))
+    for m in range(order + 2):
+        assert repr(hermitian_norm(f, radius, m)) == repr(
+            math.sqrt(float(hermitian_inner(f, f, radius, m))))
+    for other_order in (order - 1, order + 1):
+        # g shares f's monomials through its order, so the sums have terms
+        g = f.truncate(other_order) + data.draw(_wide_jets(n, other_order))
+        for start in (0, 2):
+            assert f.weighted_sums(g, start) == _digit_sums(f, g, start)
+            assert f.weighted_sums(f, start) == _digit_sums(f, f, start)
 
 
 def test_hermitian_distinct_monomials_are_orthogonal():
@@ -212,7 +260,8 @@ def test_poisson_remainder_requires_normalized_lower_degrees():
 
 
 def _reference_remainder(blocks, degree):
-    """The remainder read term by term through terms(), one Fraction each."""
+    """The remainder read term by term through terms(), one Fraction each,
+    on (jet, {monomial: position}) blocks."""
     vec = []
     for jet, index in blocks:
         block = [F(0)] * len(index)
@@ -241,21 +290,23 @@ def test_remainder_vector_matches_the_per_term_fraction_reading():
         basis = monomials(n, degree)
         kept = rng.sample(basis, rng.randint(1, len(basis)))
         index = {mono: i for i, mono in enumerate(kept)}
-        blocks = [(random_jet(rng, n, order, max_terms=8, coeff_pool=pool,
-                              lowest=rng.choice([0, degree, degree, degree])), index)
-                  for _ in range(rng.randint(1, 3))]
-        dens.extend(jet.den for jet, _ in blocks)
+        jets = [random_jet(rng, n, order, max_terms=8, coeff_pool=pool,
+                           lowest=rng.choice([0, degree, degree, degree]))
+                for _ in range(rng.randint(1, 3))]
+        # the engine reads each block by packed key at the jets' order
+        packed = [(jet, packed_basis(kept, order)[1]) for jet in jets]
+        dens.extend(jet.den for jet in jets)
         try:
-            expected = _reference_remainder(blocks, degree)
+            expected = _reference_remainder([(jet, index) for jet in jets], degree)
         except (PreconditionNotNormalized, SolverFailure) as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$") as raised:
-                _remainder_vector(blocks, degree)
+                _remainder_vector(packed, degree)
             assert type(raised.value) is type(exc)
             outcomes.append(type(exc))
         else:
-            nums, den = _remainder_vector(blocks, degree)
+            nums, den = _remainder_vector(packed, degree)
             assert all(type(x) is int for x in nums)
-            assert den == math.lcm(*(jet.den for jet, _ in blocks))
+            assert den == math.lcm(*(jet.den for jet in jets))
             assert [F(x, den) for x in nums] == expected
             outcomes.append(None if any(expected) else "zero")
     assert set(outcomes) == {None, "zero", PreconditionNotNormalized, SolverFailure}
@@ -264,13 +315,15 @@ def test_remainder_vector_matches_the_per_term_fraction_reading():
 
 def test_correction_matches_the_fraction_construction():
     """_correction on the solution as integer numerators, over the lcm of
-    its denominators or a multiple of it, against Jet.variable(t) - Jet(sigma)
-    built from the Fractions."""
+    its denominators or a multiple of it, and on the basis's packed keys,
+    against Jet.variable(t) - Jet(sigma) built from the Fractions on the
+    monomials."""
     rng = random.Random(1402)
     pool = (0, 0, 0, 2, -1, F(1, 2), F(-3, 4), F(5, 3), F(7, 6))
     for _ in range(150):
         n, order = rng.randint(1, 4), rng.randint(2, 6)
-        basis = monomials(n, rng.randint(2, order))
+        degree = rng.randint(2, order)
+        basis = monomials(n, degree)
         targets = [(t, basis) for t in rng.sample(range(n), rng.randint(1, n))]
         solution = [F(rng.choice(pool)) for _ in range(len(targets) * len(basis))]
         expected = [Jet.variable(t, n, order) for t in range(n)]
@@ -281,7 +334,9 @@ def test_correction_matches_the_fraction_construction():
             pos += len(mons)
         den = math.lcm(*(c.denominator for c in solution)) * rng.choice((1, 1, 2, 3))
         nums = [int(c * den) for c in solution]
-        assert _correction(nums, den, targets, n, order).components == tuple(expected)
+        keys = packed_basis(basis, order)[0]
+        change = _correction(nums, den, [(t, keys) for t, _ in targets], degree, n, order)
+        assert change.components == tuple(expected)
 
 
 def _fractions_built(run):
@@ -307,10 +362,12 @@ def _fractions_built(run):
 
 
 def test_a_warm_normalization_step_builds_no_fraction():
-    """Each degree's step reads its remainder as integer numerators, solves
-    on integers and builds its correction from them: on warm caches, so(3)
-    and sl(2) runs at order 6 build Fractions for the trace alone, and an
-    obstructed run builds them inside the step only for its certificate."""
+    """Each degree's step reads its remainder as integer numerators by packed
+    key, solves on integers and builds its correction from them, and the
+    trace norms are int / int quotients: on warm caches, so(3) and sl(2)
+    runs at order 6 build Fractions only for the isotropy's structure
+    constants, read off the input before the run, and an obstructed run
+    builds them inside the step only for its certificate."""
     rng = random.Random(1604)
     resonant = PoissonJet.from_brackets(3, 4, {    # obstructed at degree 3
         (0, 1): [((0, 1, 0), 1)],
@@ -323,7 +380,8 @@ def test_a_warm_normalization_step_builds_no_fraction():
             linearize_poisson(pi, scheduler)    # fills the module and solver caches
             outcome, stacks = _fractions_built(lambda: linearize_poisson(pi, scheduler))
             step = [names for names in stacks if "_clear_degree" in names]
-            assert any("hermitian_norm" in names for names in stacks)
+            assert stacks and all("isotropy_from_linear_part" in names
+                                  for names in stacks if names not in step)
             assert all("obstruction" in names for names in step)
             assert bool(step) == isinstance(outcome[0], ObstructionClass) == (pi is resonant)
 

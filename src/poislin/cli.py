@@ -20,6 +20,21 @@ result is an obstruction certificate, 1 on input error.
 
 from __future__ import annotations
 
+# polyalg first: a process that writes no bytecode compiles every module it
+# imports, and compiling the largest before the rest are loaded keeps the
+# process's peak memory lowest
+from .polyalg import (
+    CoordChange,
+    JacobiError,
+    Jet,
+    ParseError,
+    PoissonJet,
+    format_polynomial,
+    format_rational,
+    is_poisson_map,
+    parse_polynomial,
+)
+
 import argparse
 import json
 import re
@@ -28,15 +43,6 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import corpus as corpus_module
-from .algebroid import (
-    AlgebroidChange,
-    AlgebroidJet,
-    algebroid_to_poisson,
-    levi_algebroid,
-    linearize_algebroid,
-    trusted_dual,
-)
 from .cohomology import (
     ObstructionClass,
     coadjoint_rep,
@@ -63,17 +69,6 @@ from .normalform import (
     levi_decompose,
     linearize_action,
     linearize_poisson,
-)
-from .polyalg import (
-    CoordChange,
-    JacobiError,
-    Jet,
-    ParseError,
-    PoissonJet,
-    format_polynomial,
-    format_rational,
-    is_poisson_map,
-    parse_polynomial,
 )
 
 DEFAULT_ORDER = 6
@@ -215,15 +210,23 @@ def _sparse_constants(data, dim: int, build, what: str = "'constants'") -> LieAl
         raise _fail(f"{what}: {exc}")
 
 
+def _algebroid():
+    """The algebroid engine, imported by the algebroid paths alone, so the
+    other commands never load it."""
+    from . import algebroid
+
+    return algebroid
+
+
 # A problem file's structures are built by the checked constructors, the
 # one check each gets; a report's read-back of its normal form by the
 # trusted ones, as the morphism equation verifies it instead.
 _CHECKED = {"poisson": PoissonJet.from_brackets, "constants": LieAlgebra.from_sparse,
-            "action": ActionJet, "algebroid": AlgebroidJet}
+            "action": ActionJet, "algebroid": lambda *args: _algebroid().AlgebroidJet(*args)}
 _TRUSTED = {"poisson": PoissonJet._trusted_brackets, "constants": LieAlgebra._trusted_sparse,
             "action": lambda algebra, fields, order:
                 ActionJet._trusted(algebra, fields, len(fields[0]), order),
-            "algebroid": trusted_dual}
+            "algebroid": lambda *args: _algebroid().trusted_dual(*args)}
 
 
 def _invalid(what: str, exc: ValueError, names) -> InputError:
@@ -377,7 +380,7 @@ def _action_dict(action: ActionJet, names, generators) -> dict:
     }
 
 
-def _algebroid_dict(A: AlgebroidJet, names, frame) -> dict:
+def _algebroid_dict(A, names, frame) -> dict:
     structure = []
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
@@ -431,7 +434,7 @@ def _input_echo(spec: ProblemSpec) -> dict:
 
 
 def _change_dict(change, names) -> dict:
-    if isinstance(change, AlgebroidChange):
+    if not isinstance(change, CoordChange):    # an algebroid change
         return {
             "base": _change_dict(change.base, names),
             "frame": [[format_polynomial(entry, names) for entry in row]
@@ -559,7 +562,7 @@ def _read_back(spec, order, change_text, nf_dict):
                                              order + 1) for name in names])
         frame = [[parse_polynomial(entry, names, order + 1) for entry in row]
                  for row in change_text["frame"]]
-        return AlgebroidChange(base, frame).to_dual(), nf
+        return _algebroid().AlgebroidChange(base, frame).to_dual(), nf
     except ValueError:
         return None
 
@@ -577,7 +580,7 @@ def _verify_action(spec, order, change_text, nf_dict) -> bool:
 def _verify_algebroid(spec, order, change_text, nf_dict) -> bool:
     read = _read_back(spec, order, change_text, nf_dict)
     return read is not None and is_poisson_map(
-        algebroid_to_poisson(spec.payload.truncate(order)), *read)
+        _algebroid().algebroid_to_poisson(spec.payload.truncate(order)), *read)
 
 
 def _engine_output(spec: ProblemSpec, order: int, split):
@@ -589,7 +592,7 @@ def _engine_output(spec: ProblemSpec, order: int, split):
     if split is not None:
         try:
             if spec.kind == "algebroid":
-                return levi_algebroid(payload, split, order, radius)
+                return _algebroid().levi_algebroid(payload, split, order, radius)
             change, nf, trace = levi_decompose(payload, split, order, radius)
         except SplitNotCertified as exc:
             raise _fail(str(exc))
@@ -598,7 +601,7 @@ def _engine_output(spec: ProblemSpec, order: int, split):
         return linearize_poisson(payload, spec.scheduler, order, radius)
     if spec.kind == "action":
         return linearize_action(payload, spec.scheduler, order, radius)
-    out = linearize_algebroid(payload, spec.scheduler, order, radius)
+    out = _algebroid().linearize_algebroid(payload, spec.scheduler, order, radius)
     if len(out) == 2:
         return out
     change, linear, trace = out
@@ -751,10 +754,12 @@ def _run_corpus_entry(entry, args) -> tuple[dict, int]:
 
 
 def run_corpus(args) -> tuple[dict, int]:
+    from . import corpus
+
     if args.corpus_command == "list":
         entries = []
-        for name in corpus_module.names():
-            entry = corpus_module.get(name)
+        for name in corpus.names():
+            entry = corpus.get(name)
             entries.append({
                 "name": entry.name,
                 "kind": entry.problem()["kind"],
@@ -767,10 +772,10 @@ def run_corpus(args) -> tuple[dict, int]:
     if args.all:
         reports = []
         ok = True
-        for name in corpus_module.names():
-            report, code = _run_corpus_entry(corpus_module.get(name), args)
+        for name in corpus.names():
+            report, code = _run_corpus_entry(corpus.get(name), args)
             report["exit_code"] = code
-            expected = corpus_module.get(name).expected
+            expected = corpus.get(name).expected
             matched = (code == 2) == (expected == "obstruction")
             # entries run linearize, levi or algebroid, whose reports verify
             # their result; check and analyze verify nothing and say nothing
@@ -780,7 +785,7 @@ def run_corpus(args) -> tuple[dict, int]:
     if not args.name:
         raise _fail("corpus run needs an entry name or --all")
     try:
-        entry = corpus_module.get(args.name)
+        entry = corpus.get(args.name)
     except KeyError as exc:
         raise _fail(str(exc.args[0]))
     return _run_corpus_entry(entry, args)

@@ -14,8 +14,8 @@ Sums, products, brackets, field derivatives X(f), substitution and transport
 read states as they are and hand theirs to the one normalizer,
 `_canonical`.  A key depends on the order, so a change of order goes through
 `_rebase`, the one place a key changes base.  `fractions.Fraction` appears
-only at the edges: the constructors, which reject floats, `terms()`,
-`coefficient()` and the text form.
+only at the edges: the constructors, which reject floats, `terms()` and
+`coefficient()`; the text form reads and writes integer numerators.
 
 Every jet substituted into the same argument tuple (the components of a
 composition, the images a morphism check composes with phi) shares one power
@@ -76,6 +76,7 @@ Conventions fixed here and relied on everywhere downstream:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -86,7 +87,6 @@ from .linalg import LinearSolver, exact_scalar, rank
 Monomial = tuple[int, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def grlex_key(mono: Monomial) -> tuple:
@@ -243,7 +243,11 @@ class Jet:
         sums = {}
         for deg, items in self._num.items():
             if deg >= start and (match := theirs.get(deg)):
-                if acc := sum(a * match[k] * fact[k] for k, a in items.items() if k in match):
+                acc = 0
+                for k, a in items.items():
+                    if k in match:
+                        acc += a * match[k] * fact[k]
+                if acc:
                     sums[deg] = acc
         return sums
 
@@ -1178,34 +1182,29 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _distinct(names) -> list:
+    names = list(names)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names in {names!r}")
+    return names
+
+
 def format_polynomial(jet: Jet, names) -> str:
     """Deterministic text form: graded-lex term order, `p` or `p/q` rationals."""
-    names = list(names)
+    names = _distinct(names)
     if len(names) != jet.nvars:
         raise ValueError("need one name per variable")
-    pieces = []
-    for mono, coeff in jet.terms():
-        factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = format_rational(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([format_rational(mag)] + factors)
-        pieces.append(("-" if coeff < 0 else "+", body))
-    if not pieces:
-        return "0"
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    den, pieces = jet.den, []
+    for mono, n in jet.numerators():
+        g = gcd(n, den)
+        mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
+        if pieces:
+            pieces.append(" - " if n < 0 else " + ")
+        elif n < 0:
+            pieces.append("-")
+        pieces.append("*".join(factors if mag == "1" and factors else [mag, *factors]))
+    return "".join(pieces) or "0"
 
 
 class ParseError(ValueError):
@@ -1220,121 +1219,90 @@ class ParseError(ValueError):
         self.column = col
 
 
-_DIGITS = frozenset("0123456789")   # ASCII only: int() reads other digits, or fails
+# After whitespace (str.isspace), one token: an ASCII number, a word of
+# letters, digits and underscores (str.isalnum), an operator, or any other
+# character.  int() reads non-ASCII digits, or fails, so a number is ASCII.
+_TOKEN = re.compile(r"\s*([0-9]+|\w+|[-+*/^]|\S)")
+_DIGITS = frozenset("0123456789")
+_NOT_A_FACTOR = frozenset(("", "+", "-", "*", "/", "^"))     # "" ends the text
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", text, i)
-    tokens.append(("end", "", n))
-    return tokens
+def _parse_error(message: str, text: str, tokens: list, at: int) -> ParseError:
+    """The error of a text whose token `at` breaks the grammar: at its first
+    character that starts no number, name or operator if it has one, as a
+    scan of the whole text meets that first; else `message` at the token."""
+    starts = [match.start(1) for match in _TOKEN.finditer(text)] + [len(text)]
+    for k, token in enumerate(tokens[:-1]):
+        c = token[0]
+        if not (c in _DIGITS or c in "+-*/^" or c.isalpha() or c == "_"):
+            return ParseError(f"unexpected character {c!r}", text, starts[k])
+    return ParseError(message, text, starts[at])
 
 
 def parse_polynomial(text: str, names, order: int) -> Jet:
     """Parse the canonical grammar: signed sums of `coef*var^exp*...` terms,
-    rationals written `p` or `p/q`.  Raises ParseError with position info."""
-    names = list(names)
-    index = {name: i for i, name in enumerate(names)}
-    nvars = len(names)
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    rationals written `p` or `p/q`.  Raises ParseError with position info.
+    Each term is an integer numerator over an integer denominator; those of
+    degree at most `order` are summed per packed key over one lcm."""
+    names = _distinct(names)
+    if order < 0:
+        raise ValueError("nvars and order must be non-negative")
+    # only a name that starts with a letter or an underscore can be read
+    index = {name: i for i, name in enumerate(names) if name[:1].isalpha() or name[:1] == "_"}
+    tokens = _TOKEN.findall(text) + [""]
+    at = 0
 
     def integer(what: str) -> int:
-        kind, value, at = advance()
-        if kind != "num":
-            raise ParseError(f"expected {what}", text, at)
+        nonlocal at
+        token = tokens[at]
+        if token[:1] not in _DIGITS:
+            raise _parse_error(f"expected {what}", text, tokens, at)
+        at += 1
         try:
-            return int(value)
+            return int(token)
         except ValueError:      # beyond the interpreter's digit limit
-            raise ParseError(f"{len(value)}-digit number is too long", text, at) from None
+            raise _parse_error(f"{len(token)}-digit number is too long",
+                               text, tokens, at - 1) from None
 
-    def parse_number() -> Fraction:
-        result = Fraction(integer("a number"))
-        if peek()[0] == "/":
-            advance()
-            at = peek()[2]
-            den = integer("a denominator")
-            if den == 0:
-                raise ParseError("zero denominator", text, at)
-            result /= den
-        return result
-
-    def parse_factor() -> tuple[Fraction, dict[int, int]]:
-        kind, value, at = peek()
-        if kind == "num":
-            return parse_number(), {}
-        if kind == "name":
-            advance()
-            if value not in index:
-                raise ParseError(f"unknown variable {value!r}", text, at)
-            exp = 1
-            if peek()[0] == "^":
-                advance()
-                exp = integer("an integer exponent")
-            return _ONE, {index[value]: exp}
-        raise ParseError("expected a number or a variable", text, at)
-
-    def parse_term() -> tuple[Fraction, Monomial]:
-        coeff = _ONE
-        exps = [0] * nvars
-        while True:
-            c, powers = parse_factor()
-            coeff *= c
-            for var, e in powers.items():
-                exps[var] += e
-            if peek()[0] == "*":
-                advance()
-                continue
-            return coeff, tuple(exps)
-
-    terms: list[tuple[Monomial, Fraction]] = []
-    sign = _ONE
-    kind, _, _ = peek()
-    if kind in ("+", "-"):
-        sign = -_ONE if kind == "-" else _ONE
-        advance()
+    terms = []      # (degree, exponents, numerator, denominator)
     while True:
-        coeff, mono = parse_term()
-        terms.append((mono, sign * coeff))
-        kind, _, at = peek()
-        if kind == "end":
+        sign = 1
+        if tokens[at] in ("+", "-"):    # optional before the first term, required after
+            sign = -1 if tokens[at] == "-" else 1
+            at += 1
+        num, den, exps = sign, 1, [0] * len(names)
+        while True:
+            token = tokens[at]
+            if token[:1] in _DIGITS:
+                num *= integer("a number")
+                if tokens[at] == "/":
+                    at += 1
+                    den *= (q := integer("a denominator"))
+                    if not q:
+                        raise _parse_error("zero denominator", text, tokens, at - 1)
+            elif token in index:
+                at += 1
+                if tokens[at] == "^":
+                    at += 1
+                    exps[index[token]] += integer("an integer exponent")
+                else:
+                    exps[index[token]] += 1
+            elif token in _NOT_A_FACTOR:
+                raise _parse_error("expected a number or a variable", text, tokens, at)
+            else:
+                raise _parse_error(f"unknown variable {token!r}", text, tokens, at)
+            if tokens[at] != "*":
+                break
+            at += 1
+        if (degree := sum(exps)) <= order:
+            terms.append((degree, exps, num, den))
+        if tokens[at] == "":
             break
-        if kind in ("+", "-"):
-            sign = -_ONE if kind == "-" else _ONE
-            advance()
-            continue
-        raise ParseError("expected '+', '-', or end of input", text, at)
-    return Jet.from_terms(nvars, order, terms)
+        if tokens[at] not in ("+", "-"):
+            raise _parse_error("expected '+', '-', or end of input", text, tokens, at)
+    common, packed = lcm(*(t[3] for t in terms)), {}
+    for degree, exps, num, den in terms:
+        bucket = packed.setdefault(degree, {})
+        key = _pack(exps, order + 1)
+        bucket[key] = bucket.get(key, 0) + num * (common // den)
+    return Jet._from_state(len(names), order, common, packed)

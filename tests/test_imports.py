@@ -20,6 +20,10 @@ normalform and algebroid call no rational `LinearSolver` solve.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -185,3 +189,109 @@ def test_the_check_sees_a_rational_solve():
 @pytest.mark.parametrize("name", ["normalform.py", "algebroid.py"])
 def test_the_engines_call_no_rational_solve(name):
     assert rational_solves((SRC / name).read_text()) == []
+
+
+# -- a lean start-up ----------------------------------------------------------
+#
+# `import poislin` loads no submodule, and the CLI imports the algebroid
+# engine and the corpus only on the paths that run them, so a cold process
+# compiles only what its command needs.  Both hold by construction: a
+# module-level import would undo them without failing any other test.
+
+LAZY_IN_CLI = {"algebroid", "corpus"}
+
+
+def eager_imports(source: str, modules=None) -> list[str]:
+    """Every module-level relative import of a source, or only those that
+    bring in one of `modules` (as `from .m import ...` or `from . import m`)."""
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.ImportFrom) and node.level):
+            continue
+        named = {node.module} if node.module else {alias.name for alias in node.names}
+        if modules is None or named & modules:
+            found.append(f"line {node.lineno}: {', '.join(sorted(named))}")
+    return found
+
+
+def test_the_check_sees_an_eager_import():
+    source = ("import json\nfrom .polyalg import Jet\nfrom . import corpus as c\n"
+              "def run():\n    from .algebroid import levi_algebroid\n"
+              "from .algebroid import AlgebroidJet\n")
+    assert eager_imports(source) == ["line 2: polyalg", "line 3: corpus", "line 6: algebroid"]
+    assert eager_imports(source, LAZY_IN_CLI) == ["line 3: corpus", "line 6: algebroid"]
+
+
+def test_the_package_imports_no_submodule_eagerly():
+    assert eager_imports((SRC / "__init__.py").read_text()) == []
+
+
+def test_the_cli_imports_the_algebroid_engine_and_the_corpus_lazily():
+    assert eager_imports((SRC / "cli.py").read_text(), LAZY_IN_CLI) == []
+
+
+def _fresh(code: str):
+    """Run `code` in a fresh interpreter that imports poislin from this
+    checkout; return what it leaves in the variable `out`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", f"{code}\nprint(repr(out))"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('poislin.'))"
+
+
+def test_importing_the_package_loads_no_submodule():
+    out = _fresh(f"import sys, poislin\nbefore = {LOADED}\npoislin.clear_caches()\n"
+                 f"out = before, {LOADED}, poislin.__version__")
+    assert out == ([], [], "0.1.0")
+
+
+def test_every_public_name_resolves_to_its_submodule_attribute():
+    out = _fresh(
+        "import sys, poislin\n"
+        "out = [(name, type(obj).__name__) for name in poislin.__all__\n"
+        "       if (obj := getattr(poislin, name)) is not getattr(\n"
+        "           sys.modules[getattr(obj, '__module__', 'poislin')], name)]\n"
+        "from poislin import *\n"
+        "missing = [name for name in poislin.__all__ if name not in globals()]\n"
+        "unlisted = sorted(set(poislin.__all__) - set(dir(poislin)))\n"
+        "try:\n    poislin.no_such_name\nexcept AttributeError:\n    pass\n"
+        "else:\n    missing.append('no_such_name resolved')\n"
+        "from poislin import cli, linalg\n"
+        "out = out, missing, unlisted, cli.main is poislin.cli.main, poislin.linalg is linalg")
+    assert out == ([], [], [], True, True)
+
+
+def test_the_cli_compiles_polyalg_before_the_other_engines():
+    """polyalg, the largest module, is the first the CLI imports, so its
+    compilation comes before the rest are loaded and sets a lower peak:
+    the first imports to complete, as sys.modules orders them, are polyalg's
+    one dependency and polyalg."""
+    assert _fresh("import sys, poislin.cli\n"
+                  "out = [m for m in sys.modules if m.startswith('poislin.')][:2]") == [
+        "poislin.linalg", "poislin.polyalg"]
+
+
+@pytest.mark.parametrize("name, loads_algebroid", [
+    ("so3-linear", False), ("gl2-levi", False), ("guillemin-sternberg-action", False),
+    ("so3-coadjoint-algebroid", True)])
+def test_a_command_loads_only_the_engines_it_runs(tmp_path, name, loads_algebroid):
+    """`python -m poislin COMMAND FILE`, run to its end: the Poisson and
+    action files never load the algebroid engine or the corpus."""
+    from poislin import corpus
+
+    entry = corpus.get(name)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(entry.problem(3)))
+    argv = ["poislin", entry.command, str(path), "--out", str(tmp_path / "report.json")]
+    loaded = _fresh(f"import runpy, sys\nsys.argv = {argv!r}\n"
+                    "try:\n    runpy.run_module('poislin', run_name='__main__', alter_sys=True)\n"
+                    "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+                    f"out = {LOADED}")
+    assert json.loads((tmp_path / "report.json").read_text())["verified"] is True
+    assert "poislin.corpus" not in loaded
+    assert ("poislin.algebroid" in loaded) is loads_algebroid

@@ -986,3 +986,101 @@ def test_parse_error_positions():
         parse_polynomial("2 ** x", ["x"], 3)
     with pytest.raises(ParseError):
         parse_polynomial("", ["x"], 3)
+
+
+# The reader's contract, pinned: for each rejected text the message, line and
+# column of its ParseError.  The whole text is scanned before it is parsed, so
+# a stray character wins over an earlier grammar error.
+_LIMIT = sys.get_int_max_str_digits()
+_LONG = "1" * (_LIMIT + 1)
+REJECTED = [
+    pytest.param("x +", "expected a number or a variable", 1, 4, id="trailing-plus"),
+    pytest.param("x\n  * ", "expected a number or a variable", 2, 5, id="trailing-times"),
+    pytest.param("1/2/3*x", "expected '+', '-', or end of input", 1, 4, id="two-slashes"),
+    pytest.param("x/2", "expected '+', '-', or end of input", 1, 2, id="slash-after-name"),
+    pytest.param("x y", "expected '+', '-', or end of input", 1, 3, id="juxtaposed"),
+    pytest.param("2x y", "expected '+', '-', or end of input", 1, 2, id="number-then-name"),
+    pytest.param("x^-1", "expected an integer exponent", 1, 3, id="negative-exponent"),
+    pytest.param("x^", "expected an integer exponent", 1, 3, id="missing-exponent"),
+    pytest.param("x^y", "expected an integer exponent", 1, 3, id="name-exponent"),
+    pytest.param("2 ** x", "expected a number or a variable", 1, 4, id="double-star"),
+    pytest.param("--x", "expected a number or a variable", 1, 2, id="two-signs"),
+    pytest.param("1/x", "expected a denominator", 1, 3, id="name-denominator"),
+    pytest.param("²", "unexpected character '²'", 1, 1, id="superscript-digit"),
+    pytest.param("٣*x", "unexpected character '٣'", 1, 1, id="non-ascii-decimal"),
+    pytest.param("3.5*x", "unexpected character '.'", 1, 2, id="decimal-point"),
+    pytest.param("x y $", "unexpected character '$'", 1, 5, id="stray-character-first"),
+    pytest.param("x + été", "unknown variable 'été'", 1, 5, id="non-ascii-name"),
+    pytest.param("x²", "unknown variable 'x²'", 1, 1, id="superscript-in-name"),
+    pytest.param("x +\n\n 1/0", "zero denominator", 3, 4, id="zero-denominator"),
+    pytest.param(_LONG + "*x", f"{_LIMIT + 1}-digit number is too long", 1, 1,
+                 id="long-numerator"),
+    pytest.param("x^" + _LONG, f"{_LIMIT + 1}-digit number is too long", 1, 3,
+                 id="long-exponent"),
+    pytest.param("", "expected a number or a variable", 1, 1, id="empty"),
+    pytest.param(" \n  ", "expected a number or a variable", 2, 3, id="whitespace"),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", REJECTED)
+def test_rejected_text_names_its_error_and_position(text, message, line, column):
+    if "digit" in message and not _LIMIT:
+        pytest.skip("this interpreter converts integers of any length")
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, ["x", "y", "z"], 3)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_names_are_letters_digits_and_underscores_of_any_script():
+    x, y = (Jet.variable(i, 2, 3) for i in range(2))
+    assert parse_polynomial("été^2*_1 - 1/2", ["été", "_1"], 3) == x * x * y - Fraction(1, 2)
+
+
+def test_duplicate_names_are_refused():
+    with pytest.raises(ValueError, match="duplicate"):
+        parse_polynomial("x", ["x", "x"], 2)
+    with pytest.raises(ValueError, match="duplicate"):
+        format_polynomial(Jet.variable(1, 2, 2), ["x", "x"])
+
+
+def test_a_term_above_the_order_is_dropped_before_it_is_packed(monkeypatch):
+    packed = record_calls(monkeypatch, sys.modules[Jet.__module__], "_pack")
+    jet = parse_polynomial("x^100000000000000000000*y + 2*y^2 - x", ["x", "y"], 3)
+    assert jet == parse_polynomial("2*y^2 - x", ["x", "y"], 3)
+    assert packed and all(sum(mono) <= 3 for mono, _radix in packed)
+
+
+def _reference_text(jet, names) -> str:
+    """The text form built term by term from Fractions."""
+    out = ""
+    for mono, c in jet.terms():
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
+        mag = str(abs(c))
+        body = "*".join(factors if mag == "1" and factors else [mag] + factors)
+        out += ("-" if c < 0 else "") + body if not out else f" {'-+'[c > 0]} {body}"
+    return out or "0"
+
+
+_BIG = st.integers(-2 ** 400, 2 ** 400)
+
+
+@st.composite
+def _named_jets(draw):
+    """(jet, distinct names): n = 1-6, order 0-8, up to eight terms with
+    numerators and denominators of several hundred bits."""
+    n, order = draw(st.integers(1, 6)), draw(st.integers(0, 8))
+    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+                          min_size=n, max_size=n, unique=True))
+    pool = [m for d in range(order + 1) for m in monomials(n, d)]
+    coeffs = st.builds(Fraction, _BIG, st.integers(1, 2 ** 300))
+    return Jet(n, order, draw(st.dictionaries(st.sampled_from(pool), coeffs, max_size=8))), names
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_named_jets())
+def test_text_form_round_trips_with_long_coefficients(case):
+    jet, names = case
+    text = format_polynomial(jet, names)
+    assert text == _reference_text(jet, names)
+    assert parse_polynomial(text, names, jet.order) == jet

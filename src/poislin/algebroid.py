@@ -587,16 +587,6 @@ def levi_algebroid(A: AlgebroidJet, split: LeviSplit, order: int | None = None,
     _require_certified_split(A.fiber_algebra(), split, "the fiber isotropy")
     order, A = _target(A, order, "jet's")
     n = A.base_dim
-    total = n + A.rank
-    ns = len(split.s_basis)
-    dual_order = order + 1
-    rows = [[ONE if t == a else ZERO for t in range(total)] for a in range(n)]
-    rows += [[ZERO] * n + list(v) for v in split.s_basis + split.r_basis]
-    adapt = CoordChange.linear(rows, dual_order)
-    # s-r brackets carry fiber degree one, anchors on s fiber degree zero
-    problem = _LeviProblem(
-        pushforward(algebroid_to_poisson(A), adapt), adapt, range(n, n + ns),
-        [(range(n + ns, total), 1), (range(n), 0)], base_dim=n,
-    )
-    change, dual, trace = _run_scheduler(problem, "degree", dual_order, radius)
+    problem = _LeviProblem(algebroid_to_poisson(A), split, n)
+    change, dual, trace = _run_scheduler(problem, "degree", order + 1, radius)
     return AlgebroidChange.from_dual(change, n), poisson_to_algebroid(dual, n), trace

@@ -98,36 +98,32 @@ class ProblemSpec:
 # parsing
 
 
-def _fail(message: str) -> "InputError":
-    return InputError(message)
-
-
 def _rational(value, what: str) -> Fraction:
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
-        raise _fail(f"{what}: {value!r} is not a rational p or p/q")
+        raise InputError(f"{what}: {value!r} is not a rational p or p/q")
 
 
 def _names_list(data, key: str) -> tuple:
     names = data.get(key)
     if not isinstance(names, list) or not names:
-        raise _fail(f"'{key}' must be a nonempty list of names")
+        raise InputError(f"'{key}' must be a nonempty list of names")
     for name in names:
         if not isinstance(name, str) or not _NAME_RE.match(name):
-            raise _fail(f"invalid {key[:-1]} name {name!r}")
+            raise InputError(f"invalid {key.removesuffix('s')} name {name!r}")
     if len(set(names)) != len(names):
-        raise _fail(f"'{key}' contains duplicates")
+        raise InputError(f"'{key}' contains duplicates")
     return tuple(names)
 
 
 def _poly(text, names, order: int, what: str) -> Jet:
     if not isinstance(text, str):
-        raise _fail(f"{what}: expected polynomial text, got {text!r}")
+        raise InputError(f"{what}: expected polynomial text, got {text!r}")
     try:
         return parse_polynomial(text, names, order)
     except ParseError as exc:
-        raise _fail(f"{what}: {exc}")
+        raise InputError(f"{what}: {exc}")
 
 
 def _pair_key(key: str, names, what: str) -> tuple[int, int, int]:
@@ -135,13 +131,13 @@ def _pair_key(key: str, names, what: str) -> tuple[int, int, int]:
     accepted, the reversed one contributing with a sign flip."""
     parts = key.split(",")
     if len(parts) != 2:
-        raise _fail(f"{what}: key {key!r} must be 'a,b'")
+        raise InputError(f"{what}: key {key!r} must be 'a,b'")
     try:
         i, j = names.index(parts[0].strip()), names.index(parts[1].strip())
     except ValueError:
-        raise _fail(f"{what}: unknown name in key {key!r}")
+        raise InputError(f"{what}: unknown name in key {key!r}")
     if i == j:
-        raise _fail(f"{what}: key {key!r} pairs a name with itself")
+        raise InputError(f"{what}: key {key!r} pairs a name with itself")
     if i > j:
         return j, i, -1
     return i, j, 1
@@ -152,16 +148,16 @@ def _parse_levi(data, dim: int) -> tuple | None:
     if block is None:
         return None
     if not isinstance(block, dict) or set(block) != {"s", "r"}:
-        raise _fail("'levi_factor' must be an object with keys 's' and 'r'")
+        raise InputError("'levi_factor' must be an object with keys 's' and 'r'")
     out = []
     for part in ("s", "r"):
         rows = block[part]
         if not isinstance(rows, list):
-            raise _fail(f"levi_factor.{part} must be a list of vectors")
+            raise InputError(f"levi_factor.{part} must be a list of vectors")
         vecs = []
         for row in rows:
             if not isinstance(row, list) or len(row) != dim:
-                raise _fail(f"levi_factor.{part}: vectors need {dim} entries")
+                raise InputError(f"levi_factor.{part}: vectors need {dim} entries")
             vecs.append(tuple(_rational(v, f"levi_factor.{part}") for v in row))
         out.append(tuple(vecs))
     return tuple(out)
@@ -175,31 +171,31 @@ def _is_int(value) -> bool:
 def _parse_order(data) -> int:
     order = data.get("order", DEFAULT_ORDER)
     if not _is_int(order) or order < 1:
-        raise _fail("'order' must be an integer >= 1")
+        raise InputError("'order' must be an integer >= 1")
     return order
 
 
 def _spec_common(data) -> tuple[str, Fraction]:
     scheduler = data.get("scheduler", "doubling")
     if scheduler not in ("degree", "doubling"):
-        raise _fail(f"unknown scheduler {scheduler!r}; use 'degree' or 'doubling'")
+        raise InputError(f"unknown scheduler {scheduler!r}; use 'degree' or 'doubling'")
     radius = _rational(data.get("radius", "1"), "'radius'")
     if radius <= 0:
-        raise _fail("'radius' must be positive")
+        raise InputError("'radius' must be positive")
     return scheduler, radius
 
 
 def _sparse_constants(data, dim: int, build, what: str = "'constants'") -> LieAlgebra:
     entries = data.get("constants", [])
     if not isinstance(entries, list):
-        raise _fail(f"{what} must be a list of [i, j, k, value] items")
+        raise InputError(f"{what} must be a list of [i, j, k, value] items")
     sparse = []
     for item in entries:
         if not (isinstance(item, list) and len(item) == 4):
-            raise _fail(f"{what}: malformed item {item!r}")
+            raise InputError(f"{what}: malformed item {item!r}")
         i, j, k, value = item
         if not all(_is_int(t) and 0 <= t < dim for t in (i, j, k)):
-            raise _fail(f"{what}: indices must be integers below {dim} in {item!r}")
+            raise InputError(f"{what}: indices must be integers below {dim} in {item!r}")
         c = _rational(value, what)
         if i > j:
             i, j, c = j, i, -c
@@ -207,7 +203,7 @@ def _sparse_constants(data, dim: int, build, what: str = "'constants'") -> LieAl
     try:
         return build(dim, sparse)
     except ValueError as exc:
-        raise _fail(f"{what}: {exc}")
+        raise InputError(f"{what}: {exc}")
 
 
 def _algebroid():
@@ -233,7 +229,7 @@ def _invalid(what: str, exc: ValueError, names) -> InputError:
     """A constructor's error as an input error, a Jacobi failure worded in
     the problem's names."""
     detail = exc.in_names(names) if isinstance(exc, JacobiError) else exc
-    return _fail(f"invalid {what}: {detail}")
+    return InputError(f"invalid {what}: {detail}")
 
 
 def _payload(data, kind: str, names, order: int, build) -> tuple:
@@ -242,12 +238,12 @@ def _payload(data, kind: str, names, order: int, build) -> tuple:
     if kind == "poisson":
         brackets = data.get("brackets", {})
         if not isinstance(brackets, dict):
-            raise _fail("'brackets' must be an object")
+            raise InputError("'brackets' must be an object")
         table = {}
         for key, text in brackets.items():
             i, j, sign = _pair_key(key, names, "'brackets'")
             if (i, j) in table:
-                raise _fail(f"'brackets': pair {key!r} appears twice")
+                raise InputError(f"'brackets': pair {key!r} appears twice")
             jet = _poly(text, names, order, f"brackets[{key!r}]")
             table[(i, j)] = jet if sign > 0 else -jet
         try:
@@ -260,12 +256,12 @@ def _payload(data, kind: str, names, order: int, build) -> tuple:
         algebra = _sparse_constants(data, len(generators), build["constants"])
         fields_block = data.get("fields")
         if not isinstance(fields_block, dict) or set(fields_block) != set(generators):
-            raise _fail("'fields' must map every generator to its components")
+            raise InputError("'fields' must map every generator to its components")
         fields = []
         for gen in generators:
             comps = fields_block[gen]
             if not isinstance(comps, list) or len(comps) != len(names):
-                raise _fail(f"fields[{gen!r}] needs one component per variable")
+                raise InputError(f"fields[{gen!r}] needs one component per variable")
             fields.append([
                 _poly(text, names, order, f"fields[{gen!r}][{a}]")
                 for a, text in enumerate(comps)
@@ -273,7 +269,7 @@ def _payload(data, kind: str, names, order: int, build) -> tuple:
         try:
             return build["action"](algebra, fields, order), generators
         except ValueError as exc:
-            raise _fail(f"invalid action: {exc}")
+            raise InputError(f"invalid action: {exc}")
 
     frame = _names_list(data, "frame")
     rank, base_dim = len(frame), len(names)
@@ -281,32 +277,35 @@ def _payload(data, kind: str, names, order: int, build) -> tuple:
                   for _ in range(rank)] for _ in range(rank)]
     items = data.get("structure", [])
     if not isinstance(items, list):
-        raise _fail("'structure' must be a list of [si, sj, sk, polynomial] items")
+        raise InputError("'structure' must be a list of [si, sj, sk, polynomial] items")
+    seen = set()
     for item in items:
         if not (isinstance(item, list) and len(item) == 4):
-            raise _fail(f"'structure': malformed item {item!r}")
+            raise InputError(f"'structure': malformed item {item!r}")
         si, sj, sk, text = item
         try:
             i, j, k = frame.index(si), frame.index(sj), frame.index(sk)
         except ValueError:
-            raise _fail(f"'structure': unknown section name in {item!r}")
+            raise InputError(f"'structure': unknown section name in {item!r}")
         if i == j:
-            raise _fail(f"'structure': {item!r} pairs a section with itself")
+            raise InputError(f"'structure': {item!r} pairs a section with itself")
         jet = _poly(text, names, order, f"structure[{si},{sj}->{sk}]")
         if i > j:
             i, j, jet = j, i, -jet
-        structure[i][j][k] = structure[i][j][k] + jet
-        structure[j][i][k] = structure[j][i][k] - jet
+        if (i, j, k) in seen:
+            raise InputError(f"'structure': {item!r} repeats an earlier item")
+        seen.add((i, j, k))
+        structure[i][j][k], structure[j][i][k] = jet, -jet
     anchor_block = data.get("anchor", {})
     if not isinstance(anchor_block, dict):
-        raise _fail("'anchor' must be an object")
+        raise InputError("'anchor' must be an object")
     if set(anchor_block) - set(frame):
-        raise _fail("'anchor' keys must be frame section names")
+        raise InputError("'anchor' keys must be frame section names")
     anchor = []
     for i, sec in enumerate(frame):
         comps = anchor_block.get(sec, ["0"] * base_dim)
         if not isinstance(comps, list) or len(comps) != base_dim:
-            raise _fail(f"anchor[{sec!r}] needs one component per base variable")
+            raise InputError(f"anchor[{sec!r}] needs one component per base variable")
         anchor.append([
             _poly(text, names, order + 1, f"anchor[{sec!r}][{a}]")
             for a, text in enumerate(comps)
@@ -319,10 +318,10 @@ def _payload(data, kind: str, names, order: int, build) -> tuple:
 
 def problem_from_dict(data) -> ProblemSpec:
     if not isinstance(data, dict):
-        raise _fail("problem file must hold a JSON object")
+        raise InputError("problem file must hold a JSON object")
     kind = data.get("kind")
     if kind not in ("poisson", "action", "algebroid"):
-        raise _fail(f"'kind' must be poisson, action, or algebroid, got {kind!r}")
+        raise InputError(f"'kind' must be poisson, action, or algebroid, got {kind!r}")
     names = _names_list(data, "variables")
     order = _parse_order(data)
     scheduler, radius = _spec_common(data)
@@ -332,14 +331,24 @@ def problem_from_dict(data) -> ProblemSpec:
                        levi=_parse_levi(data, len(generators or names)))
 
 
+def _unique_members(pairs) -> dict:
+    """A JSON object's members, refusing a name given twice (json keeps the last)."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        names = [name for name, _ in pairs]
+        repeated = next(name for name in names if names.count(name) > 1)
+        raise ValueError(f"name {repeated!r} appears twice in one object")
+    return members
+
+
 def parse_problem(text: str) -> ProblemSpec:
     """Parse a JSON problem file; errors carry line and column positions."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_members)
     except json.JSONDecodeError as exc:
-        raise _fail(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except ValueError as exc:   # an integer literal past the interpreter's digit limit
-        raise _fail(f"problem file: {exc}")
+        raise InputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:   # a name given twice, or an integer past the digit limit
+        raise InputError(f"problem file: {exc}")
     return problem_from_dict(data)
 
 
@@ -516,9 +525,9 @@ def _effective_order(spec: ProblemSpec, args) -> int:
     if limit is None:
         return spec.order
     if limit < 1:
-        raise _fail("--max-degree must be >= 1")
+        raise InputError("--max-degree must be >= 1")
     if limit > spec.order:
-        raise _fail(f"--max-degree {limit} exceeds the problem order {spec.order}")
+        raise InputError(f"--max-degree {limit} exceeds the problem order {spec.order}")
     return limit
 
 
@@ -595,7 +604,7 @@ def _engine_output(spec: ProblemSpec, order: int, split):
                 return _algebroid().levi_algebroid(payload, split, order, radius)
             change, nf, trace = levi_decompose(payload, split, order, radius)
         except SplitNotCertified as exc:
-            raise _fail(str(exc))
+            raise InputError(str(exc))
         return change, nf.to_bivector(), trace
     if spec.kind == "poisson":
         return linearize_poisson(payload, spec.scheduler, order, radius)
@@ -647,7 +656,7 @@ def run_linearize(spec: ProblemSpec, args) -> tuple[dict, int]:
 
 def run_algebroid(spec: ProblemSpec, args) -> tuple[dict, int]:
     if spec.kind != "algebroid":
-        raise _fail("the algebroid command needs an algebroid problem")
+        raise InputError("the algebroid command needs an algebroid problem")
     return _normal_form_report("algebroid", spec, _effective_order(spec, args))
 
 
@@ -658,30 +667,30 @@ def _load_levi(spec: ProblemSpec, args):
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                block = json.load(handle)
+                block = json.load(handle, object_pairs_hook=_unique_members)
         except OSError as exc:
-            raise _fail(f"cannot read levi factor file: {exc}")
+            raise InputError(f"cannot read levi factor file: {exc}")
         except json.JSONDecodeError as exc:
-            raise _fail(f"levi factor file: line {exc.lineno}, "
+            raise InputError(f"levi factor file: line {exc.lineno}, "
                         f"column {exc.colno}: {exc.msg}")
         except ValueError as exc:   # as in parse_problem
-            raise _fail(f"levi factor file: {exc}")
+            raise InputError(f"levi factor file: {exc}")
         rows = _parse_levi({"levi_factor": block}, algebra.dim)
     if rows is None:
-        raise _fail("the levi command needs a levi_factor block or "
+        raise InputError("the levi command needs a levi_factor block or "
                     "--levi-factor FILE")
     try:
         # the one certification of the split
         return LeviSplit(algebra, rows[0], rows[1])
     except LeviSplitError as exc:
-        raise _fail(f"levi factor rejected ({exc.violation}): {exc}")
+        raise InputError(f"levi factor rejected ({exc.violation}): {exc}")
 
 
 def run_levi(spec: ProblemSpec, args) -> tuple[dict, int]:
     if spec.kind == "action":
-        raise _fail("the levi command handles poisson and algebroid problems")
+        raise InputError("the levi command handles poisson and algebroid problems")
     if getattr(args, "scheduler", None) == "doubling":
-        raise _fail("levi runs the degree scheduler; --scheduler doubling does not apply")
+        raise InputError("levi runs the degree scheduler; --scheduler doubling does not apply")
     split = _load_levi(spec, args)
     return _normal_form_report("levi", spec, _effective_order(spec, args), split)
 
@@ -701,9 +710,9 @@ def run_cohomology(spec: ProblemSpec, args) -> tuple[dict, int]:
     degree = args.degree
     module_degree = args.module_degree
     if degree is None or module_degree is None:
-        raise _fail("cohomology needs --degree and --module-degree")
+        raise InputError("cohomology needs --degree and --module-degree")
     if degree < 0 or module_degree < 1:
-        raise _fail("--degree must be >= 0 and --module-degree >= 1")
+        raise InputError("--degree must be >= 0 and --module-degree >= 1")
     algebra, nvars, rep = _polynomial_rep(spec)
     started = time.perf_counter()
     module = induced_polynomial_module(algebra, nvars, rep, module_degree)
@@ -783,11 +792,11 @@ def run_corpus(args) -> tuple[dict, int]:
             reports.append(report)
         return {"command": "corpus-run-all", "reports": reports}, 0 if ok else 1
     if not args.name:
-        raise _fail("corpus run needs an entry name or --all")
+        raise InputError("corpus run needs an entry name or --all")
     try:
         entry = corpus.get(args.name)
     except KeyError as exc:
-        raise _fail(str(exc.args[0]))
+        raise InputError(str(exc.args[0]))
     return _run_corpus_entry(entry, args)
 
 
@@ -956,7 +965,7 @@ def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
     if radius is not None:
         value = _rational(radius, "--radius")
         if value <= 0:
-            raise _fail("--radius must be positive")
+            raise InputError("--radius must be positive")
         spec.radius = value
     return spec
 
@@ -971,7 +980,7 @@ def main(argv=None) -> int:
                 with open(args.file, "r", encoding="utf-8") as handle:
                     text = handle.read()
             except OSError as exc:
-                raise _fail(f"cannot read problem file: {exc}")
+                raise InputError(f"cannot read problem file: {exc}")
             spec = _apply_overrides(parse_problem(text), args)
             report, code = _COMMANDS[args.command](spec, args)
     except (InputError, SolverFailure) as exc:

@@ -1,17 +1,17 @@
 """Normalization engines.
 
-One driver, `_run_scheduler`, runs every engine and returns its result.
-Each engine is a problem adapter that lists, for a homogeneous degree d, its
+One driver, `_run_scheduler`, runs every engine and returns its result.  Each
+engine is a problem adapter that lists, for a homogeneous degree d, its
 sub-solves in order: a cochain complex and degree r, the degree-d remainder
 read off the current state as a vector in C^r, and the coordinates a
-primitive corrects.  One bracket adapter serves Poisson brackets, algebroid
-duals and both Levi normal forms: Poisson linearization is its Levi run
-with s = g.  The driver solves d(sigma) = R exactly and applies
-x -> x - sigma; the adapter decides whether a failed solve yields an
-obstruction certificate or, on a semisimple factor, a SolverFailure.  The
+primitive corrects.  One bracket adapter, made from a Levi split, serves
+Poisson brackets, algebroid duals and both Levi normal forms: Poisson
+linearization is its run with s = g.  The driver solves d(sigma) = R exactly
+and applies x -> x - sigma; the adapter decides whether a failed solve yields
+an obstruction certificate or, on a semisimple factor, a SolverFailure.  The
 two schedulers differ only in how degrees are grouped: `degree` treats one
-homogeneous degree per step, `doubling` treats the block [2^nu, 2^(nu+1))
-per step, clearing its degrees lowest-first so the quadratic interaction of
+homogeneous degree per step, `doubling` treats the block [2^nu, 2^(nu+1)) per
+step, clearing its degrees lowest-first so the quadratic interaction of
 corrections (which can reach degree 2^(nu+1)-1) never re-enters a cleared
 block.  The adapter keeps the corrections in order and composes them once,
 right to left, when the run ends; truncated composition is associative, so
@@ -387,23 +387,29 @@ class _Problem:
 
 
 class _PoissonProblem(_Problem):
-    """The one bracket adapter.  Each degree runs a 2-cochain sub-solve on
-    the s-s entries over the subalgebra s spans (every coordinate by
-    default), then, per (span, weight) in `spans`, a 1-cochain sub-solve on
-    the entries pairing s with the span, valued in copies of the polynomials
-    twisted by the action of s on the span.  With `base_dim` set, values are
-    cut to the monomials of the stated fiber degree (variables from base_dim
-    on; s-s values have fiber degree one)."""
+    """The one bracket adapter.  A Levi split moves the bracket by the
+    adapted change, its first correction: the identity on the first
+    `base_dim` coordinates, then the split's s and r rows.  s is the next
+    len(s_basis) coordinates (every one with no split) and meets the spans
+    r, then the base.  Per degree, a 2-cochain sub-solve on the s-s entries,
+    then per span a 1-cochain one on the entries pairing s with it, valued
+    in polynomials twisted by s: with `base_dim` set, those of fiber degree
+    (in the variables from base_dim on) one, or zero where s meets the base."""
 
     unfinished = "bracket not linear after all degrees were cleared"
 
-    def __init__(self, pi: PoissonJet, first: CoordChange | None = None, s=None,
-                 spans=(), base_dim=None):
-        n = pi.nvars
+    def __init__(self, pi: PoissonJet, split: LeviSplit | None = None, base_dim=None):
+        n, b = pi.nvars, base_dim or 0
+        self.corrections, self.s, spans = [], list(range(n)), []
+        if split is not None:
+            rows = [[int(t == a) for t in range(n)] for a in range(b)]
+            rows += [[0] * b + list(v) for v in split.s_basis + split.r_basis]
+            self.corrections.append(CoordChange.linear(rows, pi.order))
+            pi = pushforward(pi, self.corrections[0])
+            ns = len(split.s_basis)
+            self.s, spans = list(range(b, b + ns)), [range(b + ns, n), range(b)]
         self.state = pi
-        self.corrections = [] if first is None else [first]
         self.algebra = self.s_algebra = isotropy_from_linear_part(pi)
-        self.s = list(range(n) if s is None else s)
         self.base_dim = base_dim
         c = self.algebra.constants
         if self.s != list(range(n)):
@@ -413,16 +419,16 @@ class _PoissonProblem(_Problem):
         rep = coadjoint_rep(self.algebra)
         self.s_rep = ExactTable([rep[a] for a in self.s])
         self.spans = [
-            (list(span), weight,
-             ExactTable([[[c[a][j][k] for k in span] for j in span] for a in self.s]))
-            for span, weight in spans if len(span)
+            (list(span), ExactTable([[[c[a][j][k] for k in span] for j in span] for a in self.s]))
+            for span in spans if len(span)
         ]
         self.entries = list(combinations(self.s, 2)) + [
-            (a, j) for span, _, _ in self.spans for a in self.s for j in span
+            (a, j) for span, _ in self.spans for a in self.s for j in span
         ]
 
-    def _values(self, degree: int, weight):
-        fiber = None if self.base_dim is None else (self.base_dim, weight)
+    def _values(self, degree: int, meets: int | None = None):
+        fiber = None if self.base_dim is None else (
+            self.base_dim, int(meets is None or meets >= self.base_dim))
         return induced_polynomial_module(self.s_algebra, self.state.nvars,
                                          self.s_rep, degree, fiber)
 
@@ -433,11 +439,11 @@ class _PoissonProblem(_Problem):
 
     def solves(self, degree: int):
         order = self.state.order
-        values = self._values(degree, 1)
+        values = self._values(degree)
         yield _entry_solve(values, 2, self._jets(combinations(self.s, 2)),
                            values.packed_labels(order), self.s, degree)
-        for span, weight, twists in self.spans:
-            values = self._values(degree, weight)
+        for span, twists in self.spans:
+            values = self._values(degree, span[0])
             yield _entry_solve(twisted_field_module(values, twists), 1,
                                self._jets((a, j) for a in self.s for j in span),
                                values.packed_labels(order), span, degree)
@@ -664,9 +670,9 @@ def _require_certified_split(isotropy: LieAlgebra, split: LeviSplit,
 
 
 class _LeviProblem(_PoissonProblem):
-    """The bracket adapter in coordinates adapted to a Levi split: s is the
-    semisimple factor, where every solve succeeds, so a failed one raises
-    SolverFailure."""
+    """The bracket adapter made from a Levi split, `_LeviProblem(pi, split[,
+    base_dim])`: s is the semisimple factor, where every solve succeeds, so
+    a failed one raises SolverFailure."""
 
     label = "levi"
     unfinished = "normalized blocks not exactly linear after the loop"
@@ -689,14 +695,8 @@ def levi_decompose(pi: PoissonJet, split: LeviSplit, order: int | None = None,
     """
     _require_certified_split(isotropy_from_linear_part(pi), split)
     order, pi = _target(pi, order, "bivector's")
-    n = pi.nvars
-    ns = len(split.s_basis)
-    nr = len(split.r_basis)
-    adapt = CoordChange.linear(
-        [list(v) for v in split.s_basis + split.r_basis], order
-    )
-    problem = _LeviProblem(pushforward(pi, adapt), adapt, range(ns),
-                           [(range(ns, n), None)])
+    ns, nr = len(split.s_basis), len(split.r_basis)
+    problem = _LeviProblem(pi, split)
     change, state, trace = _run_scheduler(problem, "degree", order, radius)
 
     c = problem.algebra.constants

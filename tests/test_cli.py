@@ -236,6 +236,57 @@ def test_check_rejects_boolean_constant_indices(tmp_path, capsys):
     assert "indices must be integers" in err
 
 
+HEISENBERG_ALGEBROID = {"kind": "algebroid", "variables": ["u"], "frame": ["e1", "e2", "e3"],
+                        "order": 2, "structure": [["e1", "e2", "e3", "1/2"]]}
+
+
+@pytest.mark.parametrize("items", [
+    [["e1", "e2", "e3", "1/2"], ["e1", "e2", "e3", "1/2"]],
+    [["e1", "e2", "e3", "1"], ["e2", "e1", "e3", "-1"]],
+], ids=["same-orientation", "reversed"])
+def test_check_rejects_a_repeated_structure_item(tmp_path, capsys, items):
+    path = write_problem(tmp_path, dict(HEISENBERG_ALGEBROID, structure=items))
+    code, out, err = run_cli(capsys, ["check", path])
+    assert (code, out) == (1, "")
+    assert err == f"error: 'structure': {items[1]!r} repeats an earlier item\n"
+    code, _, _ = run_cli(capsys, ["check", write_problem(tmp_path, HEISENBERG_ALGEBROID)])
+    assert code == 0
+
+
+def test_check_rejects_a_name_given_twice_in_one_object(tmp_path, capsys):
+    # json.loads alone keeps the last value and reads {x, y} = 2z
+    path = tmp_path / "prob.json"
+    path.write_text('{"kind": "poisson", "variables": ["x", "y", "z"], "brackets": '
+                    '{"x,y": "z", "y,z": "x", "z,x": "y", "x,y": "2*z"}}')
+    code, out, err = run_cli(capsys, ["check", str(path)])
+    assert (code, out, err) == (1, "", "error: problem file: name 'x,y' appears twice "
+                                       "in one object\n")
+    prob = corpus.get("gl2-levi").problem(4)
+    factor = prob.pop("levi_factor")
+    text = json.dumps(factor)
+    split = tmp_path / "split.json"
+    split.write_text(text[:-1] + ', "r": []}')
+    argv = ["levi", write_problem(tmp_path, prob), "--levi-factor", str(split)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "", "error: levi factor file: name 'r' appears twice "
+                                       "in one object\n")
+    split.write_text(text)
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+
+
+@pytest.mark.parametrize("data, message", [
+    (dict(SO3_PROBLEM, variables=["x", "1y", "z"]), "invalid variable name '1y'"),
+    (dict(corpus.get("guillemin-sternberg-action").problem(3), generators=["X", "Y-", "Z"]),
+     "invalid generator name 'Y-'"),
+    (dict(HEISENBERG_ALGEBROID, frame=["e1", "e-1", "e3"]), "invalid frame name 'e-1'"),
+], ids=["variable", "generator", "frame"])
+def test_an_invalid_name_is_named_by_its_list(data, message):
+    with pytest.raises(InputError) as err:
+        problem_from_dict(data)
+    assert str(err.value) == message
+
+
 def perturbed_so3_problem(order=6):
     rng = random.Random(41)
     moved = pushforward(so3_bivector(order),

@@ -814,10 +814,11 @@ def test_levi_finish_rejects_a_nonlinear_normalized_block():
     linear = sl2_bivector(2)
     bent = pushforward(linear, CoordChange([
         Jet.variable(0, 3, 2), Jet(3, 2, {(0, 1, 0): 1, (2, 0, 0): 1}), Jet.variable(2, 3, 2)]))
-    identity = CoordChange.identity(3, 2)
-    _LeviProblem(linear, identity, range(3), []).finish()
+    L = isotropy_from_linear_part(linear)
+    identity = LeviSplit(L, L.basis(), ())
+    _LeviProblem(linear, identity).finish()
     with pytest.raises(SolverFailure, match="not exactly linear"):
-        _LeviProblem(bent, identity, range(3), []).finish()
+        _LeviProblem(bent, identity).finish()
 
 
 def test_levi_rejects_uncertified_splits():

@@ -20,6 +20,10 @@ class: it is a `cohomology.CochainComplex` whose slot rule keeps the
 monomials of one fiber degree on each subset of the coadjoint polynomial
 module of the dual isotropy, so its layout, matrices, solvers and ranks come
 from the same code as the full complex's.
+
+The fiber exponents of a dual jet are the low `rank` digits of its packed
+keys, and one pair reads and writes them: `_split` cuts a dual jet into its
+base-variable coefficient jets, and `_join` writes them back.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .cohomology import (
     Cochain,
@@ -60,46 +65,47 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _fiber_degree(mono, base_dim: int) -> int:
-    return sum(mono[base_dim:])
+def _split(jet: Jet, base_dim: int, weight: int, order: int) -> list | None:
+    """The base-variable jets at `order` of a dual-variable jet of fiber
+    degree `weight`: [c] for c(x), or [c_1..c_r] for sum_k c_k(x) e_k; None
+    when a term has another fiber degree."""
+    rank, radix = jet.nvars - base_dim, jet.order + 1
+    cut = radix ** rank
+    slots = {radix ** (rank - 1 - k): k for k in range(rank)} if weight else {0: 0}
+    parts = [{} for _ in slots]
+    for deg in range(jet.order + 1):
+        for key, v in jet.packed_numerators(deg).items():
+            k = slots.get(key % cut)
+            if k is None:
+                return None
+            parts[k].setdefault(deg - weight, {})[key // cut] = v
+    return [Jet.from_packed(base_dim, jet.order, jet.den, part).truncate(order)
+            for part in parts]
 
 
-def _promote(jet: Jet, base_dim: int, rank: int, order: int) -> Jet:
-    """Reinterpret a base-variable jet in the dual variables."""
-    pad = (0,) * rank
-    return Jet.from_numerators(base_dim + rank, order, jet.den,
-                               [(mono + pad, c) for mono, c in jet.numerators()])
-
-
-def _fiber_sum(jets, base_dim: int, rank: int, order: int) -> Jet:
-    """sum_k jets[k] e_k in the dual variables, for base-variable jets."""
-    total = base_dim + rank
-    return sum((_promote(jet, base_dim, rank, order) * Jet.variable(base_dim + k, total, order)
-                for k, jet in enumerate(jets)), Jet.zero(total, order))
-
-
-def _base_part(jet: Jet, base_dim: int, order: int) -> Jet:
-    """Drop the fiber variables from a jet that does not use them."""
-    terms = list(jet.numerators())
-    if any(any(mono[base_dim:]) for mono, _ in terms):
-        raise ValueError("jet depends on fiber variables")
-    return Jet.from_numerators(base_dim, order, jet.den,
-                               [(mono[:base_dim], c) for mono, c in terms])
+def _join(jets, base_dim: int, rank: int, weight: int, order: int) -> Jet:
+    """The dual-variable jet at `order` of base-variable jets: c(x) for [c],
+    or sum_k c_k(x) e_k for [c_1..c_r], dropping what falls above the order;
+    the inverse of `_split`."""
+    radix, den = order + 1, lcm(*(jet.den for jet in jets))
+    cut = radix ** rank
+    num: dict = {}
+    for k, jet in enumerate(jets):
+        low, scale = radix ** (rank - 1 - k) if weight else 0, den // jet.den
+        # keys stay in base order+1: only the degrees shift by the weight
+        jet = jet.truncate(order)
+        for deg in range(order + 1 - weight):
+            for key, v in jet.packed_numerators(deg).items():
+                num.setdefault(deg + weight, {})[key * cut + low] = v * scale
+    return Jet.from_packed(base_dim + rank, order, den, num)
 
 
 def _read_views(dual: PoissonJet, base_dim: int) -> tuple:
     """(structure, anchor) read off a fiberwise linear dual."""
-    n, order, rows = base_dim, dual.order - 1, dual.entries
-    rank = dual.nvars - n
-    structure = [[[Jet.zero(n, order)] * rank for _ in range(rank)] for _ in range(rank)]
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            # the entry is fiber-linear: its e_k coefficient is d/de_k
-            row = [_base_part(rows[n + i][n + j].diff(n + k), n, order) for k in range(rank)]
-            structure[i][j], structure[j][i] = row, [-jet for jet in row]
-    anchor = tuple(tuple(_base_part(jet, n, order + 1) for jet in rows[n + i][:n])
-                   for i in range(rank))
-    return tuple(tuple(map(tuple, block)) for block in structure), anchor
+    n, order, rows = base_dim, dual.order - 1, dual.entries[base_dim:]
+    structure = tuple(tuple(tuple(_split(jet, n, 1, order)) for jet in row[n:]) for row in rows)
+    anchor = tuple(tuple(_split(jet, n, 0, order + 1)[0] for jet in row[:n]) for row in rows)
+    return structure, anchor
 
 
 def _linear_data(dual: PoissonJet, base_dim: int) -> tuple:
@@ -252,11 +258,11 @@ def trusted_dual(base_dim: int, rank: int, structure, anchor, order: int) -> Poi
     grid = [[Jet.zero(total, order + 1)] * total for _ in range(total)]
     for i in range(rank):
         for j in range(i + 1, rank):
-            jet = _fiber_sum(structure[i][j], n, rank, order + 1)
+            jet = _join(structure[i][j], n, rank, 1, order + 1)
             grid[n + i][n + j] = jet
             grid[n + j][n + i] = -jet
         for l in range(n):
-            jet = _promote(anchor[i][l], n, rank, order + 1)
+            jet = _join([anchor[i][l]], n, rank, 0, order + 1)
             grid[n + i][l] = jet
             grid[l][n + i] = -jet
     return PoissonJet._trusted(grid, total, order + 1)
@@ -277,20 +283,10 @@ def fiberwise_linearity_check(pi: PoissonJet, base_dim: int) -> bool:
     """
     if not 0 <= base_dim <= pi.nvars:
         raise ValueError("base dimension out of range")
-    n = pi.nvars
-    for a in range(n):
-        for b in range(a + 1, n):
-            entry = pi.entries[a][b]
-            if b < base_dim:
-                if not entry.is_zero():
-                    return False
-            elif a < base_dim:
-                if any(_fiber_degree(m, base_dim) for m, _ in entry.numerators()):
-                    return False
-            else:
-                if any(_fiber_degree(m, base_dim) != 1 for m, _ in entry.numerators()):
-                    return False
-    return True
+    n, rows = pi.nvars, pi.entries
+    return all(rows[a][b].is_zero() if b < base_dim
+               else _split(rows[a][b], base_dim, a >= base_dim, pi.order) is not None
+               for a in range(n) for b in range(a + 1, n))
 
 
 def poisson_to_algebroid(pi: PoissonJet, base_dim: int) -> AlgebroidJet:
@@ -311,11 +307,8 @@ def is_graded_change(change: CoordChange, base_dim: int) -> bool:
     """Whether a dual-variable change is a base diffeomorphism jet plus a
     frame change: base images free of fiber variables, fiber images of
     fiber-degree exactly one."""
-    for a, comp in enumerate(change.components):
-        want = 0 if a < base_dim else 1
-        if any(_fiber_degree(m, base_dim) != want for m, _ in comp.numerators()):
-            return False
-    return True
+    return all(_split(comp, base_dim, a >= base_dim, change.order) is not None
+               for a, comp in enumerate(change.components))
 
 
 @dataclass
@@ -355,27 +348,18 @@ class AlgebroidChange:
         return cls(CoordChange.identity(base_dim, order), frame)
 
     def to_dual(self) -> CoordChange:
-        n = self.base.nvars
-        r = self.rank
-        order = self.base.order
-        comps = [_promote(c, n, r, order) for c in self.base.components]
-        comps += [_fiber_sum(row, n, r, order) for row in self.frame]
-        return CoordChange(comps)
+        n, r, order = self.base.nvars, self.rank, self.base.order
+        # a frame entry c is written as c e_k, so its degree-N terms drop out
+        return CoordChange([_join([c], n, r, 0, order) for c in self.base.components]
+                           + [_join(row, n, r, 1, order) for row in self.frame])
 
     @classmethod
     def from_dual(cls, change: CoordChange, base_dim: int) -> "AlgebroidChange":
-        if not is_graded_change(change, base_dim):
+        parts = [_split(comp, base_dim, a >= base_dim, change.order)
+                 for a, comp in enumerate(change.components)]
+        if None in parts:
             raise ValueError("change does not preserve the base/fiber grading")
-        n = base_dim
-        r = change.nvars - n
-        order = change.order
-        base = CoordChange(
-            [_base_part(c, n, order) for c in change.components[:n]]
-        )
-        # fiber images are fiber-linear: the e_j coefficient is d/de_j
-        frame = [[_base_part(comp.diff(n + j), n, order) for j in range(r)]
-                 for comp in change.components[n:]]
-        return cls(base, frame)
+        return cls(CoordChange([part[0] for part in parts[:base_dim]]), parts[base_dim:])
 
     def __eq__(self, other):
         if not isinstance(other, AlgebroidChange):
@@ -485,7 +469,7 @@ class _DualGradedComplex(CochainComplex):
                 cached = packed_basis(self.slot_basis(subset)[0], order)
             else:
                 labels = self.module.labels
-                kept = [i for i, m in enumerate(labels) if _fiber_degree(m, self.base_dim) == edeg]
+                kept = [i for i, m in enumerate(labels) if sum(m[self.base_dim:]) == edeg]
                 cached = ([labels[i] for i in kept], kept)
             self._by_edeg[edeg, order] = cached
         return cached

@@ -347,7 +347,7 @@ def parse_problem(text: str) -> ProblemSpec:
         data = json.loads(text, object_pairs_hook=_unique_members)
     except json.JSONDecodeError as exc:
         raise InputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except ValueError as exc:   # a name given twice, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:   # a name twice, a long integer, deep nesting
         raise InputError(f"problem file: {exc}")
     return problem_from_dict(data)
 
@@ -624,13 +624,17 @@ def _normal_form_report(command: str, spec: ProblemSpec, order: int,
     `timing_seconds` covers the engine and the verification."""
     report = _base_report(command, spec)
     started = time.perf_counter()
-    out = _engine_output(spec, order, split)
+    try:
+        out = _engine_output(spec, order, split)
+        trace = _trace_dict(out[-1])
+    except OverflowError:   # a trace norm, or the radius itself, past binary64
+        raise InputError(f"radius {format_rational(spec.radius)}: the trace norms "
+                         "overflow a float; choose a smaller radius")
     if len(out) == 2:
-        cert, trace = out
-        result = {"status": "obstructed", "obstruction": _obstruction_dict(cert)}
+        result = {"status": "obstructed", "obstruction": _obstruction_dict(out[0])}
         verified, code = result["obstruction"]["verified"], 2
     else:
-        change, normal_form, trace = out
+        change, normal_form, _ = out
         result = {"status": "linearized" if split is None else "normal-form",
                   "change": _change_dict(change, spec.names),
                   "normal_form": _payload_dict(replace(spec, payload=normal_form))}
@@ -644,7 +648,7 @@ def _normal_form_report(command: str, spec: ProblemSpec, order: int,
         code = 0
     elapsed = time.perf_counter() - started
     report["result"] = result
-    report["trace"] = _trace_dict(trace)
+    report["trace"] = trace
     report["timing_seconds"] = elapsed
     report["verified"] = verified
     return report, code
@@ -673,7 +677,7 @@ def _load_levi(spec: ProblemSpec, args):
         except json.JSONDecodeError as exc:
             raise InputError(f"levi factor file: line {exc.lineno}, "
                         f"column {exc.colno}: {exc.msg}")
-        except ValueError as exc:   # as in parse_problem
+        except (ValueError, RecursionError) as exc:   # as in parse_problem, or not UTF-8
             raise InputError(f"levi factor file: {exc}")
         rows = _parse_levi({"levi_factor": block}, algebra.dim)
     if rows is None:
@@ -899,8 +903,11 @@ def _emit(report: dict, args) -> None:
     else:
         text = _render_text(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write the report: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -979,14 +986,14 @@ def main(argv=None) -> int:
             try:
                 with open(args.file, "r", encoding="utf-8") as handle:
                     text = handle.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise InputError(f"cannot read problem file: {exc}")
             spec = _apply_overrides(parse_problem(text), args)
             report, code = _COMMANDS[args.command](spec, args)
+        _emit(report, args)
     except (InputError, SolverFailure) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(report, args)
     return code
 
 

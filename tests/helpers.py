@@ -212,13 +212,14 @@ def so3_action_algebroid(order):
 def random_graded_change(rng, base_dim, rank, order, max_tweaks=2,
                          coeff_pool=(-2, -1, 1, 2)):
     """Near-identity base change plus near-identity frame change with sparse
-    polynomial entries; always invertible and grading-preserving."""
+    polynomial entries; always invertible and grading-preserving.  At order 1
+    the base change is the identity, and a rank-0 frame is empty."""
     from poislin.algebroid import AlgebroidChange
 
     comps = []
     for i in range(base_dim):
         comp = Jet.variable(i, base_dim, order)
-        for _ in range(rng.randint(0, max_tweaks)):
+        for _ in range(rng.randint(0, max_tweaks) if order > 1 else 0):
             mono = [0] * base_dim
             for _ in range(rng.randint(2, min(3, order))):
                 mono[rng.randrange(base_dim)] += 1
@@ -230,7 +231,7 @@ def random_graded_change(rng, base_dim, rank, order, max_tweaks=2,
          for j in range(rank)]
         for i in range(rank)
     ]
-    for _ in range(rng.randint(1, max_tweaks + 1)):
+    for _ in range(rng.randint(1, max_tweaks + 1) if rank else 0):
         i, j = rng.randrange(rank), rng.randrange(rank)
         mono = [0] * base_dim
         for _ in range(rng.randint(1, 2)):

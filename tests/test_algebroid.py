@@ -5,14 +5,17 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    coadjoint_action,
     dense,
     gl2_algebra,
     gl2_matrix_algebroid,
     random_graded_change,
     random_near_identity_change,
     record_calls,
+    sl2_algebra,
     so3_action_algebroid,
     so3_algebra,
     so3_bivector,
@@ -34,7 +37,7 @@ from poislin.algebroid import (
 )
 from poislin.cohomology import ObstructionClass, coadjoint_rep, induced_polynomial_module
 from poislin.liealg import LieAlgebra, isotropy_from_linear_part, levi_lift
-from poislin.normalform import SplitNotCertified
+from poislin.normalform import SplitNotCertified, conjugate_action, linearize_action
 from poislin.polyalg import CoordChange, Jet, PoissonJet, compose_change, jacobiator
 
 F = Fraction
@@ -300,6 +303,122 @@ def test_applying_composed_changes_matches_sequential_transport():
     assert apply_algebroid_change(A, merged) == step
 
 
+def _promoted(jet: Jet, rank: int) -> Jet:
+    """A base-variable jet in the dual variables, term by term."""
+    return Jet.from_terms(jet.nvars + rank, jet.order,
+                          [(mono + (0,) * rank, c) for mono, c in jet.terms()])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(base_dim=st.integers(1, 3), rank=st.integers(0, 3), order=st.integers(1, 5),
+       seed=st.integers(0, 10 ** 6))
+def test_a_change_survives_the_dual_round_trip_less_its_top_frame_degree(
+        base_dim, rank, order, seed):
+    """to_dual writes each frame entry c as the product c e_k, which drops
+    c's degree-N terms, and from_dual reads the rest of the change back.  A
+    change needs a base coordinate, so base_dim starts at 1."""
+    rng = random.Random(seed)
+    change = random_graded_change(rng, base_dim, rank, order)
+    frame = [list(row) for row in change.frame]
+    if rank:
+        top = Jet(base_dim, order, {(order,) + (0,) * (base_dim - 1): 3})
+        frame[rng.randrange(rank)][rng.randrange(rank)] += top
+    change = AlgebroidChange(change.base, frame)
+    total = base_dim + rank
+    e = [Jet.variable(base_dim + k, total, order) for k in range(rank)]
+    dual = change.to_dual()
+    assert dual.components == tuple(
+        [_promoted(c, rank) for c in change.base.components]
+        + [sum((_promoted(c, rank) * e[k] for k, c in enumerate(row)), Jet.zero(total, order))
+           for row in frame])
+    assert is_graded_change(dual, base_dim)
+    kept = [[c - c.homogeneous_part(order) for c in row] for row in frame]
+    assert AlgebroidChange.from_dual(dual, base_dim) == AlgebroidChange(change.base, kept)
+
+
+ALGEBRA_OF_RANK = {0: LieAlgebra.from_sparse(0, []), 1: LieAlgebra.from_sparse(1, []),
+                   2: solvable2_algebra(), 3: so3_algebra()}
+
+
+def _random_algebroid(rng, base_dim, rank, order):
+    """An action algebroid moved by a random graded change where there is a
+    base: so(3) acts coadjointly over R^3, section e0 of the line and of
+    [e0, e1] = e1 by a random diagonal matrix, and every other section by 0."""
+    L = ALGEBRA_OF_RANK[rank]
+    mats = [[[0] * base_dim for _ in range(base_dim)] for _ in range(rank)]
+    if (base_dim, rank) == (3, 3):
+        mats = [[[L.constants[i][l][k] for k in range(3)] for l in range(3)] for i in range(3)]
+    elif rank in (1, 2):
+        for l in range(base_dim):
+            mats[0][l][l] = rng.choice((-1, 1, 2))
+    A = action_algebroid(L, mats, base_dim, order)
+    if base_dim:
+        A = apply_algebroid_change(A, random_graded_change(rng, base_dim, rank, order + 1))
+    return A
+
+
+def _views_by_terms(pi: PoissonJet, base_dim: int, order: int) -> tuple:
+    """(structure, anchor) of a fiberwise linear dual, read term by term."""
+    n, rank = base_dim, pi.nvars - base_dim
+    structure = [[[{} for _ in range(rank)] for _ in range(rank)] for _ in range(rank)]
+    for i in range(rank):
+        for j in range(rank):
+            for mono, c in pi.entries[n + i][n + j].terms():
+                structure[i][j][mono[n:].index(1)][mono[:n]] = c
+    anchor = [[Jet(n, order + 1, {mono[:n]: c for mono, c in pi.entries[n + i][l].terms()})
+               for l in range(n)] for i in range(rank)]
+    return ([[[Jet(n, order, terms) for terms in row] for row in block] for block in structure],
+            anchor)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(base_dim=st.integers(0, 3), rank=st.integers(0, 3), order=st.integers(1, 5),
+       seed=st.integers(0, 10 ** 6))
+def test_the_views_survive_the_dual_round_trip(base_dim, rank, order, seed):
+    """A jet built from the structure and anchor read term by term off a
+    dual has that dual, and poisson_to_algebroid(algebroid_to_poisson(A))
+    reads A's views back."""
+    pi = algebroid_to_poisson(_random_algebroid(random.Random(seed), base_dim, rank, order))
+    A = AlgebroidJet(base_dim, rank, *_views_by_terms(pi, base_dim, order), order)
+    assert algebroid_to_poisson(A) == pi
+    read = poisson_to_algebroid(algebroid_to_poisson(A), base_dim)
+    assert (read.structure, read.anchor) == (A.structure, A.anchor)
+
+
+@pytest.mark.parametrize("defect", ["constant", "fiber-quadratic", "fiber-in-base"])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(base_dim=st.integers(1, 3), rank=st.integers(1, 3), order=st.integers(2, 5),
+       seed=st.integers(0, 10 ** 6))
+def test_a_term_of_the_wrong_fiber_degree_is_refused(defect, base_dim, rank, order, seed):
+    """A term of fiber degree 0 (a constant) or 2 (e_i e_j) in a fiber image
+    or fiber-fiber entry, or of degree 1 (e_k) in a base image or base-fiber
+    entry, fails the grading checks, and the readers refuse it."""
+    rng = random.Random(seed)
+    n, total = base_dim, base_dim + rank
+    i, j, k, l = rng.randrange(rank), rng.randrange(rank), rng.randrange(rank), rng.randrange(n)
+    e = [Jet.variable(n + s, total, order) for s in range(rank)]
+    term = {"constant": Jet.one(total, order), "fiber-quadratic": e[i] * e[j],
+            "fiber-in-base": e[k]}[defect]
+    row = l if defect == "fiber-in-base" else n + i
+    comps = list(random_graded_change(rng, n, rank, order).to_dual().components)
+    comps[row] += term
+    bad = CoordChange._trusted(comps)   # a constant term does not fix the origin
+    assert not is_graded_change(bad, n)
+    with pytest.raises(ValueError, match="change does not preserve the base/fiber grading"):
+        AlgebroidChange.from_dual(bad, n)
+    if rank == 1 and defect != "fiber-in-base":
+        return   # no fiber-fiber entry off the diagonal
+    grid = [list(entries) for entries in
+            algebroid_to_poisson(_random_algebroid(rng, n, rank, order - 1)).entries]
+    col = n + (i + 1) % rank if row >= n else n + k
+    grid[row][col] += term
+    grid[col][row] -= term
+    bad_pi = PoissonJet._trusted(grid, total, order)
+    assert not fiberwise_linearity_check(bad_pi, n)
+    with pytest.raises(ValueError, match="bivector is not fiberwise linear for this splitting"):
+        poisson_to_algebroid(bad_pi, n)
+
+
 # ---------------------------------------------------------------------------
 # graded complex against the full one
 
@@ -420,6 +539,34 @@ def test_linearize_recovers_action_algebroid():
             assert apply_algebroid_change(moved, change) == A
             if trace.steps:
                 assert trace.scheduler == scheduler
+
+
+def _action_algebroid_of(action, order: int) -> AlgebroidJet:
+    """The algebroid at `order` of an action: constant structure functions
+    and the action's fields as anchors."""
+    L, n = action.algebra, action.nvars
+    structure = [[[Jet(n, order, {(0,) * n: c}) for c in row] for row in block]
+                 for block in L.constants]
+    anchor = [[comp.truncate(order + 1) for comp in field] for field in action.fields]
+    return AlgebroidJet(n, L.dim, structure, anchor, order)
+
+
+@pytest.mark.parametrize("algebra", [so3_algebra, sl2_algebra], ids=["so3", "sl2"])
+def test_an_action_linearized_by_phi_makes_its_action_algebroid_linear(algebra):
+    """Known answer from the source paper: when phi linearizes an action,
+    the base change phi with the identity frame carries the action's
+    algebroid to the algebroid of its normal form, with no algebroid engine
+    involved; and the algebroid engine linearizes that algebroid too."""
+    L = algebra()
+    model = coadjoint_action(L, 5)
+    for seed in range(15):
+        moved = conjugate_action(model, random_near_identity_change(random.Random(seed), 3, 5))
+        A = _action_algebroid_of(moved, 4)
+        phi, normal_form, _ = linearize_action(moved)
+        lift = AlgebroidChange(phi, AlgebroidChange.identity(3, 3, 5).frame)
+        assert apply_algebroid_change(A, lift) == _action_algebroid_of(normal_form, 4)
+        change, linear, _ = linearize_algebroid(A)
+        assert apply_algebroid_change(A, change) == linear.to_algebroid(4)
 
 
 def test_linearize_doubling_trace_structure():

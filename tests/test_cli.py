@@ -633,6 +633,41 @@ def test_an_overlong_integer_in_the_levi_factor_file_is_an_input_error(tmp_path,
     assert err.startswith("error: levi factor file:") and "Traceback" not in err
 
 
+DEEP = "[" * 100_000 + "]" * 100_000     # past json's recursion limit
+SQUARE = {"kind": "poisson", "variables": ["x", "y"], "order": 3, "brackets": {"x,y": "x^2"}}
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "deep-problem", "deep-levi-factor",
+                                  "huge-coefficient", "huge-radius", "unwritable-out"])
+def test_file_and_range_edges_end_in_a_clean_exit(tmp_path, capsys, case):
+    """Bytes that are not UTF-8, JSON nested past the recursion limit, a trace
+    norm past binary64 (from a coefficient or from the radius) and a report
+    path in a missing folder each end in exit 1 and one error line."""
+    path = tmp_path / "prob.json"
+    argv = ["linearize", write_problem(tmp_path, SQUARE)]
+    if case == "not-utf8":
+        path.write_bytes(json.dumps(SQUARE).replace("x^2", "é").encode("latin-1"))
+    elif case == "deep-problem":
+        path.write_text(DEEP)
+    elif case == "deep-levi-factor":
+        prob = corpus.get("gl2-levi").problem(4)
+        prob.pop("levi_factor")
+        factor = tmp_path / "split.json"
+        factor.write_text(DEEP)
+        argv = ["levi", write_problem(tmp_path, prob), "--levi-factor", str(factor)]
+    elif case == "huge-coefficient":
+        write_problem(tmp_path, {**SQUARE, "brackets": {"x,y": "1" + "0" * 399 + "*x^2"}})
+    elif case == "huge-radius":
+        argv += ["--radius", "1" + "0" * 200]
+    else:
+        argv += ["--out", str(tmp_path / "missing" / "report.json")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err[7:].strip() and "Traceback" not in err
+    if case.startswith("huge"):
+        assert "radius" in err
+
+
 def test_algebroid_command(tmp_path, capsys):
     path = write_problem(tmp_path, corpus.get("so3-coadjoint-algebroid").problem())
     code, out, _ = run_cli(capsys, ["algebroid", path])
